@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import tolerances
 from .errors import NumericContractError, ZeroProbabilityError
-from .liouville import PauliVector, pauli_basis
+from .liouville import PauliVector, _frozen, _pauli_transfer, pauli_basis
 
 __all__ = [
     "GateMatrix",
@@ -51,12 +51,6 @@ __all__ = [
 TRACE_PRESERVING = "trace_preserving"
 TRACE_DECREASING = "trace_decreasing"
 GENERAL = "general"
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -108,6 +102,8 @@ class KrausSet:
         shape = ops[0].shape
         if any(a.shape != shape for a in ops):
             raise NumericContractError("all Kraus operators must have the same shape")
+        if not all(np.isfinite(a).all() for a in ops):
+            raise NumericContractError("Kraus operators have non-finite entries")
         rows, cols = shape
         n_out = int(round(np.log2(rows)))
         n_in = int(round(np.log2(cols)))
@@ -164,12 +160,8 @@ def gate_from_matrix(entries, kind: str | None = None, tol: float | None = None)
 
 def _kraus_transfer(ops, n_in: int, n_out: int, tol: float, snap_row0: bool = False) -> np.ndarray:
     bin_ = pauli_basis(n_in)
-    bout = pauli_basis(n_out)
-    acc = np.zeros((4**n_out, 4**n_in), dtype=complex)
-    for a in ops:
-        conj = np.einsum("ab,nbc,dc->nad", a, bin_, a.conj())
-        acc += np.einsum("mij,nji->mn", bout, conj)
-    acc /= 2**n_in
+    images = sum(a @ bin_ @ a.conj().T for a in ops)
+    acc = _pauli_transfer(images, n_out) / 2**n_in
     resid = float(np.max(np.abs(acc.imag)))
     if resid > tol:
         raise NumericContractError(f"gate entries not real: max imaginary part {resid:.3e}")
@@ -193,6 +185,8 @@ def gate_from_unitary(u: np.ndarray, tol: float | None = None) -> GateMatrix:
     """
     tol = tolerances.algebra if tol is None else tol
     u = np.asarray(u, dtype=complex)
+    if not np.isfinite(u).all():
+        raise NumericContractError("unitary has non-finite entries")
     d = u.shape[0]
     n = int(round(np.log2(d)))
     if u.shape != (d, d) or 2**n != d:
@@ -320,31 +314,22 @@ def adjoint_gate(gate: GateMatrix) -> GateMatrix:
     return GateMatrix(gate.n_in, gate.n_out, entries, classify_kind(entries), gate.cp_certified)
 
 
-def _channel_operator_action(gate: GateMatrix, x: np.ndarray) -> np.ndarray:
-    """Apply the channel of a gate to an arbitrary operator X."""
-    bin_ = pauli_basis(gate.n_in)
-    bout = pauli_basis(gate.n_out)
-    coeff = np.einsum("nij,ji->n", bin_, x)
-    out_coeff = gate.entries @ coeff
-    return np.einsum("m,mij->ij", out_coeff, bout) / 2**gate.n_out
-
-
 def choi_matrix(gate: GateMatrix, tol: float | None = None) -> np.ndarray:
     """Choi matrix J = sum_ij E(|i><j|) kron |i><j|; PSD iff the map is CP.
 
-    The identity gate yields 2**n times the maximally entangled projector.
-    Gates built from Kraus sets always pass the PSD test.
+    Closed form: J = 2**-n_out sum_{mu nu} E[mu, nu] sigma_mu kron sigma_nu^T,
+    output factor leading.  Over the flattened bases, M = B_out^T E B_in
+    holds J[(a, i), (b, k)] at M[(a, b), (k, i)].  The identity gate
+    yields 2**n times the maximally entangled projector.  Gates built from
+    Kraus sets always pass the PSD test.
     """
     tol = tolerances.algebra if tol is None else tol
     d_in = 2**gate.n_in
     d_out = 2**gate.n_out
-    j = np.zeros((d_out * d_in, d_out * d_in), dtype=complex)
-    unit = np.zeros((d_in, d_in), dtype=complex)
-    for i in range(d_in):
-        for k in range(d_in):
-            unit[:] = 0
-            unit[i, k] = 1.0
-            j += np.kron(_channel_operator_action(gate, unit), unit)
+    bin_ = pauli_basis(gate.n_in).reshape(d_in**2, -1)
+    bout = pauli_basis(gate.n_out).reshape(d_out**2, -1)
+    m = bout.T @ (gate.entries @ bin_) / d_out
+    j = m.reshape(d_out, d_out, d_in, d_in).transpose(0, 3, 1, 2).reshape(d_out * d_in, -1)
     resid = float(np.max(np.abs(j - j.conj().T)))
     if resid > tol:
         raise NumericContractError(f"Choi matrix not Hermitian: residual {resid:.3e}")

@@ -114,6 +114,17 @@ def pauli_basis(n: int) -> np.ndarray:
     return out
 
 
+def _pauli_transfer(images: np.ndarray, n: int) -> np.ndarray:
+    """T[mu, k] = Tr(sigma_mu X_k) over a stack X, as one GEMM with the flattened basis."""
+    rows = pauli_basis(n).reshape(4**n, -1)
+    return rows @ images.transpose(0, 2, 1).reshape(len(images), -1).T
+
+
+def _pauli_combine(p: np.ndarray, n: int) -> np.ndarray:
+    """The operator 2**-n sum_mu p[mu] sigma_mu, as one GEMV."""
+    return (p @ pauli_basis(n).reshape(4**n, -1)).reshape(2**n, 2**n) / 2**n
+
+
 def pauli_tensor(idx: PauliIndex) -> np.ndarray:
     """Tensor product sigma_{mu_1} x ... x sigma_{mu_n} of Pauli matrices."""
     out = SIGMA[idx.digits[0]]
@@ -228,8 +239,7 @@ def density_to_pvec(rho: DensityMatrix, tol: float | None = None) -> PauliVector
     imaginary part above tolerance (non-Hermitian input).
     """
     tol = tolerances.algebra if tol is None else tol
-    basis = pauli_basis(rho.n)
-    coeffs = np.einsum("mij,ji->m", basis, rho.entries)
+    coeffs = _pauli_transfer(rho.entries[None], rho.n)[:, 0]
     resid = float(np.max(np.abs(coeffs.imag)))
     if resid > tol:
         raise NumericContractError(
@@ -248,8 +258,7 @@ def pvec_to_density(pvec: PauliVector, tol: float | None = None) -> DensityMatri
     tol = tolerances.algebra if tol is None else tol
     if abs(pvec.P[0] - 1.0) > tol:
         raise NumericContractError(f"P[0] must be 1 for a normalized state, got {pvec.P[0]}")
-    basis = pauli_basis(pvec.n)
-    rho = np.einsum("m,mij->ij", pvec.P, basis) / 2**pvec.n
+    rho = _pauli_combine(pvec.P, pvec.n)
     out = DensityMatrix(pvec.n, rho)
     min_eig = float(np.linalg.eigvalsh(rho)[0])
     if min_eig < -tolerances.psd:
@@ -298,12 +307,10 @@ def validate_density(state: DensityMatrix | PauliVector, tol: float | None = Non
     window 2**-n <= Tr(rho^2) <= 1.
     """
     tol = tolerances.algebra if tol is None else tol
+    n = state.n
     if isinstance(state, PauliVector):
-        n = state.n
-        basis = pauli_basis(n)
-        rho = np.einsum("m,mij->ij", state.P, basis) / 2**n
+        rho = _pauli_combine(state.P, n)
     else:
-        n = state.n
         rho = state.entries
     herm = float(np.max(np.abs(rho - rho.conj().T))) <= tol
     trace = complex(np.trace(rho))

@@ -4,7 +4,8 @@ Conventions: complex scalars are two-element arrays [re, im] (bare
 numbers are accepted as real input); matrices are row-major nested
 arrays; gate entries are real and encoded as plain floats.  Decoders
 raise :class:`SchemaError` with a path-qualified message pointing at the
-offending element.
+offending element.  The matrix and vector decoders reject NaN and
++-Infinity, which the JSON parser accepts.
 """
 
 from __future__ import annotations
@@ -84,6 +85,13 @@ def decode_complex(obj, path: str) -> complex:
     raise SchemaError(f"{path}: expected a [re, im] pair")
 
 
+def _finite(arr: np.ndarray, path: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        where = "".join(f"[{k}]" for k in np.argwhere(~np.isfinite(arr))[0])
+        raise SchemaError(f"{path}{where}: expected a finite number")
+    return arr
+
+
 def decode_complex_matrix(obj, path: str) -> np.ndarray:
     rows = _expect(obj, list, path, "a matrix (list of rows)")
     if not rows:
@@ -97,7 +105,7 @@ def decode_complex_matrix(obj, path: str) -> np.ndarray:
         elif len(row) != width:
             raise SchemaError(f"{path}[{i}]: ragged matrix row")
         out.append([decode_complex(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
-    return np.array(out, dtype=complex)
+    return _finite(np.array(out, dtype=complex), path)
 
 
 def decode_real_matrix(obj, path: str) -> np.ndarray:
@@ -116,7 +124,7 @@ def decode_real_vector(obj, path: str, length: int | None = None) -> np.ndarray:
         out.append(float(v))
     if length is not None and len(out) != length:
         raise SchemaError(f"{path}: expected {length} entries, got {len(out)}")
-    return np.array(out)
+    return _finite(np.array(out), path)
 
 
 # -- states -----------------------------------------------------------------

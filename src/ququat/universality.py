@@ -20,7 +20,7 @@ from scipy.linalg import expm
 from .config import tolerances
 from .errors import NumericContractError
 from .gates import GateMatrix
-from .liouville import pauli_basis
+from .liouville import _pauli_transfer, pauli_basis
 
 __all__ = [
     "PseudoGate",
@@ -73,8 +73,7 @@ def left_mult_superop(a: np.ndarray) -> PseudoGate:
     n = int(round(np.log2(a.shape[0])))
     if a.shape != (2**n, 2**n):
         raise NumericContractError(f"operator must be square 2**n x 2**n, got {a.shape}")
-    basis = pauli_basis(n)
-    mat = np.einsum("nij,mjk,ki->mn", basis, basis, a) / 2**n
+    mat = _pauli_transfer(a @ pauli_basis(n), n) / 2**n
     return PseudoGate(n, mat, "left")
 
 
@@ -89,8 +88,7 @@ def right_mult_superop(a: np.ndarray) -> PseudoGate:
     n = int(round(np.log2(a.shape[0])))
     if a.shape != (2**n, 2**n):
         raise NumericContractError(f"operator must be square 2**n x 2**n, got {a.shape}")
-    basis = pauli_basis(n)
-    mat = np.einsum("mij,njk,ki->mn", basis, basis, a) / 2**n
+    mat = _pauli_transfer(pauli_basis(n) @ a, n) / 2**n
     return PseudoGate(n, mat, "right")
 
 

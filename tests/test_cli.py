@@ -354,3 +354,31 @@ class TestSimulateAndMisc:
         from ququat.config import set_tolerances
 
         set_tolerances(algebra=1e-10)
+
+
+class TestNonFiniteInput:
+    """NaN and Infinity parse as JSON numbers; decoding must reject them."""
+
+    @pytest.mark.parametrize(
+        "args,text,where",
+        [
+            (["gate", "from-unitary"], '{"U": [[NaN, 1], [1, 0]]}', "U[0][0]"),
+            (["gate", "from-unitary"], '{"U": [[1, [0, Infinity]], [1, 0]]}', "U[0][1]"),
+            (
+                ["measure"],
+                '{"projectors": [[[1,0],[0,0]], [[0,0],[0,1]]], '
+                '"state": {"n": 1, "P": [1,0,0,NaN]}}',
+                "state.P[3]",
+            ),
+            (["state", "validate"], '{"n": 1, "P": [1, 0, -Infinity, 0]}', "state.P[2]"),
+        ],
+    )
+    def test_schema_error(self, tmp_path, capsys, args, text, where):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code = main([*args, str(path)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_SCHEMA
+        assert out == ""
+        assert err.count("\n") == 1
+        assert where in err and "finite" in err

@@ -73,6 +73,12 @@ class TestGateFromUnitary:
         with pytest.raises(NumericContractError):
             gate_from_unitary(np.array([[1, 0], [0, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN slips through a plain max(...) > tol unitarity test
+        with pytest.raises(NumericContractError, match="non-finite"):
+            gate_from_unitary(np.array([[bad, 1], [1, 0]]))
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_homomorphism(self, n):
         for _ in range(25):
@@ -127,6 +133,13 @@ class TestGateFromKraus:
     def test_trace_increasing_rejected(self):
         with pytest.raises(NumericContractError):
             gate_from_kraus([np.eye(2) * 1.2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NumericContractError, match="non-finite"):
+            KrausSet((P0, np.array([[0, 0], [0, bad]])))
+        with pytest.raises(NumericContractError, match="non-finite"):
+            gate_from_kraus([P0, np.array([[0, 0], [0, bad]])])
 
     def test_trace_decreasing_kind(self):
         assert gate_from_kraus([P0]).kind == TRACE_DECREASING
