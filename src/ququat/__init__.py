@@ -67,6 +67,7 @@ from .lindblad import (
     LiouvillianSuperop,
     gks_matrix,
     gks_propagator,
+    liouvillian_gate,
     liouvillian_superop,
     propagate,
 )

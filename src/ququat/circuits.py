@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .config import tolerances
 from .decompositions import NAMED_GATES, named_gate
@@ -30,9 +29,7 @@ from .gates import (
     apply_nonlinear,
     gate_from_kraus,
     gate_from_unitary,
-    measurement_gates,
 )
-from .lindblad import gks_matrix, gks_propagator, liouvillian_superop
 from .liouville import PauliVector, validate_density
 from .mvlogic import synthesize_quantum
 from . import serialization as sz
@@ -126,43 +123,18 @@ def _build_step_gate(step: dict, path: str) -> GateMatrix:
     key = present[0]
     if key == "named":
         name = step["named"]
-        if not isinstance(name, str) or name not in NAMED_GATES:
+        if name not in NAMED_GATES:
             raise SchemaError(f"{path}.named: unknown gate name {name!r}")
         param = step.get("param")
+        if param is not None:
+            param = sz._decode_number(param, f"{path}.param")
         return named_gate(name, param)
     if key == "unitary":
         return gate_from_unitary(sz.decode_complex_matrix(step["unitary"], f"{path}.unitary"))
     if key == "kraus":
         return gate_from_kraus(sz.kraus_from_json(step["kraus"], f"{path}.kraus"))
     if key == "lindblad":
-        spec = step["lindblad"]
-        if not isinstance(spec, dict):
-            raise SchemaError(f"{path}.lindblad: expected an object")
-        if "model" in spec:
-            model = sz.gks_model_from_json(spec["model"], f"{path}.lindblad.model")
-            tau = spec.get("tau")
-            if isinstance(tau, bool) or not isinstance(tau, (int, float)):
-                raise SchemaError(f"{path}.lindblad.tau: expected a number")
-            return gks_propagator(gks_matrix(model), float(tau))
-        if "H" in spec:
-            h = sz.decode_complex_matrix(spec["H"], f"{path}.lindblad.H")
-            vs = spec.get("V", [])
-            if not isinstance(vs, list):
-                raise SchemaError(f"{path}.lindblad.V: expected a list of matrices")
-            ops = [
-                sz.decode_complex_matrix(v, f"{path}.lindblad.V[{i}]") for i, v in enumerate(vs)
-            ]
-            t = spec.get("t")
-            if isinstance(t, bool) or not isinstance(t, (int, float)):
-                raise SchemaError(f"{path}.lindblad.t: expected a number")
-            gen = liouvillian_superop(h, ops).to_pauli_generator()
-            return GateMatrix(
-                int(round(np.log2(h.shape[0]))),
-                int(round(np.log2(h.shape[0]))),
-                expm(float(t) * gen),
-                TRACE_PRESERVING,
-            )
-        raise SchemaError(f"{path}.lindblad: expected 'model' or 'H'")
+        return sz.lindblad_from_json(step["lindblad"], f"{path}.lindblad")[0]
     if key == "gate":
         return sz.gate_from_json(step["gate"], f"{path}.gate")
     return synthesize_quantum(sz.table_from_json(step["table"], f"{path}.table"))
@@ -174,85 +146,56 @@ def _decode_targets(step: dict, k: int, n: int, path: str) -> tuple[int, ...]:
             raise NumericContractError(f"{path}: gate needs {k} ququats, circuit has {n}")
         return tuple(range(k))
     targets = step["targets"]
-    if not isinstance(targets, list) or not all(
-        isinstance(t, int) and not isinstance(t, bool) for t in targets
-    ):
-        raise SchemaError(f"{path}.targets: expected a list of integers")
-    return tuple(targets)
+    return tuple(sz._decode_list(targets, f"{path}.targets", lambda t, p: sz._decode_int(t, p, 0)))
+
+
+def _parse_step(raw, path: str, n: int) -> CircuitStep:
+    raw = sz._expect(raw, dict, path, "an object")
+    if "measure" in raw:
+        spec = sz._expect(raw["measure"], dict, f"{path}.measure", "an object")
+        gates, post = sz.measurement_from_json(
+            sz._expect_key(spec, "projectors", f"{path}.measure"),
+            raw.get("post_select"),
+            f"{path}.measure.projectors",
+            f"{path}.post_select",
+        )
+        targets = _decode_targets(raw, gates[0].n_in, n, path)
+        embedded = tuple(embed_gate(g, targets, n) for g in gates)
+        if post is None:
+            total = np.sum([g.entries for g in embedded], axis=0)
+            delta = np.zeros(4**n)
+            delta[0] = 1.0
+            if np.max(np.abs(total[0] - delta)) > tolerances.algebra:
+                raise NumericContractError(
+                    f"{path}: projector family is incomplete; give post_select"
+                )
+        return CircuitStep(
+            kind="measurement",
+            gates=embedded,
+            targets=targets,
+            post_select=post,
+            report=tuple(analyze_gate(g) for g in embedded),
+        )
+    gate = _build_step_gate(raw, path)
+    targets = _decode_targets(raw, gate.n_in, n, path)
+    embedded = embed_gate(gate, targets, n)
+    if embedded.kind != TRACE_PRESERVING:
+        raise NumericContractError(f"{path}: non-measurement steps need a trace-preserving gate")
+    return CircuitStep(
+        kind="linear",
+        gates=(embedded,),
+        targets=targets,
+        post_select=None,
+        report=analyze_gate(embedded),
+    )
 
 
 def parse_circuit(doc) -> Circuit:
     """Validate a circuit document and construct all gates eagerly."""
     doc = sz._expect(doc, dict, "circuit", "an object")
-    n = doc.get("n")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise SchemaError("circuit.n: expected a positive integer")
-    raw_steps = doc.get("steps")
-    if not isinstance(raw_steps, list):
-        raise SchemaError("circuit.steps: expected a list")
-    steps = []
-    for i, raw in enumerate(raw_steps):
-        path = f"steps[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{path}: expected an object")
-        if "measure" in raw:
-            spec = raw["measure"]
-            if not isinstance(spec, dict) or "projectors" not in spec:
-                raise SchemaError(f"{path}.measure: expected an object with 'projectors'")
-            projs = spec["projectors"]
-            if not isinstance(projs, list) or not projs:
-                raise SchemaError(f"{path}.measure.projectors: expected a nonempty list")
-            mats = [
-                sz.decode_complex_matrix(p, f"{path}.measure.projectors[{j}]")
-                for j, p in enumerate(projs)
-            ]
-            gates = measurement_gates(mats)
-            k = gates[0].n_in
-            targets = _decode_targets(raw, k, n, path)
-            embedded = tuple(embed_gate(g, targets, n) for g in gates)
-            post = raw.get("post_select")
-            if post is not None:
-                if isinstance(post, bool) or not isinstance(post, int):
-                    raise SchemaError(f"{path}.post_select: expected an integer")
-                if not 0 <= post < len(embedded):
-                    raise SchemaError(
-                        f"{path}.post_select: index {post} out of range for "
-                        f"{len(embedded)} projectors"
-                    )
-            else:
-                total = np.sum([g.entries for g in embedded], axis=0)
-                delta = np.zeros(4**n)
-                delta[0] = 1.0
-                if np.max(np.abs(total[0] - delta)) > tolerances.algebra:
-                    raise NumericContractError(
-                        f"{path}: projector family is incomplete; give post_select"
-                    )
-            steps.append(
-                CircuitStep(
-                    kind="measurement",
-                    gates=embedded,
-                    targets=targets,
-                    post_select=post,
-                    report=tuple(analyze_gate(g) for g in embedded),
-                )
-            )
-        else:
-            gate = _build_step_gate(raw, path)
-            targets = _decode_targets(raw, gate.n_in, n, path)
-            embedded = embed_gate(gate, targets, n)
-            if embedded.kind != TRACE_PRESERVING:
-                raise NumericContractError(
-                    f"{path}: non-measurement steps need a trace-preserving gate"
-                )
-            steps.append(
-                CircuitStep(
-                    kind="linear",
-                    gates=(embedded,),
-                    targets=targets,
-                    post_select=None,
-                    report=analyze_gate(embedded),
-                )
-            )
+    n = sz._decode_int(sz._expect_key(doc, "n", "circuit"), "circuit.n", 1)
+    raw_steps = sz._expect_key(doc, "steps", "circuit")
+    steps = sz._decode_list(raw_steps, "steps", lambda raw, path: _parse_step(raw, path, n))
     return Circuit(n=n, steps=tuple(steps))
 
 

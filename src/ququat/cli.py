@@ -15,8 +15,11 @@ Exit codes: 0 success, 2 schema error, 3 numeric contract violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from . import serialization as sz
@@ -36,19 +39,10 @@ from .gates import (
     check_reversible_superop,
     compose,
     gate_from_kraus,
-    gate_from_matrix,
     gate_from_unitary,
-    measurement_gates,
     tensor_gates,
 )
-from .lindblad import gks_matrix, gks_propagator, liouvillian_superop
-from .liouville import (
-    DensityMatrix,
-    PauliVector,
-    density_to_pvec,
-    pvec_to_density,
-    validate_density,
-)
+from .liouville import PauliVector, density_to_pvec, pvec_to_density, validate_density
 from .mvlogic import (
     builtin,
     closure,
@@ -124,12 +118,12 @@ def _render_text(obj, precision: int, indent: int = 0) -> list[str]:
     return lines
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and type(v) is not bool
+
+
 def _is_complex_pair(v) -> bool:
-    return (
-        isinstance(v, list)
-        and len(v) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
-    )
+    return isinstance(v, list) and len(v) == 2 and all(_is_number(x) for x in v)
 
 
 def _is_matrix(obj) -> bool:
@@ -139,10 +133,7 @@ def _is_matrix(obj) -> bool:
         and all(
             isinstance(row, list)
             and row
-            and all(
-                (isinstance(v, (int, float)) and not isinstance(v, bool)) or _is_complex_pair(v)
-                for v in row
-            )
+            and all(_is_number(v) or _is_complex_pair(v) for v in row)
             for row in obj
         )
     )
@@ -155,7 +146,7 @@ def _render_cell(v, precision: int) -> str:
 
 
 def _render_scalar(v, precision: int) -> str:
-    if isinstance(v, bool) or isinstance(v, (str, int)) or v is None:
+    if isinstance(v, (str, int)) or v is None:
         return str(v)
     return f"{v:+.{precision}f}"
 
@@ -171,11 +162,7 @@ def _emit(payload, args) -> None:
 
 
 def _cmd_state_convert(args):
-    doc = _load_document(args.input)
-    if isinstance(doc, dict) and "entries" in doc:
-        pvec = density_to_pvec(sz.density_from_json(doc, "state"))
-    else:
-        pvec = sz.pvec_from_json(doc, "state")
+    pvec = _state_from_json(_load_document(args.input))
     if args.to == "density":
         return sz.density_to_json(pvec_to_density(pvec))
     out = sz.pvec_to_json(pvec)
@@ -186,21 +173,14 @@ def _cmd_state_convert(args):
 
 def _cmd_state_validate(args):
     doc = _load_document(args.input)
+    # a density matrix is checked as given, so that a non-Hermitian input
+    # is reported rather than rejected by the Pauli expansion
     if isinstance(doc, dict) and "entries" in doc:
         state = sz.density_from_json(doc, "state")
     else:
         state = sz.pvec_from_json(doc, "state")
     rep = validate_density(state)
-    return {
-        "hermitian": rep.hermitian,
-        "unit_trace": rep.unit_trace,
-        "psd": rep.psd,
-        "purity_in_bounds": rep.purity_in_bounds,
-        "valid": rep.valid,
-        "trace": rep.trace,
-        "min_eigenvalue": rep.min_eigenvalue,
-        "purity": rep.purity,
-    }
+    return {**asdict(rep), "valid": rep.valid}
 
 
 def _cmd_gate_from_unitary(args):
@@ -215,52 +195,14 @@ def _cmd_gate_from_kraus(args):
 
 
 def _cmd_gate_from_lindblad(args):
-    doc = sz._expect(_load_document(args.input), dict, "lindblad", "an object")
-    if "model" in doc:
-        model = sz.gks_model_from_json(doc["model"], "lindblad.model")
-        tau = doc.get("tau")
-        if isinstance(tau, bool) or not isinstance(tau, (int, float)):
-            raise SchemaError("lindblad.tau: expected a number")
-        gen = gks_matrix(model)
-        out = sz.gate_to_json(gks_propagator(gen, float(tau)))
-        out["generator"] = sz.encode_real_matrix(gen.matrix)
-        return out
-    if "H" in doc:
-        from scipy.linalg import expm
-
-        h = sz.decode_complex_matrix(doc["H"], "lindblad.H")
-        ops = [
-            sz.decode_complex_matrix(v, f"lindblad.V[{i}]")
-            for i, v in enumerate(doc.get("V", []))
-        ]
-        t = doc.get("t")
-        if isinstance(t, bool) or not isinstance(t, (int, float)):
-            raise SchemaError("lindblad.t: expected a number")
-        gen = liouvillian_superop(h, ops).to_pauli_generator()
-        gate = gate_from_matrix(expm(float(t) * gen))
-        out = sz.gate_to_json(gate)
-        out["generator"] = sz.encode_real_matrix(gen)
-        return out
-    raise SchemaError("lindblad: expected 'model' or 'H'")
+    gate, generator = sz.lindblad_from_json(_load_document(args.input))
+    return {**sz.gate_to_json(gate), "generator": sz.encode_real_matrix(generator)}
 
 
 def _cmd_gate_analyze(args):
     gate = sz.gate_from_json(_load_document(args.input))
-    rep = analyze_gate(gate)
     bound_ok, bound = trace_decreasing_bound(gate)
-    return {
-        "real": rep.real,
-        "trace_preserving": rep.trace_preserving,
-        "trace_decreasing": rep.trace_decreasing,
-        "unital": rep.unital,
-        "orthogonal": rep.orthogonal,
-        "completely_positive": rep.completely_positive,
-        "row0_deviation": rep.row0_deviation,
-        "row0_sq_sum": bound,
-        "row0_bound_holds": bound_ok,
-        "min_choi_eigenvalue": rep.min_choi_eigenvalue,
-        "t_norm": rep.t_norm,
-    }
+    return {**asdict(analyze_gate(gate)), "row0_sq_sum": bound, "row0_bound_holds": bound_ok}
 
 
 def _cmd_gate_decompose(args):
@@ -294,46 +236,32 @@ def _cmd_gate_adjoint(args):
     return sz.gate_to_json(adjoint_gate(sz.gate_from_json(_load_document(args.input))))
 
 
-def _cmd_gate_compose(args):
+def _load_gates(args) -> list:
     doc = sz._expect(_load_document(args.input), dict, "input", "an object")
-    gates = [
-        sz.gate_from_json(g, f"gates[{i}]") for i, g in enumerate(doc.get("gates", []))
-    ]
+    gates = sz._decode_list(doc.get("gates"), "gates", sz.gate_from_json)
     if len(gates) < 2:
-        raise SchemaError("gates: expected at least two gates (applied right to left)")
-    out = gates[-1]
-    for g in reversed(gates[:-1]):
-        out = compose(g, out)
-    return sz.gate_to_json(out)
+        raise SchemaError("gates: expected at least two gates")
+    return gates
+
+
+def _cmd_gate_compose(args):
+    # applied right to left: the last gate acts first
+    gates = reversed(_load_gates(args))
+    return sz.gate_to_json(functools.reduce(lambda inner, outer: compose(outer, inner), gates))
 
 
 def _cmd_gate_tensor(args):
-    doc = sz._expect(_load_document(args.input), dict, "input", "an object")
-    gates = [
-        sz.gate_from_json(g, f"gates[{i}]") for i, g in enumerate(doc.get("gates", []))
-    ]
-    if len(gates) < 2:
-        raise SchemaError("gates: expected at least two gates")
-    out = gates[0]
-    for g in gates[1:]:
-        out = tensor_gates(out, g)
-    return sz.gate_to_json(out)
+    return sz.gate_to_json(functools.reduce(tensor_gates, _load_gates(args)))
 
 
 def _cmd_measure(args):
     doc = sz._expect(_load_document(args.input), dict, "input", "an object")
-    projs = doc.get("projectors")
-    if not isinstance(projs, list) or not projs:
-        raise SchemaError("projectors: expected a nonempty list of matrices")
-    mats = [sz.decode_complex_matrix(p, f"projectors[{i}]") for i, p in enumerate(projs)]
-    gates = measurement_gates(mats)
+    gates, post = sz.measurement_from_json(doc.get("projectors"), doc.get("post_select"))
     state = _state_from_json(doc.get("state"), "state")
-    probs = [float(g.entries[0] @ state.P) for g in gates]
-    out = {"probabilities": probs}
-    post = doc.get("post_select")
+    if state.n != gates[0].n_in:
+        raise NumericContractError(f"state has n={state.n}, projectors act on n={gates[0].n_in}")
+    out = {"probabilities": [float(g.entries[0] @ state.P) for g in gates]}
     if post is not None:
-        if isinstance(post, bool) or not isinstance(post, int) or not 0 <= post < len(gates):
-            raise SchemaError("post_select: expected a projector index")
         new_state, p = apply_nonlinear(gates[post], state)
         out["post_select"] = post
         out["probability"] = p
@@ -375,19 +303,15 @@ def _cmd_mvlogic_dnf(args):
     return {"table": sz.table_to_json(table), "dnf": sz.expression_to_json(dnf(table))}
 
 
+def _generator_from_json(obj, path: str):
+    return builtin(obj) if isinstance(obj, str) else sz.table_from_json(obj, path)
+
+
 def _cmd_mvlogic_closure(args):
     doc = sz._expect(_load_document(args.input), dict, "input", "an object")
-    gens_raw = doc.get("generators")
-    if not isinstance(gens_raw, list) or not gens_raw:
-        raise SchemaError("generators: expected a nonempty list")
-    gens = []
-    for i, g in enumerate(gens_raw):
-        if isinstance(g, str):
-            gens.append(builtin(g))
-        else:
-            gens.append(sz.table_from_json(g, f"generators[{i}]"))
-    max_arity = doc.get("max_arity", 2)
-    budget = doc.get("budget", 5000)
+    gens = sz._decode_list(doc.get("generators"), "generators", _generator_from_json)
+    max_arity = sz._decode_int(doc.get("max_arity", 2), "max_arity", 1)
+    budget = sz._decode_int(doc.get("budget", 5000), "budget", 0)
     result = closure(gens, max_arity=max_arity, budget=budget)
     if args.format == "text":
         # one base-4 output string per discovered table
@@ -420,9 +344,7 @@ def _cmd_mvlogic_verify(args):
     gate = sz.gate_from_json(doc.get("gate"), "gate")
     mode = doc.get("mode", "plain")
     if "tables" in doc:
-        tables = [
-            sz.table_from_json(t, f"tables[{i}]") for i, t in enumerate(doc["tables"])
-        ]
+        tables = sz._decode_list(doc["tables"], "tables", sz.table_from_json)
     else:
         tables = sz.table_from_json(doc.get("table"), "table")
     return {"realizes": verify_realization(gate, tables, mode=mode)}
@@ -441,13 +363,9 @@ def _cmd_universality_pseudo(args):
 
 def _cmd_universality_closure_dim(args):
     doc = sz._expect(_load_document(args.input), dict, "input", "an object")
-    gens_raw = doc.get("generators")
-    if not isinstance(gens_raw, list) or not gens_raw:
-        raise SchemaError("generators: expected a nonempty list of matrices")
-    gens = [
-        sz.decode_complex_matrix(g, f"generators[{i}]") for i, g in enumerate(gens_raw)
-    ]
-    return {"dimension": lie_closure_dim(gens, max_iter=doc.get("max_iter", 100))}
+    gens = sz._decode_list(doc.get("generators"), "generators", sz.decode_complex_matrix)
+    max_iter = sz._decode_int(doc.get("max_iter", 100), "max_iter", 0)
+    return {"dimension": lie_closure_dim(gens, max_iter=max_iter)}
 
 
 def _cmd_universality_swap(args):
@@ -478,12 +396,24 @@ def _cmd_version(args):
     return {"version": __version__}
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ququat",
         description="Four-valued logic gates on open n-qubit states.",
     )
-    parser.add_argument("--tol", type=float, default=None, help="algebraic tolerance (default 1e-10)")
+    parser.add_argument(
+        "--tol", type=_tolerance, default=None, help="algebraic tolerance (default 1e-10)"
+    )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--precision", type=int, default=6, help="digits in text output")
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized subcommands")

@@ -36,15 +36,6 @@ __all__ = [
 ]
 
 
-def _require_tp(gate: GateMatrix, tol: float | None = None) -> None:
-    tol = tolerances.algebra if tol is None else tol
-    row0 = gate.entries[0]
-    delta = np.zeros_like(row0)
-    delta[0] = 1.0
-    if np.max(np.abs(row0 - delta)) > tol:
-        raise NumericContractError("operation requires a trace-preserving gate (row 0 = delta)")
-
-
 @dataclass(frozen=True)
 class TranslationSplit:
     """Translation column T and unital block R of a TP gate."""
@@ -57,7 +48,6 @@ class TranslationSplit:
 
 
 def _assemble(t: np.ndarray | None, r: np.ndarray) -> GateMatrix:
-    size = r.shape[0] + 1 if r.ndim == 2 else None
     rows = r.shape[0] + 1
     cols = r.shape[1] + 1
     entries = np.zeros((rows, cols))
@@ -87,7 +77,8 @@ def split_translation(gate: GateMatrix, tol: float | None = None) -> Translation
     The reassembled block matrix [[1, 0], [T, R]] equals the source
     exactly, and the group law E(T,R) E(T',R') = E(T + R T', R R') holds.
     """
-    _require_tp(gate, tol)
+    if classify_kind(gate.entries, tol) != TRACE_PRESERVING:
+        raise NumericContractError("operation requires a trace-preserving gate (row 0 = delta)")
     return TranslationSplit(t=gate.entries[1:, 0].copy(), r=gate.entries[1:, 1:].copy())
 
 
@@ -132,7 +123,6 @@ def svd_rect_gate(gate: GateMatrix, tol: float | None = None) -> GateSVD:
     p = min(4**n - 1, 4**m - 1) nonincreasing singular values; the
     translation factor sits on the output side.
     """
-    _require_tp(gate, tol)
     split = split_translation(gate, tol)
     u, s, vh = _signed_svd(split.r)
     d_block = np.zeros_like(split.r)
@@ -181,7 +171,6 @@ def polar_gate(gate: GateMatrix, side: str = "right", tol: float | None = None) 
         raise NumericContractError(f"side must be 'left' or 'right', got {side!r}")
     if not gate.square:
         raise NumericContractError("polar_gate requires a square gate")
-    _require_tp(gate, tol)
     split = split_translation(gate, tol)
     u, s, vh = _signed_svd(split.r)
     ortho = u @ vh
@@ -223,10 +212,10 @@ def euler_angles(gate: GateMatrix, tol: float | None = None) -> EulerAngles:
     tol = tolerances.algebra if tol is None else tol
     if gate.entries.shape != (4, 4):
         raise NumericContractError("euler_angles requires a single-ququat gate")
-    _require_tp(gate, tol)
-    if np.max(np.abs(gate.entries[1:, 0])) > tol:
+    split = split_translation(gate, tol)
+    if np.max(np.abs(split.t)) > tol:
         raise NumericContractError("euler_angles requires a unital gate")
-    b = gate.entries[1:, 1:]
+    b = split.r
     if np.max(np.abs(b @ b.T - np.eye(3))) > tol:
         raise NumericContractError("Bloch block is not orthogonal")
     if np.linalg.det(b) < 0:

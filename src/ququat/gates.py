@@ -418,6 +418,9 @@ def check_reversible(
     if not isinstance(kraus, KrausSet):
         kraus = KrausSet(tuple(kraus))
     p = np.asarray(p_m, dtype=complex)
+    d = 2**kraus.n_in
+    if p.shape != (d, d):
+        raise NumericContractError(f"P_M must be {d}x{d} like the Kraus input, got {p.shape}")
     if np.max(np.abs(p - p.conj().T)) > tol or np.max(np.abs(p @ p - p)) > tol:
         raise NumericContractError("P_M is not a Hermitian idempotent projector")
     tr_p = float(np.trace(p).real)

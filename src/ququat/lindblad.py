@@ -12,7 +12,8 @@ with L = [[0, 0], [B, A]]; its propagator is the trace-preserving gate
 [[1, 0], [T, R]] with R = expm(tau A) and T the integral of expm(s A) B,
 computed through an augmented block exponential so singular A needs no
 inversion.  The general-n route builds the Liouvillian superoperator from
-a Hamiltonian and jump operators V_j.
+a Hamiltonian and jump operators V_j; its propagator gate is expm(t L) of
+the real Pauli-basis generator L.
 
 Ordering note: the source derivation writes the dissipator anticommutator
 with V_j V_j^dagger.  That ordering does not preserve the trace for
@@ -44,6 +45,7 @@ __all__ = [
     "LiouvillianSuperop",
     "gks_matrix",
     "gks_propagator",
+    "liouvillian_gate",
     "liouvillian_superop",
     "propagate",
     "IndefiniteCoefficientWarning",
@@ -229,13 +231,21 @@ def liouvillian_superop(h: np.ndarray, v: list | tuple = ()) -> LiouvillianSuper
     return LiouvillianSuperop(n=n, matrix=mat, hamiltonian=h, jump_ops=tuple(ops))
 
 
-def propagate(liouvillian: LiouvillianSuperop, t: float, pvec: PauliVector) -> PauliVector:
-    """Evolve a state for time t under a fixed Liouvillian."""
+def liouvillian_gate(liouvillian: LiouvillianSuperop, t: float) -> GateMatrix:
+    """Trace-preserving propagator gate expm(t L) of a fixed Liouvillian.
+
+    L is the real Pauli-basis generator of :meth:`LiouvillianSuperop.to_pauli_generator`.
+    """
     if t < 0:
         raise NumericContractError("t must be nonnegative")
+    entries = expm(t * liouvillian.to_pauli_generator())
+    return GateMatrix(liouvillian.n, liouvillian.n, entries, TRACE_PRESERVING)
+
+
+def propagate(liouvillian: LiouvillianSuperop, t: float, pvec: PauliVector) -> PauliVector:
+    """Evolve a state for time t under a fixed Liouvillian."""
     if pvec.n != liouvillian.n:
         raise NumericContractError(
             f"state has n={pvec.n}, Liouvillian expects n={liouvillian.n}"
         )
-    gen = liouvillian.to_pauli_generator()
-    return PauliVector(pvec.n, expm(t * gen) @ pvec.P)
+    return PauliVector(pvec.n, liouvillian_gate(liouvillian, t).entries @ pvec.P)

@@ -296,8 +296,8 @@ def closure(generators, max_arity: int = 2, budget: int = 5000) -> ClosureResult
     generators = list(generators)
     if not generators:
         raise NumericContractError("closure needs at least one generator")
-    if any(g.arity > max_arity for g in generators):
-        raise NumericContractError("generator arity exceeds max_arity")
+    if any(not 1 <= g.arity <= max_arity for g in generators):
+        raise NumericContractError("generator arity must be in 1..max_arity")
     registry = {f"g{i}": g for i, g in enumerate(generators)}
 
     tables: list[TruthTable] = []

@@ -4,17 +4,27 @@ Conventions: complex scalars are two-element arrays [re, im] (bare
 numbers are accepted as real input); matrices are row-major nested
 arrays; gate entries are real and encoded as plain floats.  Decoders
 raise :class:`SchemaError` with a path-qualified message pointing at the
-offending element.  The matrix and vector decoders reject NaN and
-+-Infinity, which the JSON parser accepts.
+offending element.  Every decoded number must be finite: NaN and
++-Infinity, which the JSON parser accepts, are schema errors.  Option
+fields (times, indices, counts, lists) are decoded here too, so the CLI
+and circuit documents share one decode path.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .errors import SchemaError
-from .gates import GateMatrix, KrausSet, gate_from_matrix
-from .lindblad import GKSModel
+from .gates import GateMatrix, KrausSet, gate_from_matrix, measurement_gates
+from .lindblad import (
+    GKSModel,
+    gks_matrix,
+    gks_propagator,
+    liouvillian_gate,
+    liouvillian_superop,
+)
 from .liouville import DensityMatrix, PauliVector
 from .mvlogic import (
     ClassicalExpression,
@@ -42,6 +52,8 @@ __all__ = [
     "kraus_from_json",
     "gks_model_from_json",
     "gks_model_to_json",
+    "lindblad_from_json",
+    "measurement_from_json",
     "table_to_json",
     "table_from_json",
     "expression_to_json",
@@ -71,6 +83,29 @@ def _expect_key(obj: dict, key: str, path: str):
     if key not in obj:
         raise SchemaError(f"{path}: missing required key {key!r}")
     return obj[key]
+
+
+def _decode_int(obj, path: str, minimum: int) -> int:
+    if isinstance(obj, bool) or not isinstance(obj, int) or obj < minimum:
+        raise SchemaError(f"{path}: expected an integer >= {minimum}")
+    return obj
+
+
+def _decode_number(obj, path: str) -> float:
+    # the bound also rejects integers too large to convert to a float
+    if (
+        isinstance(obj, bool)
+        or not isinstance(obj, (int, float))
+        or not abs(obj) <= sys.float_info.max
+    ):
+        raise SchemaError(f"{path}: expected a finite number")
+    return float(obj)
+
+
+def _decode_list(obj, path: str, decode_item) -> list:
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError(f"{path}: expected a nonempty list")
+    return [decode_item(v, f"{path}[{i}]") for i, v in enumerate(obj)]
 
 
 def decode_complex(obj, path: str) -> complex:
@@ -136,7 +171,7 @@ def pvec_to_json(p: PauliVector) -> dict:
 
 def pvec_from_json(obj, path: str = "state") -> PauliVector:
     obj = _expect(obj, dict, path, "an object")
-    n = _expect(_expect_key(obj, "n", path), int, f"{path}.n", "an integer")
+    n = _decode_int(_expect_key(obj, "n", path), f"{path}.n", 1)
     vec = decode_real_vector(_expect_key(obj, "P", path), f"{path}.P", 4**n)
     return PauliVector(n, vec)
 
@@ -149,7 +184,7 @@ def density_from_json(obj, path: str = "state") -> DensityMatrix:
     obj = _expect(obj, dict, path, "an object")
     entries = decode_complex_matrix(_expect_key(obj, "entries", path), f"{path}.entries")
     n = int(round(np.log2(entries.shape[0])))
-    if "n" in obj and obj["n"] != n:
+    if "n" in obj and _decode_int(obj["n"], f"{path}.n", 1) != n:
         raise SchemaError(f"{path}.n: inconsistent with entries shape {entries.shape}")
     if entries.shape != (2**n, 2**n):
         raise SchemaError(f"{path}.entries: expected a square 2**n matrix")
@@ -176,7 +211,7 @@ def gate_from_json(obj, path: str = "gate") -> GateMatrix:
         raise SchemaError(f"{path}.kind: unknown kind {kind!r}")
     gate = gate_from_matrix(entries, kind=kind)
     for key, want in (("n_in", gate.n_in), ("n_out", gate.n_out)):
-        if key in obj and obj[key] != want:
+        if key in obj and _decode_int(obj[key], f"{path}.{key}", 0) != want:
             raise SchemaError(f"{path}.{key}: inconsistent with entries shape")
     return gate
 
@@ -187,10 +222,8 @@ def kraus_to_json(k: KrausSet) -> dict:
 
 def kraus_from_json(obj, path: str = "kraus") -> KrausSet:
     obj = _expect(obj, dict, path, "an object")
-    ops = _expect(_expect_key(obj, "ops", path), list, f"{path}.ops", "a list of matrices")
-    if not ops:
-        raise SchemaError(f"{path}.ops: must not be empty")
-    return KrausSet(tuple(decode_complex_matrix(a, f"{path}.ops[{i}]") for i, a in enumerate(ops)))
+    ops = _decode_list(_expect_key(obj, "ops", path), f"{path}.ops", decode_complex_matrix)
+    return KrausSet(tuple(ops))
 
 
 def gks_model_to_json(m: GKSModel) -> dict:
@@ -206,6 +239,42 @@ def gks_model_from_json(obj, path: str = "model") -> GKSModel:
     return GKSModel(h, c)
 
 
+def lindblad_from_json(obj, path: str = "lindblad") -> tuple[GateMatrix, np.ndarray]:
+    """Propagator gate and its Pauli-basis generator from a Lindblad spec.
+
+    ``{"model": {H, C}, "tau": t}`` is the single-qubit GKS route and
+    ``{"H": ..., "V": [...], "t": t}`` the general-n Liouvillian route; an
+    absent or empty ``V`` means no jump operators.
+    """
+    obj = _expect(obj, dict, path, "an object")
+    if "model" in obj:
+        model = gks_model_from_json(obj["model"], f"{path}.model")
+        tau = _decode_number(_expect_key(obj, "tau", path), f"{path}.tau")
+        gen = gks_matrix(model)
+        return gks_propagator(gen, tau), gen.matrix
+    if "H" in obj:
+        h = decode_complex_matrix(obj["H"], f"{path}.H")
+        v = obj.get("V", [])
+        ops = [] if v == [] else _decode_list(v, f"{path}.V", decode_complex_matrix)
+        t = _decode_number(_expect_key(obj, "t", path), f"{path}.t")
+        liouvillian = liouvillian_superop(h, ops)
+        return liouvillian_gate(liouvillian, t), liouvillian.to_pauli_generator()
+    raise SchemaError(f"{path}: expected 'model' or 'H'")
+
+
+def measurement_from_json(
+    projectors, post_select, path: str = "projectors", post_path: str = "post_select"
+) -> tuple[list[GateMatrix], int | None]:
+    """Branch gates of a projector family and the optional post-selected index."""
+    gates = measurement_gates(_decode_list(projectors, path, decode_complex_matrix))
+    if post_select is None:
+        return gates, None
+    post = _decode_int(post_select, post_path, 0)
+    if post >= len(gates):
+        raise SchemaError(f"{post_path}: index {post} out of range for {len(gates)} projectors")
+    return gates, post
+
+
 # -- classical logic --------------------------------------------------------
 
 
@@ -215,7 +284,7 @@ def table_to_json(t: TruthTable) -> dict:
 
 def table_from_json(obj, path: str = "table") -> TruthTable:
     obj = _expect(obj, dict, path, "an object")
-    arity = _expect(_expect_key(obj, "arity", path), int, f"{path}.arity", "an integer")
+    arity = _decode_int(_expect_key(obj, "arity", path), f"{path}.arity", 0)
     outputs = _expect(_expect_key(obj, "outputs", path), list, f"{path}.outputs", "a list")
     if len(outputs) != 4**arity:
         raise SchemaError(f"{path}.outputs: expected {4**arity} entries, got {len(outputs)}")
@@ -241,10 +310,7 @@ def expression_from_json(obj, path: str = "expression") -> ClassicalExpression:
             raise SchemaError(f"{path}.const: expected an integer in 0..3")
         return const_expr(v)
     if "var" in obj:
-        v = obj["var"]
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise SchemaError(f"{path}.var: expected a nonnegative integer")
-        return var_expr(v)
+        return var_expr(_decode_int(obj["var"], f"{path}.var", 0))
     if "op" in obj:
         op = _expect(obj["op"], str, f"{path}.op", "a string")
         args = _expect(obj.get("args", []), list, f"{path}.args", "a list")

@@ -1,13 +1,17 @@
 """Command-line interface tests: subcommands, formats and exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from ququat import PauliVector, liouvillian_superop, parse_circuit, propagate
 from ququat.cli import EXIT_CONTRACT, EXIT_OK, EXIT_SCHEMA, EXIT_ZERO_PROBABILITY, main
+from ququat.serialization import encode_complex_matrix
 
 
 def run_cli(args, payload=None, tmp_path=None, capsys=None):
@@ -166,6 +170,22 @@ class TestMeasureReversible:
         code, _, err = run_cli(["measure"], payload, tmp_path, capsys)
         assert code == EXIT_ZERO_PROBABILITY
         assert "probability" in err
+
+    @pytest.mark.parametrize(
+        "args,payload",
+        [
+            (
+                ["measure"],
+                {"projectors": [[[1, 0], [0, 0]]], "state": {"n": 2, "P": [1] + [0] * 15}},
+            ),
+            (["reversible"], {"kraus": {"ops": [[[0, 1], [1, 0]]]}, "projector": np.eye(4).tolist()}),
+        ],
+    )
+    def test_size_mismatch(self, tmp_path, capsys, args, payload):
+        code, out, err = run_cli(args, payload, tmp_path, capsys)
+        assert code == EXIT_CONTRACT
+        assert out == ""
+        assert err.count("\n") == 1
 
     def test_reversible(self, tmp_path, capsys):
         payload = {
@@ -356,6 +376,23 @@ class TestSimulateAndMisc:
         set_tolerances(algebra=1e-10)
 
 
+def _run_text(args, text, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code = main([*args, str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _one_step(step: str) -> str:
+    """A one-ququat simulate document with a single step."""
+    return '{"circuit": {"n": 1, "steps": [%s]}, "initial": {"n": 1, "P": [1, 0, 0, 0]}}' % step
+
+
+_MODEL = '{"H": [0, 0, 0.5], "C": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}'
+_HVT = '{"H": [[1, 0], [0, -1]], "V": [[[0, 1], [0, 0]]], "t": -1}'
+
+
 class TestNonFiniteInput:
     """NaN and Infinity parse as JSON numbers; decoding must reject them."""
 
@@ -371,14 +408,210 @@ class TestNonFiniteInput:
                 "state.P[3]",
             ),
             (["state", "validate"], '{"n": 1, "P": [1, 0, -Infinity, 0]}', "state.P[2]"),
+            (["gate", "from-lindblad"], '{"H": [[1, 0], [0, -1]], "t": NaN}', "lindblad.t"),
+            (["gate", "from-lindblad"], '{"model": %s, "tau": Infinity}' % _MODEL, "lindblad.tau"),
+            (["simulate"], _one_step('{"named": "rot1", "param": NaN}'), "steps[0].param"),
         ],
     )
     def test_schema_error(self, tmp_path, capsys, args, text, where):
-        path = tmp_path / "input.json"
-        path.write_text(text)
-        code = main([*args, str(path)])
-        out, err = capsys.readouterr()
+        code, out, err = _run_text(args, text, tmp_path, capsys)
         assert code == EXIT_SCHEMA
         assert out == ""
         assert err.count("\n") == 1
         assert where in err and "finite" in err
+
+
+class TestOptionFields:
+    """Option fields are type-checked and range-checked when the document is decoded."""
+
+    @pytest.mark.parametrize(
+        "args,text,where",
+        [
+            (["gate", "from-lindblad"], '{"H": [[1, 0], [0, -1]], "V": 5, "t": 1}', "lindblad.V"),
+            (["gate", "compose"], '{"gates": 5}', "gates"),
+            (["mvlogic", "closure"], '{"generators": ["g1"], "max_arity": "x"}', "max_arity"),
+            (["mvlogic", "closure"], '{"generators": ["g1"], "max_arity": 2.5}', "max_arity"),
+            (["mvlogic", "closure"], '{"generators": ["g1"], "budget": "x"}', "budget"),
+            (
+                ["universality", "closure-dim"],
+                '{"generators": [[[0, 1], [1, 0]]], "max_iter": "x"}',
+                "max_iter",
+            ),
+            (["simulate"], _one_step('{"named": "rot1", "param": "x"}'), "steps[0].param"),
+            (["state", "validate"], '{"n": -1, "P": [1]}', "state.n"),
+            (["state", "validate"], '{"n": true, "P": [1, 0, 0, 0]}', "state.n"),
+        ],
+    )
+    def test_schema_error(self, tmp_path, capsys, args, text, where):
+        code, out, err = _run_text(args, text, tmp_path, capsys)
+        assert code == EXIT_SCHEMA
+        assert out == ""
+        assert err.count("\n") == 1
+        assert where in err
+
+    @pytest.mark.parametrize(
+        "args,text",
+        [(["gate", "from-lindblad"], _HVT), (["simulate"], _one_step('{"lindblad": %s}' % _HVT))],
+    )
+    def test_negative_lindblad_time(self, tmp_path, capsys, args, text):
+        code, out, err = _run_text(args, text, tmp_path, capsys)
+        assert code == EXIT_CONTRACT
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "nonnegative" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "x"])
+    def test_tol_must_be_finite_positive(self, tmp_path, capsys, tol):
+        path = tmp_path / "input.json"
+        path.write_text('{"U": [[1, 1], [1, 0]]}')
+        with pytest.raises(SystemExit) as exc:
+            main(["--tol", tol, "gate", "from-unitary", str(path)])
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_SCHEMA
+        assert out == ""
+        assert "--tol" in err
+
+    def test_validate_reports_non_hermitian_density(self, tmp_path, capsys):
+        payload = {"entries": [[[0.5, 0], [0.5, 0]], [[0, 0], [0.5, 0]]]}
+        code, out, _ = run_cli(["state", "validate"], payload, tmp_path, capsys)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["hermitian"] is False
+        assert doc["valid"] is False
+
+
+class TestLindbladHamiltonianRoute:
+    """The {H, V, t} route of gate from-lindblad and of circuit steps."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_generator_exponential(self, tmp_path, capsys, n):
+        rng = np.random.default_rng(5 + n)
+        d = 2**n
+        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = h + h.conj().T
+        vs = [0.4 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) for _ in range(2)]
+        t = 0.6
+        liou = liouvillian_superop(h, vs)
+        expected = expm(t * liou.to_pauli_generator())
+        spec = {"H": encode_complex_matrix(h), "V": [encode_complex_matrix(v) for v in vs], "t": t}
+
+        code, out, _ = run_cli(["gate", "from-lindblad"], spec, tmp_path, capsys)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["kind"] == "trace_preserving"
+        assert np.max(np.abs(np.array(doc["entries"]) - expected)) < 1e-12
+        assert np.max(np.abs(np.array(doc["generator"]) - liou.to_pauli_generator())) < 1e-12
+
+        step = parse_circuit({"n": n, "steps": [{"lindblad": spec}]}).steps[0]
+        assert np.max(np.abs(step.gates[0].entries - expected)) < 1e-12
+
+        p = PauliVector(n, np.eye(4**n)[0])
+        assert np.max(np.abs(expected @ p.P - propagate(liou, t, p).P)) < 1e-12
+
+
+# The example documents of the CLI section of README.md; the gate document
+# is the output of its `gate from-unitary` example.
+_README_GATE = {
+    "n_in": 1,
+    "n_out": 1,
+    "kind": "trace_preserving",
+    "entries": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+}
+_README_EXAMPLES = [
+    (["gate", "from-unitary"], {"U": [[0, 1], [1, 0]]}),
+    (["gate", "analyze"], _README_GATE),
+    (["gate", "decompose", "--svd"], _README_GATE),
+    (["gate", "decompose", "--polar", "--side", "left"], _README_GATE),
+    (["gate", "decompose", "--euler"], _README_GATE),
+    (
+        ["gate", "from-lindblad"],
+        {"model": {"H": [0, 0, 0.5], "C": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "tau": 1.0},
+    ),
+    (
+        ["measure"],
+        {
+            "projectors": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+            "state": {"n": 1, "P": [1, 1, 0, 0]},
+            "post_select": 0,
+        },
+    ),
+    (["mvlogic", "synth", "--extended"], {"arity": 1, "outputs": [3, 2, 1, 0]}),
+    (["mvlogic", "closure"], {"generators": ["cyclic_shift", "max"], "budget": 2000}),
+    (["universality", "pseudo"], {"A": [[0, 1], [0, 0]]}),
+    (["reversible"], {"kraus": {"ops": [[[0, 1], [1, 0]]]}, "projector": [[1, 0], [0, 1]]}),
+    (
+        ["simulate"],
+        {
+            "circuit": {
+                "n": 1,
+                "steps": [
+                    {"unitary": [[0.7071067811865476, 0.7071067811865476],
+                                 [0.7071067811865476, -0.7071067811865476]]},
+                    {"measure": {"projectors": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]},
+                     "post_select": 0},
+                ],
+            },
+            "initial": {"n": 1, "P": [1, 0, 0, 1]},
+        },
+    ),
+]
+_REPLACEMENTS = (float("nan"), float("inf"), -1, 0, 2.5, "x", True, None, [], {})
+_DROP = object()
+FUZZ_SEED = 20201
+FUZZ_CASES = 400
+
+
+def _node_paths(obj, prefix=()):
+    if isinstance(obj, dict):
+        items = obj.items()
+    else:
+        items = enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _node_paths(value, prefix + (key,))
+
+
+def _mutants():
+    """Every single-node mutation of every README example: (argv, doc, path, value)."""
+    out = []
+    for argv, doc in _README_EXAMPLES:
+        for path in _node_paths(doc):
+            out.extend((argv, doc, path, value) for value in _REPLACEMENTS)
+            if isinstance(path[-1], str):
+                out.append((argv, doc, path, _DROP))
+    return out
+
+
+def _mutate(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def test_mutation_fuzzer_exits_cleanly(tmp_path, capsys):
+    """Mutated README documents end in exit 0, 2, 3 or 4, an error in one line."""
+    cases = random.Random(FUZZ_SEED).sample(_mutants(), FUZZ_CASES)
+    path = tmp_path / "input.json"
+    failures = []
+    for argv, doc, where, value in cases:
+        change = "(dropped)" if value is _DROP else repr(value)
+        label = f"{' '.join(argv)} {list(where)} <- {change}"
+        path.write_text(json.dumps(_mutate(doc, where, value)))
+        try:
+            code = main([*argv, str(path)])
+        except Exception as exc:  # a traceback in the real CLI
+            capsys.readouterr()
+            failures.append(f"{label}: raised {type(exc).__name__}: {exc}")
+            continue
+        out, err = capsys.readouterr()
+        if code not in (EXIT_OK, EXIT_SCHEMA, EXIT_CONTRACT, EXIT_ZERO_PROBABILITY):
+            failures.append(f"{label}: exit {code}")
+        elif code != EXIT_OK and (err.count("\n") != 1 or out):
+            failures.append(f"{label}: exit {code} with stderr {err!r}")
+    assert not failures, "\n".join(failures[:20])

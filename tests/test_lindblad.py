@@ -18,6 +18,7 @@ from ququat import (
     gate_from_unitary,
     gks_matrix,
     gks_propagator,
+    liouvillian_gate,
     liouvillian_superop,
     propagate,
     validate_density,
@@ -227,6 +228,13 @@ class TestLiouvillian:
         liou = liouvillian_superop(np.zeros((2, 2)), [np.sqrt(gamma / 2) * SIGMA[3]])
         out = propagate(liou, 1 / gamma, PauliVector(1, [1, 1, 0, 0]))
         assert np.allclose(out.P, [1, np.exp(-1), 0, 0], atol=1e-12)
+
+    def test_liouvillian_negative_time_rejected(self):
+        liou = liouvillian_superop(np.zeros((2, 2)), [0.3 * SIGMA[1]])
+        with pytest.raises(NumericContractError, match="nonnegative"):
+            liouvillian_gate(liou, -0.1)
+        with pytest.raises(NumericContractError, match="nonnegative"):
+            propagate(liou, -0.1, PauliVector(1, [1, 0, 0, 0]))
 
     def test_propagate_zero_time(self):
         liou = liouvillian_superop(np.zeros((2, 2)), [0.3 * SIGMA[1]])
