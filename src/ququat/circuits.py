@@ -9,11 +9,18 @@ must be complete and the recorded state is the nonselective mixture
 (the summed, trace-preserving gate), with the branch probabilities
 recorded.  Gates are constructed and analyzed eagerly so schema and
 contract failures surface at parse time.
+
+Every step keeps its gate on its own k ququats together with its
+targets; it is certified and applied there, and the identity on the
+other n - k ququats is never written out as a 4**n x 4**n matrix.
+:func:`embed_gate` still builds that matrix, for callers that want it and
+as the reference the local path is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +31,8 @@ from .gates import (
     GateMatrix,
     GateReport,
     TRACE_PRESERVING,
+    _apply_local,
+    _target_axes,
     analyze_gate,
     apply_linear,
     apply_nonlinear,
@@ -52,17 +61,10 @@ def embed_gate(gate: GateMatrix, targets, n: int) -> GateMatrix:
     circuit positions of the gate's own indices in order.
     """
     targets = tuple(int(t) for t in targets)
-    if not gate.square:
-        raise NumericContractError("only square gates can be embedded in a circuit")
+    order, _ = _target_axes(targets, n, gate.n_in, gate.n_out)
     k = gate.n_in
-    if len(targets) != k:
-        raise NumericContractError(f"gate acts on {k} ququats, got targets {targets}")
-    if len(set(targets)) != k or any(not 0 <= t < n for t in targets):
-        raise NumericContractError(f"targets {targets} invalid for n={n}")
     if k == n and targets == tuple(range(n)):
         return gate
-    rest = [p for p in range(n) if p not in targets]
-    order = list(targets) + rest
     big = np.kron(gate.entries, np.eye(4 ** (n - k)))
     # perm[a] = index into `big` whose digits are a's digits read off in
     # `order`; then E_full = big[perm][:, perm].
@@ -78,7 +80,15 @@ def embed_gate(gate: GateMatrix, targets, n: int) -> GateMatrix:
 
 @dataclass(frozen=True)
 class CircuitStep:
-    """One parsed step: a linear gate or a measurement family, embedded to n."""
+    """One parsed step: a linear gate or a measurement family on ``targets``.
+
+    ``gates`` holds the local k-ququat gates (one, or one per projector)
+    and ``report`` their local :class:`GateReport`.  Tensoring with the
+    identity keeps every flag and ``row0_deviation``, ``row0_sq_sum`` and
+    ``t_norm``; ``min_choi_eigenvalue`` is the local gate's.  The Choi
+    spectrum of the embedded n-ququat gate is the local one scaled by
+    2**(n - k), plus zeros.
+    """
 
     kind: str  # "linear" | "measurement"
     gates: tuple[GateMatrix, ...]
@@ -140,13 +150,22 @@ def _build_step_gate(step: dict, path: str) -> GateMatrix:
     return synthesize_quantum(sz.table_from_json(step["table"], f"{path}.table"))
 
 
-def _decode_targets(step: dict, k: int, n: int, path: str) -> tuple[int, ...]:
-    if "targets" not in step:
-        if k > n:
-            raise NumericContractError(f"{path}: gate needs {k} ququats, circuit has {n}")
-        return tuple(range(k))
-    targets = step["targets"]
-    return tuple(sz._decode_list(targets, f"{path}.targets", lambda t, p: sz._decode_int(t, p, 0)))
+def _decode_targets(step: dict, gate: GateMatrix, n: int, path: str) -> tuple[int, ...]:
+    """The step's targets, checked against the gate and the circuit size.
+
+    The check caches the step's axis order, so ``run_circuit`` does not
+    work it out again for every state.
+    """
+    k = gate.n_in
+    if "targets" in step:
+        raw = step["targets"]
+        targets = tuple(sz._decode_list(raw, f"{path}.targets", partial(sz._decode_int, minimum=0)))
+    elif k > n:
+        raise NumericContractError(f"{path}: gate needs {k} ququats, circuit has {n}")
+    else:
+        targets = tuple(range(k))
+    _target_axes(targets, n, gate.n_in, gate.n_out)
+    return targets
 
 
 def _parse_step(raw, path: str, n: int) -> CircuitStep:
@@ -159,11 +178,11 @@ def _parse_step(raw, path: str, n: int) -> CircuitStep:
             f"{path}.measure.projectors",
             f"{path}.post_select",
         )
-        targets = _decode_targets(raw, gates[0].n_in, n, path)
-        embedded = tuple(embed_gate(g, targets, n) for g in gates)
+        targets = _decode_targets(raw, gates[0], n, path)
         if post is None:
-            total = np.sum([g.entries for g in embedded], axis=0)
-            delta = np.zeros(4**n)
+            # row 0 of the embedded sum is this row 0 tensored with delta
+            total = np.sum([g.entries for g in gates], axis=0)
+            delta = np.zeros(total.shape[1])
             delta[0] = 1.0
             if np.max(np.abs(total[0] - delta)) > tolerances.algebra:
                 raise NumericContractError(
@@ -171,22 +190,21 @@ def _parse_step(raw, path: str, n: int) -> CircuitStep:
                 )
         return CircuitStep(
             kind="measurement",
-            gates=embedded,
+            gates=tuple(gates),
             targets=targets,
             post_select=post,
-            report=tuple(analyze_gate(g) for g in embedded),
+            report=tuple(analyze_gate(g) for g in gates),
         )
     gate = _build_step_gate(raw, path)
-    targets = _decode_targets(raw, gate.n_in, n, path)
-    embedded = embed_gate(gate, targets, n)
-    if embedded.kind != TRACE_PRESERVING:
+    targets = _decode_targets(raw, gate, n, path)
+    if gate.kind != TRACE_PRESERVING:
         raise NumericContractError(f"{path}: non-measurement steps need a trace-preserving gate")
     return CircuitStep(
         kind="linear",
-        gates=(embedded,),
+        gates=(gate,),
         targets=targets,
         post_select=None,
-        report=analyze_gate(embedded),
+        report=analyze_gate(gate),
     )
 
 
@@ -217,17 +235,19 @@ def run_circuit(circuit: Circuit, initial: PauliVector) -> RunRecord:
     records = []
     for step in circuit.steps:
         if step.kind == "linear":
-            state = apply_linear(step.gates[0], state)
+            state = apply_linear(step.gates[0], state, targets=step.targets)
             records.append(StepRecord(state, None, None, cumulative))
         else:
-            probs = tuple(float(g.entries[0] @ state.P) for g in step.gates)
+            branches = [_apply_local(g, state, step.targets) for g in step.gates]
+            probs = tuple(float(b[0]) for b in branches)
             if step.post_select is not None:
-                state, p = apply_nonlinear(step.gates[step.post_select], state)
+                state, p = apply_nonlinear(
+                    step.gates[step.post_select], state, targets=step.targets
+                )
                 cumulative *= p
                 records.append(StepRecord(state, probs, p, cumulative))
             else:
-                total = np.sum([g.entries @ state.P for g in step.gates], axis=0)
-                state = PauliVector(circuit.n, total)
+                state = PauliVector(circuit.n, np.sum(branches, axis=0))
                 records.append(StepRecord(state, probs, None, cumulative))
         if not validate_density(state).valid:
             raise NumericContractError("circuit produced an invalid state")

@@ -19,12 +19,13 @@ import functools
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 
 from . import __version__
 from . import serialization as sz
 from .circuits import parse_circuit, run_circuit
-from .config import set_tolerances
+from .config import set_tolerances, tolerances
 from .decompositions import (
     euler_angles,
     polar_gate,
@@ -469,14 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.tol is not None:
-        set_tolerances(algebra=args.tol)
-    # --seed is reserved for randomized subcommands; everything currently
-    # exposed is fully deterministic, so it only participates in the
-    # identical-input => identical-output contract.
+def _run(args) -> int:
     try:
         payload = args.handler(args)
     except SchemaError as exc:
@@ -491,6 +485,28 @@ def main(argv=None) -> int:
     if payload is not None:
         _emit(payload, args)
     return EXIT_OK
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # --seed is reserved for randomized subcommands; everything currently
+    # exposed is fully deterministic, so it only participates in the
+    # identical-input => identical-output contract.
+    algebra = tolerances.algebra
+    try:
+        if args.tol is not None:
+            set_tolerances(algebra=args.tol)
+        # warnings are recorded so that stderr keeps one line per message:
+        # a failed command prints only its error line
+        with warnings.catch_warnings(record=True) as caught:
+            code = _run(args)
+    finally:
+        set_tolerances(algebra=algebra)
+    if code == EXIT_OK:
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ matrices and with P' = E @ P as a left action.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,39 +236,85 @@ def measurement_gates(projectors, tol: float | None = None) -> list[GateMatrix]:
     return [gate_from_kraus([p], tol) for p in projectors]
 
 
-def apply_linear(gate: GateMatrix, pvec: PauliVector, tol: float | None = None) -> PauliVector:
-    """Apply a trace-preserving gate: P' = E @ P."""
+@functools.lru_cache(maxsize=1024)
+def _target_axes(
+    targets: tuple[int, ...] | None, n: int, n_in: int, n_out: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis orders that place a gate of order (n_in, n_out) on ``targets`` of n ququats.
+
+    Returns ``(order, inverse)``: ``order`` lists the targets, then the
+    other positions in increasing order, and ``inverse`` moves the axes
+    of the result back.  ``None`` is the whole register in its own order.
+    Raises on a placement a circuit cannot hold; only valid placements
+    are cached.
+    """
+    if targets is None:
+        if n_in != n:
+            raise NumericContractError(f"gate expects n={n_in}, state has n={n}")
+        return tuple(range(n)), tuple(range(n_out))
+    if n_in != n_out:
+        raise NumericContractError("only square gates can be embedded in a circuit")
+    if len(targets) != n_in:
+        raise NumericContractError(f"gate acts on {n_in} ququats, got targets {targets}")
+    if len(set(targets)) != n_in or any(not 0 <= t < n for t in targets):
+        raise NumericContractError(f"targets {targets} invalid for n={n}")
+    order = targets + tuple(p for p in range(n) if p not in targets)
+    return order, tuple(sorted(range(n), key=order.__getitem__))
+
+
+def _apply_local(gate: GateMatrix, pvec: PauliVector, targets) -> np.ndarray:
+    """E @ P with E on the ququats ``targets`` of P and the identity on the rest.
+
+    P is viewed with one axis of 4 per ququat; the target axes move to
+    the front, one product with E acts on them, and the axes move back.
+    The result equals ``embed_gate(gate, targets, n).entries @ P`` without
+    forming the 4**n x 4**n matrix.
+    """
+    n = pvec.n
+    if targets is not None:
+        targets = tuple(targets)
+    order, inverse = _target_axes(targets, n, gate.n_in, gate.n_out)
+    x = pvec.P.reshape((4,) * n).transpose(order).reshape(gate.entries.shape[1], -1)
+    out = gate.entries @ x
+    return out.reshape((4,) * len(inverse)).transpose(inverse).reshape(-1)
+
+
+def apply_linear(
+    gate: GateMatrix, pvec: PauliVector, tol: float | None = None, *, targets=None
+) -> PauliVector:
+    """Apply a trace-preserving gate: P' = E @ P.
+
+    With ``targets`` the square gate acts on those ququats of P, in
+    order, and the identity on the others.
+    """
     tol = tolerances.algebra if tol is None else tol
     if gate.kind != TRACE_PRESERVING:
         raise NumericContractError(
             "apply_linear requires a trace-preserving gate; use apply_nonlinear"
         )
-    if gate.n_in != pvec.n:
-        raise NumericContractError(f"gate expects n={gate.n_in}, state has n={pvec.n}")
-    out = gate.entries @ pvec.P
+    out = _apply_local(gate, pvec, targets)
     if abs(out[0] - 1.0) > tol:
         raise NumericContractError(f"trace-preserving gate produced P[0]={out[0]}")
-    return PauliVector(gate.n_out, out)
+    return PauliVector(pvec.n + gate.n_out - gate.n_in, out)
 
 
 def apply_nonlinear(
-    gate: GateMatrix, pvec: PauliVector, tol: float | None = None
+    gate: GateMatrix, pvec: PauliVector, tol: float | None = None, *, targets=None
 ) -> tuple[PauliVector, float]:
     """Apply a (trace-decreasing) gate with renormalization.
 
     Returns the renormalized state and the outcome probability
     p = (E @ P)[0].  Raises :class:`ZeroProbabilityError` when p vanishes.
+    ``targets`` places the gate as in :func:`apply_linear`.
     """
     tol = tolerances.algebra if tol is None else tol
-    if gate.n_in != pvec.n:
-        raise NumericContractError(f"gate expects n={gate.n_in}, state has n={pvec.n}")
-    out = gate.entries @ pvec.P
+    out = _apply_local(gate, pvec, targets)
     p = float(out[0])
     if p < tol:
         raise ZeroProbabilityError(f"outcome probability {p:.3e} is not positive")
     if p > 1.0 + tol:
         raise NumericContractError(f"outcome probability {p} exceeds 1")
-    return PauliVector(gate.n_out, out / p), p
+    return PauliVector(pvec.n + gate.n_out - gate.n_in, out / p), p
 
 
 def compose(g2: GateMatrix, g1: GateMatrix) -> GateMatrix:

@@ -133,13 +133,20 @@ def decode_complex_matrix(obj, path: str) -> np.ndarray:
         raise SchemaError(f"{path}: matrix must not be empty")
     out = []
     width = None
-    for i, row in enumerate(rows):
-        row = _expect(row, list, f"{path}[{i}]", "a row (list)")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise SchemaError(f"{path}[{i}]: ragged matrix row")
-        out.append([decode_complex(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
+    try:
+        for i, row in enumerate(rows):
+            row = _expect(row, list, f"{path}[{i}]", "a row (list)")
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise SchemaError(f"{path}[{i}]: ragged matrix row")
+            out.append([decode_complex(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
+    except OverflowError:
+        # an integer beyond float range; find it only now, off the fast path
+        for j, v in enumerate(row):
+            for x in v if isinstance(v, list) else [v]:
+                _decode_number(x, f"{path}[{i}][{j}]")
+        raise
     return _finite(np.array(out, dtype=complex), path)
 
 
@@ -153,10 +160,13 @@ def decode_real_matrix(obj, path: str) -> np.ndarray:
 def decode_real_vector(obj, path: str, length: int | None = None) -> np.ndarray:
     vec = _expect(obj, list, path, "a list of numbers")
     out = []
-    for i, v in enumerate(vec):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"{path}[{i}]: expected a number")
-        out.append(float(v))
+    try:
+        for i, v in enumerate(vec):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise SchemaError(f"{path}[{i}]: expected a number")
+            out.append(float(v))
+    except OverflowError:
+        raise SchemaError(f"{path}[{i}]: expected a finite number") from None
     if length is not None and len(out) != length:
         raise SchemaError(f"{path}: expected {length} entries, got {len(out)}")
     return _finite(np.array(out), path)

@@ -3,21 +3,25 @@
 import numpy as np
 import pytest
 
+import ququat.circuits
 from ququat import (
     NumericContractError,
     PauliIndex,
     PauliVector,
     SchemaError,
     ZeroProbabilityError,
+    analyze_gate,
     computational_state,
     embed_gate,
+    gate_from_kraus,
     gate_from_unitary,
     parse_circuit,
     run_circuit,
 )
 from ququat.liouville import SIGMA
+from ququat.serialization import encode_complex_matrix, encode_real_matrix
 
-from helpers import random_pvec, random_unitary
+from helpers import random_pvec, random_tp_kraus, random_unitary
 
 RNG = np.random.default_rng(23)
 
@@ -204,3 +208,146 @@ class TestRun:
         rec = run_circuit(c, PURE0)
         assert len(rec.steps) == 2
         assert np.allclose(rec.steps[0].state.P, [1, 1, 0, 0], atol=1e-12)
+
+
+# -- the local engine against the dense embedding -----------------------------
+
+_FLAGS = ("real", "trace_preserving", "trace_decreasing", "unital", "orthogonal",
+          "completely_positive")
+
+# unary tables whose synthesized gate is completely positive, so runs stay valid
+_CP_TABLES = ([0, 2, 3, 1], [0, 3, 1, 2], [0, 0, 0, 3], [1, 1, 1, 1])
+
+
+def _pick(rng, n, k):
+    return [int(t) for t in rng.permutation(n)[:k]]
+
+
+def _basis_projectors(rng, k, count):
+    """``count`` - 1 rank-one projectors on the columns of a Haar unitary, plus the rest."""
+    count = min(count, 2**k)
+    u = random_unitary(rng, 2**k)
+    cols = [np.outer(u[:, j], u[:, j].conj()) for j in range(2**k)]
+    rest = sum(cols[count - 1:])
+    return [encode_complex_matrix(p) for p in cols[: count - 1] + [rest]]
+
+
+def _random_circuit(rng, n):
+    """One step of every kind, each on shuffled, non-contiguous targets where n allows."""
+    k = min(2, n)
+    h = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+    c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    raw = gate_from_kraus(random_tp_kraus(rng, k, 2)).entries
+    return [
+        {"named": "rot1", "param": float(rng.uniform(0, 6)), "targets": _pick(rng, n, 1)},
+        # reversed, and not adjacent for n >= 3
+        {"unitary": encode_complex_matrix(random_unitary(rng, 2**k)),
+         "targets": [n - 1, 0][:k] if k == 2 else [0]},
+        {"kraus": {"ops": [encode_complex_matrix(a) for a in random_tp_kraus(rng, k).ops]},
+         "targets": _pick(rng, n, k)},
+        {"measure": {"projectors": _basis_projectors(rng, 1, 2)}, "post_select": 1,
+         "targets": _pick(rng, n, 1)},
+        {"lindblad": {"model": {"H": rng.normal(size=3).tolist(),
+                                "C": encode_complex_matrix(0.2 * c @ c.conj().T)},
+                      "tau": 0.7},
+         "targets": _pick(rng, n, 1)},
+        {"lindblad": {"H": encode_complex_matrix(h + h.conj().T),
+                      "V": [encode_complex_matrix(0.3 * h)], "t": 0.4},
+         "targets": _pick(rng, n, k)},
+        {"gate": {"entries": encode_real_matrix(raw)}, "targets": _pick(rng, n, k)},
+        {"table": {"arity": 1, "outputs": _CP_TABLES[rng.integers(len(_CP_TABLES))]},
+         "targets": _pick(rng, n, 1)},
+        {"measure": {"projectors": _basis_projectors(rng, k, 3)}, "targets": _pick(rng, n, k)},
+    ]
+
+
+def _dense_run(circuit, initial):
+    """Fold the embedded 4**n x 4**n step matrices over the initial state."""
+    p = initial.P
+    cumulative = 1.0
+    out = []
+    for step in circuit.steps:
+        mats = [embed_gate(g, step.targets, circuit.n).entries for g in step.gates]
+        if step.kind == "linear":
+            p = mats[0] @ p
+            out.append((p, None, None, cumulative))
+            continue
+        probs = [m[0] @ p for m in mats]
+        if step.post_select is None:
+            p = sum(m @ p for m in mats)
+            out.append((p, probs, None, cumulative))
+        else:
+            prob = probs[step.post_select]
+            p = mats[step.post_select] @ p / prob
+            cumulative *= prob
+            out.append((p, probs, prob, cumulative))
+    return out
+
+
+class TestLocalEngine:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_dense_embedding(self, n, seed):
+        rng = np.random.default_rng([29, n, seed])
+        circuit = parse_circuit({"n": n, "steps": _random_circuit(rng, n)})
+        initial = random_pvec(rng, n)
+        record = run_circuit(circuit, initial)
+        dense = _dense_run(circuit, initial)
+        assert len(record.steps) == len(dense)
+        for got, (p, probs, prob, cumulative) in zip(record.steps, dense):
+            assert np.max(np.abs(got.state.P - p)) < 1e-12
+            assert (got.probabilities is None) == (probs is None)
+            if probs is not None:
+                assert np.max(np.abs(np.subtract(got.probabilities, probs))) < 1e-12
+            assert (got.probability is None) == (prob is None)
+            if prob is not None:
+                assert abs(got.probability - prob) < 1e-12
+            assert abs(got.cumulative_probability - cumulative) < 1e-12
+        assert record.cumulative_probability == record.steps[-1].cumulative_probability
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_local_reports_match_embedded(self, n):
+        rng = np.random.default_rng([31, n])
+        # two gates that are not completely positive, parsed but never run
+        steps = _random_circuit(rng, n) + [
+            {"named": "inversion", "targets": _pick(rng, n, 1)},
+            {"table": {"arity": 1, "outputs": [3, 2, 1, 0]}, "targets": _pick(rng, n, 1)},
+        ]
+        circuit = parse_circuit({"n": n, "steps": steps})
+        assert not any(s.report.completely_positive for s in circuit.steps[-2:])
+        for step in circuit.steps:
+            reports = step.report if isinstance(step.report, tuple) else (step.report,)
+            for g, local in zip(step.gates, reports, strict=True):
+                full = analyze_gate(embed_gate(g, step.targets, n))
+                for flag in _FLAGS:
+                    assert getattr(local, flag) == getattr(full, flag), flag
+                for name in ("row0_deviation", "row0_sq_sum", "t_norm"):
+                    assert abs(getattr(local, name) - getattr(full, name)) < 1e-12, name
+                # the embedded Choi spectrum is the local one times 2**(n-k), plus zeros
+                scale = 2 ** (n - g.n_in)
+                want = local.min_choi_eigenvalue * scale
+                if scale > 1:
+                    want = min(want, 0.0)
+                assert abs(full.min_choi_eigenvalue - want) < 1e-10
+
+    def test_hot_path_stays_local(self, monkeypatch):
+        def no_embedding(*args, **kwargs):
+            raise AssertionError("embed_gate called on the circuit path")
+
+        analyzed = []
+
+        def recording_analyze(gate, *args, **kwargs):
+            analyzed.append(gate)
+            return analyze_gate(gate, *args, **kwargs)
+
+        monkeypatch.setattr(ququat.circuits, "embed_gate", no_embedding)
+        monkeypatch.setattr(ququat.circuits, "analyze_gate", recording_analyze)
+        rng = np.random.default_rng(37)
+        steps = _random_circuit(rng, 5)
+        steps = [s for s in steps if "table" not in s and "gate" not in s]
+        assert len(steps) == 7
+        circuit = parse_circuit({"n": 5, "steps": steps})
+        record = run_circuit(circuit, random_pvec(rng, 5))
+        assert len(record.steps) == 7
+        assert len(analyzed) == sum(len(s.gates) for s in circuit.steps)
+        assert all(g.n_in <= 2 and g.n_out <= 2 for g in analyzed)

@@ -11,6 +11,7 @@ from scipy.linalg import expm
 
 from ququat import PauliVector, liouvillian_superop, parse_circuit, propagate
 from ququat.cli import EXIT_CONTRACT, EXIT_OK, EXIT_SCHEMA, EXIT_ZERO_PROBABILITY, main
+from ququat.config import tolerances
 from ququat.serialization import encode_complex_matrix
 
 
@@ -371,9 +372,15 @@ class TestSimulateAndMisc:
         assert code == EXIT_CONTRACT
         code, _, _ = run_cli(["--tol", "1e-3", "gate", "from-unitary"], payload, tmp_path, capsys)
         assert code == EXIT_OK
-        from ququat.config import set_tolerances
+        assert tolerances.algebra == 1e-10
 
-        set_tolerances(algebra=1e-10)
+    def test_tol_does_not_leak_into_later_calls(self, tmp_path, capsys):
+        code, _, _ = run_cli(["--tol", "0.1", "gate", "from-unitary"], {"U": [[1, 0], [0, 1]]},
+                             tmp_path, capsys)
+        assert code == EXIT_OK
+        payload = {"U": [[1, 0], [0, 1.001]]}
+        code, _, _ = run_cli(["gate", "from-unitary"], payload, tmp_path, capsys)
+        assert code == EXIT_CONTRACT
 
 
 def _run_text(args, text, tmp_path, capsys):
@@ -390,6 +397,7 @@ def _one_step(step: str) -> str:
 
 
 _MODEL = '{"H": [0, 0, 0.5], "C": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}'
+_ZEROS = "0" * 400
 _HVT = '{"H": [[1, 0], [0, -1]], "V": [[[0, 1], [0, 0]]], "t": -1}'
 
 
@@ -411,6 +419,10 @@ class TestNonFiniteInput:
             (["gate", "from-lindblad"], '{"H": [[1, 0], [0, -1]], "t": NaN}', "lindblad.t"),
             (["gate", "from-lindblad"], '{"model": %s, "tau": Infinity}' % _MODEL, "lindblad.tau"),
             (["simulate"], _one_step('{"named": "rot1", "param": NaN}'), "steps[0].param"),
+            # integers beyond float range
+            (["state", "validate"], '{"n": 1, "P": [1%s, 0, 0, 0]}' % _ZEROS, "state.P[0]"),
+            (["gate", "from-unitary"], '{"U": [[1, 0], [0, 1%s]]}' % _ZEROS, "U[1][1]"),
+            (["gate", "from-unitary"], '{"U": [[1, [0, -1%s]], [0, 1]]}' % _ZEROS, "U[0][1]"),
         ],
     )
     def test_schema_error(self, tmp_path, capsys, args, text, where):
@@ -478,6 +490,43 @@ class TestOptionFields:
         doc = json.loads(out)
         assert doc["hermitian"] is False
         assert doc["valid"] is False
+
+
+_INDEFINITE = '{"model": {"H": [0, 0, 0], "C": [[-1, 0, 0], [0, 0, 0], [0, 0, 0]]}, "tau": %s}'
+
+
+class TestWarnings:
+    """A warning is one `warning:` line after a success and is dropped on an error."""
+
+    def test_error_prints_only_the_error_line(self, tmp_path, capsys, recwarn):
+        code, out, err = _run_text(["gate", "from-lindblad"], _INDEFINITE % -1, tmp_path, capsys)
+        assert code == EXIT_CONTRACT
+        assert out == ""
+        assert err == "error: tau must be nonnegative\n"
+        # nothing escapes main to be shown on stderr by the interpreter
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize(
+        "args,text,message",
+        [
+            (["gate", "from-lindblad"], _INDEFINITE % 1, "C is not positive semidefinite"),
+            (
+                ["universality", "closure-dim"],
+                '{"generators": [[[0, 1], [1, 0]], [[1, 0], [0, -1]]], "max_iter": 0}',
+                "lie closure did not stabilize",
+            ),
+        ],
+    )
+    def test_success_prints_one_line_per_warning(
+        self, tmp_path, capsys, recwarn, args, text, message
+    ):
+        for _ in range(2):  # a repeated call in the same process warns again
+            code, out, err = _run_text(args, text, tmp_path, capsys)
+            assert code == EXIT_OK
+            json.loads(out)
+            assert err.startswith(f"warning: {message}")
+            assert err.count("\n") == 1
+        assert len(recwarn) == 0
 
 
 class TestLindbladHamiltonianRoute:
