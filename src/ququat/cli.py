@@ -21,6 +21,7 @@ import math
 import sys
 import warnings
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from . import serialization as sz
@@ -152,9 +153,41 @@ def _render_scalar(v, precision: int) -> str:
     return f"{v:+.{precision}f}"
 
 
+# the C encoder; json.dumps with an indent runs the pure-Python one
+_encode = json.JSONEncoder(sort_keys=True).encode
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    Each list of plain ints and floats, such as a gate row or a Pauli
+    vector, is encoded in one call of the C encoder, whose ", " separators
+    become the indented line breaks.  Object keys must be strings.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{inner}{encode_basestring_ascii(key)}: {_json_text(obj[key], inner)}"
+            for key in sorted(obj)
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if _NUMBER_TYPES.issuperset(map(type, obj)):
+            body = inner + _encode(obj)[1:-1].replace(", ", ",\n" + inner)
+        else:
+            body = ",\n".join(inner + _json_text(v, inner) for v in obj)
+        return "[\n" + body + "\n" + pad + "]"
+    return _encode(obj)
+
+
 def _emit(payload, args) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         print("\n".join(_render_text(payload, args.precision)))
 
@@ -407,7 +440,9 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="ququat",
         description="Four-valued logic gates on open n-qubit states.",

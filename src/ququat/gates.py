@@ -108,7 +108,7 @@ class KrausSet:
         rows, cols = shape
         n_out = int(round(np.log2(rows)))
         n_in = int(round(np.log2(cols)))
-        if (2**n_out, 2**n_in) != shape:
+        if (2**n_out, 2**n_in) != shape or min(n_out, n_in) < 1:
             raise NumericContractError(f"Kraus operators must be 2**m x 2**n, got {shape}")
         for a in ops:
             a.setflags(write=False)
@@ -190,7 +190,7 @@ def gate_from_unitary(u: np.ndarray, tol: float | None = None) -> GateMatrix:
         raise NumericContractError("unitary has non-finite entries")
     d = u.shape[0]
     n = int(round(np.log2(d)))
-    if u.shape != (d, d) or 2**n != d:
+    if u.shape != (d, d) or 2**n != d or n < 1:
         raise NumericContractError(f"unitary must be square 2**n x 2**n, got {u.shape}")
     if np.max(np.abs(u.conj().T @ u - np.eye(d))) > tol:
         raise NumericContractError("input is not unitary within tolerance")

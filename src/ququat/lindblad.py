@@ -37,7 +37,7 @@ from scipy.linalg import expm
 from .config import tolerances
 from .errors import NumericContractError
 from .gates import GateMatrix, TRACE_PRESERVING
-from .liouville import PauliVector, pauli_basis
+from .liouville import PauliVector, _pauli_transfer, pauli_basis
 
 __all__ = [
     "GKSModel",
@@ -190,9 +190,10 @@ class LiouvillianSuperop:
     def to_pauli_generator(self, tol: float | None = None) -> np.ndarray:
         """Real generator of dP/dt = L P over Pauli coefficient vectors."""
         tol = tolerances.algebra if tol is None else tol
-        basis = pauli_basis(self.n)
-        q = basis.reshape(basis.shape[0], -1).T / np.sqrt(2**self.n)
-        gen = q.conj().T @ self.matrix @ q
+        # L[mu, nu] = 2**-n Tr(sigma_mu X_nu), X_nu the image of sigma_nu
+        d = 2**self.n
+        images = pauli_basis(self.n).reshape(d * d, -1) @ self.matrix.T
+        gen = _pauli_transfer(images.reshape(-1, d, d), self.n) / d
         resid = float(np.max(np.abs(gen.imag)))
         if resid > tol:
             raise NumericContractError(f"Pauli-basis generator not real: residual {resid:.3e}")
@@ -214,7 +215,7 @@ def liouvillian_superop(h: np.ndarray, v: list | tuple = ()) -> LiouvillianSuper
     h = np.asarray(h, dtype=complex)
     d = h.shape[0]
     n = int(round(np.log2(d)))
-    if h.shape != (d, d) or 2**n != d:
+    if h.shape != (d, d) or 2**n != d or n < 1:
         raise NumericContractError(f"H must be square 2**n x 2**n, got {h.shape}")
     if np.max(np.abs(h - h.conj().T)) > tolerances.algebra:
         raise NumericContractError("H must be Hermitian")
@@ -236,10 +237,17 @@ def liouvillian_gate(liouvillian: LiouvillianSuperop, t: float) -> GateMatrix:
 
     L is the real Pauli-basis generator of :meth:`LiouvillianSuperop.to_pauli_generator`.
     """
+    return _liouvillian_propagator(liouvillian, t)[0]
+
+
+def _liouvillian_propagator(
+    liouvillian: LiouvillianSuperop, t: float
+) -> tuple[GateMatrix, np.ndarray]:
+    """The propagator gate expm(t L) and the generator L, computed once."""
     if t < 0:
         raise NumericContractError("t must be nonnegative")
-    entries = expm(t * liouvillian.to_pauli_generator())
-    return GateMatrix(liouvillian.n, liouvillian.n, entries, TRACE_PRESERVING)
+    gen = liouvillian.to_pauli_generator()
+    return GateMatrix(liouvillian.n, liouvillian.n, expm(t * gen), TRACE_PRESERVING), gen
 
 
 def propagate(liouvillian: LiouvillianSuperop, t: float, pvec: PauliVector) -> PauliVector:

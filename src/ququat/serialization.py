@@ -8,11 +8,16 @@ offending element.  Every decoded number must be finite: NaN and
 +-Infinity, which the JSON parser accepts, are schema errors.  Option
 fields (times, indices, counts, lists) are decoded here too, so the CLI
 and circuit documents share one decode path.
+
+Number arrays are decoded in bulk by numpy when they are well formed;
+anything numpy would coerce or refuse goes through a per-element loop,
+which is also the reference the bulk path is tested against.
 """
 
 from __future__ import annotations
 
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -20,9 +25,9 @@ from .errors import SchemaError
 from .gates import GateMatrix, KrausSet, gate_from_matrix, measurement_gates
 from .lindblad import (
     GKSModel,
+    _liouvillian_propagator,
     gks_matrix,
     gks_propagator,
-    liouvillian_gate,
     liouvillian_superop,
 )
 from .liouville import DensityMatrix, PauliVector
@@ -66,11 +71,12 @@ def encode_complex(z: complex) -> list[float]:
 
 
 def encode_complex_matrix(m: np.ndarray) -> list:
-    return [[encode_complex(z) for z in row] for row in np.asarray(m)]
+    m = np.asarray(m, dtype=complex)
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def encode_real_matrix(m: np.ndarray) -> list:
-    return [[float(x) for x in row] for row in np.asarray(m)]
+    return np.asarray(m, dtype=float).tolist()
 
 
 def _expect(obj, types, path: str, what: str):
@@ -127,10 +133,48 @@ def _finite(arr: np.ndarray, path: str) -> np.ndarray:
     return arr
 
 
+def _types_at(obj: list, depth: int) -> set:
+    """The types of the items ``depth`` list levels below ``obj`` (its own items at 1)."""
+    items = obj
+    for _ in range(depth - 1):
+        items = chain.from_iterable(items)
+    return set(map(type, items))
+
+
+def _bulk_numbers(obj: list, ndims: tuple[int, ...]) -> np.ndarray | None:
+    """``obj`` as a float64 array of one of ``ndims`` axes, or None to decode it by element.
+
+    numpy accepts more than a document may hold: ``[[True, 1.5]]`` becomes
+    float64 and ``[[True, 1]]`` int64.  So the array is taken only when
+    its dtype is int64 or float64, it is nonempty, every level above the
+    numbers is a list and every number an int or a float.  Ragged rows,
+    mixed scalars and pairs, integers numpy keeps as uint64 or object,
+    strings and None are refused.
+    """
+    try:
+        arr = np.array(obj)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if arr.dtype not in (np.int64, np.float64) or arr.ndim not in ndims or arr.size == 0:
+        return None
+    if not (
+        all(_types_at(obj, depth) == {list} for depth in range(1, arr.ndim))
+        and _types_at(obj, arr.ndim) <= {int, float}
+    ):
+        return None
+    return arr.astype(float, copy=False)
+
+
 def decode_complex_matrix(obj, path: str) -> np.ndarray:
     rows = _expect(obj, list, path, "a matrix (list of rows)")
     if not rows:
         raise SchemaError(f"{path}: matrix must not be empty")
+    arr = _bulk_numbers(rows, (2, 3))
+    if arr is not None and arr.ndim == 2:
+        return _finite(arr.astype(complex), path)
+    if arr is not None and arr.shape[2] == 2:
+        # [re, im] pairs: the last axis is the real and imaginary part
+        return _finite(arr.view(complex)[..., 0], path)
     out = []
     width = None
     try:
@@ -147,6 +191,8 @@ def decode_complex_matrix(obj, path: str) -> np.ndarray:
             for x in v if isinstance(v, list) else [v]:
                 _decode_number(x, f"{path}[{i}][{j}]")
         raise
+    if width == 0:
+        raise SchemaError(f"{path}: matrix must not be empty")
     return _finite(np.array(out, dtype=complex), path)
 
 
@@ -159,24 +205,27 @@ def decode_real_matrix(obj, path: str) -> np.ndarray:
 
 def decode_real_vector(obj, path: str, length: int | None = None) -> np.ndarray:
     vec = _expect(obj, list, path, "a list of numbers")
-    out = []
-    try:
-        for i, v in enumerate(vec):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise SchemaError(f"{path}[{i}]: expected a number")
-            out.append(float(v))
-    except OverflowError:
-        raise SchemaError(f"{path}[{i}]: expected a finite number") from None
+    out = _bulk_numbers(vec, (1,))
+    if out is None:
+        out = []
+        try:
+            for i, v in enumerate(vec):
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise SchemaError(f"{path}[{i}]: expected a number")
+                out.append(float(v))
+        except OverflowError:
+            raise SchemaError(f"{path}[{i}]: expected a finite number") from None
+        out = np.array(out)
     if length is not None and len(out) != length:
         raise SchemaError(f"{path}: expected {length} entries, got {len(out)}")
-    return _finite(np.array(out), path)
+    return _finite(out, path)
 
 
 # -- states -----------------------------------------------------------------
 
 
 def pvec_to_json(p: PauliVector) -> dict:
-    return {"n": p.n, "P": [float(x) for x in p.P]}
+    return {"n": p.n, "P": p.P.tolist()}
 
 
 def pvec_from_json(obj, path: str = "state") -> PauliVector:
@@ -196,7 +245,7 @@ def density_from_json(obj, path: str = "state") -> DensityMatrix:
     n = int(round(np.log2(entries.shape[0])))
     if "n" in obj and _decode_int(obj["n"], f"{path}.n", 1) != n:
         raise SchemaError(f"{path}.n: inconsistent with entries shape {entries.shape}")
-    if entries.shape != (2**n, 2**n):
+    if n < 1 or entries.shape != (2**n, 2**n):
         raise SchemaError(f"{path}.entries: expected a square 2**n matrix")
     return DensityMatrix(n, entries)
 
@@ -220,6 +269,10 @@ def gate_from_json(obj, path: str = "gate") -> GateMatrix:
     if kind is not None and kind not in ("trace_preserving", "trace_decreasing", "general"):
         raise SchemaError(f"{path}.kind: unknown kind {kind!r}")
     gate = gate_from_matrix(entries, kind=kind)
+    if min(gate.n_in, gate.n_out) < 1:
+        raise SchemaError(
+            f"{path}.entries: a gate acts on at least one ququat, got {entries.shape}"
+        )
     for key, want in (("n_in", gate.n_in), ("n_out", gate.n_out)):
         if key in obj and _decode_int(obj[key], f"{path}.{key}", 0) != want:
             raise SchemaError(f"{path}.{key}: inconsistent with entries shape")
@@ -267,8 +320,7 @@ def lindblad_from_json(obj, path: str = "lindblad") -> tuple[GateMatrix, np.ndar
         v = obj.get("V", [])
         ops = [] if v == [] else _decode_list(v, f"{path}.V", decode_complex_matrix)
         t = _decode_number(_expect_key(obj, "t", path), f"{path}.t")
-        liouvillian = liouvillian_superop(h, ops)
-        return liouvillian_gate(liouvillian, t), liouvillian.to_pauli_generator()
+        return _liouvillian_propagator(liouvillian_superop(h, ops), t)
     raise SchemaError(f"{path}: expected 'model' or 'H'")
 
 

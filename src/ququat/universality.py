@@ -71,7 +71,7 @@ def left_mult_superop(a: np.ndarray) -> PseudoGate:
     """
     a = np.asarray(a, dtype=complex)
     n = int(round(np.log2(a.shape[0])))
-    if a.shape != (2**n, 2**n):
+    if a.shape != (2**n, 2**n) or n < 1:
         raise NumericContractError(f"operator must be square 2**n x 2**n, got {a.shape}")
     mat = _pauli_transfer(a @ pauli_basis(n), n) / 2**n
     return PseudoGate(n, mat, "left")
@@ -86,7 +86,7 @@ def right_mult_superop(a: np.ndarray) -> PseudoGate:
     """
     a = np.asarray(a, dtype=complex)
     n = int(round(np.log2(a.shape[0])))
-    if a.shape != (2**n, 2**n):
+    if a.shape != (2**n, 2**n) or n < 1:
         raise NumericContractError(f"operator must be square 2**n x 2**n, got {a.shape}")
     mat = _pauli_transfer(pauli_basis(n) @ a, n) / 2**n
     return PseudoGate(n, mat, "right")

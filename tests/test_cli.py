@@ -10,7 +10,9 @@ import pytest
 from scipy.linalg import expm
 
 from ququat import PauliVector, liouvillian_superop, parse_circuit, propagate
+from ququat import cli
 from ququat.cli import EXIT_CONTRACT, EXIT_OK, EXIT_SCHEMA, EXIT_ZERO_PROBABILITY, main
+from ququat.lindblad import LiouvillianSuperop
 from ququat.config import tolerances
 from ququat.serialization import encode_complex_matrix
 
@@ -452,6 +454,12 @@ class TestOptionFields:
             (["simulate"], _one_step('{"named": "rot1", "param": "x"}'), "steps[0].param"),
             (["state", "validate"], '{"n": -1, "P": [1]}', "state.n"),
             (["state", "validate"], '{"n": true, "P": [1, 0, 0, 0]}', "state.n"),
+            # a 1x1 matrix is of order 0, and no n >= 1 fits it
+            (["gate", "analyze"], '{"entries": [[1]]}', "gate.entries"),
+            (["gate", "analyze"], '{"entries": [[1], [0], [0], [0]]}', "gate.entries"),
+            (["simulate"], _one_step('{"gate": {"entries": [[1]]}}'), "steps[0].gate.entries"),
+            (["state", "validate"], '{"entries": [[1]]}', "state.entries"),
+            (["gate", "analyze"], '{"entries": [[]]}', "gate.entries"),
         ],
     )
     def test_schema_error(self, tmp_path, capsys, args, text, where):
@@ -460,6 +468,28 @@ class TestOptionFields:
         assert out == ""
         assert err.count("\n") == 1
         assert where in err
+
+    @pytest.mark.parametrize(
+        "args,text,message",
+        [
+            (["gate", "from-unitary"], '{"U": [[1]]}', "unitary must be square 2**n x 2**n"),
+            (["simulate"], _one_step('{"unitary": [[1]]}'), "unitary must be square 2**n x 2**n"),
+            (["gate", "from-kraus"], '{"ops": [[[1]]]}', "Kraus operators must be 2**m x 2**n"),
+            (
+                ["measure"],
+                '{"projectors": [[[1]]], "state": {"n": 1, "P": [1, 0, 0, 0]}}',
+                "Kraus operators must be 2**m x 2**n",
+            ),
+            (["gate", "from-lindblad"], '{"H": [[1]], "t": 1}', "H must be square 2**n x 2**n"),
+            (["universality", "pseudo"], '{"A": [[1]]}', "operator must be square 2**n x 2**n"),
+        ],
+    )
+    def test_order_zero_matrix(self, tmp_path, capsys, args, text, message):
+        """The size error that a 3x3 matrix gets, not a bare `n must be >= 1`."""
+        code, out, err = _run_text(args, text, tmp_path, capsys)
+        assert code == EXIT_CONTRACT
+        assert out == ""
+        assert err == f"error: {message}, got (1, 1)\n"
 
     @pytest.mark.parametrize(
         "args,text",
@@ -556,6 +586,25 @@ class TestLindbladHamiltonianRoute:
 
         p = PauliVector(n, np.eye(4**n)[0])
         assert np.max(np.abs(expected @ p.P - propagate(liou, t, p).P)) < 1e-12
+
+    def test_one_generator_per_spec(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        to_generator = LiouvillianSuperop.to_pauli_generator
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.n)
+            return to_generator(self, *args, **kwargs)
+
+        monkeypatch.setattr(LiouvillianSuperop, "to_pauli_generator", counted)
+        spec = '{"H": [[1, 0], [0, -1]], "V": [[[0, 1], [0, 0]]], "t": 0.5}'
+        code, _, _ = _run_text(["gate", "from-lindblad"], spec, tmp_path, capsys)
+        assert code == EXIT_OK
+        assert calls == [1]
+        calls.clear()
+        steps = ", ".join(['{"lindblad": %s}' % spec] * 3)
+        code, _, _ = _run_text(["simulate"], _one_step(steps), tmp_path, capsys)
+        assert code == EXIT_OK
+        assert calls == [1, 1, 1]
 
 
 # The example documents of the CLI section of README.md; the gate document
@@ -664,3 +713,72 @@ def test_mutation_fuzzer_exits_cleanly(tmp_path, capsys):
         elif code != EXIT_OK and (err.count("\n") != 1 or out):
             failures.append(f"{label}: exit {code} with stderr {err!r}")
     assert not failures, "\n".join(failures[:20])
+
+
+# -- JSON output ---------------------------------------------------------------
+
+
+def _assert_indented_json(text: str, payload) -> None:
+    """``text`` is json.dumps(payload, indent=2, sort_keys=True), byte for byte."""
+    expected = json.dumps(payload, indent=2, sort_keys=True)
+    if text != expected:  # show where, without diffing two long texts
+        at = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b), None)
+        at = min(len(text), len(expected)) if at is None else at
+        pytest.fail(f"differs at {at}: {text[at - 30:at + 30]!r} != {expected[at - 30:at + 30]!r}")
+
+
+@pytest.mark.parametrize("argv,doc", _README_EXAMPLES, ids=[" ".join(a) for a, _ in _README_EXAMPLES])
+def test_readme_output_is_the_indented_json_form(tmp_path, capsys, monkeypatch, argv, doc):
+    payloads = []
+    emit = cli._emit
+
+    def recorded(payload, args):
+        payloads.append(payload)
+        emit(payload, args)
+
+    monkeypatch.setattr(cli, "_emit", recorded)
+    code, out, _ = run_cli(argv, doc, tmp_path, capsys)
+    assert code == EXIT_OK
+    assert len(payloads) == 1
+    assert out.endswith("\n")
+    _assert_indented_json(out[:-1], payloads[0])
+
+
+_SCALARS = (
+    None, True, False, 0, -1, 7, 2**63, -(2**64) - 3, 10**30, 0.0, -0.0, 1.5, -2.25e-7,
+    1e-320, 5e-324, 1e308, float("nan"), float("inf"), float("-inf"),
+    "", "a, b", ", ", 'quote " and \\ slash', "café → \U0001d11e", "line\nbreak",
+)
+
+
+def _random_payload(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(6 if depth < 4 else 2)
+    if kind == 0:
+        return rng.choice(_SCALARS)
+    if kind == 1:  # numbers only: the C-encoded rows
+        return [rng.choice((rng.uniform(-1e3, 1e3), rng.randrange(-10**20, 10**20),
+                            -0.0, 1e-320, 2**63 + rng.randrange(9)))
+                for _ in range(rng.randrange(4))]
+    if kind == 2:  # numbers mixed with lists and other values
+        return [rng.choice((rng.random(), rng.randrange(5), _random_payload(rng, depth + 1)))
+                for _ in range(rng.randrange(5))]
+    if kind == 3:
+        return [[rng.random() for _ in range(3)] for _ in range(rng.randrange(4))]
+    if kind == 4:
+        return tuple(_random_payload(rng, depth + 1) for _ in range(rng.randrange(3)))
+    keys = ["a", "b, c", "", "Z", "é", "n_in", "10", "2"]
+    return {rng.choice(keys): _random_payload(rng, depth + 1) for _ in range(rng.randrange(5))}
+
+
+def test_json_text_matches_json_dumps():
+    rng = random.Random(20260)
+    for _ in range(2000):
+        payload = {"top": _random_payload(rng), "list": [_random_payload(rng)]}
+        _assert_indented_json(cli._json_text(payload), payload)
+    for payload in (*_SCALARS, [], {}, [[]], [{}], {"e": []}, [1, [2, [3.5]], {"k": -0.0}]):
+        _assert_indented_json(cli._json_text(payload), payload)
+
+
+def test_json_text_rejects_non_string_keys():
+    with pytest.raises(TypeError):
+        cli._json_text({1: "x"})

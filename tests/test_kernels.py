@@ -20,6 +20,7 @@ from ququat.gates import (
     gate_from_unitary,
     measurement_gates,
 )
+from ququat.lindblad import liouvillian_superop
 from ququat.liouville import (
     DensityMatrix,
     PauliVector,
@@ -83,6 +84,12 @@ def oracle_left(a, n):
 def oracle_right(a, n):
     basis = pauli_basis(n)
     return np.einsum("mij,njk,ki->mn", basis, basis, a) / 2**n
+
+
+def oracle_pauli_generator(liouvillian, n):
+    """q^dagger L q over the orthonormal basis q[:, mu] = vec(sigma_mu) / sqrt(2**n)."""
+    q = pauli_basis(n).reshape(4**n, -1).T / np.sqrt(2**n)
+    return (q.conj().T @ liouvillian.matrix @ q).real
 
 
 # -- inputs --------------------------------------------------------------------
@@ -229,3 +236,14 @@ def test_left_right_mult(n):
     a = ginibre(np.random.default_rng(110 + n), 2**n, 2**n)
     assert_close(left_mult_superop(a).matrix, oracle_left(a, n))
     assert_close(right_mult_superop(a).matrix, oracle_right(a, n))
+
+
+# -- Liouvillian generator ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", NS)
+def test_pauli_generator(n):
+    rng = np.random.default_rng(120 + n)
+    h = ginibre(rng, 2**n, 2**n)
+    liou = liouvillian_superop(h + h.conj().T, [ginibre(rng, 2**n, 2**n) for _ in range(2)])
+    assert_close(liou.to_pauli_generator(), oracle_pauli_generator(liou, n))
