@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ququat import PauliVector, liouvillian_superop, parse_circuit, propagate
-from ququat import cli
+from ququat import PauliVector, cli, liouvillian_superop, parse_circuit, propagate
 from ququat.cli import EXIT_CONTRACT, EXIT_OK, EXIT_SCHEMA, EXIT_ZERO_PROBABILITY, main
-from ququat.lindblad import LiouvillianSuperop
 from ququat.config import tolerances
+from ququat.lindblad import LiouvillianSuperop
 from ququat.serialization import encode_complex_matrix
 
 
@@ -724,10 +723,13 @@ def _assert_indented_json(text: str, payload) -> None:
     if text != expected:  # show where, without diffing two long texts
         at = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b), None)
         at = min(len(text), len(expected)) if at is None else at
-        pytest.fail(f"differs at {at}: {text[at - 30:at + 30]!r} != {expected[at - 30:at + 30]!r}")
+        near = slice(max(at - 30, 0), at + 30)
+        pytest.fail(f"differs at {at}: {text[near]!r} != {expected[near]!r}")
 
 
-@pytest.mark.parametrize("argv,doc", _README_EXAMPLES, ids=[" ".join(a) for a, _ in _README_EXAMPLES])
+@pytest.mark.parametrize(
+    "argv,doc", _README_EXAMPLES, ids=[" ".join(argv) for argv, _ in _README_EXAMPLES]
+)
 def test_readme_output_is_the_indented_json_form(tmp_path, capsys, monkeypatch, argv, doc):
     payloads = []
     emit = cli._emit
