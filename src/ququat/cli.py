@@ -18,10 +18,13 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
+
+import orjson
 
 from . import __version__
 from . import serialization as sz
@@ -75,12 +78,65 @@ def _load_document(path: str | None):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read input: {exc}") from exc
+    return _parse(text)
+
+
+# orjson parses several times faster than json.loads and gives the same value
+# for every document it accepts, with two exceptions: it recurses once per
+# nesting level with no limit (objects some 100000 deep overflow an 8 MB
+# stack), and it turns an integer beyond 64 bits into a float.  Such
+# documents go to json.loads, which stays the reference: it also takes what
+# orjson refuses (NaN, Infinity, 1e400, lone surrogates) and words every
+# error message.
+_ORJSON_MAX_OPEN = 10_000  # opening brackets, so nesting levels, handed to orjson
+_MAX_DEPTH = 500  # nesting json.loads takes within the default recursion limit
+_WIDE = 2.0**63  # the least magnitude orjson gives an integer it cannot hold
+
+
+def _parse(text: str):
+    """``json.loads(text)``, read by orjson where the two are sure to agree."""
+    if text.count("[") + text.count("{") <= _ORJSON_MAX_OPEN:
+        try:
+            doc = orjson.loads(text)
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if _as_json_loads_reads_it(doc):
+                return doc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed text, or an integer of more digits than
+        # int() converts; RecursionError: nesting deeper than the stack
         raise SchemaError(f"invalid JSON: {exc}") from exc
+
+
+def _as_json_loads_reads_it(doc) -> bool:
+    """Whether json.loads is sure to read the same ``doc`` from its text.
+
+    That fails when ``doc`` nests more than ``_MAX_DEPTH`` levels deep, or
+    holds a float of magnitude 2**63 or more, which may have been an integer
+    literal.  The walk goes level by level, so it knows the depth.
+    """
+    level = [doc]
+    for _ in range(_MAX_DEPTH):
+        inner = []
+        for obj in level:
+            if type(obj) is dict:
+                inner.extend(obj.values())
+            elif type(obj) is list:
+                if not _NUMBER_TYPES.issuperset(map(type, obj)):
+                    inner.extend(obj)
+                elif obj and not -_WIDE < min(obj) <= max(obj) < _WIDE:
+                    return False
+            elif type(obj) is float and not -_WIDE < obj < _WIDE:
+                return False
+        if not inner:
+            return True
+        level = inner
+    return False
 
 
 def _state_from_json(obj, path: str = "state") -> PauliVector:
@@ -154,15 +210,53 @@ def _render_scalar(v, precision: int) -> str:
 
 
 # the C encoder; json.dumps with an indent runs the pure-Python one
-_encode = json.JSONEncoder(sort_keys=True).encode
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 _NUMBER_TYPES = frozenset((int, float))
+
+# orjson writes the shortest round-trip digits, as repr does, and spells
+# them differently in two places: exponents (1e16, 1e-7 for repr's 1e+16,
+# 1e-07) and the decade [1e-5, 1e-4), which it writes positionally (0.000015
+# for 1.5e-05).  Each pattern starts with a literal, so a row is scanned
+# quickly, and only rows that hold one are scanned at all.
+_POSITIVE_EXPONENT = re.compile(rb"e(?=\d)")
+_ONE_DIGIT_EXPONENT = re.compile(rb"e-(?=\d\b)")
+_FIFTH_DECADE = re.compile(rb"0\.0000(\d)(\d*)")
+
+
+def _fifth_decade(match: re.Match) -> bytes:
+    """0.0000dd... as d.d...e-05, unless the match is the tail of a number like 10.00001."""
+    start = match.start()
+    if match.string[start - 1:start].isdigit():
+        return match[0]
+    lead, rest = match[1], match[2]
+    return lead + (b"." + rest if rest else b"") + b"e-05"
+
+
+def _number_row(row) -> str:
+    """``row``, a list of plain ints and floats, as compact JSON text.
+
+    orjson writes the row and its floats are respelt as repr spells them;
+    a row it refuses (an integer beyond 64 bits) or writes a ``null`` in
+    (NaN or Infinity) goes to the C encoder.
+    """
+    try:
+        text = orjson.dumps(row)
+    except orjson.JSONEncodeError:
+        return _encode(row)
+    if b"null" in text:
+        return _encode(row)
+    if b"e" in text:
+        text = _ONE_DIGIT_EXPONENT.sub(b"e-0", _POSITIVE_EXPONENT.sub(b"e+", text))
+    if b"0.0000" in text:
+        text = _FIFTH_DECADE.sub(_fifth_decade, text)
+    return text.decode()
 
 
 def _json_text(obj, pad: str = "") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
 
     Each list of plain ints and floats, such as a gate row or a Pauli
-    vector, is encoded in one call of the C encoder, whose ", " separators
+    vector, is written in one piece by ``_number_row``, whose "," separators
     become the indented line breaks.  Object keys must be strings.
     """
     inner = pad + "  "
@@ -178,7 +272,7 @@ def _json_text(obj, pad: str = "") -> str:
         if not obj:
             return "[]"
         if _NUMBER_TYPES.issuperset(map(type, obj)):
-            body = inner + _encode(obj)[1:-1].replace(", ", ",\n" + inner)
+            body = inner + _number_row(obj)[1:-1].replace(",", ",\n" + inner)
         else:
             body = ",\n".join(inner + _json_text(v, inner) for v in obj)
         return "[\n" + body + "\n" + pad + "]"

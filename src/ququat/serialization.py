@@ -108,6 +108,17 @@ def _decode_number(obj, path: str) -> float:
     return float(obj)
 
 
+def _entry_count(k: int, items: list, path: str) -> int:
+    """``4**k``, the length of a k-ququat Pauli vector or a k-ary truth table.
+
+    No list holds 4**33 items, so a larger k is refused before 4**k is
+    formed: for k in the billions that alone would not finish.
+    """
+    if k > 32:
+        raise SchemaError(f"{path}: expected 4**{k} entries, got {len(items)}")
+    return 4**k
+
+
 def _decode_list(obj, path: str, decode_item) -> list:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{path}: expected a nonempty list")
@@ -231,8 +242,8 @@ def pvec_to_json(p: PauliVector) -> dict:
 def pvec_from_json(obj, path: str = "state") -> PauliVector:
     obj = _expect(obj, dict, path, "an object")
     n = _decode_int(_expect_key(obj, "n", path), f"{path}.n", 1)
-    vec = decode_real_vector(_expect_key(obj, "P", path), f"{path}.P", 4**n)
-    return PauliVector(n, vec)
+    vec = _expect(_expect_key(obj, "P", path), list, f"{path}.P", "a list of numbers")
+    return PauliVector(n, decode_real_vector(vec, f"{path}.P", _entry_count(n, vec, f"{path}.P")))
 
 
 def density_to_json(rho: DensityMatrix) -> dict:
@@ -348,8 +359,9 @@ def table_from_json(obj, path: str = "table") -> TruthTable:
     obj = _expect(obj, dict, path, "an object")
     arity = _decode_int(_expect_key(obj, "arity", path), f"{path}.arity", 0)
     outputs = _expect(_expect_key(obj, "outputs", path), list, f"{path}.outputs", "a list")
-    if len(outputs) != 4**arity:
-        raise SchemaError(f"{path}.outputs: expected {4**arity} entries, got {len(outputs)}")
+    count = _entry_count(arity, outputs, f"{path}.outputs")
+    if len(outputs) != count:
+        raise SchemaError(f"{path}.outputs: expected {count} entries, got {len(outputs)}")
     for i, v in enumerate(outputs):
         if isinstance(v, bool) or not isinstance(v, int) or v not in (0, 1, 2, 3):
             raise SchemaError(f"{path}.outputs[{i}]: expected an integer in 0..3")

@@ -1,7 +1,10 @@
 """Command-line interface tests: subcommands, formats and exit codes."""
 
+import decimal
 import json
+import math
 import random
+import struct
 import subprocess
 import sys
 
@@ -12,6 +15,7 @@ from scipy.linalg import expm
 from ququat import PauliVector, cli, liouvillian_superop, parse_circuit, propagate
 from ququat.cli import EXIT_CONTRACT, EXIT_OK, EXIT_SCHEMA, EXIT_ZERO_PROBABILITY, main
 from ququat.config import tolerances
+from ququat.errors import SchemaError
 from ququat.lindblad import LiouvillianSuperop
 from ququat.serialization import encode_complex_matrix
 
@@ -753,13 +757,21 @@ _SCALARS = (
 )
 
 
+# floats whose orjson spelling differs from repr's: exponents and [1e-5, 1e-4)
+_SPELLINGS = (
+    1e-5, 1.5e-05, -2.5e-05, 9.999999999999999e-05, 1e-4, 0.00010000000000000002, 10.00001,
+    100.00001, 1e16, -1e22, 9.999999999999998e15, 1e-7, -1.2345e-300, 5e-324, 1.7976931348623157e308,
+)
+
+
 def _random_payload(rng: random.Random, depth: int = 0):
     kind = rng.randrange(6 if depth < 4 else 2)
     if kind == 0:
         return rng.choice(_SCALARS)
-    if kind == 1:  # numbers only: the C-encoded rows
+    if kind == 1:  # numbers only: the rows written in one piece
         return [rng.choice((rng.uniform(-1e3, 1e3), rng.randrange(-10**20, 10**20),
-                            -0.0, 1e-320, 2**63 + rng.randrange(9)))
+                            -0.0, 1e-320, 2**63 + rng.randrange(9), rng.choice(_SPELLINGS),
+                            rng.uniform(-1e-4, 1e-4) * 10.0 ** -rng.randrange(3)))
                 for _ in range(rng.randrange(4))]
     if kind == 2:  # numbers mixed with lists and other values
         return [rng.choice((rng.random(), rng.randrange(5), _random_payload(rng, depth + 1)))
@@ -784,3 +796,260 @@ def test_json_text_matches_json_dumps():
 def test_json_text_rejects_non_string_keys():
     with pytest.raises(TypeError):
         cli._json_text({1: "x"})
+
+
+# -- number rows ---------------------------------------------------------------
+
+_ORACLE = json.JSONEncoder(sort_keys=True).encode
+
+
+def _assert_rows_spelt_as_repr(rows) -> None:
+    """``_number_row`` gives the C encoder's text of every row, with "," separators."""
+    for row in rows:
+        got, want = cli._number_row(row), _ORACLE(row).replace(", ", ",")
+        if got != want:
+            bad = next(x for x in row if cli._number_row([x]) != _ORACLE([x]))
+            pytest.fail(f"{bad!r}: {cli._number_row([bad])} != {_ORACLE([bad])}")
+
+
+def _binade_floats(per_binade: int, seed: int) -> list:
+    """``per_binade`` random floats of each sign in each of the 2047 binades, subnormals too."""
+    rng = np.random.default_rng(seed)
+    exponent = np.repeat(np.arange(2047, dtype=np.uint64), per_binade)
+    mantissa = rng.integers(0, 2**52, size=exponent.size, dtype=np.uint64)
+    sign = rng.integers(0, 2, size=exponent.size, dtype=np.uint64)
+    return ((sign << np.uint64(63)) | (exponent << np.uint64(52)) | mantissa).view(np.float64).tolist()
+
+
+def test_number_rows_match_the_c_encoder_in_every_binade():
+    floats = _binade_floats(489, 20270)  # 1001 083 floats
+    assert len(floats) > 10**6
+    _assert_rows_spelt_as_repr([floats[i:i + 256] for i in range(0, len(floats), 256)])
+
+
+def test_number_rows_match_the_c_encoder_at_spelling_boundaries():
+    short = [float(f"{m}e{k}") for m in (1, 15, 999, 123456789) for k in range(-330, 309)]
+    rng = np.random.default_rng(20271)
+    decade = (rng.uniform(1e-5, 1e-4, 5000) * rng.choice([-1, 1], 5000)).tolist()
+    rounded = [round(x, rng.integers(6, 12)) for x in decade]
+    edges = [1e-5, 1e-4, math.nextafter(1e-5, 0), math.nextafter(1e-4, 0), 9.999999999999998e15,
+             1e16, math.nextafter(1e16, 0), 5e-324, 0.0, -0.0, 0.00010000000000000002, 10.00001,
+             110.00001, 1.00001, 1e-05, 1.5e-05, sys.float_info.max, sys.float_info.min]
+    values = short + decade + rounded + edges + [-x for x in edges + short]
+    _assert_rows_spelt_as_repr([values[i:i + 64] for i in range(0, len(values), 64)])
+    _assert_rows_spelt_as_repr([[x] for x in edges])
+    payload = {"rows": [values[i:i + 7] for i in range(0, 700, 7)], "edges": edges}
+    _assert_indented_json(cli._json_text(payload), payload)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [2**63, -(2**63), 2**64 - 1, 0, -1],
+        [2**64, 1.5],  # beyond 64 bits: the C encoder
+        [-(2**63) - 1],
+        [10**30, -0.0, 1e-5],
+        [1.0, float("nan")],  # orjson writes null: the C encoder
+        [float("inf"), -1e-7],
+        [float("-inf")],
+    ],
+)
+def test_number_rows_orjson_cannot_write(row):
+    assert cli._number_row(row) == _ORACLE(row).replace(", ", ",")
+    _assert_indented_json(cli._json_text({"row": row}), {"row": row})
+
+
+# -- JSON input ----------------------------------------------------------------
+
+
+def _same(a, b) -> bool:
+    """Equal values of the same types, floats to the bit (so -0.0 is not 0.0)."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, float):
+            if struct.pack("<d", a) != struct.pack("<d", b):
+                return False
+        elif isinstance(a, list):
+            if len(a) != len(b):
+                return False
+            pairs.extend(zip(a, b))
+        elif isinstance(a, dict):
+            if list(a) != list(b):
+                return False
+            pairs.extend((a[k], b[k]) for k in a)
+        elif a != b:
+            return False
+    return True
+
+
+def _assert_parses_as_json_loads(text: str) -> None:
+    try:
+        want = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        with pytest.raises(SchemaError) as got:
+            cli._parse(text)
+        assert str(got.value) == f"invalid JSON: {exc}"
+        return
+    got = cli._parse(text)
+    assert _same(got, want), text[:200]
+
+
+def _halfway_decimals(rng: random.Random, count: int) -> list[str]:
+    """Exact decimal midpoints of adjacent doubles, and the midpoints nudged by one digit."""
+    out = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200
+        while len(out) < count:
+            x = struct.unpack("<d", struct.pack("<Q", rng.getrandbits(63)))[0]
+            y = math.nextafter(x, math.inf)
+            if math.isinf(y):
+                continue
+            mid = (decimal.Decimal(x) + decimal.Decimal(y)) / 2
+            out.append(str(mid))
+            nudge = decimal.Decimal((0, (1,), mid.as_tuple().exponent))
+            out.extend((str(mid + nudge), str(mid - nudge)))
+    return out
+
+
+def test_parse_matches_json_loads_on_seeded_documents():
+    rng = random.Random(20272)
+    for _ in range(1000):
+        payload = {"top": _random_payload(rng), "list": [_random_payload(rng)]}
+        _assert_parses_as_json_loads(json.dumps(payload))
+    halfway = _halfway_decimals(rng, 3000)
+    for i in range(0, len(halfway), 100):
+        _assert_parses_as_json_loads("[" + ", ".join(halfway[i:i + 100]) + "]")
+    floats = _binade_floats(20, 20273)
+    _assert_parses_as_json_loads(json.dumps([floats[i:i + 256] for i in range(0, len(floats), 256)]))
+
+
+_LONG_INTEGERS = (
+    "1234567890123456789", "-1234567890123456789", "9223372036854775807", "9223372036854775808",
+    "-9223372036854775808", "-9223372036854775809", "18446744073709551615",
+    "18446744073709551616", "-18446744073709551616", "12345678901234567890123",
+)
+
+
+@pytest.mark.parametrize("literal", _LONG_INTEGERS)
+def test_parse_keeps_long_integers(literal):
+    for text in (literal, f"[{literal}]", f'{{"n": {literal}, "P": [1, 0.5, {literal}]}}',
+                 f"[[0.25, 1e19], [{literal}, 2.5]]", f"[1.5, [2.5, [{literal}]]]"):
+        _assert_parses_as_json_loads(text)
+    # at the end of a gate-sized document, behind 65 535 ordinary numbers
+    rows = np.random.default_rng(20274).normal(size=(256, 256)).tolist()
+    text = json.dumps({"entries": rows})
+    _assert_parses_as_json_loads(text[:-3] + ", " + literal + "]]}")
+    assert type(cli._parse(f"[{literal}]")[0]) is int
+
+
+_EDGE_TEXTS = [
+    "NaN", "[Infinity, -Infinity]", '{"t": NaN}', "[1e400, -1e400]", "1e-400",
+    '"\\ud800"', '["\\udc00x"]', '"\\ud83d\\ude00"', "\ud800", '["\udcff"]',
+    "\ufeff{}", '\ufeff{"n": 1}', '{"a": 1, "a": 2, "b": 3}', '{"a": 1, "b": 2, "a": 3}',
+    "-0", "-0.0", "[-0, 0.0, -0.0]", "", " ", "[1,]", "[1 2]", '{"a" 1}', "{'a': 1}",
+    "01", "1.", ".5", "+1", "[1]x", "tru", "nul", '"tab\there"', '"\\x"', "1" * 5000,
+    " \t\n\r[1] \n", "[" * 600 + "]" * 600, '{"a": ' * 600 + "1" + "}" * 600,
+    "[" * 5000 + "]" * 5000, '{"a": ' * 5000 + "1" + "}" * 5000,
+]
+
+
+@pytest.mark.parametrize("text", _EDGE_TEXTS, ids=[f"{t[:12]!r}.{len(t)}" for t in _EDGE_TEXTS])
+def test_parse_matches_json_loads_at_the_edges(text):
+    _assert_parses_as_json_loads(text)
+
+
+def test_parse_reads_plain_documents_with_orjson(monkeypatch):
+    """json.loads is the fallback, not the route taken for an ordinary document."""
+    rows = np.random.default_rng(20275).normal(size=(64, 64)).tolist()
+    gate = {"n_in": 3, "n_out": 3, "entries": rows}
+    pairs = {"U": encode_complex_matrix(np.array(rows[:32]) + 1j * np.array(rows[32:]))}
+    deep = {"deep": json.loads("[" * 400 + "]" * 400)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called")
+
+    monkeypatch.setattr(cli.json, "loads", refuse)
+    for doc in (gate, pairs, deep):
+        assert _same(cli._parse(json.dumps(doc)), doc)
+    for fallback in ("[18446744073709551616]", "[[1e19]]", "[NaN]", "[" * 600 + "]" * 600,
+                     "[" + "[0, 1], " * 10_000 + "[]]"):
+        with pytest.raises(AssertionError, match="json.loads called"):
+            cli._parse(fallback)
+
+
+class TestUnreadableInput:
+    def test_deeply_nested_arrays(self, tmp_path, capsys):
+        code, out, err = _run_text(["state", "validate"], "[" * 100000 + "]" * 100000,
+                                   tmp_path, capsys)
+        assert code == EXIT_SCHEMA
+        assert out == ""
+        assert err.startswith("error: invalid JSON: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("depth", [10_000, 100_000])
+    def test_deeply_nested_objects(self, depth):
+        # in a child process: a parser that recursed this deep would crash it
+        proc = subprocess.run(
+            [sys.executable, "-m", "ququat.cli", "state", "validate"],
+            input='{"a": ' * depth + "1" + "}" * depth,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_SCHEMA
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: invalid JSON: maximum recursion depth exceeded")
+        assert proc.stderr.count("\n") == 1
+
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        code = main(["state", "validate", str(path)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_SCHEMA
+        assert out == ""
+        assert err == (
+            "error: cannot read input: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
+
+    def test_integer_beyond_the_digit_limit(self, tmp_path, capsys):
+        code, out, err = _run_text(["state", "validate"], '{"n": 1, "P": [%s, 0, 0, 0]}' % ("1" * 5000),
+                                   tmp_path, capsys)
+        assert code == EXIT_SCHEMA
+        assert out == ""
+        assert err.startswith("error: invalid JSON: Exceeds the limit (4300 digits)")
+        assert err.count("\n") == 1
+
+
+_OVERSIZE = [
+    (["state", "validate"], '{"n": %d, "P": [1, 0, 0, 0]}', "state.P", 4),
+    (["mvlogic", "dnf"], '{"arity": %d, "outputs": [0]}', "table.outputs", 1),
+]
+
+
+@pytest.mark.parametrize("k", [10000, 100000000000])
+@pytest.mark.parametrize("args,template,where,got", _OVERSIZE, ids=["pvec-n", "table-arity"])
+def test_oversize_count_is_refused_before_the_power(args, template, where, got, k):
+    # in a child process, so that forming 4**k fails the test by its timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "ququat.cli", *args],
+        input=template % k,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_SCHEMA
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {where}: expected 4**{k} entries, got {got}\n"
+
+
+@pytest.mark.parametrize("args,template,where,got", _OVERSIZE, ids=["pvec-n", "table-arity"])
+def test_count_message_up_to_32(tmp_path, capsys, args, template, where, got):
+    for k, count in ((2, "16"), (32, str(4**32)), (33, "4**33")):
+        code, out, err = _run_text(args, template % k, tmp_path, capsys)
+        assert code == EXIT_SCHEMA
+        assert err == f"error: {where}: expected {count} entries, got {got}\n"
