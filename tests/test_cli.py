@@ -822,13 +822,14 @@ def _binade_floats(per_binade: int, seed: int) -> list:
 
 
 def test_number_rows_match_the_c_encoder_in_every_binade():
-    floats = _binade_floats(489, 20270)  # 1001 083 floats
+    floats = _binade_floats(489, 20270)  # 1 000 983 floats
     assert len(floats) > 10**6
     _assert_rows_spelt_as_repr([floats[i:i + 256] for i in range(0, len(floats), 256)])
 
 
 def test_number_rows_match_the_c_encoder_at_spelling_boundaries():
     short = [float(f"{m}e{k}") for m in (1, 15, 999, 123456789) for k in range(-330, 309)]
+    short = [x for x in short if math.isfinite(x)]  # a row holding Infinity skips orjson
     rng = np.random.default_rng(20271)
     decade = (rng.uniform(1e-5, 1e-4, 5000) * rng.choice([-1, 1], 5000)).tolist()
     rounded = [round(x, rng.integers(6, 12)) for x in decade]
