@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .config import tolerances
+from .config import MAX_QUQUATS, tolerances
 from .decompositions import NAMED_GATES, named_gate
 from .errors import NumericContractError, SchemaError
 from .gates import (
@@ -32,6 +32,7 @@ from .gates import (
     GateReport,
     TRACE_PRESERVING,
     _apply_local,
+    _check_gate_size,
     _target_axes,
     analyze_gate,
     apply_linear,
@@ -63,6 +64,7 @@ def embed_gate(gate: GateMatrix, targets, n: int) -> GateMatrix:
     targets = tuple(int(t) for t in targets)
     order, _ = _target_axes(targets, n, gate.n_in, gate.n_out)
     k = gate.n_in
+    _check_gate_size(n, "embedded gate")
     if k == n and targets == tuple(range(n)):
         return gate
     big = np.kron(gate.entries, np.eye(4 ** (n - k)))
@@ -212,6 +214,10 @@ def parse_circuit(doc) -> Circuit:
     """Validate a circuit document and construct all gates eagerly."""
     doc = sz._expect(doc, dict, "circuit", "an object")
     n = sz._decode_int(sz._expect_key(doc, "n", "circuit"), "circuit.n", 1)
+    if n > MAX_QUQUATS:
+        # no initial state of more ququats can be decoded, and each step's
+        # targets are checked against range(n)
+        raise SchemaError(f"circuit.n: expected an integer <= {MAX_QUQUATS}, got {n}")
     raw_steps = sz._expect_key(doc, "steps", "circuit")
     steps = sz._decode_list(raw_steps, "steps", lambda raw, path: _parse_step(raw, path, n))
     return Circuit(n=n, steps=tuple(steps))

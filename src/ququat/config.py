@@ -6,6 +6,10 @@ eigenvalue slack when testing positive semidefiniteness, and
 ``roundtrip`` for conversion round-trips.  All are configurable at
 runtime; library functions that take an explicit ``tol`` argument fall
 back to these values when ``tol`` is None.
+
+Two size ceilings, in ququats, bound what an input may ask the package
+to build.  They are not tolerances and no option changes them; each is
+checked before anything of that size is allocated.
 """
 
 from dataclasses import dataclass
@@ -19,6 +23,16 @@ class Tolerances:
 
 
 tolerances = Tolerances()
+
+# Largest n of a dense 4**n x 4**n gate built from a smaller input
+# (unitary, Kraus set, projectors, Lindblad H/V, pseudo-gate operator,
+# tensor product, classical map, embedding): 4**5 = 1024 rows, which
+# build in under a second.
+MAX_GATE_QUQUATS = 5
+
+# Largest register a document may name: no list holds the 4**33 entries
+# of a larger Pauli vector or truth table.
+MAX_QUQUATS = 32
 
 
 def set_tolerances(algebra=None, psd=None, roundtrip=None):

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import tolerances
+from .config import MAX_GATE_QUQUATS, tolerances
 from .errors import NumericContractError, ZeroProbabilityError
-from .liouville import PauliVector, _frozen, _pauli_transfer, pauli_basis
+from .liouville import PauliVector, _basis_product, _frozen, _pauli_transfer, pauli_basis
 
 __all__ = [
     "GateMatrix",
@@ -133,6 +133,14 @@ class KrausSet:
         )
 
 
+def _check_gate_size(n: int, what: str) -> None:
+    """Refuse a gate on more than MAX_GATE_QUQUATS ququats before its 4**n x 4**n matrix exists."""
+    if n > MAX_GATE_QUQUATS:
+        raise NumericContractError(
+            f"{what} acts on {n} ququats; dense gates are limited to {MAX_GATE_QUQUATS}"
+        )
+
+
 def classify_kind(entries: np.ndarray, tol: float | None = None) -> str:
     """Classify a raw gate matrix by its row zero."""
     tol = tolerances.algebra if tol is None else tol
@@ -162,7 +170,8 @@ def gate_from_matrix(entries, kind: str | None = None, tol: float | None = None)
 def _kraus_transfer(ops, n_in: int, n_out: int, tol: float, snap_row0: bool = False) -> np.ndarray:
     bin_ = pauli_basis(n_in)
     images = sum(a @ bin_ @ a.conj().T for a in ops)
-    acc = _pauli_transfer(images, n_out) / 2**n_in
+    acc = _pauli_transfer(images, n_out)
+    acc /= 2**n_in
     resid = float(np.max(np.abs(acc.imag)))
     if resid > tol:
         raise NumericContractError(f"gate entries not real: max imaginary part {resid:.3e}")
@@ -192,6 +201,7 @@ def gate_from_unitary(u: np.ndarray, tol: float | None = None) -> GateMatrix:
     n = int(round(np.log2(d)))
     if u.shape != (d, d) or 2**n != d or n < 1:
         raise NumericContractError(f"unitary must be square 2**n x 2**n, got {u.shape}")
+    _check_gate_size(n, "unitary")
     if np.max(np.abs(u.conj().T @ u - np.eye(d))) > tol:
         raise NumericContractError("input is not unitary within tolerance")
     entries = _kraus_transfer([u], n, n, tol, snap_row0=True)
@@ -208,6 +218,7 @@ def gate_from_kraus(kraus: KrausSet | list | tuple, tol: float | None = None) ->
     tol = tolerances.algebra if tol is None else tol
     if not isinstance(kraus, KrausSet):
         kraus = KrausSet(tuple(kraus))
+    _check_gate_size(max(kraus.n_in, kraus.n_out), "Kraus set")
     kind = kraus.kind(tol)
     entries = _kraus_transfer(
         kraus.ops, kraus.n_in, kraus.n_out, tol, snap_row0=kind == TRACE_PRESERVING
@@ -227,6 +238,7 @@ def measurement_gates(projectors, tol: float | None = None) -> list[GateMatrix]:
     if not projectors:
         raise NumericContractError("need at least one projector")
     for i, p in enumerate(projectors):
+        _check_gate_size((len(p) - 1).bit_length(), f"projector {i}")
         if np.max(np.abs(p - p.conj().T)) > tol or np.max(np.abs(p @ p - p)) > tol:
             raise NumericContractError(f"projector {i} is not Hermitian idempotent")
     for i in range(len(projectors)):
@@ -336,6 +348,7 @@ def compose(g2: GateMatrix, g1: GateMatrix) -> GateMatrix:
 
 def tensor_gates(ga: GateMatrix, gb: GateMatrix) -> GateMatrix:
     """Kronecker product acting as ga on the leading (big-endian) indices."""
+    _check_gate_size(max(ga.n_in + gb.n_in, ga.n_out + gb.n_out), "tensor product")
     entries = np.kron(ga.entries, gb.entries)
     if ga.kind == gb.kind == TRACE_PRESERVING:
         kind = TRACE_PRESERVING
@@ -366,21 +379,27 @@ def choi_matrix(gate: GateMatrix, tol: float | None = None) -> np.ndarray:
 
     Closed form: J = 2**-n_out sum_{mu nu} E[mu, nu] sigma_mu kron sigma_nu^T,
     output factor leading.  Over the flattened bases, M = B_out^T E B_in
-    holds J[(a, i), (b, k)] at M[(a, b), (k, i)].  The identity gate
+    holds J[(a, i), (b, k)] at M[(a, b), (k, i)]; both basis products go
+    through ``liouville._basis_product``, E B_in as (B_in^T E^T)^T.  The
+    result is symmetrized as (J + J^dagger) / 2.  The identity gate
     yields 2**n times the maximally entangled projector.  Gates built from
     Kraus sets always pass the PSD test.
     """
     tol = tolerances.algebra if tol is None else tol
     d_in = 2**gate.n_in
     d_out = 2**gate.n_out
-    bin_ = pauli_basis(gate.n_in).reshape(d_in**2, -1)
-    bout = pauli_basis(gate.n_out).reshape(d_out**2, -1)
-    m = bout.T @ (gate.entries @ bin_) / d_out
-    j = m.reshape(d_out, d_out, d_in, d_in).transpose(0, 3, 1, 2).reshape(d_out * d_in, -1)
-    resid = float(np.max(np.abs(j - j.conj().T)))
+    # j is rebound at each stage, so fewer full-size arrays are alive at once
+    j = _basis_product(gate.entries.T, gate.n_in, transpose=True).T
+    j = _basis_product(j, gate.n_out, transpose=True)
+    j = j.reshape(d_out, d_out, d_in, d_in).transpose(0, 3, 1, 2).reshape(d_out * d_in, -1)
+    j /= d_out
+    jh = j.conj().T
+    resid = float(np.max(np.abs(j - jh)))
     if resid > tol:
         raise NumericContractError(f"Choi matrix not Hermitian: residual {resid:.3e}")
-    return (j + j.conj().T) / 2
+    j += jh
+    j /= 2
+    return j
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ from scipy.linalg import expm
 
 from .config import tolerances
 from .errors import NumericContractError
-from .gates import GateMatrix, TRACE_PRESERVING
-from .liouville import PauliVector, _pauli_transfer, pauli_basis
+from .gates import GateMatrix, TRACE_PRESERVING, _check_gate_size
+from .liouville import PauliVector, _basis_product, _pauli_transfer
 
 __all__ = [
     "GKSModel",
@@ -192,7 +192,7 @@ class LiouvillianSuperop:
         tol = tolerances.algebra if tol is None else tol
         # L[mu, nu] = 2**-n Tr(sigma_mu X_nu), X_nu the image of sigma_nu
         d = 2**self.n
-        images = pauli_basis(self.n).reshape(d * d, -1) @ self.matrix.T
+        images = _basis_product(self.matrix.T, self.n)
         gen = _pauli_transfer(images.reshape(-1, d, d), self.n) / d
         resid = float(np.max(np.abs(gen.imag)))
         if resid > tol:
@@ -217,6 +217,7 @@ def liouvillian_superop(h: np.ndarray, v: list | tuple = ()) -> LiouvillianSuper
     n = int(round(np.log2(d)))
     if h.shape != (d, d) or 2**n != d or n < 1:
         raise NumericContractError(f"H must be square 2**n x 2**n, got {h.shape}")
+    _check_gate_size(n, "H")
     if np.max(np.abs(h - h.conj().T)) > tolerances.algebra:
         raise NumericContractError("H must be Hermitian")
     eye = np.eye(d)

@@ -114,15 +114,74 @@ def pauli_basis(n: int) -> np.ndarray:
     return out
 
 
+# Up to this many ququats the basis change is one GEMM with the flattened
+# pauli_basis(n); above it, the basis is applied in blocks of _BASIS_BLOCK
+# ququats and no 4**n x 4**n basis is built.
+_DENSE_BASIS_MAX = 3
+_BASIS_BLOCK = 2
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_blocks(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Row orders and factors of the flattened basis B, split into blocks of ququats.
+
+    B[mu, (a, b)] = prod_i sigma_{mu_i}[a_i, b_i] is a tensor product, so
+    with its columns (a_1..a_n, b_1..b_n) regrouped per block as
+    (a_blk b_blk) it is the Kronecker product of the blocks' own flattened
+    bases.  Returns ``perm``, with regrouped index j = natural index
+    perm[j], its inverse, and the block factors in register order.
+    """
+    sizes = [_BASIS_BLOCK] * (n // _BASIS_BLOCK)
+    if n % _BASIS_BLOCK:
+        sizes.append(n % _BASIS_BLOCK)
+    axes = []
+    start = 0
+    for k in sizes:
+        axes += [*range(start, start + k), *range(n + start, n + start + k)]
+        start += k
+    perm = np.arange(4**n).reshape((2,) * (2 * n)).transpose(axes).reshape(-1)
+    factors = tuple(pauli_basis(k).reshape(4**k, -1) for k in sizes)
+    return perm, np.argsort(perm), factors
+
+
+def _basis_product(y: np.ndarray, n: int, transpose: bool = False) -> np.ndarray:
+    """B @ y, or B^T @ y, along axis 0 of y for the flattened basis B[mu, (a, b)] = sigma_mu[a, b].
+
+    y has 4**n rows, indexed by (a, b) for B @ y and by mu for B^T @ y.
+    Up to _DENSE_BASIS_MAX ququats this is one GEMM with the dense basis.
+    Above it, B's tensor structure is used: the rows (a, b) are regrouped
+    once into per-block (a_blk b_blk) order and each block's factor is one
+    matmul over that block's axis, so nothing of size 4**n x 4**n exists.
+    """
+    if n <= _DENSE_BASIS_MAX:
+        rows = pauli_basis(n).reshape(4**n, -1)
+        return rows.T @ y if transpose else rows @ y
+    perm, inverse, factors = _basis_blocks(n)
+    x = y.reshape(4**n, -1)
+    # a complex C-ordered copy: each matmul is then one BLAS call per block row
+    x = x[perm].astype(complex, copy=False) if not transpose else np.array(x, complex, order="C")
+    # the products alternate between two arrays; fresh ones would each be paged in anew
+    spare = None
+    lead = 1
+    for f in factors:
+        out = None if spare is None else spare.reshape(lead, len(f), -1)
+        x, spare = np.matmul(f.T if transpose else f, x.reshape(lead, len(f), -1), out=out), x
+        lead *= len(f)
+    x = x.reshape(4**n, -1)
+    if transpose:
+        # "clip" only because the default "raise" buffers ``out``; the indices are valid
+        x = np.take(x, inverse, axis=0, out=spare.reshape(x.shape), mode="clip")
+    return x.reshape(y.shape)
+
+
 def _pauli_transfer(images: np.ndarray, n: int) -> np.ndarray:
-    """T[mu, k] = Tr(sigma_mu X_k) over a stack X, as one GEMM with the flattened basis."""
-    rows = pauli_basis(n).reshape(4**n, -1)
-    return rows @ images.transpose(0, 2, 1).reshape(len(images), -1).T
+    """T[mu, k] = Tr(sigma_mu X_k) over a stack X: B @ vec(X_k^T)."""
+    return _basis_product(images.transpose(0, 2, 1).reshape(len(images), -1).T, n)
 
 
 def _pauli_combine(p: np.ndarray, n: int) -> np.ndarray:
-    """The operator 2**-n sum_mu p[mu] sigma_mu, as one GEMV."""
-    return (p @ pauli_basis(n).reshape(4**n, -1)).reshape(2**n, 2**n) / 2**n
+    """The operator 2**-n sum_mu p[mu] sigma_mu: B^T @ p."""
+    return _basis_product(p, n, transpose=True).reshape(2**n, 2**n) / 2**n
 
 
 def pauli_tensor(idx: PauliIndex) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericContractError
-from .gates import GateMatrix, TRACE_PRESERVING
+from .gates import GateMatrix, TRACE_PRESERVING, _check_gate_size
 
 __all__ = [
     "TruthTable",
@@ -417,6 +417,7 @@ def synthesize_quantum(tables) -> GateMatrix:
     tables = _as_table_tuple(tables)
     n = tables[0].arity
     m = len(tables)
+    _check_gate_size(max(n, m), "classical map")
     rows, cols = 4**m, 4**n
     entries = np.zeros((rows, cols))
     g0 = _output_scalar(tables, 0)

@@ -21,6 +21,7 @@ from itertools import chain
 
 import numpy as np
 
+from .config import MAX_QUQUATS
 from .errors import SchemaError
 from .gates import GateMatrix, KrausSet, gate_from_matrix, measurement_gates
 from .lindblad import (
@@ -111,10 +112,10 @@ def _decode_number(obj, path: str) -> float:
 def _entry_count(k: int, items: list, path: str) -> int:
     """``4**k``, the length of a k-ququat Pauli vector or a k-ary truth table.
 
-    No list holds 4**33 items, so a larger k is refused before 4**k is
-    formed: for k in the billions that alone would not finish.
+    No list holds 4**33 items, so a k above ``MAX_QUQUATS`` is refused
+    before 4**k is formed: for k in the billions that alone would not finish.
     """
-    if k > 32:
+    if k > MAX_QUQUATS:
         raise SchemaError(f"{path}: expected 4**{k} entries, got {len(items)}")
     return 4**k
 
@@ -144,36 +145,32 @@ def _finite(arr: np.ndarray, path: str) -> np.ndarray:
     return arr
 
 
-def _types_at(obj: list, depth: int) -> set:
-    """The types of the items ``depth`` list levels below ``obj`` (its own items at 1)."""
-    items = obj
-    for _ in range(depth - 1):
-        items = chain.from_iterable(items)
-    return set(map(type, items))
-
-
 def _bulk_numbers(obj: list, ndims: tuple[int, ...]) -> np.ndarray | None:
     """``obj`` as a float64 array of one of ``ndims`` axes, or None to decode it by element.
 
-    numpy accepts more than a document may hold: ``[[True, 1.5]]`` becomes
-    float64 and ``[[True, 1]]`` int64.  So the array is taken only when
-    its dtype is int64 or float64, it is nonempty, every level above the
-    numbers is a list and every number an int or a float.  Ragged rows,
-    mixed scalars and pairs, integers numpy keeps as uint64 or object,
-    strings and None are refused.
+    The nested lists are flattened one level at a time with ``chain``;
+    every level above the numbers must hold only lists, all of one
+    length.  The flat numbers must all be ints or floats: numpy would
+    also read ``True`` as 1.  numpy then converts them in one pass, as
+    ``float()`` does.  Ragged rows, mixed scalars and pairs, integers
+    beyond float range, strings and None are refused.
     """
+    shape = [len(obj)]
+    items = obj
+    types = set(map(type, items))
+    while types == {list} and len(shape) < max(ndims):
+        widths = set(map(len, items))
+        if len(widths) != 1:
+            return None
+        shape.append(widths.pop())
+        items = list(chain.from_iterable(items))
+        types = set(map(type, items))
+    if not items or not types <= {int, float} or len(shape) not in ndims:
+        return None
     try:
-        arr = np.array(obj)
-    except (ValueError, TypeError, OverflowError):
+        return np.fromiter(items, float, len(items)).reshape(shape)
+    except OverflowError:
         return None
-    if arr.dtype not in (np.int64, np.float64) or arr.ndim not in ndims or arr.size == 0:
-        return None
-    if not (
-        all(_types_at(obj, depth) == {list} for depth in range(1, arr.ndim))
-        and _types_at(obj, arr.ndim) <= {int, float}
-    ):
-        return None
-    return arr.astype(float, copy=False)
 
 
 def decode_complex_matrix(obj, path: str) -> np.ndarray:

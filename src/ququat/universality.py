@@ -19,7 +19,7 @@ from scipy.linalg import expm
 
 from .config import tolerances
 from .errors import NumericContractError
-from .gates import GateMatrix
+from .gates import GateMatrix, _check_gate_size
 from .liouville import _pauli_transfer, pauli_basis
 
 __all__ = [
@@ -73,6 +73,7 @@ def left_mult_superop(a: np.ndarray) -> PseudoGate:
     n = int(round(np.log2(a.shape[0])))
     if a.shape != (2**n, 2**n) or n < 1:
         raise NumericContractError(f"operator must be square 2**n x 2**n, got {a.shape}")
+    _check_gate_size(n, "operator")
     mat = _pauli_transfer(a @ pauli_basis(n), n) / 2**n
     return PseudoGate(n, mat, "left")
 
@@ -88,6 +89,7 @@ def right_mult_superop(a: np.ndarray) -> PseudoGate:
     n = int(round(np.log2(a.shape[0])))
     if a.shape != (2**n, 2**n) or n < 1:
         raise NumericContractError(f"operator must be square 2**n x 2**n, got {a.shape}")
+    _check_gate_size(n, "operator")
     mat = _pauli_transfer(pauli_basis(n) @ a, n) / 2**n
     return PseudoGate(n, mat, "right")
 

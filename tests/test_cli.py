@@ -1054,3 +1054,57 @@ def test_count_message_up_to_32(tmp_path, capsys, args, template, where, got):
         code, out, err = _run_text(args, template % k, tmp_path, capsys)
         assert code == EXIT_SCHEMA
         assert err == f"error: {where}: expected {count} entries, got {got}\n"
+
+
+_EYE64 = np.eye(64).tolist()
+_ABOVE_GATE_CEILING = [
+    (["gate", "from-unitary"], {"U": _EYE64}, "unitary"),
+    (["gate", "from-kraus"], {"ops": [_EYE64]}, "Kraus set"),
+    (["gate", "from-lindblad"], {"H": _EYE64, "t": 1}, "H"),
+    (["gate", "tensor"], {"gates": [{"entries": _EYE64}, {"entries": _EYE64}]}, "tensor product"),
+    (["measure"], {"projectors": [_EYE64], "state": {"n": 6, "P": [1] + [0] * 4095}}, "projector 0"),
+    (["universality", "pseudo"], {"A": _EYE64}, "operator"),
+    (["mvlogic", "synth"], {"arity": 6, "outputs": [0] * 4096}, "classical map"),
+    (["simulate"], {"circuit": {"n": 6, "steps": [{"unitary": _EYE64}]},
+                    "initial": {"n": 6, "P": [1] + [0] * 4095}}, "unitary"),
+]
+
+
+@pytest.mark.parametrize("args,doc,what", _ABOVE_GATE_CEILING,
+                         ids=[" ".join(case[0]) for case in _ABOVE_GATE_CEILING])
+def test_gates_above_the_ceiling_exit_3(tmp_path, capsys, monkeypatch, args, doc, what):
+    from ququat import gates, liouville
+
+    def refuse(n):
+        raise AssertionError(f"pauli_basis({n}) reached above the gate ceiling")
+
+    monkeypatch.setattr(liouville, "pauli_basis", refuse)
+    monkeypatch.setattr(gates, "pauli_basis", refuse)
+    code, out, err = run_cli(args, doc, tmp_path, capsys)
+    assert code == EXIT_CONTRACT
+    assert out == ""
+    assert err == f"error: {what} acts on 6 ququats; dense gates are limited to 5\n"
+
+
+_ONE_STEP_CIRCUIT = '{"circuit": {"n": %d, "steps": [{"named": "not"}]}, "initial": {"n": 1, "P": [1,0,0,0]}}'
+
+
+def test_circuit_n_above_32_is_refused_before_targets():
+    # in a child process: before the ceiling, this n hung in range(n)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ququat.cli", "simulate"],
+        input=_ONE_STEP_CIRCUIT % 100000000000,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_SCHEMA
+    assert proc.stdout == ""
+    assert proc.stderr == "error: circuit.n: expected an integer <= 32, got 100000000000\n"
+
+
+def test_circuit_n_up_to_32(tmp_path, capsys):
+    code, _, err = _run_text(["simulate"], _ONE_STEP_CIRCUIT % 33, tmp_path, capsys)
+    assert (code, err) == (EXIT_SCHEMA, "error: circuit.n: expected an integer <= 32, got 33\n")
+    code, _, err = _run_text(["simulate"], _ONE_STEP_CIRCUIT % 32, tmp_path, capsys)
+    assert (code, err) == (EXIT_CONTRACT, "error: initial state has n=1, circuit expects n=32\n")

@@ -369,3 +369,62 @@ class TestReversibility:
             cert = check_reversible(list(ops), proj)
             via_gate, _ = check_reversible_superop(gate_from_kraus(list(ops)), gm)
             assert cert.reversible == via_gate
+
+
+class TestGateCeiling:
+    """Dense 4**n x 4**n gates above MAX_GATE_QUQUATS are refused before they are built.
+
+    Every input here is on six ququats and small (64 x 64 at most).
+    pauli_basis is patched to raise, so a construction that gets past a
+    missing check into the Pauli basis fails at once instead of building
+    the 4**6 x 4**6 gate.
+    """
+
+    @staticmethod
+    def _refuse_basis(monkeypatch):
+        from ququat import gates, liouville
+
+        def refuse(n):
+            raise AssertionError(f"pauli_basis({n}) reached above the gate ceiling")
+
+        monkeypatch.setattr(liouville, "pauli_basis", refuse)
+        monkeypatch.setattr(gates, "pauli_basis", refuse)
+
+    @staticmethod
+    def _builders():
+        from ququat import (
+            GateMatrix,
+            TruthTable,
+            embed_gate,
+            left_mult_superop,
+            liouvillian_superop,
+            named_gate,
+            right_mult_superop,
+            synthesize_quantum,
+        )
+
+        eye = np.eye(64)
+        half = GateMatrix(3, 3, np.eye(64), TRACE_PRESERVING)
+        return [
+            ("unitary", lambda: gate_from_unitary(eye)),
+            ("Kraus set", lambda: gate_from_kraus([eye])),
+            ("Kraus set", lambda: gate_from_kraus([np.ones((2, 64)) / 8])),
+            ("projector 0", lambda: measurement_gates([eye])),
+            ("H", lambda: liouvillian_superop(eye, [eye])),
+            ("operator", lambda: left_mult_superop(eye)),
+            ("operator", lambda: right_mult_superop(eye)),
+            ("tensor product", lambda: tensor_gates(half, half)),
+            ("classical map", lambda: synthesize_quantum(TruthTable(6, (0,) * 4096))),
+            ("embedded gate", lambda: embed_gate(named_gate("not"), (0,), 6)),
+        ]
+
+    def test_refused_above_the_ceiling(self, monkeypatch):
+        from ququat.config import MAX_GATE_QUQUATS
+
+        assert MAX_GATE_QUQUATS == 5
+        builders = self._builders()
+        self._refuse_basis(monkeypatch)
+        for what, build in builders:
+            with pytest.raises(NumericContractError) as info:
+                build()
+            assert str(info.value) == f"{what} acts on 6 ququats; dense gates are limited to 5"

@@ -1,9 +1,14 @@
-"""Differential tests: the GEMM Pauli-basis kernels against einsum oracles.
+"""Differential tests: the Pauli-basis kernel against einsum oracles and the dense GEMM.
 
-The oracles below are the direct index-contraction forms of each basis
-change (one einsum per formula, and the d_in**2 loop over matrix units
-for the Choi matrix).  They are slow but transparent, and every fast
-kernel must agree with them to 1e-12 at small n.
+The einsum oracles below are the direct index-contraction forms of each
+basis change (one einsum per formula, and the d_in**2 loop over matrix
+units for the Choi matrix).  They are slow but transparent, and every
+fast kernel must agree with them to 1e-12 at small n.
+
+The dense route is the one GEMM against the flattened ``pauli_basis(n)``
+that ``liouville._basis_product`` keeps for n <= 3 and replaces by
+blockwise products above.  It is the second oracle: equal bit for bit at
+n <= 3, and to 1e-12 at n = 4, 5.
 """
 
 from dataclasses import astuple
@@ -20,10 +25,13 @@ from ququat.gates import (
     gate_from_unitary,
     measurement_gates,
 )
+from ququat import gates, liouville
 from ququat.lindblad import liouvillian_superop
 from ququat.liouville import (
     DensityMatrix,
     PauliVector,
+    _basis_product,
+    _pauli_combine,
     density_to_pvec,
     pauli_basis,
     pvec_to_density,
@@ -34,7 +42,10 @@ from ququat.universality import left_mult_superop, right_mult_superop
 from helpers import random_density, random_unitary
 
 ATOL = 1e-12
-NS = (1, 2, 3)
+NS = (1, 2, 3, 4)
+# the dense route runs through n = 5: a flattened pauli_basis(5) is 16 MB
+DENSE_NS = (1, 2, 3, 4, 5)
+ORDERS = [(n, n) for n in DENSE_NS] + [(4, 2), (2, 4), (3, 1)]
 
 
 # -- oracles -----------------------------------------------------------------
@@ -86,6 +97,31 @@ def oracle_right(a, n):
     return np.einsum("mij,njk,ki->mn", basis, basis, a) / 2**n
 
 
+def dense_product(y, n, transpose=False):
+    rows = pauli_basis(n).reshape(4**n, -1)
+    return rows.T @ y if transpose else rows @ y
+
+
+def dense_kraus_transfer(ops, n_in, n_out):
+    bin_ = pauli_basis(n_in)
+    images = sum(a @ bin_ @ a.conj().T for a in ops)
+    return dense_product(images.transpose(0, 2, 1).reshape(len(images), -1).T, n_out) / 2**n_in
+
+
+def dense_choi(gate):
+    d_in = 2**gate.n_in
+    d_out = 2**gate.n_out
+    bin_ = pauli_basis(gate.n_in).reshape(d_in**2, -1)
+    bout = pauli_basis(gate.n_out).reshape(d_out**2, -1)
+    m = bout.T @ (gate.entries @ bin_) / d_out
+    j = m.reshape(d_out, d_out, d_in, d_in).transpose(0, 3, 1, 2).reshape(d_out * d_in, -1)
+    return (j + j.conj().T) / 2
+
+
+def dense_combine(p, n):
+    return (p @ pauli_basis(n).reshape(4**n, -1)).reshape(2**n, 2**n) / 2**n
+
+
 def oracle_pauli_generator(liouvillian, n):
     """q^dagger L q over the orthonormal basis q[:, mu] = vec(sigma_mu) / sqrt(2**n)."""
     q = pauli_basis(n).reshape(4**n, -1).T / np.sqrt(2**n)
@@ -117,6 +153,76 @@ def transpose_map(n):
 
 def assert_close(actual, expected):
     np.testing.assert_allclose(actual, expected, rtol=0, atol=ATOL)
+
+
+def assert_dense_route(actual, expected, n):
+    """Bit for bit where the kernel is the dense GEMM, to 1e-12 where it goes by blocks."""
+    if n <= 3:
+        assert actual.dtype == expected.dtype and actual.shape == expected.shape
+        assert actual.tobytes() == expected.tobytes()
+    else:
+        assert_close(actual, expected)
+
+
+# -- the kernel against the dense GEMM ----------------------------------------------
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("n", DENSE_NS)
+def test_basis_product_matches_dense_gemm(n, transpose):
+    rng = np.random.default_rng(200 + n)
+    for y in (
+        ginibre(rng, 4**n, 3),
+        ginibre(rng, 4**n, 1)[:, 0],
+        rng.normal(size=(4**n, 2)),
+        ginibre(rng, 3, 4**n).T,
+    ):
+        assert_dense_route(_basis_product(y, n, transpose), dense_product(y, n, transpose), n)
+
+
+@pytest.mark.parametrize("n_in,n_out", ORDERS)
+def test_choi_and_transfer_match_dense_route(n_in, n_out):
+    rank = max(3, 2 ** (n_in - n_out))  # enough blocks for an isometry
+    ops = random_kraus(np.random.default_rng(210 + 8 * n_in + n_out), n_in, n_out, rank)
+    want = dense_kraus_transfer(ops, n_in, n_out)
+    entries = _kraus_transfer(ops, n_in, n_out, 1e-10)
+    assert_dense_route(entries, want.real, max(n_in, n_out))
+    gate = GateMatrix(n_in, n_out, want.real, "general")
+    assert_dense_route(choi_matrix(gate), dense_choi(gate), max(n_in, n_out))
+
+
+@pytest.mark.parametrize("n", DENSE_NS)
+def test_state_kernels_match_dense_route(n):
+    rng = np.random.default_rng(220 + n)
+    rho = random_density(rng, n).entries
+    p = density_to_pvec(DensityMatrix(n, rho)).P
+    assert_dense_route(p, dense_product(rho.T.reshape(-1, 1), n)[:, 0].real, n)
+    assert_dense_route(_pauli_combine(p, n), dense_combine(p, n), n)
+
+
+def test_no_dense_basis_above_three_ququats(monkeypatch):
+    """Choi matrices, state checks and conversions at n = 4..6 never build pauli_basis(n > 3)."""
+    original = pauli_basis
+
+    def small_only(n):
+        if n > 3:
+            raise AssertionError(f"pauli_basis({n}) was built")
+        return original(n)
+
+    monkeypatch.setattr(liouville, "pauli_basis", small_only)
+    monkeypatch.setattr(gates, "pauli_basis", small_only)
+    rng = np.random.default_rng(230)
+    for n_in, n_out in ((4, 4), (5, 5), (6, 1), (1, 6)):
+        gate = GateMatrix(n_in, n_out, rng.normal(size=(4**n_out, 4**n_in)), "general")
+        assert choi_matrix(gate).shape == (2 ** (n_in + n_out),) * 2
+    for n in (4, 5, 6):
+        rho = random_density(rng, n)
+        p = density_to_pvec(rho)
+        assert validate_density(p).valid and validate_density(rho).valid
+        assert_close(pvec_to_density(p).entries, rho.entries)
+    h = ginibre(rng, 16, 16)
+    liou = liouvillian_superop(h + h.conj().T, [ginibre(rng, 16, 16)])
+    assert liou.to_pauli_generator().shape == (256, 256)
 
 
 # -- Pauli transfer ------------------------------------------------------------

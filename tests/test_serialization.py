@@ -136,6 +136,8 @@ def _random_matrices():
         mixed = np.stack((re, im), axis=-1).tolist()
         mixed[0][0] = [3, -2]
         out.append(mixed)
+    # the size of an n=8 density matrix
+    out.append(np.stack((rng.normal(size=(256, 256)), rng.normal(size=(256, 256))), axis=-1).tolist())
     return out
 
 
