@@ -1,11 +1,10 @@
 """Global numeric tolerances.
 
-Three scales are used throughout the package: ``algebra`` for algebraic
-identities (orthogonality, row checks, reconstruction), ``psd`` as the
-eigenvalue slack when testing positive semidefiniteness, and
-``roundtrip`` for conversion round-trips.  All are configurable at
-runtime; library functions that take an explicit ``tol`` argument fall
-back to these values when ``tol`` is None.
+Two scales are used throughout the package: ``algebra`` for algebraic
+identities (orthogonality, row checks, reconstruction), and ``psd`` as the
+eigenvalue slack when testing positive semidefiniteness.  Both are
+configurable at runtime; library functions that take an explicit ``tol``
+argument fall back to these values when ``tol`` is None.
 
 Two size ceilings, in ququats, bound what an input may ask the package
 to build.  They are not tolerances and no option changes them; each is
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 class Tolerances:
     algebra: float = 1e-10
     psd: float = 1e-9
-    roundtrip: float = 1e-12
 
 
 tolerances = Tolerances()
@@ -35,12 +33,10 @@ MAX_GATE_QUQUATS = 5
 MAX_QUQUATS = 32
 
 
-def set_tolerances(algebra=None, psd=None, roundtrip=None):
+def set_tolerances(algebra=None, psd=None):
     """Override one or more global tolerances; returns the live object."""
     if algebra is not None:
         tolerances.algebra = float(algebra)
     if psd is not None:
         tolerances.psd = float(psd)
-    if roundtrip is not None:
-        tolerances.roundtrip = float(roundtrip)
     return tolerances

@@ -141,6 +141,16 @@ def _check_gate_size(n: int, what: str) -> None:
         )
 
 
+def _operator_ququats(a: np.ndarray, what: str) -> int:
+    """n of a square 2**n x 2**n operator, n >= 1, within the gate size ceiling."""
+    d = a.shape[0]
+    n = int(round(np.log2(d)))
+    if a.shape != (d, d) or 2**n != d or n < 1:
+        raise NumericContractError(f"{what} must be square 2**n x 2**n, got {a.shape}")
+    _check_gate_size(n, what)
+    return n
+
+
 def classify_kind(entries: np.ndarray, tol: float | None = None) -> str:
     """Classify a raw gate matrix by its row zero."""
     tol = tolerances.algebra if tol is None else tol
@@ -197,12 +207,8 @@ def gate_from_unitary(u: np.ndarray, tol: float | None = None) -> GateMatrix:
     u = np.asarray(u, dtype=complex)
     if not np.isfinite(u).all():
         raise NumericContractError("unitary has non-finite entries")
-    d = u.shape[0]
-    n = int(round(np.log2(d)))
-    if u.shape != (d, d) or 2**n != d or n < 1:
-        raise NumericContractError(f"unitary must be square 2**n x 2**n, got {u.shape}")
-    _check_gate_size(n, "unitary")
-    if np.max(np.abs(u.conj().T @ u - np.eye(d))) > tol:
+    n = _operator_ququats(u, "unitary")
+    if np.max(np.abs(u.conj().T @ u - np.eye(2**n))) > tol:
         raise NumericContractError("input is not unitary within tolerance")
     entries = _kraus_transfer([u], n, n, tol, snap_row0=True)
     return GateMatrix(n, n, entries, TRACE_PRESERVING, cp_certified=True)

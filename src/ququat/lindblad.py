@@ -36,7 +36,7 @@ from scipy.linalg import expm
 
 from .config import tolerances
 from .errors import NumericContractError
-from .gates import GateMatrix, TRACE_PRESERVING, _check_gate_size
+from .gates import GateMatrix, TRACE_PRESERVING, _operator_ququats
 from .liouville import PauliVector, _basis_product, _pauli_transfer
 
 __all__ = [
@@ -213,11 +213,8 @@ def liouvillian_superop(h: np.ndarray, v: list | tuple = ()) -> LiouvillianSuper
     gate of expm(-i H t).
     """
     h = np.asarray(h, dtype=complex)
-    d = h.shape[0]
-    n = int(round(np.log2(d)))
-    if h.shape != (d, d) or 2**n != d or n < 1:
-        raise NumericContractError(f"H must be square 2**n x 2**n, got {h.shape}")
-    _check_gate_size(n, "H")
+    n = _operator_ququats(h, "H")
+    d = 2**n
     if np.max(np.abs(h - h.conj().T)) > tolerances.algebra:
         raise NumericContractError("H must be Hermitian")
     eye = np.eye(d)

@@ -14,8 +14,8 @@ deterministic, with a budget on the number of distinct functions kept.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,19 +91,16 @@ def projection(arity: int, index: int) -> TruthTable:
     """The projection (x_1, ..., x_arity) -> x_{index+1}."""
     if not 0 <= index < arity:
         raise NumericContractError(f"projection index {index} out of range for arity {arity}")
-    outs = []
-    for flat in range(4**arity):
-        digits = [(flat >> (2 * (arity - 1 - i))) & 3 for i in range(arity)]
-        outs.append(digits[index])
-    return TruthTable(arity, tuple(outs))
+    return _table_from_fn(arity, lambda *xs: xs[index])
+
+
+def _inputs(arity: int):
+    """Every input tuple in the flat big-endian order of ``TruthTable.outputs``."""
+    return itertools.product(range(4), repeat=arity)
 
 
 def _table_from_fn(arity: int, fn) -> TruthTable:
-    outs = []
-    for flat in range(4**arity):
-        digits = [(flat >> (2 * (arity - 1 - i))) & 3 for i in range(arity)]
-        outs.append(fn(*digits))
-    return TruthTable(arity, tuple(outs))
+    return TruthTable(arity, tuple(fn(*xs) for xs in _inputs(arity)))
 
 
 _BUILTINS = {
@@ -160,11 +157,7 @@ def compose_classical(outer: TruthTable, inners) -> TruthTable:
     m = inners[0].arity
     if any(t.arity != m for t in inners):
         raise NumericContractError("inner tables must share one arity")
-    outs = []
-    for flat in range(4**m):
-        digits = [(flat >> (2 * (m - 1 - i))) & 3 for i in range(m)]
-        outs.append(outer(*[t(*digits) for t in inners]))
-    return TruthTable(m, tuple(outs))
+    return _table_from_fn(m, lambda *xs: outer(*[t(*xs) for t in inners]))
 
 
 def substitute_variables(table: TruthTable, var_map, new_arity: int) -> TruthTable:
@@ -231,9 +224,7 @@ def dnf_terms(table: TruthTable) -> list[ClassicalExpression]:
     if table.is_constant() and table.outputs[0] == 0:
         return []
     terms = []
-    n = table.arity
-    for flat in range(4**n):
-        digits = [(flat >> (2 * (n - 1 - i))) & 3 for i in range(n)]
+    for flat, digits in enumerate(_inputs(table.arity)):
         factors = [apply_expr(f"I{k}", var_expr(i)) for i, k in enumerate(digits)]
         factors.append(const_expr(table.outputs[flat]))
         term = factors[0]
@@ -290,8 +281,8 @@ def closure(generators, max_arity: int = 2, budget: int = 5000) -> ClosureResult
     Members are kept up to ``max_arity``; projections are included (they
     are the variables).  Each sweep applies every generator to all tuples
     of same-arity members; new output vectors join the pool until the
-    fixpoint or the budget is reached.  Iteration order is fixed, so the
-    result is deterministic.
+    fixpoint or the first new table the budget refuses.  Iteration order is
+    fixed, so the result is deterministic.
     """
     generators = list(generators)
     if not generators:
@@ -302,83 +293,60 @@ def closure(generators, max_arity: int = 2, budget: int = 5000) -> ClosureResult
 
     tables: list[TruthTable] = []
     provenance: dict = {}
-    budget_hit = [False]
-    # Output rows per arity, kept as a growing integer matrix for the
-    # vectorized composition step.
+    # Output rows per arity, stacked into one integer matrix per generator
+    # pass for the vectorized composition step.
     pool_rows: dict[int, list[np.ndarray]] = {m: [] for m in range(1, max_arity + 1)}
     pool_exprs: dict[int, list[ClassicalExpression]] = {m: [] for m in range(1, max_arity + 1)}
 
-    def try_add(arity: int, row: np.ndarray, expr: ClassicalExpression) -> bool:
-        key = (arity, tuple(int(v) for v in row))
-        if key in provenance:
-            return False
+    def add(arity: int, outputs: tuple, expr: ClassicalExpression) -> bool:
+        """Keep a table not yet known; False when the budget refuses it."""
         if len(tables) >= budget:
-            budget_hit[0] = True
             return False
-        table = TruthTable(arity, key[1])
-        tables.append(table)
-        provenance[key] = expr
-        pool_rows[arity].append(np.asarray(row, dtype=np.int64))
+        tables.append(TruthTable(arity, outputs))
+        provenance[(arity, outputs)] = expr
+        pool_rows[arity].append(np.array(outputs, dtype=np.int64))
         pool_exprs[arity].append(expr)
         return True
 
-    for m in range(1, max_arity + 1):
-        for i in range(m):
-            p = projection(m, i)
-            try_add(m, np.array(p.outputs), var_expr(i))
-    for name, g in registry.items():
-        expr = apply_expr(name, *[var_expr(i) for i in range(g.arity)])
-        try_add(g.arity, np.array(g.outputs), expr)
+    def search() -> bool:
+        """Add tables in discovery order; False at the first one refused."""
+        seeds = [(m, projection(m, i).outputs, var_expr(i)) for m in pool_rows for i in range(m)]
+        seeds += [
+            (g.arity, g.outputs, apply_expr(name, *map(var_expr, range(g.arity))))
+            for name, g in registry.items()
+        ]
+        for arity, outputs, expr in seeds:
+            if (arity, outputs) not in provenance and not add(arity, outputs, expr):
+                return False
+        # Inner tuples share one arity, so results of arity m depend only on
+        # the arity-m pool: each arity is a self-contained fixpoint.  Small
+        # arities are saturated first (there are at most 256 unary
+        # functions), which keeps unary targets reachable under tight budgets.
+        for m in pool_rows:
+            grown = True
+            while grown:
+                size = len(tables)
+                for name, g in registry.items():
+                    g_out = np.array(g.outputs, dtype=np.int64)
+                    mat = np.stack(pool_rows[m])
+                    exprs = pool_exprs[m]
+                    # All but the last argument index the block; the block
+                    # holds every pool member as the last argument.
+                    for head in np.ndindex(*[len(mat)] * (g.arity - 1)):
+                        base = 0
+                        for c in head:
+                            base = 4 * base + mat[c]
+                        block = g_out[4 * base + mat].tolist()
+                        for last, outputs in enumerate(map(tuple, block)):
+                            if (m, outputs) in provenance:
+                                continue
+                            expr = apply_expr(name, *[exprs[c] for c in head], exprs[last])
+                            if not add(m, outputs, expr):
+                                return False
+                grown = len(tables) > size
+        return True
 
-    # Inner tuples share one arity, so results of arity m depend only on
-    # the arity-m pool: each arity is a self-contained fixpoint.  Small
-    # arities are saturated first (there are at most 256 unary functions),
-    # which keeps unary targets reachable under tight budgets.
-    complete = True
-    for m in range(1, max_arity + 1):
-        while not budget_hit[0]:
-            added = False
-            for name in registry:
-                g = registry[name]
-                k = g.arity
-                g_out = np.array(g.outputs, dtype=np.int64)
-                rows = pool_rows[m]
-                if not rows:
-                    continue
-                mat = np.stack(rows)
-                s = mat.shape[0]
-                if k == 1:
-                    cand = g_out[mat]
-                    for i in range(s):
-                        if try_add(m, cand[i], apply_expr(name, pool_exprs[m][i])):
-                            added = True
-                elif k == 2:
-                    flat = (4 * mat[:, None, :] + mat[None, :, :]).reshape(s * s, -1)
-                    cand = g_out[flat]
-                    for idx in range(s * s):
-                        i, j = divmod(idx, s)
-                        if try_add(
-                            m,
-                            cand[idx],
-                            apply_expr(name, pool_exprs[m][i], pool_exprs[m][j]),
-                        ):
-                            added = True
-                else:
-                    for combo in np.ndindex(*([s] * k)):
-                        idx = mat[combo[0]]
-                        for c in combo[1:]:
-                            idx = 4 * idx + mat[c]
-                        if try_add(
-                            m,
-                            g_out[idx],
-                            apply_expr(name, *[pool_exprs[m][c] for c in combo]),
-                        ):
-                            added = True
-            if not added:
-                break
-        if budget_hit[0]:
-            complete = False
-            break
+    complete = search()
     return ClosureResult(tables=tables, provenance=provenance, registry=registry, complete=complete)
 
 
@@ -456,9 +424,7 @@ def _extended_map(table: TruthTable) -> tuple[TruthTable, ...]:
     out_tables = []
     for slot in range(n + 1):
         outs = []
-        for flat in range(4 ** (n + 1)):
-            digits = [(flat >> (2 * (n - i))) & 3 for i in range(n + 1)]
-            xs, anc = digits[:n], digits[n]
+        for *xs, anc in _inputs(n + 1):
             if anc == 0:
                 outs.append(0)
             elif slot == n:

@@ -19,7 +19,7 @@ from scipy.linalg import expm
 
 from .config import tolerances
 from .errors import NumericContractError
-from .gates import GateMatrix, _check_gate_size
+from .gates import GateMatrix, _operator_ququats
 from .liouville import _pauli_transfer, pauli_basis
 
 __all__ = [
@@ -70,10 +70,7 @@ def left_mult_superop(a: np.ndarray) -> PseudoGate:
     left(A) @ left(B) = left(A B).
     """
     a = np.asarray(a, dtype=complex)
-    n = int(round(np.log2(a.shape[0])))
-    if a.shape != (2**n, 2**n) or n < 1:
-        raise NumericContractError(f"operator must be square 2**n x 2**n, got {a.shape}")
-    _check_gate_size(n, "operator")
+    n = _operator_ququats(a, "operator")
     mat = _pauli_transfer(a @ pauli_basis(n), n) / 2**n
     return PseudoGate(n, mat, "left")
 
@@ -86,10 +83,7 @@ def right_mult_superop(a: np.ndarray) -> PseudoGate:
     entrywise conjugate of left(A).
     """
     a = np.asarray(a, dtype=complex)
-    n = int(round(np.log2(a.shape[0])))
-    if a.shape != (2**n, 2**n) or n < 1:
-        raise NumericContractError(f"operator must be square 2**n x 2**n, got {a.shape}")
-    _check_gate_size(n, "operator")
+    n = _operator_ququats(a, "operator")
     mat = _pauli_transfer(pauli_basis(n) @ a, n) / 2**n
     return PseudoGate(n, mat, "right")
 

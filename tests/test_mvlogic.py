@@ -1,6 +1,11 @@
 """Truth tables, classical laws, DNF, closure and quantum realization tests."""
 
 import itertools
+import json
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,12 +25,16 @@ from ququat import (
     unital_realizable,
     verify_realization,
 )
+from ququat.cli import EXIT_OK
 from ququat.mvlogic import (
     TruthTable,
+    _table_from_fn,
+    apply_expr,
     dnf_terms,
     evaluate_expression,
     projection,
     substitute_variables,
+    var_expr,
 )
 
 ALL_UNARY = [TruthTable(1, outs) for outs in itertools.product(range(4), repeat=4)]
@@ -172,6 +181,130 @@ class TestClosure:
         small = closure([builtin("g2")], max_arity=1, budget=400)
         big = closure([builtin("g2"), builtin("g1")], max_arity=1, budget=400)
         assert small.count() <= big.count()
+
+
+def three_branch_closure(generators, max_arity, budget):
+    """The closure sweep as three arity branches that finish a sweep after the
+    budget refuses a table: the oracle for order, provenance and ``complete``."""
+    registry = {f"g{i}": g for i, g in enumerate(generators)}
+    tables, provenance, budget_hit = [], {}, [False]
+    pool_rows = {m: [] for m in range(1, max_arity + 1)}
+    pool_exprs = {m: [] for m in range(1, max_arity + 1)}
+
+    def try_add(arity, row, expr):
+        key = (arity, tuple(int(v) for v in row))
+        if key in provenance:
+            return False
+        if len(tables) >= budget:
+            budget_hit[0] = True
+            return False
+        tables.append(TruthTable(arity, key[1]))
+        provenance[key] = expr
+        pool_rows[arity].append(np.asarray(row, dtype=np.int64))
+        pool_exprs[arity].append(expr)
+        return True
+
+    for m in range(1, max_arity + 1):
+        for i in range(m):
+            try_add(m, np.array(projection(m, i).outputs), var_expr(i))
+    for name, g in registry.items():
+        try_add(g.arity, np.array(g.outputs), apply_expr(name, *[var_expr(i) for i in range(g.arity)]))
+    complete = True
+    for m in range(1, max_arity + 1):
+        while not budget_hit[0]:
+            added = False
+            for name, g in registry.items():
+                k, g_out, rows = g.arity, np.array(g.outputs, dtype=np.int64), pool_rows[m]
+                if not rows:
+                    continue
+                mat = np.stack(rows)
+                s = mat.shape[0]
+                exprs = pool_exprs[m]
+                if k == 1:
+                    cand = g_out[mat]
+                    for i in range(s):
+                        added |= try_add(m, cand[i], apply_expr(name, exprs[i]))
+                elif k == 2:
+                    cand = g_out[(4 * mat[:, None, :] + mat[None, :, :]).reshape(s * s, -1)]
+                    for idx in range(s * s):
+                        i, j = divmod(idx, s)
+                        added |= try_add(m, cand[idx], apply_expr(name, exprs[i], exprs[j]))
+                else:
+                    for combo in np.ndindex(*([s] * k)):
+                        idx = mat[combo[0]]
+                        for c in combo[1:]:
+                            idx = 4 * idx + mat[c]
+                        added |= try_add(m, g_out[idx], apply_expr(name, *[exprs[c] for c in combo]))
+            if not added:
+                break
+        if budget_hit[0]:
+            complete = False
+            break
+    return tables, provenance, complete
+
+
+_MAX3 = _table_from_fn(3, lambda x, y, z: max(x, y, z))
+_SELECT3 = _table_from_fn(3, lambda x, y, z: y if x else z)
+_UNARY_BASIS = ("g1", "g2", "g3")
+
+
+def _gens(*items):
+    return [builtin(g) if isinstance(g, str) else g for g in items]
+
+
+# (generators, max_arity, budget, complete): budgets 0, 1, 4 and 255..257,
+# cuts inside unary, binary and ternary sweeps, fixpoints, and generators
+# that repeat a projection or each other
+_ORACLE_CASES = [
+    (_gens("v4"), 2, 0, False),
+    (_gens("v4"), 2, 1, False),
+    (_gens("v4"), 2, 4, False),
+    (_gens(*_UNARY_BASIS), 1, 255, False),
+    (_gens(*_UNARY_BASIS), 1, 256, True),
+    (_gens(*_UNARY_BASIS), 1, 257, True),
+    (_gens("v4"), 2, 50, False),
+    (_gens("cyclic_shift", "max"), 2, 100, False),
+    (_gens("luk_neg", "min"), 2, 5000, True),
+    (_gens("luk_neg", "min"), 2, 60, False),
+    (_gens(_SELECT3), 3, 40, False),
+    (_gens(_SELECT3), 3, 5, False),
+    (_gens(_MAX3), 3, 5000, True),
+    (_gens(_MAX3, "luk_neg"), 3, 30, False),
+    (_gens("min", "min"), 2, 100, True),
+    (_gens(projection(2, 1), "luk_neg"), 2, 100, True),
+    (_gens("const1", "max"), 2, 4, False),
+    (_gens("g2"), 1, 400, True),
+    (_gens("g2"), 1, 2, True),
+]
+
+
+@pytest.mark.parametrize("gens,max_arity,budget,complete", _ORACLE_CASES)
+def test_closure_matches_three_branch_oracle(gens, max_arity, budget, complete):
+    tables, provenance, oracle_complete = three_branch_closure(gens, max_arity, budget)
+    res = closure(gens, max_arity=max_arity, budget=budget)
+    assert res.tables == tables
+    assert list(res.provenance.items()) == list(provenance.items())
+    assert res.complete is oracle_complete is complete
+
+
+def test_closure_cli_stays_within_3_gib():
+    # a pass that stacked every pair of members would need 257 GiB here
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "ququat.cli", "mvlogic", "closure"],
+        input='{"generators": ["v4"], "budget": 50000}',
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=cap,
+        # BLAS thread pools reserve address space per core
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr[-500:]
+    out = json.loads(proc.stdout)
+    assert out["count"] == 50000 and out["complete"] is False
 
 
 LN_EXPECTED = np.array(
