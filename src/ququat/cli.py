@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import math
-import re
 import sys
 import warnings
 from dataclasses import asdict
@@ -29,7 +28,7 @@ import orjson
 from . import __version__
 from . import serialization as sz
 from .circuits import parse_circuit, run_circuit
-from .config import set_tolerances, tolerances
+from .config import MAX_CLOSURE_ARITY, set_tolerances, tolerances
 from .decompositions import (
     euler_angles,
     polar_gate,
@@ -37,6 +36,7 @@ from .decompositions import (
 )
 from .errors import NumericContractError, QuquatError, SchemaError, ZeroProbabilityError
 from .gates import (
+    _branch_rows,
     adjoint_gate,
     analyze_gate,
     apply_nonlinear,
@@ -216,48 +216,88 @@ _NUMBER_TYPES = frozenset((int, float))
 # orjson writes the shortest round-trip digits, as repr does, and spells
 # them differently in two places: exponents (1e16, 1e-7 for repr's 1e+16,
 # 1e-07) and the decade [1e-5, 1e-4), which it writes positionally (0.000015
-# for 1.5e-05).  Each pattern starts with a literal, so a row is scanned
-# quickly, and only rows that hold one are scanned at all.
-_POSITIVE_EXPONENT = re.compile(rb"e(?=\d)")
-_ONE_DIGIT_EXPONENT = re.compile(rb"e-(?=\d\b)")
-_FIFTH_DECADE = re.compile(rb"0\.0000(\d)(\d*)")
-
-
-def _fifth_decade(match: re.Match) -> bytes:
-    """0.0000dd... as d.d...e-05, unless the match is the tail of a number like 10.00001."""
-    start = match.start()
-    if match.string[start - 1:start].isdigit():
-        return match[0]
-    lead, rest = match[1], match[2]
-    return lead + (b"." + rest if rest else b"") + b"e-05"
+# for 1.5e-05).  Number text holds no other "e" and no other "0.0000" that
+# is not the tail of a number such as 10.00001.
+def _repr_spelling(text: bytes) -> bytes:
+    """orjson's text of plain ints and floats, with every float spelt as repr spells it."""
+    edits = []  # (start, end, replacement), each within one number
+    at = text.find(b"e")
+    while at >= 0:
+        if text[at + 1] != 45:  # "e" and a digit: a positive exponent
+            edits.append((at + 1, at + 1, b"+"))
+        elif not text[at + 3:at + 4].isdigit():  # "e-" and one digit
+            edits.append((at + 2, at + 2, b"0"))
+        at = text.find(b"e", at + 2)
+    at = text.find(b"0.0000")
+    while at >= 0:
+        end = at + 7
+        if not text[at - 1:at].isdigit():  # not the tail of a number like 10.00001
+            while text[end:end + 1].isdigit():
+                end += 1
+            rest = text[at + 7:end]
+            edits.append((at, end, text[at + 6:at + 7] + (b"." + rest if rest else b"") + b"e-05"))
+        at = text.find(b"0.0000", end)
+    if not edits:
+        return text
+    edits.sort()
+    pieces, done = [], 0
+    for start, end, new in edits:
+        pieces += (text[done:start], new)
+        done = end
+    pieces.append(text[done:])
+    return b"".join(pieces)
 
 
 def _number_row(row) -> str:
     """``row``, a list of plain ints and floats, as compact JSON text.
 
-    orjson writes the row and its floats are respelt as repr spells them;
-    a row it refuses (an integer beyond 64 bits) or writes a ``null`` in
-    (NaN or Infinity) goes to the C encoder.
+    orjson writes the row and ``_repr_spelling`` respells its floats; a row
+    it refuses (an integer beyond 64 bits) or writes a ``null`` in (NaN or
+    Infinity) goes to the C encoder.
     """
     try:
         text = orjson.dumps(row)
     except orjson.JSONEncodeError:
         return _encode(row)
-    if b"null" in text:
+    if b"n" in text:
         return _encode(row)
-    if b"e" in text:
-        text = _ONE_DIGIT_EXPONENT.sub(b"e-0", _POSITIVE_EXPONENT.sub(b"e+", text))
-    if b"0.0000" in text:
-        text = _FIFTH_DECADE.sub(_fifth_decade, text)
-    return text.decode()
+    return _repr_spelling(text).decode()
+
+
+def _number_block(rows, depth: int) -> str | None:
+    """``rows``, number rows ``depth`` levels deep, in the indented form, or None.
+
+    Only a list of nonempty lists of plain ints and floats is written here,
+    in one ``orjson.dumps`` call.  It is wrapped in ``depth`` one-item lists
+    so that orjson indents it as ``json.dumps(indent=2)`` does at that
+    depth, and the wrapper's lines are then cut off.  None also where
+    orjson refuses a number (an integer beyond 64 bits) or writes a
+    ``null`` (NaN or Infinity), or the nesting is deeper than it writes.
+    """
+    number_row = _NUMBER_TYPES.issuperset
+    if not all(type(row) is list and row and number_row(map(type, row)) for row in rows):
+        return None
+    for _ in range(depth):
+        rows = [rows]
+    try:
+        text = orjson.dumps(rows, option=orjson.OPT_INDENT_2)
+    except orjson.JSONEncodeError:
+        return None
+    if b"n" in text:
+        return None
+    text = _repr_spelling(text)
+    # the wrapper's line i, opening or closing, is 2*i spaces and a bracket
+    wrapper = depth * depth + depth
+    return str(memoryview(text)[wrapper + 2 * depth:len(text) - wrapper], "ascii")
 
 
 def _json_text(obj, pad: str = "") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
 
-    Each list of plain ints and floats, such as a gate row or a Pauli
-    vector, is written in one piece by ``_number_row``, whose "," separators
-    become the indented line breaks.  Object keys must be strings.
+    A list of number rows, such as gate entries, is written in one piece by
+    ``_number_block``; any other list of plain ints and floats, such as a
+    row or a Pauli vector, by ``_number_row``, whose "," separators become
+    the indented line breaks.  Object keys must be strings.
     """
     inner = pad + "  "
     if isinstance(obj, dict):
@@ -273,6 +313,8 @@ def _json_text(obj, pad: str = "") -> str:
             return "[]"
         if _NUMBER_TYPES.issuperset(map(type, obj)):
             body = inner + _number_row(obj)[1:-1].replace(",", ",\n" + inner)
+        elif (block := _number_block(obj, len(pad) // 2)) is not None:
+            return block
         else:
             body = ",\n".join(inner + _json_text(v, inner) for v in obj)
         return "[\n" + body + "\n" + pad + "]"
@@ -384,13 +426,18 @@ def _cmd_gate_tensor(args):
 
 def _cmd_measure(args):
     doc = sz._expect(_load_document(args.input), dict, "input", "an object")
-    gates, post = sz.measurement_from_json(doc.get("projectors"), doc.get("post_select"))
+    projectors = sz._decode_list(doc.get("projectors"), "projectors", sz.decode_complex_matrix)
+    # a probability is row 0 of its branch gate times P; only the
+    # post-selected branch needs its whole gate
+    rows = _branch_rows(projectors)
+    post = sz._post_select_from_json(doc.get("post_select"), len(rows), "post_select")
     state = _state_from_json(doc.get("state"), "state")
-    if state.n != gates[0].n_in:
-        raise NumericContractError(f"state has n={state.n}, projectors act on n={gates[0].n_in}")
-    out = {"probabilities": [float(g.entries[0] @ state.P) for g in gates]}
+    n = len(projectors[0]).bit_length() - 1
+    if state.n != n:
+        raise NumericContractError(f"state has n={state.n}, projectors act on n={n}")
+    out = {"probabilities": [float(row @ state.P) for row in rows]}
     if post is not None:
-        new_state, p = apply_nonlinear(gates[post], state)
+        new_state, p = apply_nonlinear(gate_from_kraus([projectors[post]]), state)
         out["post_select"] = post
         out["probability"] = p
         out["state"] = sz.pvec_to_json(new_state)
@@ -439,6 +486,8 @@ def _cmd_mvlogic_closure(args):
     doc = sz._expect(_load_document(args.input), dict, "input", "an object")
     gens = sz._decode_list(doc.get("generators"), "generators", _generator_from_json)
     max_arity = sz._decode_int(doc.get("max_arity", 2), "max_arity", 1)
+    if max_arity > MAX_CLOSURE_ARITY:
+        raise SchemaError(f"max_arity: expected an integer <= {MAX_CLOSURE_ARITY}, got {max_arity}")
     budget = sz._decode_int(doc.get("budget", 5000), "budget", 0)
     result = closure(gens, max_arity=max_arity, budget=budget)
     if args.format == "text":

@@ -6,9 +6,10 @@ eigenvalue slack when testing positive semidefiniteness.  Both are
 configurable at runtime; library functions that take an explicit ``tol``
 argument fall back to these values when ``tol`` is None.
 
-Two size ceilings, in ququats, bound what an input may ask the package
-to build.  They are not tolerances and no option changes them; each is
-checked before anything of that size is allocated.
+Three size ceilings, two in ququats and one in truth-table arguments,
+bound what an input may ask the package to build.  They are not
+tolerances and no option changes them; each is checked before anything
+of that size is allocated.
 """
 
 from dataclasses import dataclass
@@ -27,6 +28,13 @@ tolerances = Tolerances()
 # tensor product, classical map, embedding): 4**5 = 1024 rows, which
 # build in under a second.
 MAX_GATE_QUQUATS = 5
+
+# Largest arity of the closure search (``mvlogic.closure``): a table of
+# arity 6 has 4**6 = 4096 entries.  The search builds every projection of
+# every arity up to it before anything else; up to 6 that takes under
+# 0.25 s, and each further arity costs four to five times as much (8:
+# 1.4 s and 240 MB for one unary generator).
+MAX_CLOSURE_ARITY = 6
 
 # Largest register a document may name: no list holds the 4**33 entries
 # of a larger Pauli vector or truth table.

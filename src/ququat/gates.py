@@ -143,10 +143,10 @@ def _check_gate_size(n: int, what: str) -> None:
 
 def _operator_ququats(a: np.ndarray, what: str) -> int:
     """n of a square 2**n x 2**n operator, n >= 1, within the gate size ceiling."""
-    d = a.shape[0]
-    n = int(round(np.log2(d)))
-    if a.shape != (d, d) or 2**n != d or n < 1:
+    d = a.shape[0] if a.ndim == 2 else 0
+    if a.shape != (d, d) or d < 2 or d & (d - 1):
         raise NumericContractError(f"{what} must be square 2**n x 2**n, got {a.shape}")
+    n = d.bit_length() - 1
     _check_gate_size(n, what)
     return n
 
@@ -232,6 +232,36 @@ def gate_from_kraus(kraus: KrausSet | list | tuple, tol: float | None = None) ->
     return GateMatrix(kraus.n_in, kraus.n_out, entries, kind, cp_certified=True)
 
 
+def _projector_family(projectors, tol: float) -> list[np.ndarray]:
+    """The projectors as complex arrays, refused unless they form a measurement.
+
+    Each must be Hermitian idempotent, all must be of one size, and each
+    pair must be orthogonal.
+    """
+    projectors = [np.asarray(p, dtype=complex) for p in projectors]
+    if not projectors:
+        raise NumericContractError("need at least one projector")
+    for i, p in enumerate(projectors):
+        _check_gate_size((len(p) - 1).bit_length(), f"projector {i}")
+        if (
+            p.shape != (len(p), len(p))
+            or np.max(np.abs(p - p.conj().T)) > tol
+            or np.max(np.abs(p @ p - p)) > tol
+        ):
+            raise NumericContractError(f"projector {i} is not Hermitian idempotent")
+    d = len(projectors[0])
+    for i, p in enumerate(projectors):
+        if len(p) != d:
+            raise NumericContractError(
+                f"projector {i} is {len(p)}x{len(p)}, projector 0 is {d}x{d}"
+            )
+    for i in range(len(projectors)):
+        for j in range(i + 1, len(projectors)):
+            if np.max(np.abs(projectors[i] @ projectors[j])) > tol:
+                raise NumericContractError(f"projectors {i} and {j} are not orthogonal")
+    return projectors
+
+
 def measurement_gates(projectors, tol: float | None = None) -> list[GateMatrix]:
     """Trace-decreasing gates E(k)[mu, nu] = 2**-n Tr(sigma_mu P_k sigma_nu P_k).
 
@@ -240,18 +270,33 @@ def measurement_gates(projectors, tol: float | None = None) -> list[GateMatrix]:
     trace-preserving gate.
     """
     tol = tolerances.algebra if tol is None else tol
-    projectors = [np.asarray(p, dtype=complex) for p in projectors]
-    if not projectors:
-        raise NumericContractError("need at least one projector")
-    for i, p in enumerate(projectors):
-        _check_gate_size((len(p) - 1).bit_length(), f"projector {i}")
-        if np.max(np.abs(p - p.conj().T)) > tol or np.max(np.abs(p @ p - p)) > tol:
-            raise NumericContractError(f"projector {i} is not Hermitian idempotent")
-    for i in range(len(projectors)):
-        for j in range(i + 1, len(projectors)):
-            if np.max(np.abs(projectors[i] @ projectors[j])) > tol:
-                raise NumericContractError(f"projectors {i} and {j} are not orthogonal")
-    return [gate_from_kraus([p], tol) for p in projectors]
+    return [gate_from_kraus([p], tol) for p in _projector_family(projectors, tol)]
+
+
+def _branch_rows(projectors, tol: float | None = None) -> np.ndarray:
+    """Row 0 of each of ``measurement_gates(projectors)``, without the gates.
+
+    Row 0 of the gate of a Kraus set {A} is 2**-n Tr(sigma_nu A^dagger A),
+    so one Pauli transfer of the stack of P_k^dagger P_k gives every row,
+    and ``rows @ P`` every branch probability.  The projectors are checked
+    as ``measurement_gates`` checks them, with the same messages.
+    """
+    tol = tolerances.algebra if tol is None else tol
+    projectors = _projector_family(projectors, tol)
+    # the shape and kind refusals of gate_from_kraus, in the same order
+    kinds = [KrausSet((p,)).kind(tol) for p in projectors]
+    n = len(projectors[0]).bit_length() - 1
+    squares = np.stack([p.conj().T @ p for p in projectors])
+    rows = np.ascontiguousarray(_pauli_transfer(squares, n).real.T) / 2**n
+    delta = np.zeros(rows.shape[1])
+    delta[0] = 1.0
+    for row, kind in zip(rows, kinds):
+        if kind == TRACE_PRESERVING:
+            # as in _kraus_transfer: the certified row is pinned exactly
+            if np.max(np.abs(row - delta)) > tol:
+                raise NumericContractError("trace-preserving construction produced a bad row 0")
+            row[:] = delta
+    return rows
 
 
 @functools.lru_cache(maxsize=1024)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_CLOSURE_ARITY
 from .errors import NumericContractError
 from .gates import GateMatrix, TRACE_PRESERVING, _check_gate_size
 
@@ -278,12 +279,16 @@ class ClosureResult:
 def closure(generators, max_arity: int = 2, budget: int = 5000) -> ClosureResult:
     """Fixpoint of composition over a generator set.
 
-    Members are kept up to ``max_arity``; projections are included (they
-    are the variables).  Each sweep applies every generator to all tuples
-    of same-arity members; new output vectors join the pool until the
-    fixpoint or the first new table the budget refuses.  Iteration order is
-    fixed, so the result is deterministic.
+    Members are kept up to ``max_arity``, at most ``MAX_CLOSURE_ARITY``;
+    projections are included (they are the variables).  Each sweep applies
+    every generator to all tuples of same-arity members; new output vectors
+    join the pool until the fixpoint or the first new table the budget
+    refuses.  Iteration order is fixed, so the result is deterministic.
     """
+    if max_arity > MAX_CLOSURE_ARITY:
+        raise NumericContractError(
+            f"max_arity {max_arity} exceeds the closure limit of {MAX_CLOSURE_ARITY}"
+        )
     generators = list(generators)
     if not generators:
         raise NumericContractError("closure needs at least one generator")

@@ -337,12 +337,17 @@ def measurement_from_json(
 ) -> tuple[list[GateMatrix], int | None]:
     """Branch gates of a projector family and the optional post-selected index."""
     gates = measurement_gates(_decode_list(projectors, path, decode_complex_matrix))
+    return gates, _post_select_from_json(post_select, len(gates), post_path)
+
+
+def _post_select_from_json(post_select, count: int, path: str) -> int | None:
+    """The post-selected index among ``count`` projectors, or None when not given."""
     if post_select is None:
-        return gates, None
-    post = _decode_int(post_select, post_path, 0)
-    if post >= len(gates):
-        raise SchemaError(f"{post_path}: index {post} out of range for {len(gates)} projectors")
-    return gates, post
+        return None
+    post = _decode_int(post_select, path, 0)
+    if post >= count:
+        raise SchemaError(f"{path}: index {post} out of range for {count} projectors")
+    return post
 
 
 # -- classical logic --------------------------------------------------------

@@ -12,12 +12,23 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ququat import PauliVector, cli, liouvillian_superop, parse_circuit, propagate
+from ququat import (
+    PauliVector,
+    cli,
+    gate_from_unitary,
+    liouvillian_superop,
+    measurement_gates,
+    parse_circuit,
+    propagate,
+)
+from ququat import serialization as sz
 from ququat.cli import EXIT_CONTRACT, EXIT_OK, EXIT_SCHEMA, EXIT_ZERO_PROBABILITY, main
 from ququat.config import tolerances
 from ququat.errors import SchemaError
 from ququat.lindblad import LiouvillianSuperop
 from ququat.serialization import encode_complex_matrix
+
+from helpers import random_pvec, random_unitary
 
 
 def run_cli(args, payload=None, tmp_path=None, capsys=None):
@@ -192,6 +203,67 @@ class TestMeasureReversible:
         assert code == EXIT_CONTRACT
         assert out == ""
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("noise", [0.0, 1e-12])
+    def test_measure_probabilities_are_row_0_of_the_branch_gates(self, tmp_path, capsys, n, noise):
+        # noise > 0: near-projectors that still pass the tolerance
+        rng = np.random.default_rng(20282 + n)
+        d = 2**n
+        v = random_unitary(rng, d)
+        cuts = sorted(rng.choice(np.arange(1, d), size=min(3, d - 1), replace=False))
+        projs = []
+        for a, b in zip([0, *cuts], [*cuts, d]):
+            h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            projs.append(v[:, a:b] @ v[:, a:b].conj().T + noise * (h + h.conj().T))
+        state = random_pvec(rng, n)
+        doc = {"projectors": [encode_complex_matrix(p) for p in projs],
+               "state": {"n": n, "P": state.P.tolist()}}
+        code, out, err = run_cli(["measure"], doc, tmp_path, capsys)
+        assert code == EXIT_OK, err
+        want = [g.entries[0] @ state.P for g in measurement_gates(projs)]
+        assert np.max(np.abs(np.array(json.loads(out)["probabilities"]) - want)) <= 1e-12
+
+    def test_measure_builds_only_the_post_selected_gate(self, tmp_path, capsys, monkeypatch):
+        from ququat import gates
+
+        built = []
+
+        def counted(name, real):
+            def build(*args, **kwargs):
+                built.append(name)
+                return real(*args, **kwargs)
+
+            return build
+
+        for namespace in (gates, cli, sz):
+            for name in ("gate_from_kraus", "measurement_gates"):
+                if hasattr(namespace, name):
+                    monkeypatch.setattr(namespace, name, counted(name, getattr(namespace, name)))
+        payload = {"projectors": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+                   "state": {"n": 1, "P": [1, 0.6, 0, 0.8]}}
+        code, out, _ = run_cli(["measure"], payload, tmp_path, capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["probabilities"] == [0.9, 0.09999999999999998]
+        assert built == []
+        code, out, _ = run_cli(["measure"], {**payload, "post_select": 1}, tmp_path, capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["probability"] == 0.09999999999999998
+        assert built == ["gate_from_kraus"]
+
+    @pytest.mark.parametrize("args", [["measure"], ["simulate"]])
+    def test_projectors_of_mixed_sizes_exit_3(self, tmp_path, capsys, args):
+        projs = [[[1, 0], [0, 0]], np.diag([0, 0, 1, 1]).tolist()]
+        state = {"n": 1, "P": [1, 0, 0, 0]}
+        if args == ["measure"]:
+            doc = {"projectors": projs, "state": state}
+        else:
+            doc = {"circuit": {"n": 2, "steps": [{"measure": {"projectors": projs}}]},
+                   "initial": {"n": 2, "P": [1] + [0] * 15}}
+        code, out, err = run_cli(args, doc, tmp_path, capsys)
+        assert code == EXIT_CONTRACT
+        assert out == ""
+        assert err == "error: projector 1 is 4x4, projector 0 is 2x2\n"
 
     def test_reversible(self, tmp_path, capsys):
         payload = {
@@ -827,16 +899,24 @@ def test_number_rows_match_the_c_encoder_in_every_binade():
     _assert_rows_spelt_as_repr([floats[i:i + 256] for i in range(0, len(floats), 256)])
 
 
-def test_number_rows_match_the_c_encoder_at_spelling_boundaries():
+_EDGES = [1e-5, 1e-4, math.nextafter(1e-5, 0), math.nextafter(1e-4, 0), 9.999999999999998e15,
+          1e16, math.nextafter(1e16, 0), 5e-324, 0.0, -0.0, 0.00010000000000000002, 10.00001,
+          110.00001, 1.00001, 1e-05, 1.5e-05, sys.float_info.max, sys.float_info.min]
+
+
+def _spelling_boundary_floats() -> list:
+    """Finite floats at and around every place where orjson and repr spell differently."""
     short = [float(f"{m}e{k}") for m in (1, 15, 999, 123456789) for k in range(-330, 309)]
     short = [x for x in short if math.isfinite(x)]  # a row holding Infinity skips orjson
     rng = np.random.default_rng(20271)
     decade = (rng.uniform(1e-5, 1e-4, 5000) * rng.choice([-1, 1], 5000)).tolist()
     rounded = [round(x, rng.integers(6, 12)) for x in decade]
-    edges = [1e-5, 1e-4, math.nextafter(1e-5, 0), math.nextafter(1e-4, 0), 9.999999999999998e15,
-             1e16, math.nextafter(1e16, 0), 5e-324, 0.0, -0.0, 0.00010000000000000002, 10.00001,
-             110.00001, 1.00001, 1e-05, 1.5e-05, sys.float_info.max, sys.float_info.min]
-    values = short + decade + rounded + edges + [-x for x in edges + short]
+    return short + decade + rounded + _EDGES + [-x for x in _EDGES + short]
+
+
+def test_number_rows_match_the_c_encoder_at_spelling_boundaries():
+    values = _spelling_boundary_floats()
+    edges = _EDGES
     _assert_rows_spelt_as_repr([values[i:i + 64] for i in range(0, len(values), 64)])
     _assert_rows_spelt_as_repr([[x] for x in edges])
     payload = {"rows": [values[i:i + 7] for i in range(0, 700, 7)], "edges": edges}
@@ -858,6 +938,72 @@ def test_number_rows_match_the_c_encoder_at_spelling_boundaries():
 def test_number_rows_orjson_cannot_write(row):
     assert cli._number_row(row) == _ORACLE(row).replace(", ", ",")
     _assert_indented_json(cli._json_text({"row": row}), {"row": row})
+
+
+# -- number blocks -------------------------------------------------------------
+
+
+def _nest(obj, depth: int):
+    """``obj`` ``depth`` levels deep, inside lists and objects in turn."""
+    for level in range(depth):
+        obj = {"k": obj, "z": [1.5]} if level % 2 else [obj, -0.0]
+    return obj
+
+
+def _as_block(values: list, width: int) -> list:
+    return [values[i:i + width] for i in range(0, len(values), width)]
+
+
+_ODD_ROWS = (
+    [float("nan"), 1.0], [0.5, float("inf")], [float("-inf")], [2**64, 1.5], [-(2**63) - 1],
+    [10**40], [True, 0.5], [False], [], [None, 1.0], ["1.0"], [[1.0, 2.0]], [{"a": 1.0}],
+)
+
+
+def _seeded_blocks(rng: random.Random):
+    """Number rows, ragged or not; half the blocks hold one row the block route cannot take."""
+    for _ in range(300):
+        width = rng.randrange(1, 6)
+        rows = [[rng.choice((rng.uniform(-1, 1), rng.randrange(-10**18, 10**18), -0.0,
+                             rng.choice(_SPELLINGS), rng.uniform(-1e-4, 1e-4), 2**63 - 1))
+                 for _ in range(rng.randrange(1, width + 1))]
+                for _ in range(rng.randrange(1, 6))]
+        if rng.random() < 0.5:
+            rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(_ODD_ROWS)))
+        yield rows
+
+
+@pytest.mark.parametrize("depth", range(5))
+def test_number_blocks_match_json_dumps_at_every_depth(depth):
+    """A list of number rows at nesting depth 0-4 is written as json.dumps writes it."""
+    blocks = [
+        _as_block(_binade_floats(8, 20279), 256),
+        _as_block(_spelling_boundary_floats(), 64),
+        _as_block(_EDGES, 5),  # ragged: the last row is shorter
+        [[1], [2, 3], [-(2**63), 2**64 - 1]],
+        *([[0.25, 0.5], row] for row in _ODD_ROWS),
+        *_seeded_blocks(random.Random(20280 + depth)),
+    ]
+    for block in blocks:
+        payload = _nest(block, depth)
+        _assert_indented_json(cli._json_text(payload), payload)
+
+
+def test_gate_payload_is_one_orjson_call(monkeypatch):
+    rng = np.random.default_rng(20281)
+    payload = sz.gate_to_json(gate_from_unitary(random_unitary(rng, 16)))
+    assert np.shape(payload["entries"]) == (256, 256)
+    calls = []
+    dumps = cli.orjson.dumps
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(cli.orjson, "dumps", counted)
+    text = cli._json_text(payload)
+    assert calls == [{"option": cli.orjson.OPT_INDENT_2}]
+    _assert_indented_json(text, payload)
 
 
 # -- JSON input ----------------------------------------------------------------

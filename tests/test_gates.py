@@ -428,3 +428,19 @@ class TestGateCeiling:
             with pytest.raises(NumericContractError) as info:
                 build()
             assert str(info.value) == f"{what} acts on 6 ququats; dense gates are limited to 5"
+
+
+@pytest.mark.parametrize("build,what", [
+    (gate_from_unitary, "unitary"),
+    ("left_mult_superop", "operator"),
+    ("right_mult_superop", "operator"),
+    ("liouvillian_superop", "H"),
+])
+def test_empty_operator_is_not_square_2n(build, what):
+    import ququat
+
+    build = getattr(ququat, build) if isinstance(build, str) else build
+    for shape in ((0, 0), (1, 1), (3, 3), (2, 4), (4,)):
+        with pytest.raises(NumericContractError) as info:
+            build(np.ones(shape))
+        assert str(info.value) == f"{what} must be square 2**n x 2**n, got {shape}"

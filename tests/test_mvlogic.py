@@ -25,7 +25,7 @@ from ququat import (
     unital_realizable,
     verify_realization,
 )
-from ququat.cli import EXIT_OK
+from ququat.cli import EXIT_OK, EXIT_SCHEMA
 from ququat.mvlogic import (
     TruthTable,
     _table_from_fn,
@@ -305,6 +305,37 @@ def test_closure_cli_stays_within_3_gib():
     assert proc.returncode == EXIT_OK, proc.stderr[-500:]
     out = json.loads(proc.stdout)
     assert out["count"] == 50000 and out["complete"] is False
+
+
+@pytest.mark.parametrize("max_arity", [13, 40])
+def test_max_arity_above_the_ceiling_is_refused(max_arity):
+    # in child processes: before the ceiling, both hung building 4**m-entry projections
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ququat.cli", "mvlogic", "closure"],
+        input='{"generators": ["v4"], "max_arity": %d}' % max_arity,
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_SCHEMA, "")
+    assert proc.stderr == f"error: max_arity: expected an integer <= 6, got {max_arity}\n"
+    script = (
+        "from ququat import NumericContractError, builtin, closure\n"
+        "try:\n"
+        f"    closure([builtin('v4')], max_arity={max_arity})\n"
+        "except NumericContractError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.stdout == f"max_arity {max_arity} exceeds the closure limit of 6\n", proc.stderr
+
+
+def test_max_arity_ceiling_admits_six():
+    from ququat.config import MAX_CLOSURE_ARITY
+
+    assert MAX_CLOSURE_ARITY == 6
+    res = closure([builtin("cyclic_shift")], max_arity=6, budget=5000)
+    assert res.complete and res.count(6) == 24
 
 
 LN_EXPECTED = np.array(
