@@ -274,8 +274,8 @@ def _number_block(rows, depth: int) -> str | None:
     orjson refuses a number (an integer beyond 64 bits) or writes a
     ``null`` (NaN or Infinity), or the nesting is deeper than it writes.
     """
-    number_row = _NUMBER_TYPES.issuperset
-    if not all(type(row) is list and row and number_row(map(type, row)) for row in rows):
+    plain = _NUMBER_TYPES.issuperset
+    if not all(type(row) is list and row and plain(map(type, row)) for row in rows):
         return None
     for _ in range(depth):
         rows = [rows]

@@ -245,6 +245,7 @@ def _projector_family(projectors, tol: float) -> list[np.ndarray]:
         _check_gate_size((len(p) - 1).bit_length(), f"projector {i}")
         if (
             p.shape != (len(p), len(p))
+            or not len(p)
             or np.max(np.abs(p - p.conj().T)) > tol
             or np.max(np.abs(p @ p - p)) > tol
         ):

@@ -916,10 +916,9 @@ def _spelling_boundary_floats() -> list:
 
 def test_number_rows_match_the_c_encoder_at_spelling_boundaries():
     values = _spelling_boundary_floats()
-    edges = _EDGES
     _assert_rows_spelt_as_repr([values[i:i + 64] for i in range(0, len(values), 64)])
-    _assert_rows_spelt_as_repr([[x] for x in edges])
-    payload = {"rows": [values[i:i + 7] for i in range(0, 700, 7)], "edges": edges}
+    _assert_rows_spelt_as_repr([[x] for x in _EDGES])
+    payload = {"rows": [values[i:i + 7] for i in range(0, 700, 7)], "edges": _EDGES}
     _assert_indented_json(cli._json_text(payload), payload)
 
 

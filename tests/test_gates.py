@@ -166,6 +166,11 @@ class TestMeasurementGates:
         with pytest.raises(NumericContractError):
             measurement_gates([P0, plus])
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 4), (1, 2), (4,)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(NumericContractError, match="projector 1 is not Hermitian idempotent"):
+            measurement_gates([P0, np.zeros(shape)])
+
     def test_probabilities_sum_to_one(self):
         g0, g1 = measurement_gates([P0, P1])
         for _ in range(50):
