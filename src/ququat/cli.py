@@ -23,6 +23,7 @@ import warnings
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
 import orjson
 
 from . import __version__
@@ -118,7 +119,10 @@ def _as_json_loads_reads_it(doc) -> bool:
 
     That fails when ``doc`` nests more than ``_MAX_DEPTH`` levels deep, or
     holds a float of magnitude 2**63 or more, which may have been an integer
-    literal.  The walk goes level by level, so it knows the depth.
+    literal.  The walk goes level by level, so it knows the depth.  A list
+    is read in one pass by ``math.hypot``, which refuses any item but a
+    number and is at least each number's magnitude (held to 2**62, far
+    below what its rounding could hide); a list it refuses is walked.
     """
     level = [doc]
     for _ in range(_MAX_DEPTH):
@@ -127,10 +131,11 @@ def _as_json_loads_reads_it(doc) -> bool:
             if type(obj) is dict:
                 inner.extend(obj.values())
             elif type(obj) is list:
-                if not _NUMBER_TYPES.issuperset(map(type, obj)):
+                try:
+                    if not math.hypot(*obj) < _WIDE / 2:
+                        return False
+                except TypeError:
                     inner.extend(obj)
-                elif obj and not -_WIDE < min(obj) <= max(obj) < _WIDE:
-                    return False
             elif type(obj) is float and not -_WIDE < obj < _WIDE:
                 return False
         if not inner:
@@ -150,12 +155,14 @@ def _format_complex(z: complex, precision: int) -> str:
 
 
 def _render_text(obj, precision: int, indent: int = 0) -> list[str]:
+    if type(obj) is np.ndarray:
+        obj = obj.tolist()
     pad = "  " * indent
     lines: list[str] = []
     if isinstance(obj, dict):
         for key in obj:
             val = obj[key]
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list, np.ndarray)):
                 lines.append(f"{pad}{key}:")
                 lines.extend(_render_text(val, precision, indent + 1))
             else:
@@ -212,118 +219,94 @@ def _render_scalar(v, precision: int) -> str:
 # the C encoder; json.dumps with an indent runs the pure-Python one
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 _NUMBER_TYPES = frozenset((int, float))
+_ARRAY_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
 
-# orjson writes the shortest round-trip digits, as repr does, and spells
-# them differently in two places: exponents (1e16, 1e-7 for repr's 1e+16,
-# 1e-07) and the decade [1e-5, 1e-4), which it writes positionally (0.000015
-# for 1.5e-05).  Number text holds no other "e" and no other "0.0000" that
-# is not the tail of a number such as 10.00001.
-def _repr_spelling(text: bytes) -> bytes:
-    """orjson's text of plain ints and floats, with every float spelt as repr spells it."""
+
+def _write_array(arr: np.ndarray, depth: int, out: list) -> None:
+    """Append a float64 array ``depth`` levels deep as ``json.dumps(indent=2)`` writes its list.
+
+    orjson writes the array in one call, wrapped in ``depth`` one-item
+    lists so that it indents it as at that depth; the wrapper's lines are
+    cut off.  orjson writes the shortest round-trip digits, as repr does,
+    and spells them differently in two places: exponents (1e16, 1e-7 for
+    repr's 1e+16, 1e-07), mended in place, and the decade [1e-5, 1e-4),
+    which it writes positionally (0.000015 for 1.5e-05).  Those entries,
+    and NaN and Infinity, are written as ``null`` from a copy, and each
+    ``null`` becomes the C encoder's text of its entry, in order.
+    """
+    mag = np.abs(arr)
+    odd = ~((mag < 1e-5) | (mag >= 1e-4) & (mag < math.inf))
+    spelt = _encode(arr[odd].tolist())[1:-1].split(",") if odd.any() else []
+    wrapped = np.where(odd, math.nan, arr) if spelt else np.ascontiguousarray(arr)
+    for _ in range(depth):
+        wrapped = [wrapped]
+    text = orjson.dumps(wrapped, option=_ARRAY_OPTIONS)
     edits = []  # (start, end, replacement), each within one number
     at = text.find(b"e")
     while at >= 0:
         if text[at + 1] != 45:  # "e" and a digit: a positive exponent
-            edits.append((at + 1, at + 1, b"+"))
+            edits.append((at + 1, at + 1, "+"))
         elif not text[at + 3:at + 4].isdigit():  # "e-" and one digit
-            edits.append((at + 2, at + 2, b"0"))
+            edits.append((at + 2, at + 2, "0"))
         at = text.find(b"e", at + 2)
-    at = text.find(b"0.0000")
-    while at >= 0:
-        end = at + 7
-        if not text[at - 1:at].isdigit():  # not the tail of a number like 10.00001
-            while text[end:end + 1].isdigit():
-                end += 1
-            rest = text[at + 7:end]
-            edits.append((at, end, text[at + 6:at + 7] + (b"." + rest if rest else b"") + b"e-05"))
-        at = text.find(b"0.0000", end)
-    if not edits:
-        return text
+    at = -4
+    for number in spelt:
+        at = text.find(b"null", at + 4)
+        edits.append((at, at + 4, number))
     edits.sort()
-    pieces, done = [], 0
-    for start, end, new in edits:
-        pieces += (text[done:start], new)
-        done = end
-    pieces.append(text[done:])
-    return b"".join(pieces)
-
-
-def _number_row(row) -> str:
-    """``row``, a list of plain ints and floats, as compact JSON text.
-
-    orjson writes the row and ``_repr_spelling`` respells its floats; a row
-    it refuses (an integer beyond 64 bits) or writes a ``null`` in (NaN or
-    Infinity) goes to the C encoder.
-    """
-    try:
-        text = orjson.dumps(row)
-    except orjson.JSONEncodeError:
-        return _encode(row)
-    if b"n" in text:
-        return _encode(row)
-    return _repr_spelling(text).decode()
-
-
-def _number_block(rows, depth: int) -> str | None:
-    """``rows``, number rows ``depth`` levels deep, in the indented form, or None.
-
-    Only a list of nonempty lists of plain ints and floats is written here,
-    in one ``orjson.dumps`` call.  It is wrapped in ``depth`` one-item lists
-    so that orjson indents it as ``json.dumps(indent=2)`` does at that
-    depth, and the wrapper's lines are then cut off.  None also where
-    orjson refuses a number (an integer beyond 64 bits) or writes a
-    ``null`` (NaN or Infinity), or the nesting is deeper than it writes.
-    """
-    plain = _NUMBER_TYPES.issuperset
-    if not all(type(row) is list and row and plain(map(type, row)) for row in rows):
-        return None
-    for _ in range(depth):
-        rows = [rows]
-    try:
-        text = orjson.dumps(rows, option=orjson.OPT_INDENT_2)
-    except orjson.JSONEncodeError:
-        return None
-    if b"n" in text:
-        return None
-    text = _repr_spelling(text)
     # the wrapper's line i, opening or closing, is 2*i spaces and a bracket
-    wrapper = depth * depth + depth
-    return str(memoryview(text)[wrapper + 2 * depth:len(text) - wrapper], "ascii")
+    view, done = memoryview(text), depth * depth + 3 * depth
+    for start, end, new in edits:
+        out += (str(view[done:start], "ascii"), new)
+        done = end
+    out.append(str(view[done:len(text) - depth * depth - depth], "ascii"))
 
 
-def _json_text(obj, pad: str = "") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+def _json_pieces(obj, pad: str = "", out: list | None = None) -> list[str]:
+    """The text of ``obj`` at indent ``pad``, in pieces appended to ``out``.
 
-    A list of number rows, such as gate entries, is written in one piece by
-    ``_number_block``; any other list of plain ints and floats, such as a
-    row or a Pauli vector, by ``_number_row``, whose "," separators become
-    the indented line breaks.  Object keys must be strings.
+    The pieces join to ``json.dumps(obj, indent=2, sort_keys=True,
+    default=np.ndarray.tolist)``.  A float64 array, such as gate entries,
+    is written by ``_write_array``; a list of plain ints and floats by the
+    C encoder, whose "," separators become the indented line breaks.
+    Object keys must be strings.
     """
+    out = [] if out is None else out
+    if type(obj) is np.ndarray and (obj.dtype != float or not obj.ndim or len(pad) > 510):
+        obj = obj.tolist()  # orjson writes float64 arrays of one axis or more, in <= 255 lists
     inner = pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{encode_basestring_ascii(key)}: {_json_text(obj[key], inner)}"
-            for key in sorted(obj)
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if _NUMBER_TYPES.issuperset(map(type, obj)):
-            body = inner + _number_row(obj)[1:-1].replace(",", ",\n" + inner)
-        elif (block := _number_block(obj, len(pad) // 2)) is not None:
-            return block
-        else:
-            body = ",\n".join(inner + _json_text(v, inner) for v in obj)
-        return "[\n" + body + "\n" + pad + "]"
-    return _encode(obj)
+    if type(obj) is np.ndarray:
+        _write_array(obj, len(pad) // 2, out)
+    elif isinstance(obj, dict) and obj:
+        sep = "{\n"
+        for key in sorted(obj):
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _json_pieces(obj[key], inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}}}")
+    elif not isinstance(obj, (list, tuple)) or not obj:
+        out.append(_encode(obj))
+    elif _NUMBER_TYPES.issuperset(map(type, obj)):
+        body = _encode(obj)[1:-1].replace(",", ",\n" + inner)
+        out.append(f"[\n{inner}{body}\n{pad}]")
+    else:
+        sep = "[\n"
+        for v in obj:
+            out.append(sep + inner)
+            _json_pieces(v, inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}]")
+    return out
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)``, byte for byte."""
+    return "".join(_json_pieces(obj))
 
 
 def _emit(payload, args) -> None:
     if args.format == "json":
-        print(_json_text(payload))
+        sys.stdout.writelines([*_json_pieces(payload), "\n"])
     else:
         print("\n".join(_render_text(payload, args.precision)))
 

@@ -179,7 +179,15 @@ def gate_from_matrix(entries, kind: str | None = None, tol: float | None = None)
 
 def _kraus_transfer(ops, n_in: int, n_out: int, tol: float, snap_row0: bool = False) -> np.ndarray:
     bin_ = pauli_basis(n_in)
-    images = sum(a @ bin_ @ a.conj().T for a in ops)
+    # the sum of a @ bin_ @ a^dagger over the operators, with the two
+    # products of each later operator written into reused buffers
+    left = ops[0] @ bin_
+    images = left @ ops[0].conj().T
+    images += 0  # as sum() starts from 0: no image entry is -0.0
+    right = None
+    for a in ops[1:]:
+        right = np.matmul(np.matmul(a, bin_, out=left), a.conj().T, out=right)
+        images += right
     acc = _pauli_transfer(images, n_out)
     acc /= 2**n_in
     resid = float(np.max(np.abs(acc.imag)))

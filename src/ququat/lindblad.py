@@ -170,7 +170,14 @@ def gks_propagator(gen: GeneratorMatrix, tau: float) -> GateMatrix:
         aug[:3, :3] = a
         aug[:3, 3] = b
         entries[1:, 0] = expm(tau * aug)[:3, 3]
-    return GateMatrix(1, 1, entries, TRACE_PRESERVING)
+    return GateMatrix(1, 1, _finite_propagator(entries), TRACE_PRESERVING)
+
+
+def _finite_propagator(entries: np.ndarray) -> np.ndarray:
+    """``entries``, unless ``expm`` overflowed into NaN or Infinity."""
+    if not np.isfinite(entries).all():
+        raise NumericContractError("propagator has non-finite entries")
+    return entries
 
 
 @dataclass(frozen=True)
@@ -245,7 +252,8 @@ def _liouvillian_propagator(
     if t < 0:
         raise NumericContractError("t must be nonnegative")
     gen = liouvillian.to_pauli_generator()
-    return GateMatrix(liouvillian.n, liouvillian.n, expm(t * gen), TRACE_PRESERVING), gen
+    entries = _finite_propagator(expm(t * gen))
+    return GateMatrix(liouvillian.n, liouvillian.n, entries, TRACE_PRESERVING), gen
 
 
 def propagate(liouvillian: LiouvillianSuperop, t: float, pvec: PauliVector) -> PauliVector:

@@ -2,12 +2,15 @@
 
 Conventions: complex scalars are two-element arrays [re, im] (bare
 numbers are accepted as real input); matrices are row-major nested
-arrays; gate entries are real and encoded as plain floats.  Decoders
-raise :class:`SchemaError` with a path-qualified message pointing at the
-offending element.  Every decoded number must be finite: NaN and
-+-Infinity, which the JSON parser accepts, are schema errors.  Option
-fields (times, indices, counts, lists) are decoded here too, so the CLI
-and circuit documents share one decode path.
+arrays.  Encoders put matrices and Pauli vectors into payloads as
+finite, C-contiguous float64 arrays (complex ones with a last [re, im]
+axis), which the decoders take back; ``json.dumps`` writes them with
+``default=np.ndarray.tolist``.  Decoders raise :class:`SchemaError` with
+a path-qualified message naming the offending element.  Every decoded
+number must be finite: NaN and +-Infinity, which the JSON parser
+accepts, are schema errors.  Option fields (times, indices, counts,
+lists) are decoded here too, so the CLI and circuit documents share one
+decode path.
 
 Number arrays are decoded in bulk by numpy when they are well formed;
 anything numpy would coerce or refuse goes through a per-element loop,
@@ -22,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .config import MAX_QUQUATS
-from .errors import SchemaError
+from .errors import NumericContractError, SchemaError
 from .gates import GateMatrix, KrausSet, gate_from_matrix, measurement_gates
 from .lindblad import (
     GKSModel,
@@ -71,13 +74,21 @@ def encode_complex(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def encode_complex_matrix(m: np.ndarray) -> list:
+def _finite_array(m) -> np.ndarray:
+    """``m`` as a C-contiguous float64 array, which may share its memory."""
+    m = np.ascontiguousarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise NumericContractError("result has non-finite entries")
+    return m
+
+
+def encode_complex_matrix(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    return np.stack((m.real, m.imag), axis=-1).tolist()
+    return _finite_array(np.stack((m.real, m.imag), axis=-1))
 
 
-def encode_real_matrix(m: np.ndarray) -> list:
-    return np.asarray(m, dtype=float).tolist()
+def encode_real_matrix(m: np.ndarray) -> np.ndarray:
+    return _finite_array(m)
 
 
 def _expect(obj, types, path: str, what: str):
@@ -145,7 +156,7 @@ def _finite(arr: np.ndarray, path: str) -> np.ndarray:
     return arr
 
 
-def _bulk_numbers(obj: list, ndims: tuple[int, ...]) -> np.ndarray | None:
+def _bulk_numbers(obj, ndims: tuple[int, ...]) -> np.ndarray | None:
     """``obj`` as a float64 array of one of ``ndims`` axes, or None to decode it by element.
 
     The nested lists are flattened one level at a time with ``chain``;
@@ -153,8 +164,13 @@ def _bulk_numbers(obj: list, ndims: tuple[int, ...]) -> np.ndarray | None:
     length.  The flat numbers must all be ints or floats: numpy would
     also read ``True`` as 1.  numpy then converts them in one pass, as
     ``float()`` does.  Ragged rows, mixed scalars and pairs, integers
-    beyond float range, strings and None are refused.
+    beyond float range, strings and None are refused.  A float64 array,
+    an encoder's output, is taken as it is, copied.
     """
+    if type(obj) is np.ndarray:
+        return obj.copy() if obj.dtype == float and obj.ndim in ndims and obj.size else None
+    if type(obj) is not list:
+        return None
     shape = [len(obj)]
     items = obj
     types = set(map(type, items))
@@ -174,15 +190,16 @@ def _bulk_numbers(obj: list, ndims: tuple[int, ...]) -> np.ndarray | None:
 
 
 def decode_complex_matrix(obj, path: str) -> np.ndarray:
-    rows = _expect(obj, list, path, "a matrix (list of rows)")
-    if not rows:
-        raise SchemaError(f"{path}: matrix must not be empty")
-    arr = _bulk_numbers(rows, (2, 3))
+    arr = _bulk_numbers(obj, (2, 3))
     if arr is not None and arr.ndim == 2:
         return _finite(arr.astype(complex), path)
     if arr is not None and arr.shape[2] == 2:
         # [re, im] pairs: the last axis is the real and imaginary part
         return _finite(arr.view(complex)[..., 0], path)
+    rows = obj.tolist() if type(obj) is np.ndarray else obj  # the loop reads lists
+    rows = _expect(rows, list, path, "a matrix (list of rows)")
+    if not rows:
+        raise SchemaError(f"{path}: matrix must not be empty")
     out = []
     width = None
     try:
@@ -212,10 +229,10 @@ def decode_real_matrix(obj, path: str) -> np.ndarray:
 
 
 def decode_real_vector(obj, path: str, length: int | None = None) -> np.ndarray:
-    vec = _expect(obj, list, path, "a list of numbers")
-    out = _bulk_numbers(vec, (1,))
+    out = _bulk_numbers(obj, (1,))
     if out is None:
-        out = []
+        vec = obj.tolist() if type(obj) is np.ndarray else obj  # the loop reads lists
+        vec, out = _expect(vec, list, path, "a list of numbers"), []
         try:
             for i, v in enumerate(vec):
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -233,13 +250,13 @@ def decode_real_vector(obj, path: str, length: int | None = None) -> np.ndarray:
 
 
 def pvec_to_json(p: PauliVector) -> dict:
-    return {"n": p.n, "P": p.P.tolist()}
+    return {"n": p.n, "P": _finite_array(p.P)}
 
 
 def pvec_from_json(obj, path: str = "state") -> PauliVector:
     obj = _expect(obj, dict, path, "an object")
     n = _decode_int(_expect_key(obj, "n", path), f"{path}.n", 1)
-    vec = _expect(_expect_key(obj, "P", path), list, f"{path}.P", "a list of numbers")
+    vec = _expect(_expect_key(obj, "P", path), (list, np.ndarray), f"{path}.P", "a list of numbers")
     return PauliVector(n, decode_real_vector(vec, f"{path}.P", _entry_count(n, vec, f"{path}.P")))
 
 

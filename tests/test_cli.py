@@ -1,5 +1,6 @@
 """Command-line interface tests: subcommands, formats and exit codes."""
 
+import argparse
 import decimal
 import json
 import math
@@ -36,7 +37,7 @@ def run_cli(args, payload=None, tmp_path=None, capsys=None):
     argv = list(args)
     if payload is not None:
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload, default=np.ndarray.tolist))
         argv.append(str(path))
     code = main(argv)
     out, err = capsys.readouterr()
@@ -794,8 +795,11 @@ def test_mutation_fuzzer_exits_cleanly(tmp_path, capsys):
 
 
 def _assert_indented_json(text: str, payload) -> None:
-    """``text`` is json.dumps(payload, indent=2, sort_keys=True), byte for byte."""
-    expected = json.dumps(payload, indent=2, sort_keys=True)
+    """``text`` is json.dumps(payload, indent=2, sort_keys=True), byte for byte.
+
+    Arrays are written as their lists, as ``default=np.ndarray.tolist`` has them.
+    """
+    expected = json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist)
     if text != expected:  # show where, without diffing two long texts
         at = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b), None)
         at = min(len(text), len(expected)) if at is None else at
@@ -875,13 +879,14 @@ def test_json_text_rejects_non_string_keys():
 _ORACLE = json.JSONEncoder(sort_keys=True).encode
 
 
-def _assert_rows_spelt_as_repr(rows) -> None:
-    """``_number_row`` gives the C encoder's text of every row, with "," separators."""
-    for row in rows:
-        got, want = cli._number_row(row), _ORACLE(row).replace(", ", ",")
-        if got != want:
-            bad = next(x for x in row if cli._number_row([x]) != _ORACLE([x]))
-            pytest.fail(f"{bad!r}: {cli._number_row([bad])} != {_ORACLE([bad])}")
+def _assert_arrays_spelt_as_repr(values: list) -> None:
+    """``_json_text`` of ``values`` as a float64 array gives the C encoder's text of every float."""
+    got = cli._json_text(np.array(values, dtype=float))[4:-2].split(",\n  ")
+    want = _ORACLE(values)[1:-1].split(", ")
+    assert len(got) == len(want)
+    if got != want:
+        bad = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        pytest.fail(f"{values[bad]!r}: {got[bad]} != {want[bad]}")
 
 
 def _binade_floats(per_binade: int, seed: int) -> list:
@@ -896,7 +901,7 @@ def _binade_floats(per_binade: int, seed: int) -> list:
 def test_number_rows_match_the_c_encoder_in_every_binade():
     floats = _binade_floats(489, 20270)  # 1 000 983 floats
     assert len(floats) > 10**6
-    _assert_rows_spelt_as_repr([floats[i:i + 256] for i in range(0, len(floats), 256)])
+    _assert_arrays_spelt_as_repr(floats)
 
 
 _EDGES = [1e-5, 1e-4, math.nextafter(1e-5, 0), math.nextafter(1e-4, 0), 9.999999999999998e15,
@@ -907,7 +912,7 @@ _EDGES = [1e-5, 1e-4, math.nextafter(1e-5, 0), math.nextafter(1e-4, 0), 9.999999
 def _spelling_boundary_floats() -> list:
     """Finite floats at and around every place where orjson and repr spell differently."""
     short = [float(f"{m}e{k}") for m in (1, 15, 999, 123456789) for k in range(-330, 309)]
-    short = [x for x in short if math.isfinite(x)]  # a row holding Infinity skips orjson
+    short = [x for x in short if math.isfinite(x)]
     rng = np.random.default_rng(20271)
     decade = (rng.uniform(1e-5, 1e-4, 5000) * rng.choice([-1, 1], 5000)).tolist()
     rounded = [round(x, rng.integers(6, 12)) for x in decade]
@@ -916,27 +921,32 @@ def _spelling_boundary_floats() -> list:
 
 def test_number_rows_match_the_c_encoder_at_spelling_boundaries():
     values = _spelling_boundary_floats()
-    _assert_rows_spelt_as_repr([values[i:i + 64] for i in range(0, len(values), 64)])
-    _assert_rows_spelt_as_repr([[x] for x in _EDGES])
-    payload = {"rows": [values[i:i + 7] for i in range(0, 700, 7)], "edges": _EDGES}
-    _assert_indented_json(cli._json_text(payload), payload)
+    _assert_arrays_spelt_as_repr(values)
+    for x in _EDGES:
+        _assert_arrays_spelt_as_repr([x])
+    for payload in ({"rows": _as_block(values[:700], 7), "edges": _EDGES},
+                    {"rows": np.array(values[:700]).reshape(100, 7), "edges": np.array(_EDGES)}):
+        _assert_indented_json(cli._json_text(payload), payload)
 
 
 @pytest.mark.parametrize(
     "row",
     [
         [2**63, -(2**63), 2**64 - 1, 0, -1],
-        [2**64, 1.5],  # beyond 64 bits: the C encoder
+        [2**64, 1.5],
         [-(2**63) - 1],
         [10**30, -0.0, 1e-5],
-        [1.0, float("nan")],  # orjson writes null: the C encoder
+        [1.0, float("nan")],
         [float("inf"), -1e-7],
         [float("-inf")],
     ],
 )
 def test_number_rows_orjson_cannot_write(row):
-    assert cli._number_row(row) == _ORACLE(row).replace(", ", ",")
+    """Integers beyond 64 bits, NaN and Infinity, as lists and as float64 arrays."""
     _assert_indented_json(cli._json_text({"row": row}), {"row": row})
+    if all(type(x) is float for x in row):
+        arrays = {"row": np.array(row), "rows": np.array([row, row])}
+        _assert_indented_json(cli._json_text(arrays), arrays)
 
 
 # -- number blocks -------------------------------------------------------------
@@ -960,7 +970,7 @@ _ODD_ROWS = (
 
 
 def _seeded_blocks(rng: random.Random):
-    """Number rows, ragged or not; half the blocks hold one row the block route cannot take."""
+    """Number rows, ragged or not; half the blocks hold one row that is not all numbers."""
     for _ in range(300):
         width = rng.randrange(1, 6)
         rows = [[rng.choice((rng.uniform(-1, 1), rng.randrange(-10**18, 10**18), -0.0,
@@ -972,9 +982,21 @@ def _seeded_blocks(rng: random.Random):
         yield rows
 
 
+def _seeded_arrays(depth: int):
+    """Binade, spelling-boundary and decade floats as float64 arrays of one, two and three axes."""
+    rng = np.random.default_rng(20290 + depth)
+    decade = rng.uniform(1e-5, 1e-4, 600) * rng.choice([-1, 1], 600)
+    for values in (np.array(_binade_floats(2, 20279 + depth)),
+                   rng.permutation(_spelling_boundary_floats())[:6000],
+                   np.concatenate([decade, [-0.0, 5e-324, -5e-324, 0.0, 1e-5, -1e-4]])):
+        values = values[:len(values) // 12 * 12]
+        yield from (values, values.reshape(-1, 12), values.reshape(-1, 6, 2))
+    yield np.array([[1e-5]]), np.array([-0.0]), np.zeros((2, 0)), np.eye(4)[:, ::2]
+
+
 @pytest.mark.parametrize("depth", range(5))
 def test_number_blocks_match_json_dumps_at_every_depth(depth):
-    """A list of number rows at nesting depth 0-4 is written as json.dumps writes it."""
+    """Number rows and float64 arrays at nesting depth 0-4 are written as json.dumps writes them."""
     blocks = [
         _as_block(_binade_floats(8, 20279), 256),
         _as_block(_spelling_boundary_floats(), 64),
@@ -982,6 +1004,7 @@ def test_number_blocks_match_json_dumps_at_every_depth(depth):
         [[1], [2, 3], [-(2**63), 2**64 - 1]],
         *([[0.25, 0.5], row] for row in _ODD_ROWS),
         *_seeded_blocks(random.Random(20280 + depth)),
+        *_seeded_arrays(depth),
     ]
     for block in blocks:
         payload = _nest(block, depth)
@@ -989,9 +1012,10 @@ def test_number_blocks_match_json_dumps_at_every_depth(depth):
 
 
 def test_gate_payload_is_one_orjson_call(monkeypatch):
+    """A gate's entries are one float64 array, written by one orjson call from the array."""
     rng = np.random.default_rng(20281)
     payload = sz.gate_to_json(gate_from_unitary(random_unitary(rng, 16)))
-    assert np.shape(payload["entries"]) == (256, 256)
+    assert payload["entries"].shape == (256, 256) and payload["entries"].dtype == float
     calls = []
     dumps = cli.orjson.dumps
 
@@ -1001,8 +1025,32 @@ def test_gate_payload_is_one_orjson_call(monkeypatch):
 
     monkeypatch.setattr(cli.orjson, "dumps", counted)
     text = cli._json_text(payload)
-    assert calls == [{"option": cli.orjson.OPT_INDENT_2}]
+    assert calls == [{"option": cli.orjson.OPT_INDENT_2 | cli.orjson.OPT_SERIALIZE_NUMPY}]
     _assert_indented_json(text, payload)
+
+
+def test_emit_writes_the_pieces_of_json_text(capsys):
+    rng = np.random.default_rng(20283)
+    payload = {"gate": sz.gate_to_json(gate_from_unitary(random_unitary(rng, 4))), "x": [1, 2.5]}
+    cli._emit(payload, argparse.Namespace(format="json"))
+    assert capsys.readouterr().out == cli._json_text(payload) + "\n"
+
+
+def test_text_format_renders_arrays_as_lists(tmp_path, capsys, monkeypatch):
+    """``--format text`` renders a payload's arrays as it renders the same lists."""
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda payload, args: (payloads.append(payload),
+                                                             emit(payload, args)))
+    u = encode_complex_matrix(random_unitary(np.random.default_rng(20284), 4))
+    for argv, doc in ((["gate", "from-unitary"], {"U": u}), (["universality", "pseudo"], {"A": u}),
+                      (["simulate"], {"circuit": {"n": 1, "steps": [{"named": "rot1", "param": 0.3,
+                                                                     "targets": [0]}]},
+                                      "initial": {"n": 1, "P": [1, 0, 0, 1]}})):
+        code, text, _ = run_cli(["--format", "text", *argv], doc, tmp_path, capsys)
+        assert code == EXIT_OK
+        listed = json.loads(json.dumps(payloads.pop(), default=np.ndarray.tolist))
+        assert text == "\n".join(cli._render_text(listed, 6)) + "\n"
 
 
 # -- JSON input ----------------------------------------------------------------
@@ -1111,7 +1159,7 @@ def test_parse_reads_plain_documents_with_orjson(monkeypatch):
     """json.loads is the fallback, not the route taken for an ordinary document."""
     rows = np.random.default_rng(20275).normal(size=(64, 64)).tolist()
     gate = {"n_in": 3, "n_out": 3, "entries": rows}
-    pairs = {"U": encode_complex_matrix(np.array(rows[:32]) + 1j * np.array(rows[32:]))}
+    pairs = {"U": encode_complex_matrix(np.array(rows[:32]) + 1j * np.array(rows[32:])).tolist()}
     deep = {"deep": json.loads("[" * 400 + "]" * 400)}
 
     def refuse(*args, **kwargs):
@@ -1124,6 +1172,47 @@ def test_parse_reads_plain_documents_with_orjson(monkeypatch):
                      "[" + "[0, 1], " * 10_000 + "[]]"):
         with pytest.raises(AssertionError, match="json.loads called"):
             cli._parse(fallback)
+
+
+def test_parse_reads_wide_number_rows_as_json_loads():
+    """A number row is tested by its norm: rows near 2**63 go to json.loads, and keep its values."""
+    big = 2**61
+    for text in (f"[{', '.join([str(big)] * 5)}]", f"[[{big}.0, {big}.0, {big}.0, 0.5]]",
+                 f'{{"a": [1, [{big * 4}], "x", {big * 4}.5]}}', "[1, [2, [3, [18446744073709551616]]]]",
+                 '[true, false, 9223372036854775807]', '[[1, 2], null, [1e300, 1e300, 1e300]]'):
+        _assert_parses_as_json_loads(text)
+
+
+def test_mode_echoes_a_wide_integer_as_json_loads_reads_it(tmp_path, capsys):
+    """orjson reads the literal as 1e+20; the message must show json.loads' integer."""
+    from ququat.mvlogic import builtin, synthesize_quantum
+
+    doc = {"gate": sz.gate_to_json(synthesize_quantum(builtin("luk_neg"))),
+           "table": {"arity": 1, "outputs": [3, 2, 1, 0]}}
+    text = json.dumps(doc, default=np.ndarray.tolist)[:-1] + ', "mode": [[100000000000000000000]]}'
+    (tmp_path / "verify.json").write_text(text)
+    code = main(["mvlogic", "verify", str(tmp_path / "verify.json")])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (EXIT_CONTRACT, "", "error: unknown mode [[100000000000000000000]]\n")
+
+
+@pytest.mark.parametrize(
+    "argv,doc,message",
+    [
+        (["gate", "from-lindblad"], {"H": [[1, 0], [0, -1]], "V": [], "t": 1e308},
+         "propagator has non-finite entries"),
+        (["gate", "from-lindblad"],
+         {"model": {"H": [0, 0, 1], "C": np.eye(3).tolist()}, "tau": 1e300},
+         "propagator has non-finite entries"),
+        (["gate", "compose"], {"gates": [{"entries": [[1e200] * 4] * 4}] * 2},
+         "result has non-finite entries"),
+        (["gate", "tensor"], {"gates": [{"entries": [[1e200] * 4] * 4}] * 2},
+         "result has non-finite entries"),
+    ],
+)
+def test_non_finite_results_exit_3_with_one_line(tmp_path, capsys, argv, doc, message):
+    code, out, err = run_cli(argv, doc, tmp_path, capsys)
+    assert (code, out, err) == (EXIT_CONTRACT, "", f"error: {message}\n")
 
 
 class TestUnreadableInput:

@@ -7,11 +7,17 @@ everything, so it is the oracle: both routes must give the same array,
 bit for bit, or the same ``SchemaError`` text.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from ququat import serialization as sz
-from ququat.errors import SchemaError
+from ququat.errors import NumericContractError, SchemaError
+from ququat.gates import gate_from_kraus
+from ququat.lindblad import GKSModel
+
+from helpers import random_density, random_pvec, random_tp_kraus
 
 NAN = float("nan")
 INF = float("inf")
@@ -174,3 +180,64 @@ def test_well_formed_documents_skip_the_per_element_loop(monkeypatch):
     with pytest.raises(AssertionError):
         sz.decode_complex_matrix([[1.5, True]], "U")
 
+
+
+def _encoded_values():
+    """(encoder, decoder, value, the arrays that define the value) for every array encoder."""
+    rng = np.random.default_rng(2026)
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    pvec, rho = random_pvec(rng, 2), random_density(rng, 2)
+    gate, kraus = gate_from_kraus(random_tp_kraus(rng, 2)), random_tp_kraus(rng, 1)
+    model = GKSModel(rng.normal(size=3), 0.2 * g @ g.conj().T)
+    real, cplx = rng.normal(size=(3, 5)), g[:2]
+    real[0, :2] = (-0.0, 1.5e-05)
+    return [
+        (sz.pvec_to_json, sz.pvec_from_json, pvec, lambda v: [v.P]),
+        (sz.density_to_json, sz.density_from_json, rho, lambda v: [v.entries]),
+        (sz.gate_to_json, sz.gate_from_json, gate, lambda v: [v.entries]),
+        (sz.kraus_to_json, sz.kraus_from_json, kraus, lambda v: list(v.ops)),
+        (sz.gks_model_to_json, sz.gks_model_from_json, model, lambda v: [v.h, v.c]),
+        (sz.encode_real_matrix, lambda d: sz.decode_real_matrix(d, "m"), real, lambda v: [v]),
+        (sz.encode_complex_matrix, lambda d: sz.decode_complex_matrix(d, "m"), cplx, lambda v: [v]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_every_encoder_round_trips_through_its_decoder(case):
+    """Payload arrays, and their JSON text, decode back to the same arrays, bit for bit."""
+    encode, decode, value, arrays = _encoded_values()[case]
+    doc = encode(value)
+    for payload in (doc.values() if isinstance(doc, dict) else [doc]):
+        for arr in payload if isinstance(payload, list) else [payload]:
+            if isinstance(arr, np.ndarray):
+                assert arr.dtype == float and arr.flags.c_contiguous
+    want = [a.tobytes() for a in arrays(value)]
+    for form in (doc, json.loads(json.dumps(doc, default=np.ndarray.tolist))):
+        assert [a.tobytes() for a in arrays(decode(form))] == want
+
+
+def test_decoders_take_arrays_they_cannot_read_in_bulk():
+    """A numpy array that is not float64 of the right shape is decoded as its lists would be."""
+    for obj in (np.array([[1, 2]]), np.array([[True, 0.5]], dtype=object), np.zeros((2, 0)),
+                np.float64(1.0), np.ones((2, 2, 3)), np.array([[np.nan, 1.0]])):
+        assert _outcome(sz.decode_complex_matrix, obj) == _outcome(sz.decode_complex_matrix,
+                                                                   _listed(obj))
+    for obj in (np.array([1, 2]), np.ones((2, 2)), np.array([np.inf])):
+        assert _outcome(sz.decode_real_vector, obj) == _outcome(sz.decode_real_vector, _listed(obj))
+
+
+def _listed(obj):
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_array_encoders_refuse_non_finite_entries(bad):
+    m = np.eye(2)
+    m[1, 0] = bad
+    for encode in (sz.encode_real_matrix, sz.encode_complex_matrix):
+        with pytest.raises(NumericContractError, match="non-finite"):
+            encode(m)
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = complex(0, bad)
+    with pytest.raises(NumericContractError, match="non-finite"):
+        sz.encode_complex_matrix(m)
