@@ -1,6 +1,5 @@
 """Command-line interface tests: subcommands, formats and exit codes."""
 
-import argparse
 import decimal
 import json
 import math
@@ -1027,13 +1026,6 @@ def test_gate_payload_is_one_orjson_call(monkeypatch):
     text = cli._json_text(payload)
     assert calls == [{"option": cli.orjson.OPT_INDENT_2 | cli.orjson.OPT_SERIALIZE_NUMPY}]
     _assert_indented_json(text, payload)
-
-
-def test_emit_writes_the_pieces_of_json_text(capsys):
-    rng = np.random.default_rng(20283)
-    payload = {"gate": sz.gate_to_json(gate_from_unitary(random_unitary(rng, 4))), "x": [1, 2.5]}
-    cli._emit(payload, argparse.Namespace(format="json"))
-    assert capsys.readouterr().out == cli._json_text(payload) + "\n"
 
 
 def test_text_format_renders_arrays_as_lists(tmp_path, capsys, monkeypatch):
