@@ -7,8 +7,9 @@ table to synthesize.  Measurement steps hold a projector family and
 optionally a post-selection index; without post-selection the family
 must be complete and the recorded state is the nonselective mixture
 (the summed, trace-preserving gate), with the branch probabilities
-recorded.  Gates are constructed and analyzed eagerly so schema and
-contract failures surface at parse time.
+recorded.  Gates are constructed and checked eagerly, so schema and
+contract failures surface at parse time; a step is certified (its
+:class:`GateReport` computed) only when its ``report`` is first read.
 
 Every step keeps its gate on its own k ququats together with its
 targets; it is certified and applied there, and the identity on the
@@ -20,7 +21,7 @@ as the reference the local path is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -84,8 +85,11 @@ def embed_gate(gate: GateMatrix, targets, n: int) -> GateMatrix:
 class CircuitStep:
     """One parsed step: a linear gate or a measurement family on ``targets``.
 
-    ``gates`` holds the local k-ququat gates (one, or one per projector)
-    and ``report`` their local :class:`GateReport`.  Tensoring with the
+    ``gates`` holds the local k-ququat gates (one, or one per projector),
+    constructed and checked at parse time.  ``report`` certifies them on
+    first read, with the tolerances then in force, and keeps the result:
+    the :class:`GateReport` of the linear gate, or a tuple with one per
+    projector.  Tensoring with the
     identity keeps every flag and ``row0_deviation``, ``row0_sq_sum`` and
     ``t_norm``; ``min_choi_eigenvalue`` is the local gate's.  The Choi
     spectrum of the embedded n-ququat gate is the local one scaled by
@@ -96,7 +100,12 @@ class CircuitStep:
     gates: tuple[GateMatrix, ...]
     targets: tuple[int, ...]
     post_select: int | None
-    report: GateReport | tuple[GateReport, ...]
+
+    @cached_property
+    def report(self) -> GateReport | tuple[GateReport, ...]:
+        if self.kind == "linear":
+            return analyze_gate(self.gates[0])
+        return tuple(analyze_gate(g) for g in self.gates)
 
 
 @dataclass(frozen=True)
@@ -195,7 +204,6 @@ def _parse_step(raw, path: str, n: int) -> CircuitStep:
             gates=tuple(gates),
             targets=targets,
             post_select=post,
-            report=tuple(analyze_gate(g) for g in gates),
         )
     gate = _build_step_gate(raw, path)
     targets = _decode_targets(raw, gate, n, path)
@@ -206,12 +214,15 @@ def _parse_step(raw, path: str, n: int) -> CircuitStep:
         gates=(gate,),
         targets=targets,
         post_select=None,
-        report=analyze_gate(gate),
     )
 
 
 def parse_circuit(doc) -> Circuit:
-    """Validate a circuit document and construct all gates eagerly."""
+    """Validate a circuit document and construct all gates eagerly.
+
+    Steps are not certified here; each step's ``report`` is computed when
+    it is first read.
+    """
     doc = sz._expect(doc, dict, "circuit", "an object")
     n = sz._decode_int(sz._expect_key(doc, "n", "circuit"), "circuit.n", 1)
     if n > MAX_QUQUATS:

@@ -251,7 +251,8 @@ def _write_array(arr: np.ndarray, depth: int, out: list) -> None:
         at = text.find(b"e", at + 2)
     at = -4
     for number in spelt:
-        at = text.find(b"null", at + 4)
+        # number text holds no "n", so the one-byte search finds each null
+        at = text.find(b"n", at + 4)
         edits.append((at, at + 4, number))
     edits.sort()
     # the wrapper's line i, opening or closing, is 2*i spaces and a bracket

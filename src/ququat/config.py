@@ -6,10 +6,10 @@ eigenvalue slack when testing positive semidefiniteness.  Both are
 configurable at runtime; library functions that take an explicit ``tol``
 argument fall back to these values when ``tol`` is None.
 
-Three size ceilings, two in ququats and one in truth-table arguments,
-bound what an input may ask the package to build.  They are not
-tolerances and no option changes them; each is checked before anything
-of that size is allocated.
+Four size ceilings, two in ququats, one in truth-table arguments and
+one in matrix side, bound what an input may ask the package to build.
+They are not tolerances and no option changes them; each is checked
+before anything of that size is allocated.
 """
 
 from dataclasses import dataclass
@@ -35,6 +35,12 @@ MAX_GATE_QUQUATS = 5
 # 0.25 s, and each further arity costs four to five times as much (8:
 # 1.4 s and 240 MB for one unary generator).
 MAX_CLOSURE_ARITY = 6
+
+# Largest side N of the generators of a Lie closure
+# (``universality.lie_closure_dim``): the span holds up to 2 N**2 rows of
+# 2 N**2 reals, and every new row is orthogonalized against all of them.
+# N = 16 closes in a few seconds; N = 32 takes about 38 s.
+MAX_LIE_SIDE = 16
 
 # Largest register a document may name: no list holds the 4**33 entries
 # of a larger Pauli vector or truth table.

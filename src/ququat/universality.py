@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .config import tolerances
+from .config import MAX_LIE_SIDE, tolerances
 from .errors import NumericContractError
 from .gates import GateMatrix, _operator_ququats
 from .liouville import _pauli_transfer, pauli_basis
@@ -191,6 +191,9 @@ def lie_closure_dim(
     against the accumulating basis (left-normed brackets span the
     algebra); the rank is tracked by thresholded Gram-Schmidt.
 
+    Generators of side above ``MAX_LIE_SIDE`` are refused with
+    :class:`NumericContractError` before the span is allocated.
+
     ``max_iter`` bounds the number of sweeps; if it is exhausted before
     the basis stabilizes a :class:`LieClosureWarning` is issued and the
     returned dimension is a lower bound.
@@ -203,6 +206,10 @@ def lie_closure_dim(
     size = mats[0].shape[0]
     if any(m.shape != (size, size) for m in mats):
         raise NumericContractError("all generators must be square of equal size")
+    if size > MAX_LIE_SIDE:
+        raise NumericContractError(
+            f"generators have side {size}; Lie closures are limited to side {MAX_LIE_SIDE}"
+        )
 
     span = _RealSpan(2 * size * size, threshold)
     basis: list[np.ndarray] = []

@@ -1,5 +1,7 @@
 """Circuit parsing, gate embedding and execution tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -349,5 +351,34 @@ class TestLocalEngine:
         circuit = parse_circuit({"n": 5, "steps": steps})
         record = run_circuit(circuit, random_pvec(rng, 5))
         assert len(record.steps) == 7
-        assert len(analyzed) == sum(len(s.gates) for s in circuit.steps)
+        # parsing and running certify nothing; reading a report does, once
+        assert analyzed == []
+        for _ in range(2):
+            for step in circuit.steps:
+                step.report
+        local = [g for s in circuit.steps for g in s.gates]
+        assert len(analyzed) == len(local)
+        assert all(a is g for a, g in zip(analyzed, local))
         assert all(g.n_in <= 2 and g.n_out <= 2 for g in analyzed)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_reports_equal_eager_analysis(self, n):
+        rng = np.random.default_rng([41, n])
+        inversion = ququat.named_gate("inversion").entries
+        # every step kind, plus gates that are not completely positive,
+        # one of them a raw gate
+        steps = _random_circuit(rng, n) + [
+            {"named": "inversion", "targets": _pick(rng, n, 1)},
+            {"table": {"arity": 1, "outputs": [3, 2, 1, 0]}, "targets": _pick(rng, n, 1)},
+            {"gate": {"entries": encode_real_matrix(inversion)}, "targets": _pick(rng, n, 1)},
+        ]
+        circuit = parse_circuit({"n": n, "steps": steps})
+        assert not any(s.report.completely_positive for s in circuit.steps[-3:])
+        assert {s.kind for s in circuit.steps} == {"linear", "measurement"}
+        for step in circuit.steps:
+            if step.kind == "linear":
+                assert step.report == analyze_gate(step.gates[0])
+            else:
+                assert step.report == tuple(analyze_gate(g) for g in step.gates)
+        # not a field: construction and equality ignore it
+        assert "report" not in {f.name for f in dataclasses.fields(ququat.circuits.CircuitStep)}

@@ -1312,6 +1312,23 @@ def test_gates_above_the_ceiling_exit_3(tmp_path, capsys, monkeypatch, args, doc
     assert err == f"error: {what} acts on 6 ququats; dense gates are limited to 5\n"
 
 
+@pytest.mark.parametrize("side", [17, 32])
+def test_lie_side_above_the_ceiling_exit_3(tmp_path, capsys, monkeypatch, side):
+    from ququat import universality
+
+    def refuse(dim, threshold):
+        raise AssertionError(f"a span of {dim} reals allocated above the Lie ceiling")
+
+    monkeypatch.setattr(universality, "_RealSpan", refuse)
+    unit = np.zeros((side, side))
+    unit[0, 1] = 1
+    doc = {"generators": [unit.tolist(), unit.T.tolist()]}
+    code, out, err = run_cli(["universality", "closure-dim"], doc, tmp_path, capsys)
+    assert code == EXIT_CONTRACT
+    assert out == ""
+    assert err == f"error: generators have side {side}; Lie closures are limited to side 16\n"
+
+
 _ONE_STEP_CIRCUIT = '{"circuit": {"n": %d, "steps": [{"named": "not"}]}, "initial": {"n": 1, "P": [1,0,0,0]}}'
 
 

@@ -18,6 +18,7 @@ from ququat import (
     trace_decreasing_bound,
     weyl_generators,
 )
+from ququat.config import MAX_LIE_SIDE
 from ququat.liouville import PauliIndex, SIGMA
 
 from helpers import P0, random_tp_kraus, random_unitary
@@ -166,6 +167,8 @@ class TestLieClosure:
             seed += [np.kron(lmat, eye4), np.kron(eye4, lmat),
                      np.kron(rmat, eye4), np.kron(eye4, rmat)]
         entangler = _unit(16, 1, 4)  # superoperator unit |0,1)(1,0|
+        # the largest side the ceiling admits
+        assert entangler.shape == (MAX_LIE_SIDE, MAX_LIE_SIDE)
         assert lie_closure_dim(seed + [entangler], max_iter=60) == 512
 
     def test_sweep_budget_warns(self):
