@@ -34,6 +34,7 @@ from .gates import (
     TRACE_PRESERVING,
     _apply_local,
     _check_gate_size,
+    _row0_deviation,
     _target_axes,
     analyze_gate,
     apply_linear,
@@ -78,7 +79,7 @@ def embed_gate(gate: GateMatrix, targets, n: int) -> GateMatrix:
         digit = (idx >> shifts[p]) & 3
         perm |= digit << (2 * (n - 1 - pos_in_big))
     entries = big[np.ix_(perm, perm)]
-    return GateMatrix(n, n, entries, gate.kind, gate.cp_certified)
+    return GateMatrix(n, n, entries, gate.kind)
 
 
 @dataclass(frozen=True)
@@ -193,9 +194,7 @@ def _parse_step(raw, path: str, n: int) -> CircuitStep:
         if post is None:
             # row 0 of the embedded sum is this row 0 tensored with delta
             total = np.sum([g.entries for g in gates], axis=0)
-            delta = np.zeros(total.shape[1])
-            delta[0] = 1.0
-            if np.max(np.abs(total[0] - delta)) > tolerances.algebra:
+            if _row0_deviation(total[0]) > tolerances.algebra:
                 raise NumericContractError(
                     f"{path}: projector family is incomplete; give post_select"
                 )

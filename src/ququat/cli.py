@@ -48,7 +48,7 @@ from .gates import (
     gate_from_unitary,
     tensor_gates,
 )
-from .liouville import PauliVector, density_to_pvec, pvec_to_density, validate_density
+from .liouville import PauliVector, _exponent, density_to_pvec, pvec_to_density, validate_density
 from .mvlogic import (
     builtin,
     closure,
@@ -416,7 +416,7 @@ def _cmd_measure(args):
     rows = _branch_rows(projectors)
     post = sz._post_select_from_json(doc.get("post_select"), len(rows), "post_select")
     state = _state_from_json(doc.get("state"), "state")
-    n = len(projectors[0]).bit_length() - 1
+    n = _exponent(len(projectors[0]), 2)
     if state.n != n:
         raise NumericContractError(f"state has n={state.n}, projectors act on n={n}")
     out = {"probabilities": [float(row @ state.P) for row in rows]}

@@ -2,9 +2,9 @@
 
 Two scales are used throughout the package: ``algebra`` for algebraic
 identities (orthogonality, row checks, reconstruction), and ``psd`` as the
-eigenvalue slack when testing positive semidefiniteness.  Both are
-configurable at runtime; library functions that take an explicit ``tol``
-argument fall back to these values when ``tol`` is None.
+eigenvalue slack when testing positive semidefiniteness.  Every check
+reads them when it runs; ``set_tolerances`` (the CLI's ``--tol``) is the
+one way to change them.
 
 Four size ceilings, two in ququats, one in truth-table arguments and
 one in matrix side, bound what an input may ask the package to build.

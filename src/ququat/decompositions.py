@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import tolerances
 from .errors import NumericContractError
-from .gates import GateMatrix, TRACE_PRESERVING, classify_kind, compose
+from .gates import GateMatrix, TRACE_PRESERVING, _gate_order, classify_kind, compose
 
 __all__ = [
     "TranslationSplit",
@@ -55,8 +55,7 @@ def _assemble(t: np.ndarray | None, r: np.ndarray) -> GateMatrix:
     entries[1:, 1:] = r
     if t is not None:
         entries[1:, 0] = t
-    n_out = int(round(math.log(rows, 4)))
-    n_in = int(round(math.log(cols, 4)))
+    n_out, n_in = _gate_order(entries.shape)
     return GateMatrix(n_in, n_out, entries, TRACE_PRESERVING)
 
 
@@ -71,13 +70,13 @@ def unital_gate(r: np.ndarray) -> GateMatrix:
     return _assemble(None, np.asarray(r, dtype=float))
 
 
-def split_translation(gate: GateMatrix, tol: float | None = None) -> TranslationSplit:
+def split_translation(gate: GateMatrix) -> TranslationSplit:
     """Extract (T, R) from a trace-preserving gate.
 
     The reassembled block matrix [[1, 0], [T, R]] equals the source
     exactly, and the group law E(T,R) E(T',R') = E(T + R T', R R') holds.
     """
-    if classify_kind(gate.entries, tol) != TRACE_PRESERVING:
+    if classify_kind(gate.entries) != TRACE_PRESERVING:
         raise NumericContractError("operation requires a trace-preserving gate (row 0 = delta)")
     return TranslationSplit(t=gate.entries[1:, 0].copy(), r=gate.entries[1:, 1:].copy())
 
@@ -115,7 +114,7 @@ class GateSVD:
         return compose(self.t_part, compose(self.u1, compose(self.d, self.u2)))
 
 
-def svd_rect_gate(gate: GateMatrix, tol: float | None = None) -> GateSVD:
+def svd_rect_gate(gate: GateMatrix) -> GateSVD:
     """Singular value decomposition of a TP gate of order (n, m).
 
     The unital block factors as R = U1 D U2 with orthogonal U1 (output
@@ -123,7 +122,7 @@ def svd_rect_gate(gate: GateMatrix, tol: float | None = None) -> GateSVD:
     p = min(4**n - 1, 4**m - 1) nonincreasing singular values; the
     translation factor sits on the output side.
     """
-    split = split_translation(gate, tol)
+    split = split_translation(gate)
     u, s, vh = _signed_svd(split.r)
     d_block = np.zeros_like(split.r)
     d_block[: s.size, : s.size] = np.diag(s)
@@ -136,11 +135,11 @@ def svd_rect_gate(gate: GateMatrix, tol: float | None = None) -> GateSVD:
     )
 
 
-def svd_gate(gate: GateMatrix, tol: float | None = None) -> GateSVD:
+def svd_gate(gate: GateMatrix) -> GateSVD:
     """SVD of a square TP gate (order (n, n) case of :func:`svd_rect_gate`)."""
     if not gate.square:
         raise NumericContractError("svd_gate requires a square gate; use svd_rect_gate")
-    return svd_rect_gate(gate, tol)
+    return svd_rect_gate(gate)
 
 
 @dataclass(frozen=True)
@@ -160,7 +159,7 @@ class GatePolar:
         return compose(self.t_part, inner)
 
 
-def polar_gate(gate: GateMatrix, side: str = "right", tol: float | None = None) -> GatePolar:
+def polar_gate(gate: GateMatrix, side: str = "right") -> GatePolar:
     """Polar decomposition of the unital block of a square TP gate.
 
     ``side='right'`` gives R = U S with S = sqrt(R^T R); ``side='left'``
@@ -171,7 +170,7 @@ def polar_gate(gate: GateMatrix, side: str = "right", tol: float | None = None) 
         raise NumericContractError(f"side must be 'left' or 'right', got {side!r}")
     if not gate.square:
         raise NumericContractError("polar_gate requires a square gate")
-    split = split_translation(gate, tol)
+    split = split_translation(gate)
     u, s, vh = _signed_svd(split.r)
     ortho = u @ vh
     if side == "right":
@@ -201,7 +200,7 @@ class EulerAngles:
         )
 
 
-def euler_angles(gate: GateMatrix, tol: float | None = None) -> EulerAngles:
+def euler_angles(gate: GateMatrix) -> EulerAngles:
     """Euler angles of a single-ququat orthogonal gate from SU(2).
 
     Requires a 4x4 trace-preserving unital gate with orthogonal Bloch
@@ -209,10 +208,10 @@ def euler_angles(gate: GateMatrix, tol: float | None = None) -> EulerAngles:
     {0, pi} the split between alpha and beta is not unique; the canonical
     answer folds everything into alpha and reports beta = 0.
     """
-    tol = tolerances.algebra if tol is None else tol
+    tol = tolerances.algebra
     if gate.entries.shape != (4, 4):
         raise NumericContractError("euler_angles requires a single-ququat gate")
-    split = split_translation(gate, tol)
+    split = split_translation(gate)
     if np.max(np.abs(split.t)) > tol:
         raise NumericContractError("euler_angles requires a unital gate")
     b = split.r
@@ -276,11 +275,6 @@ NAMED_GATES = (
     "not",
 )
 
-# Reflections and the inversion are valid gate matrices but not completely
-# positive maps; the rest come from unitaries.
-_CP_NAMED = {"rot1", "rot2", "pauli_k", "hadamard", "not"}
-
-
 def named_gate(name: str, param: float | int | None = None) -> GateMatrix:
     """Single-ququat elementary gates by name.
 
@@ -288,7 +282,9 @@ def named_gate(name: str, param: float | int | None = None) -> GateMatrix:
     the reflections, ``inversion``, ``hadamard`` and ``not`` take no
     parameter.  The reflection identities hold at angle pi:
     reflect3 = rot1(pi) . inversion, reflect2 = rot2(pi) . inversion and
-    reflect1 = rot1(pi) . rot2(pi) . inversion.
+    reflect1 = rot1(pi) . rot2(pi) . inversion.  The reflections and the
+    inversion are valid gate matrices but not completely positive maps;
+    the other gates come from unitaries.
     """
     if name == "rot1":
         if param is None:
@@ -317,4 +313,4 @@ def named_gate(name: str, param: float | int | None = None) -> GateMatrix:
     else:
         raise NumericContractError(f"unknown gate name {name!r}")
     assert classify_kind(entries) == TRACE_PRESERVING
-    return GateMatrix(1, 1, entries, TRACE_PRESERVING, cp_certified=name in _CP_NAMED)
+    return GateMatrix(1, 1, entries, TRACE_PRESERVING)

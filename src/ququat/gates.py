@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import MAX_GATE_QUQUATS, tolerances
 from .errors import NumericContractError, ZeroProbabilityError
-from .liouville import PauliVector, _basis_product, _frozen, _pauli_transfer, pauli_basis
+from .liouville import PauliVector, _basis_product, _exponent, _frozen, _pauli_transfer, pauli_basis
 
 __all__ = [
     "GateMatrix",
@@ -60,17 +60,15 @@ class GateMatrix:
 
     ``kind`` is one of ``trace_preserving``, ``trace_decreasing`` or
     ``general`` (neither; e.g. the adjoint of a non-unital gate, which can
-    be trace-increasing).  ``cp_certified`` is True only for gates whose
-    construction guarantees complete positivity (unitary, Kraus,
-    measurement); matrices supplied directly are unverified until
-    :func:`analyze_gate` is run.
+    be trace-increasing).  Gates from unitaries, Kraus sets and
+    measurements are completely positive by construction;
+    :func:`analyze_gate` certifies any other matrix.
     """
 
     n_in: int
     n_out: int
     entries: np.ndarray
     kind: str
-    cp_certified: bool = False
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
@@ -105,11 +103,10 @@ class KrausSet:
             raise NumericContractError("all Kraus operators must have the same shape")
         if not all(np.isfinite(a).all() for a in ops):
             raise NumericContractError("Kraus operators have non-finite entries")
-        rows, cols = shape
-        n_out = int(round(np.log2(rows)))
-        n_in = int(round(np.log2(cols)))
-        if (2**n_out, 2**n_in) != shape or min(n_out, n_in) < 1:
+        sides = [_exponent(s, 2) for s in shape]
+        if len(sides) != 2 or not all(sides):
             raise NumericContractError(f"Kraus operators must be 2**m x 2**n, got {shape}")
+        n_out, n_in = sides
         for a in ops:
             a.setflags(write=False)
         object.__setattr__(self, "ops", ops)
@@ -120,13 +117,12 @@ class KrausSet:
         """The operator sum_j A_j^dagger A_j (identity iff trace-preserving)."""
         return sum(a.conj().T @ a for a in self.ops)
 
-    def kind(self, tol: float | None = None) -> str:
-        tol = tolerances.algebra if tol is None else tol
+    def kind(self) -> str:
         s = self.completeness()
-        if np.max(np.abs(s - np.eye(s.shape[0]))) <= tol:
+        if np.max(np.abs(s - np.eye(s.shape[0]))) <= tolerances.algebra:
             return TRACE_PRESERVING
         top = float(np.linalg.eigvalsh(s)[-1])
-        if top <= 1.0 + tol:
+        if top <= 1.0 + tolerances.algebra:
             return TRACE_DECREASING
         raise NumericContractError(
             f"trace-increasing Kraus set: max eigenvalue of sum A^dag A is {top:.6g}"
@@ -143,41 +139,56 @@ def _check_gate_size(n: int, what: str) -> None:
 
 def _operator_ququats(a: np.ndarray, what: str) -> int:
     """n of a square 2**n x 2**n operator, n >= 1, within the gate size ceiling."""
-    d = a.shape[0] if a.ndim == 2 else 0
-    if a.shape != (d, d) or d < 2 or d & (d - 1):
+    n = _exponent(a.shape[0], 2) if a.ndim == 2 else None
+    if not n or a.shape != (2**n, 2**n):
         raise NumericContractError(f"{what} must be square 2**n x 2**n, got {a.shape}")
-    n = d.bit_length() - 1
     _check_gate_size(n, what)
     return n
 
 
-def classify_kind(entries: np.ndarray, tol: float | None = None) -> str:
-    """Classify a raw gate matrix by its row zero."""
-    tol = tolerances.algebra if tol is None else tol
-    row0 = np.asarray(entries)[0]
-    delta = np.zeros_like(row0)
+def _gate_order(shape: tuple[int, ...]) -> tuple[int, int]:
+    """(n_out, n_in) of a 4**m x 4**n gate matrix shape."""
+    sides = [_exponent(s, 4) for s in shape]
+    if len(sides) != 2 or None in sides:
+        raise NumericContractError(f"gate matrix must be 4**m x 4**n, got {shape}")
+    return tuple(sides)
+
+
+def _row0_deviation(row: np.ndarray) -> float:
+    """max |row - delta| for delta = (1, 0, ..., 0), the row 0 of a trace-preserving gate."""
+    delta = np.zeros(len(row))
     delta[0] = 1.0
-    if np.max(np.abs(row0 - delta)) <= tol:
+    return float(np.max(np.abs(row - delta)))
+
+
+def _pin_row0(row: np.ndarray) -> None:
+    """Set a certified trace-preserving row 0 to delta exactly, dropping ~1e-16 residue."""
+    if _row0_deviation(row) > tolerances.algebra:
+        raise NumericContractError("trace-preserving construction produced a bad row 0")
+    row[:] = 0.0
+    row[0] = 1.0
+
+
+def classify_kind(entries: np.ndarray) -> str:
+    """Classify a raw gate matrix by its row zero."""
+    row0 = np.asarray(entries)[0]
+    if _row0_deviation(row0) <= tolerances.algebra:
         return TRACE_PRESERVING
-    if float(row0 @ row0) <= 1.0 + tol:
+    if float(row0 @ row0) <= 1.0 + tolerances.algebra:
         return TRACE_DECREASING
     return GENERAL
 
 
-def gate_from_matrix(entries, kind: str | None = None, tol: float | None = None) -> GateMatrix:
+def gate_from_matrix(entries, kind: str | None = None) -> GateMatrix:
     """Wrap a user-supplied real matrix as a gate (CP left unverified)."""
     entries = np.asarray(entries, dtype=float)
-    rows, cols = entries.shape
-    n_out = int(round(np.log2(rows) / 2))
-    n_in = int(round(np.log2(cols) / 2))
-    if (4**n_out, 4**n_in) != entries.shape:
-        raise NumericContractError(f"gate matrix must be 4**m x 4**n, got {entries.shape}")
+    n_out, n_in = _gate_order(entries.shape)
     if kind is None:
-        kind = classify_kind(entries, tol)
-    return GateMatrix(n_in, n_out, entries, kind, cp_certified=False)
+        kind = classify_kind(entries)
+    return GateMatrix(n_in, n_out, entries, kind)
 
 
-def _kraus_transfer(ops, n_in: int, n_out: int, tol: float, snap_row0: bool = False) -> np.ndarray:
+def _kraus_transfer(ops, n_in: int, n_out: int, snap_row0: bool = False) -> np.ndarray:
     bin_ = pauli_basis(n_in)
     # the sum of a @ bin_ @ a^dagger over the operators, with the two
     # products of each later operator written into reused buffers
@@ -191,69 +202,64 @@ def _kraus_transfer(ops, n_in: int, n_out: int, tol: float, snap_row0: bool = Fa
     acc = _pauli_transfer(images, n_out)
     acc /= 2**n_in
     resid = float(np.max(np.abs(acc.imag)))
-    if resid > tol:
+    if resid > tolerances.algebra:
         raise NumericContractError(f"gate entries not real: max imaginary part {resid:.3e}")
     entries = acc.real
     if snap_row0:
-        # trace preservation is certified by the completeness test; pin the
-        # contractual row exactly instead of keeping ~1e-16 residue
-        delta = np.zeros(entries.shape[1])
-        delta[0] = 1.0
-        if np.max(np.abs(entries[0] - delta)) > tol:
-            raise NumericContractError("trace-preserving construction produced a bad row 0")
-        entries[0] = delta
+        # trace preservation is certified by the completeness test
+        _pin_row0(entries[0])
     return entries
 
 
-def gate_from_unitary(u: np.ndarray, tol: float | None = None) -> GateMatrix:
+def gate_from_unitary(u: np.ndarray) -> GateMatrix:
     """Gate of a unitary map rho -> U rho U^dagger.
 
     The result is trace-preserving, unital and orthogonal, with
     E[mu, nu] = 2**-n Tr(sigma_mu U sigma_nu U^dagger).
     """
-    tol = tolerances.algebra if tol is None else tol
     u = np.asarray(u, dtype=complex)
     if not np.isfinite(u).all():
         raise NumericContractError("unitary has non-finite entries")
     n = _operator_ququats(u, "unitary")
-    if np.max(np.abs(u.conj().T @ u - np.eye(2**n))) > tol:
+    if np.max(np.abs(u.conj().T @ u - np.eye(2**n))) > tolerances.algebra:
         raise NumericContractError("input is not unitary within tolerance")
-    entries = _kraus_transfer([u], n, n, tol, snap_row0=True)
-    return GateMatrix(n, n, entries, TRACE_PRESERVING, cp_certified=True)
+    entries = _kraus_transfer([u], n, n, snap_row0=True)
+    return GateMatrix(n, n, entries, TRACE_PRESERVING)
 
 
-def gate_from_kraus(kraus: KrausSet | list | tuple, tol: float | None = None) -> GateMatrix:
+def gate_from_kraus(kraus: KrausSet | list | tuple) -> GateMatrix:
     """Gate of a completely positive map given by Kraus operators.
 
     Kind is set from the completeness test; trace-increasing sets are
     rejected.  A single unitary operator reproduces
     :func:`gate_from_unitary` exactly.
     """
-    tol = tolerances.algebra if tol is None else tol
     if not isinstance(kraus, KrausSet):
         kraus = KrausSet(tuple(kraus))
     _check_gate_size(max(kraus.n_in, kraus.n_out), "Kraus set")
-    kind = kraus.kind(tol)
-    entries = _kraus_transfer(
-        kraus.ops, kraus.n_in, kraus.n_out, tol, snap_row0=kind == TRACE_PRESERVING
-    )
-    return GateMatrix(kraus.n_in, kraus.n_out, entries, kind, cp_certified=True)
+    kind = kraus.kind()
+    tp = kind == TRACE_PRESERVING
+    entries = _kraus_transfer(kraus.ops, kraus.n_in, kraus.n_out, snap_row0=tp)
+    return GateMatrix(kraus.n_in, kraus.n_out, entries, kind)
 
 
-def _projector_family(projectors, tol: float) -> list[np.ndarray]:
+def _projector_family(projectors) -> list[np.ndarray]:
     """The projectors as complex arrays, refused unless they form a measurement.
 
-    Each must be Hermitian idempotent, all must be of one size, and each
-    pair must be orthogonal.
+    Each must be a Hermitian idempotent of side 2**n, all must be of one
+    size, and each pair must be orthogonal.
     """
     projectors = [np.asarray(p, dtype=complex) for p in projectors]
     if not projectors:
         raise NumericContractError("need at least one projector")
+    tol = tolerances.algebra
     for i, p in enumerate(projectors):
-        _check_gate_size((len(p) - 1).bit_length(), f"projector {i}")
+        n = _exponent(len(p), 2) if p.ndim == 2 else None
+        if n is not None:
+            _check_gate_size(n, f"projector {i}")
         if (
-            p.shape != (len(p), len(p))
-            or not len(p)
+            n is None
+            or p.shape != (2**n, 2**n)
             or np.max(np.abs(p - p.conj().T)) > tol
             or np.max(np.abs(p @ p - p)) > tol
         ):
@@ -271,18 +277,17 @@ def _projector_family(projectors, tol: float) -> list[np.ndarray]:
     return projectors
 
 
-def measurement_gates(projectors, tol: float | None = None) -> list[GateMatrix]:
+def measurement_gates(projectors) -> list[GateMatrix]:
     """Trace-decreasing gates E(k)[mu, nu] = 2**-n Tr(sigma_mu P_k sigma_nu P_k).
 
     Each projector must be Hermitian idempotent; pairwise orthogonality is
     enforced.  If the family is complete the gate matrices sum to a
     trace-preserving gate.
     """
-    tol = tolerances.algebra if tol is None else tol
-    return [gate_from_kraus([p], tol) for p in _projector_family(projectors, tol)]
+    return [gate_from_kraus([p]) for p in _projector_family(projectors)]
 
 
-def _branch_rows(projectors, tol: float | None = None) -> np.ndarray:
+def _branch_rows(projectors) -> np.ndarray:
     """Row 0 of each of ``measurement_gates(projectors)``, without the gates.
 
     Row 0 of the gate of a Kraus set {A} is 2**-n Tr(sigma_nu A^dagger A),
@@ -290,21 +295,16 @@ def _branch_rows(projectors, tol: float | None = None) -> np.ndarray:
     and ``rows @ P`` every branch probability.  The projectors are checked
     as ``measurement_gates`` checks them, with the same messages.
     """
-    tol = tolerances.algebra if tol is None else tol
-    projectors = _projector_family(projectors, tol)
+    projectors = _projector_family(projectors)
     # the shape and kind refusals of gate_from_kraus, in the same order
-    kinds = [KrausSet((p,)).kind(tol) for p in projectors]
-    n = len(projectors[0]).bit_length() - 1
+    kinds = [KrausSet((p,)).kind() for p in projectors]
+    n = _exponent(len(projectors[0]), 2)
     squares = np.stack([p.conj().T @ p for p in projectors])
     rows = np.ascontiguousarray(_pauli_transfer(squares, n).real.T) / 2**n
-    delta = np.zeros(rows.shape[1])
-    delta[0] = 1.0
     for row, kind in zip(rows, kinds):
         if kind == TRACE_PRESERVING:
             # as in _kraus_transfer: the certified row is pinned exactly
-            if np.max(np.abs(row - delta)) > tol:
-                raise NumericContractError("trace-preserving construction produced a bad row 0")
-            row[:] = delta
+            _pin_row0(row)
     return rows
 
 
@@ -351,27 +351,24 @@ def _apply_local(gate: GateMatrix, pvec: PauliVector, targets) -> np.ndarray:
     return out.reshape((4,) * len(inverse)).transpose(inverse).reshape(-1)
 
 
-def apply_linear(
-    gate: GateMatrix, pvec: PauliVector, tol: float | None = None, *, targets=None
-) -> PauliVector:
+def apply_linear(gate: GateMatrix, pvec: PauliVector, *, targets=None) -> PauliVector:
     """Apply a trace-preserving gate: P' = E @ P.
 
     With ``targets`` the square gate acts on those ququats of P, in
     order, and the identity on the others.
     """
-    tol = tolerances.algebra if tol is None else tol
     if gate.kind != TRACE_PRESERVING:
         raise NumericContractError(
             "apply_linear requires a trace-preserving gate; use apply_nonlinear"
         )
     out = _apply_local(gate, pvec, targets)
-    if abs(out[0] - 1.0) > tol:
+    if abs(out[0] - 1.0) > tolerances.algebra:
         raise NumericContractError(f"trace-preserving gate produced P[0]={out[0]}")
     return PauliVector(pvec.n + gate.n_out - gate.n_in, out)
 
 
 def apply_nonlinear(
-    gate: GateMatrix, pvec: PauliVector, tol: float | None = None, *, targets=None
+    gate: GateMatrix, pvec: PauliVector, *, targets=None
 ) -> tuple[PauliVector, float]:
     """Apply a (trace-decreasing) gate with renormalization.
 
@@ -379,12 +376,11 @@ def apply_nonlinear(
     p = (E @ P)[0].  Raises :class:`ZeroProbabilityError` when p vanishes.
     ``targets`` places the gate as in :func:`apply_linear`.
     """
-    tol = tolerances.algebra if tol is None else tol
     out = _apply_local(gate, pvec, targets)
     p = float(out[0])
-    if p < tol:
+    if p < tolerances.algebra:
         raise ZeroProbabilityError(f"outcome probability {p:.3e} is not positive")
-    if p > 1.0 + tol:
+    if p > 1.0 + tolerances.algebra:
         raise NumericContractError(f"outcome probability {p} exceeds 1")
     return PauliVector(pvec.n + gate.n_out - gate.n_in, out / p), p
 
@@ -403,7 +399,7 @@ def compose(g2: GateMatrix, g1: GateMatrix) -> GateMatrix:
         kind = classify_kind(entries)
     else:
         kind = TRACE_DECREASING
-    return GateMatrix(g1.n_in, g2.n_out, entries, kind, g1.cp_certified and g2.cp_certified)
+    return GateMatrix(g1.n_in, g2.n_out, entries, kind)
 
 
 def tensor_gates(ga: GateMatrix, gb: GateMatrix) -> GateMatrix:
@@ -416,9 +412,7 @@ def tensor_gates(ga: GateMatrix, gb: GateMatrix) -> GateMatrix:
         kind = classify_kind(entries)
     else:
         kind = TRACE_DECREASING
-    return GateMatrix(
-        ga.n_in + gb.n_in, ga.n_out + gb.n_out, entries, kind, ga.cp_certified and gb.cp_certified
-    )
+    return GateMatrix(ga.n_in + gb.n_in, ga.n_out + gb.n_out, entries, kind)
 
 
 def adjoint_gate(gate: GateMatrix) -> GateMatrix:
@@ -431,10 +425,10 @@ def adjoint_gate(gate: GateMatrix) -> GateMatrix:
     if not gate.square:
         raise NumericContractError("adjoint requires a square gate")
     entries = gate.entries.T
-    return GateMatrix(gate.n_in, gate.n_out, entries, classify_kind(entries), gate.cp_certified)
+    return GateMatrix(gate.n_in, gate.n_out, entries, classify_kind(entries))
 
 
-def choi_matrix(gate: GateMatrix, tol: float | None = None) -> np.ndarray:
+def choi_matrix(gate: GateMatrix) -> np.ndarray:
     """Choi matrix J = sum_ij E(|i><j|) kron |i><j|; PSD iff the map is CP.
 
     Closed form: J = 2**-n_out sum_{mu nu} E[mu, nu] sigma_mu kron sigma_nu^T,
@@ -445,7 +439,6 @@ def choi_matrix(gate: GateMatrix, tol: float | None = None) -> np.ndarray:
     yields 2**n times the maximally entangled projector.  Gates built from
     Kraus sets always pass the PSD test.
     """
-    tol = tolerances.algebra if tol is None else tol
     d_in = 2**gate.n_in
     d_out = 2**gate.n_out
     # j is rebound at each stage, so fewer full-size arrays are alive at once
@@ -455,7 +448,7 @@ def choi_matrix(gate: GateMatrix, tol: float | None = None) -> np.ndarray:
     j /= d_out
     jh = j.conj().T
     resid = float(np.max(np.abs(j - jh)))
-    if resid > tol:
+    if resid > tolerances.algebra:
         raise NumericContractError(f"Choi matrix not Hermitian: residual {resid:.3e}")
     j += jh
     j /= 2
@@ -478,28 +471,24 @@ class GateReport:
     t_norm: float
 
 
-def analyze_gate(gate: GateMatrix, tol: float | None = None) -> GateReport:
+def analyze_gate(gate: GateMatrix) -> GateReport:
     """Test a gate against the superoperator requirements.
 
     ``trace_decreasing`` reports the sufficient bound sum_mu E[0, mu]**2
     <= 1 (it does not prove trace-increase when False).  Complete
     positivity is certified by the Choi eigendecomposition.
     """
-    tol = tolerances.algebra if tol is None else tol
+    tol = tolerances.algebra
     e = gate.entries
-    delta_row = np.zeros(e.shape[1])
-    delta_row[0] = 1.0
-    row0_dev = float(np.max(np.abs(e[0] - delta_row)))
+    row0_dev = _row0_deviation(e[0])
     row0_sq = float(e[0] @ e[0])
-    delta_col = np.zeros(e.shape[0])
-    delta_col[0] = 1.0
     t_norm = float(np.linalg.norm(e[1:, 0]))
-    unital = float(np.max(np.abs(e[:, 0] - delta_col))) <= tol
+    unital = _row0_deviation(e[:, 0]) <= tol
     ortho = (
         np.max(np.abs(e @ e.T - np.eye(e.shape[0]))) <= tol
         and np.max(np.abs(e.T @ e - np.eye(e.shape[1]))) <= tol
     )
-    min_choi = float(np.linalg.eigvalsh(choi_matrix(gate, tol))[0])
+    min_choi = float(np.linalg.eigvalsh(choi_matrix(gate))[0])
     return GateReport(
         real=bool(np.isrealobj(e)),
         trace_preserving=row0_dev <= tol,
@@ -530,9 +519,7 @@ class ReversibilityCertificate:
     residual: float
 
 
-def check_reversible(
-    kraus: KrausSet | list | tuple, p_m: np.ndarray, tol: float | None = None
-) -> ReversibilityCertificate:
+def check_reversible(kraus: KrausSet | list | tuple, p_m: np.ndarray) -> ReversibilityCertificate:
     """Test reversibility of a Kraus channel on the range of projector P.
 
     The candidate matrix M is extracted by the trace ratio
@@ -540,7 +527,7 @@ def check_reversible(
     P A_k^dag A_j P = M[j, k] P.  Reversible iff the residual vanishes and
     M is PSD.
     """
-    tol = tolerances.algebra if tol is None else tol
+    tol = tolerances.algebra
     if not isinstance(kraus, KrausSet):
         kraus = KrausSet(tuple(kraus))
     p = np.asarray(p_m, dtype=complex)
@@ -568,16 +555,14 @@ def check_reversible(
     )
 
 
-def check_reversible_superop(
-    gate: GateMatrix, gate_m: GateMatrix, tol: float | None = None
-) -> tuple[bool, float]:
+def check_reversible_superop(gate: GateMatrix, gate_m: GateMatrix) -> tuple[bool, float]:
     """Gate-matrix reversibility test: gM E^T E gM = gamma gM.
 
     ``gate_m`` must be the idempotent symmetric gate of rho -> P rho P.
     Returns the verdict and the best-fit gamma (ratio of Frobenius inner
     products).
     """
-    tol = tolerances.algebra if tol is None else tol
+    tol = tolerances.algebra
     gm = gate_m.entries
     if np.max(np.abs(gm @ gm - gm)) > tol or np.max(np.abs(gm - gm.T)) > tol:
         raise NumericContractError("projection gate is not symmetric idempotent")

@@ -82,9 +82,8 @@ class GKSModel:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "c", c)
 
-    def is_hermitian(self, tol: float | None = None) -> bool:
-        tol = tolerances.algebra if tol is None else tol
-        return float(np.max(np.abs(self.c - self.c.conj().T))) <= tol
+    def is_hermitian(self) -> bool:
+        return float(np.max(np.abs(self.c - self.c.conj().T))) <= tolerances.algebra
 
     def is_positive(self) -> bool:
         """Positivity of the Hermitian form (eigenvalue test, equivalent to
@@ -116,14 +115,14 @@ class GeneratorMatrix:
         return self.matrix[1:, 0]
 
 
-def gks_matrix(model: GKSModel, tol: float | None = None) -> GeneratorMatrix:
+def gks_matrix(model: GKSModel) -> GeneratorMatrix:
     """Assemble the single-qubit generator from (H, C).
 
     Raises on non-Hermitian C; an indefinite C only triggers an
     :class:`IndefiniteCoefficientWarning`.  Real C gives B = 0 exactly,
     hence a unital propagator.
     """
-    if not model.is_hermitian(tol):
+    if not model.is_hermitian():
         raise NumericContractError("C must be Hermitian")
     if not model.is_positive():
         warnings.warn(
@@ -194,19 +193,18 @@ class LiouvillianSuperop:
     hamiltonian: np.ndarray
     jump_ops: tuple[np.ndarray, ...]
 
-    def to_pauli_generator(self, tol: float | None = None) -> np.ndarray:
+    def to_pauli_generator(self) -> np.ndarray:
         """Real generator of dP/dt = L P over Pauli coefficient vectors."""
-        tol = tolerances.algebra if tol is None else tol
         # L[mu, nu] = 2**-n Tr(sigma_mu X_nu), X_nu the image of sigma_nu
         d = 2**self.n
         images = _basis_product(self.matrix.T, self.n)
         gen = _pauli_transfer(images.reshape(-1, d, d), self.n) / d
         resid = float(np.max(np.abs(gen.imag)))
-        if resid > tol:
+        if resid > tolerances.algebra:
             raise NumericContractError(f"Pauli-basis generator not real: residual {resid:.3e}")
         gen = gen.real
         row0 = float(np.max(np.abs(gen[0])))
-        if row0 > tol:
+        if row0 > tolerances.algebra:
             raise NumericContractError(
                 f"generator does not preserve trace: top row residual {row0:.3e}"
             )

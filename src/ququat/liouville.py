@@ -14,6 +14,7 @@ indices big-endian: mu_1 is the most significant base-4 digit.
 from __future__ import annotations
 
 import functools
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -184,6 +185,19 @@ def _pauli_combine(p: np.ndarray, n: int) -> np.ndarray:
     return _basis_product(p, n, transpose=True).reshape(2**n, 2**n) / 2**n
 
 
+def _exponent(size: int, base: int) -> int | None:
+    """The n with base**n == size, or None if there is none (size < 1 included).
+
+    The one way the package reads a ququat count off a side 2**n or a
+    length 4**n.
+    """
+    size = operator.index(size)  # a float would loop forever at inf
+    n = 0
+    while base**n < size:
+        n += 1
+    return n if base**n == size else None
+
+
 def pauli_tensor(idx: PauliIndex) -> np.ndarray:
     """Tensor product sigma_{mu_1} x ... x sigma_{mu_n} of Pauli matrices."""
     out = SIGMA[idx.digits[0]]
@@ -225,7 +239,11 @@ class DensityMatrix:
     @classmethod
     def from_matrix(cls, entries) -> "DensityMatrix":
         entries = np.asarray(entries, dtype=complex)
-        n = int(round(np.log2(entries.shape[0])))
+        n = _exponent(entries.shape[0], 2) if entries.ndim == 2 else None
+        if n is None:
+            raise NumericContractError(
+                f"density matrix must be square 2**n x 2**n, got {entries.shape}"
+            )
         return cls(n, entries)
 
     def purity(self) -> float:
@@ -281,8 +299,8 @@ class LiouvilleVector:
     @classmethod
     def from_operator(cls, a: np.ndarray) -> "LiouvilleVector":
         a = np.asarray(a, dtype=complex)
-        n = int(round(np.log2(a.shape[0])))
-        if a.shape != (2**n, 2**n):
+        n = _exponent(a.shape[0], 2) if a.ndim == 2 else None
+        if n is None or a.shape != (2**n, 2**n):
             raise NumericContractError(f"operator must be square 2**n x 2**n, got {a.shape}")
         return cls(n, a.reshape(-1))
 
@@ -291,31 +309,29 @@ class LiouvilleVector:
         return self.coeffs.reshape(d, d).copy()
 
 
-def density_to_pvec(rho: DensityMatrix, tol: float | None = None) -> PauliVector:
+def density_to_pvec(rho: DensityMatrix) -> PauliVector:
     """Expand a density matrix over the Pauli basis: P[mu] = Tr(sigma_mu rho).
 
     Raises :class:`NumericContractError` if the coefficients carry an
     imaginary part above tolerance (non-Hermitian input).
     """
-    tol = tolerances.algebra if tol is None else tol
     coeffs = _pauli_transfer(rho.entries[None], rho.n)[:, 0]
     resid = float(np.max(np.abs(coeffs.imag)))
-    if resid > tol:
+    if resid > tolerances.algebra:
         raise NumericContractError(
             f"input is not Hermitian: max imaginary Pauli coefficient {resid:.3e}"
         )
     return PauliVector(rho.n, coeffs.real)
 
 
-def pvec_to_density(pvec: PauliVector, tol: float | None = None) -> DensityMatrix:
+def pvec_to_density(pvec: PauliVector) -> DensityMatrix:
     """Reconstruct rho = 2**-n sum_mu P[mu] sigma_mu.
 
     Requires P[0] = 1 (unit trace).  If the result is not positive
     semidefinite a :class:`NonPositiveStateWarning` is issued; the matrix
     is still returned.
     """
-    tol = tolerances.algebra if tol is None else tol
-    if abs(pvec.P[0] - 1.0) > tol:
+    if abs(pvec.P[0] - 1.0) > tolerances.algebra:
         raise NumericContractError(f"P[0] must be 1 for a normalized state, got {pvec.P[0]}")
     rho = _pauli_combine(pvec.P, pvec.n)
     out = DensityMatrix(pvec.n, rho)
@@ -358,22 +374,21 @@ class ValidationReport:
         return self.hermitian and self.unit_trace and self.psd and self.purity_in_bounds
 
 
-def validate_density(state: DensityMatrix | PauliVector, tol: float | None = None) -> ValidationReport:
+def validate_density(state: DensityMatrix | PauliVector) -> ValidationReport:
     """Check the state invariants; never raises.
 
     Accepts either representation.  Bounds checked: Hermiticity, unit
     trace, positive semidefiniteness (eigenvalue slack), and the purity
     window 2**-n <= Tr(rho^2) <= 1.
     """
-    tol = tolerances.algebra if tol is None else tol
     n = state.n
     if isinstance(state, PauliVector):
         rho = _pauli_combine(state.P, n)
     else:
         rho = state.entries
-    herm = float(np.max(np.abs(rho - rho.conj().T))) <= tol
+    herm = float(np.max(np.abs(rho - rho.conj().T))) <= tolerances.algebra
     trace = complex(np.trace(rho))
-    unit_trace = bool(abs(trace - 1.0) <= tol)
+    unit_trace = bool(abs(trace - 1.0) <= tolerances.algebra)
     if herm:
         eigs = np.linalg.eigvalsh(rho)
     else:

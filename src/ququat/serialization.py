@@ -34,7 +34,7 @@ from .lindblad import (
     gks_propagator,
     liouvillian_superop,
 )
-from .liouville import DensityMatrix, PauliVector
+from .liouville import DensityMatrix, PauliVector, _exponent
 from .mvlogic import (
     ClassicalExpression,
     TruthTable,
@@ -267,10 +267,10 @@ def density_to_json(rho: DensityMatrix) -> dict:
 def density_from_json(obj, path: str = "state") -> DensityMatrix:
     obj = _expect(obj, dict, path, "an object")
     entries = decode_complex_matrix(_expect_key(obj, "entries", path), f"{path}.entries")
-    n = int(round(np.log2(entries.shape[0])))
+    n = _exponent(entries.shape[0], 2)
     if "n" in obj and _decode_int(obj["n"], f"{path}.n", 1) != n:
         raise SchemaError(f"{path}.n: inconsistent with entries shape {entries.shape}")
-    if n < 1 or entries.shape != (2**n, 2**n):
+    if not n or entries.shape != (2**n, 2**n):
         raise SchemaError(f"{path}.entries: expected a square 2**n matrix")
     return DensityMatrix(n, entries)
 

@@ -20,7 +20,7 @@ from scipy.linalg import expm
 from .config import MAX_LIE_SIDE, tolerances
 from .errors import NumericContractError
 from .gates import GateMatrix, _operator_ququats
-from .liouville import _pauli_transfer, pauli_basis
+from .liouville import _exponent, _pauli_transfer, pauli_basis
 
 __all__ = [
     "PseudoGate",
@@ -115,8 +115,7 @@ def weyl_generators(dim: int) -> GeneratorSet:
     has the second term's indices transposed; the identity asserted here
     is the numerically true one.)
     """
-    n = int(round(np.log2(dim) / 2))
-    if dim < 4 or 4**n != dim:
+    if not _exponent(dim, 4):
         raise NumericContractError(f"dim must be a power of 4, got {dim}")
     units = []
     for mu in range(dim):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from ququat import (
+    DensityMatrix,
     KrausSet,
+    LiouvilleVector,
     NumericContractError,
     PauliVector,
     ZeroProbabilityError,
@@ -23,6 +25,7 @@ from ququat import (
     measurement_gates,
     tensor_gates,
     validate_density,
+    weyl_generators,
 )
 from ququat.liouville import SIGMA, PauliIndex
 from ququat.gates import TRACE_DECREASING, TRACE_PRESERVING
@@ -449,3 +452,20 @@ def test_empty_operator_is_not_square_2n(build, what):
         with pytest.raises(NumericContractError) as info:
             build(np.ones(shape))
         assert str(info.value) == f"{what} must be square 2**n x 2**n, got {shape}"
+
+
+@pytest.mark.parametrize("build,arg", [
+    (KrausSet, (np.zeros((0, 0)),)),
+    (gate_from_kraus, [np.zeros(4)]),
+    (gate_from_matrix, np.zeros((0, 0))),
+    (gate_from_matrix, np.zeros((0, 4))),
+    (gate_from_matrix, np.zeros(4)),
+    (DensityMatrix.from_matrix, np.zeros((0, 0))),
+    (LiouvilleVector.from_operator, np.zeros((0, 0))),
+    (weyl_generators, 0),
+])
+def test_empty_or_flat_operand_is_a_contract_error(build, arg):
+    """No ququat count exists for an empty, 0-sided or 1-D operand: a one-line refusal."""
+    with pytest.raises(NumericContractError) as info:
+        build(arg)
+    assert "\n" not in str(info.value)

@@ -185,7 +185,7 @@ def test_choi_and_transfer_match_dense_route(n_in, n_out):
     rank = max(3, 2 ** (n_in - n_out))  # enough blocks for an isometry
     ops = random_kraus(np.random.default_rng(210 + 8 * n_in + n_out), n_in, n_out, rank)
     want = dense_kraus_transfer(ops, n_in, n_out)
-    entries = _kraus_transfer(ops, n_in, n_out, 1e-10)
+    entries = _kraus_transfer(ops, n_in, n_out)
     assert_dense_route(entries, want.real, max(n_in, n_out))
     gate = GateMatrix(n_in, n_out, want.real, "general")
     assert_dense_route(choi_matrix(gate), dense_choi(gate), max(n_in, n_out))
@@ -231,7 +231,7 @@ def test_no_dense_basis_above_three_ququats(monkeypatch):
 @pytest.mark.parametrize("n", NS)
 def test_transfer_square_kraus(n):
     ops = random_kraus(np.random.default_rng(10 + n), n, n)
-    assert_close(_kraus_transfer(ops, n, n, 1e-10), oracle_kraus_transfer(ops, n, n).real)
+    assert_close(_kraus_transfer(ops, n, n), oracle_kraus_transfer(ops, n, n).real)
     assert_close(gate_from_kraus(ops).entries, oracle_kraus_transfer(ops, n, n).real)
 
 

@@ -16,7 +16,7 @@ from ququat import (
     pvec_to_density,
     validate_density,
 )
-from ququat.liouville import SIGMA, LiouvilleVector, NonPositiveStateWarning
+from ququat.liouville import SIGMA, LiouvilleVector, NonPositiveStateWarning, _exponent
 
 from helpers import random_density
 
@@ -192,3 +192,12 @@ class TestValidation:
     def test_never_raises(self):
         rep = validate_density(DensityMatrix(1, [[2, 1j], [5, -1]]))
         assert not rep.valid
+
+
+@pytest.mark.parametrize("size,base,n", [
+    (1, 2, 0), (2, 2, 1), (8, 2, 3), (2**40, 2, 40), (1, 4, 0), (16, 4, 2), (4**20, 4, 20),
+    (0, 2, None), (-4, 2, None), (3, 2, None), (12, 2, None), (2, 4, None), (8, 4, None),
+    (np.int64(64), 4, 3),
+])
+def test_exponent(size, base, n):
+    assert _exponent(size, base) == n
