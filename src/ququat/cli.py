@@ -94,11 +94,29 @@ def _load_document(path: str | None):
 _ORJSON_MAX_OPEN = 10_000  # opening brackets, so nesting levels, handed to orjson
 _MAX_DEPTH = 500  # nesting json.loads takes within the default recursion limit
 _WIDE = 2.0**63  # the least magnitude orjson gives an integer it cannot hold
+_LONG_TEXT = 1 << 16  # from this length, brackets are found one by one rather than counted
+
+
+def _few_brackets(text: str) -> bool:
+    """Whether ``text`` holds at most ``_ORJSON_MAX_OPEN`` opening brackets.
+
+    A long text, such as a gate's, holds few: finding them one by one, up
+    to one over the limit, reads it faster than ``str.count`` does.
+    """
+    if len(text) < _LONG_TEXT:
+        return text.count("[") + text.count("{") <= _ORJSON_MAX_OPEN
+    found = 0
+    for bracket in "[{":
+        at = text.find(bracket)
+        while at >= 0 and found <= _ORJSON_MAX_OPEN:
+            found += 1
+            at = text.find(bracket, at + 1)
+    return found <= _ORJSON_MAX_OPEN
 
 
 def _parse(text: str):
     """``json.loads(text)``, read by orjson where the two are sure to agree."""
-    if text.count("[") + text.count("{") <= _ORJSON_MAX_OPEN:
+    if _few_brackets(text):
         try:
             doc = orjson.loads(text)
         except orjson.JSONDecodeError:
@@ -228,38 +246,26 @@ def _write_array(arr: np.ndarray, depth: int, out: list) -> None:
     orjson writes the array in one call, wrapped in ``depth`` one-item
     lists so that it indents it as at that depth; the wrapper's lines are
     cut off.  orjson writes the shortest round-trip digits, as repr does,
-    and spells them differently in two places: exponents (1e16, 1e-7 for
-    repr's 1e+16, 1e-07), mended in place, and the decade [1e-5, 1e-4),
-    which it writes positionally (0.000015 for 1.5e-05).  Those entries,
-    and NaN and Infinity, are written as ``null`` from a copy, and each
-    ``null`` becomes the C encoder's text of its entry, in order.
+    and spells them as repr does but at magnitudes in [1e-9, 1e-4) (1e-7
+    or 0.000015 for repr's 1e-07 and 1.5e-05) and from 1e16 up (1e16 for
+    1e+16).  Those entries, and NaN and Infinity, are written as ``null``
+    from a copy, and each ``null`` becomes the C encoder's text of its
+    entry, in order.
     """
     mag = np.abs(arr)
-    odd = ~((mag < 1e-5) | (mag >= 1e-4) & (mag < math.inf))
+    odd = ~((mag < 1e-9) | (mag >= 1e-4) & (mag < 1e16))
     spelt = _encode(arr[odd].tolist())[1:-1].split(",") if odd.any() else []
     wrapped = np.where(odd, math.nan, arr) if spelt else np.ascontiguousarray(arr)
     for _ in range(depth):
         wrapped = [wrapped]
     text = orjson.dumps(wrapped, option=_ARRAY_OPTIONS)
-    edits = []  # (start, end, replacement), each within one number
-    at = text.find(b"e")
-    while at >= 0:
-        if text[at + 1] != 45:  # "e" and a digit: a positive exponent
-            edits.append((at + 1, at + 1, "+"))
-        elif not text[at + 3:at + 4].isdigit():  # "e-" and one digit
-            edits.append((at + 2, at + 2, "0"))
-        at = text.find(b"e", at + 2)
-    at = -4
-    for number in spelt:
-        # number text holds no "n", so the one-byte search finds each null
-        at = text.find(b"n", at + 4)
-        edits.append((at, at + 4, number))
-    edits.sort()
     # the wrapper's line i, opening or closing, is 2*i spaces and a bracket
     view, done = memoryview(text), depth * depth + 3 * depth
-    for start, end, new in edits:
-        out += (str(view[done:start], "ascii"), new)
-        done = end
+    for number in spelt:
+        # number text holds no "n", so the one-byte search finds each null
+        at = text.find(b"n", done)
+        out += (str(view[done:at], "ascii"), number)
+        done = at + 4
     out.append(str(view[done:len(text) - depth * depth - depth], "ascii"))
 
 
@@ -579,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--precision", type=int, default=6, help="digits in text output")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized subcommands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(parent, name, handler, with_input=True):
@@ -652,9 +657,6 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # --seed is reserved for randomized subcommands; everything currently
-    # exposed is fully deterministic, so it only participates in the
-    # identical-input => identical-output contract.
     algebra = tolerances.algebra
     try:
         if args.tol is not None:

@@ -183,6 +183,8 @@ def gate_from_matrix(entries, kind: str | None = None) -> GateMatrix:
     """Wrap a user-supplied real matrix as a gate (CP left unverified)."""
     entries = np.asarray(entries, dtype=float)
     n_out, n_in = _gate_order(entries.shape)
+    if not n_out or not n_in:
+        raise NumericContractError(f"a gate acts on at least one ququat, got {entries.shape}")
     if kind is None:
         kind = classify_kind(entries)
     return GateMatrix(n_in, n_out, entries, kind)

@@ -240,7 +240,7 @@ class DensityMatrix:
     def from_matrix(cls, entries) -> "DensityMatrix":
         entries = np.asarray(entries, dtype=complex)
         n = _exponent(entries.shape[0], 2) if entries.ndim == 2 else None
-        if n is None:
+        if not n:
             raise NumericContractError(
                 f"density matrix must be square 2**n x 2**n, got {entries.shape}"
             )
@@ -300,7 +300,7 @@ class LiouvilleVector:
     def from_operator(cls, a: np.ndarray) -> "LiouvilleVector":
         a = np.asarray(a, dtype=complex)
         n = _exponent(a.shape[0], 2) if a.ndim == 2 else None
-        if n is None or a.shape != (2**n, 2**n):
+        if not n or a.shape != (2**n, 2**n):
             raise NumericContractError(f"operator must be square 2**n x 2**n, got {a.shape}")
         return cls(n, a.reshape(-1))
 

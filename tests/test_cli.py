@@ -374,12 +374,8 @@ class TestSimulateAndMisc:
         assert doc["steps"][1]["probabilities"] == pytest.approx([0.5, 0.5])
 
     def test_simulate_deterministic_bytes(self, tmp_path, capsys):
-        _, out1, _ = run_cli(
-            ["--seed", "1", "simulate"], self.simulate_payload(), tmp_path, capsys
-        )
-        _, out2, _ = run_cli(
-            ["--seed", "1", "simulate"], self.simulate_payload(), tmp_path, capsys
-        )
+        _, out1, _ = run_cli(["simulate"], self.simulate_payload(), tmp_path, capsys)
+        _, out2, _ = run_cli(["simulate"], self.simulate_payload(), tmp_path, capsys)
         assert out1 == out2
 
     def test_schema_error_exit_code(self, tmp_path, capsys):
@@ -565,6 +561,22 @@ class TestOptionFields:
         assert code == EXIT_CONTRACT
         assert out == ""
         assert err == f"error: {message}, got (1, 1)\n"
+
+    @pytest.mark.parametrize(
+        "text,code,message",
+        [
+            ('{"entries": [[1]]}', EXIT_SCHEMA,
+             "gate.entries: a gate acts on at least one ququat, got (1, 1)"),
+            ('{"entries": [[1, 0, 0, 0]]}', EXIT_SCHEMA,
+             "gate.entries: a gate acts on at least one ququat, got (1, 4)"),
+            ('{"entries": [[1, 0, 0]]}', EXIT_CONTRACT,
+             "gate matrix must be 4**m x 4**n, got (1, 3)"),
+        ],
+    )
+    def test_gate_of_order_zero(self, tmp_path, capsys, text, code, message):
+        """A 0-ququat side is a schema error; a side that is no power of 4 a contract error."""
+        got = _run_text(["gate", "analyze"], text, tmp_path, capsys)
+        assert got == (code, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "args,text",
@@ -928,6 +940,26 @@ def test_number_rows_match_the_c_encoder_at_spelling_boundaries():
         _assert_indented_json(cli._json_text(payload), payload)
 
 
+def _respelling_edges() -> list:
+    """The floats where the writer's mask changes and their neighbours, NaN and Infinity."""
+    edges = []
+    for x in (1e-9, 1e-5, 1e-4, 1e16):
+        edges += [math.nextafter(x, 0), x, math.nextafter(x, math.inf)]
+    edges += [5e-324, 2.5e-320, math.nextafter(sys.float_info.min, 0), sys.float_info.min, 0.0]
+    return edges + [-x for x in edges] + [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_arrays_match_json_dumps_at_the_respelling_edges(depth):
+    edges = _respelling_edges()
+    assert len(edges) == 37
+    blocks = [edges, [1.5, *edges], edges[::-1], [[x, 0.25] for x in edges],
+              [[[x], [-x]] for x in edges], *([x] for x in edges)]
+    for block in blocks:
+        payload = _nest(np.array(block), depth)
+        _assert_indented_json(cli._json_text(payload), payload)
+
+
 @pytest.mark.parametrize(
     "row",
     [
@@ -1140,6 +1172,19 @@ _EDGE_TEXTS = [
     " \t\n\r[1] \n", "[" * 600 + "]" * 600, '{"a": ' * 600 + "1" + "}" * 600,
     "[" * 5000 + "]" * 5000, '{"a": ' * 5000 + "1" + "}" * 5000,
 ]
+
+
+@pytest.mark.parametrize("length", [cli._LONG_TEXT - 1, cli._LONG_TEXT, 4 * cli._LONG_TEXT])
+@pytest.mark.parametrize("brackets", [0, 1, 10_000, 10_001, 20_000])
+def test_bracket_count_on_both_sides_of_the_length_switch(length, brackets):
+    """Counted or found one by one, the orjson route takes at most 10000 opening brackets."""
+    rng = random.Random(brackets)
+    for mixed in ("[" * brackets, "{" * brackets, "[{" * (brackets // 2) + "{" * (brackets % 2),
+                  "".join(rng.choice("[{") for _ in range(brackets))):
+        spaced = mixed.replace("{", "{ ")
+        for text in (mixed.ljust(length), mixed.rjust(length), spaced.ljust(length)):
+            assert (len(text), text.count("[") + text.count("{")) == (length, brackets)
+            assert cli._few_brackets(text) is (brackets <= 10_000)
 
 
 @pytest.mark.parametrize("text", _EDGE_TEXTS, ids=[f"{t[:12]!r}.{len(t)}" for t in _EDGE_TEXTS])

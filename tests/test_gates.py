@@ -463,9 +463,13 @@ def test_empty_operator_is_not_square_2n(build, what):
     (DensityMatrix.from_matrix, np.zeros((0, 0))),
     (LiouvilleVector.from_operator, np.zeros((0, 0))),
     (weyl_generators, 0),
+    (gate_from_matrix, [[1.0]]),
+    (gate_from_matrix, np.eye(1, 4)),
+    (DensityMatrix.from_matrix, [[1]]),
+    (LiouvilleVector.from_operator, [[1]]),
 ])
 def test_empty_or_flat_operand_is_a_contract_error(build, arg):
-    """No ququat count exists for an empty, 0-sided or 1-D operand: a one-line refusal."""
+    """An empty or 1-D operand has no ququat count, and a side of 1 counts 0: a one-line refusal."""
     with pytest.raises(NumericContractError) as info:
         build(arg)
     assert "\n" not in str(info.value)
