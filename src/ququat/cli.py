@@ -94,29 +94,11 @@ def _load_document(path: str | None):
 _ORJSON_MAX_OPEN = 10_000  # opening brackets, so nesting levels, handed to orjson
 _MAX_DEPTH = 500  # nesting json.loads takes within the default recursion limit
 _WIDE = 2.0**63  # the least magnitude orjson gives an integer it cannot hold
-_LONG_TEXT = 1 << 16  # from this length, brackets are found one by one rather than counted
-
-
-def _few_brackets(text: str) -> bool:
-    """Whether ``text`` holds at most ``_ORJSON_MAX_OPEN`` opening brackets.
-
-    A long text, such as a gate's, holds few: finding them one by one, up
-    to one over the limit, reads it faster than ``str.count`` does.
-    """
-    if len(text) < _LONG_TEXT:
-        return text.count("[") + text.count("{") <= _ORJSON_MAX_OPEN
-    found = 0
-    for bracket in "[{":
-        at = text.find(bracket)
-        while at >= 0 and found <= _ORJSON_MAX_OPEN:
-            found += 1
-            at = text.find(bracket, at + 1)
-    return found <= _ORJSON_MAX_OPEN
 
 
 def _parse(text: str):
     """``json.loads(text)``, read by orjson where the two are sure to agree."""
-    if _few_brackets(text):
+    if text.count("[") + text.count("{") <= _ORJSON_MAX_OPEN:
         try:
             doc = orjson.loads(text)
         except orjson.JSONDecodeError:

@@ -146,11 +146,16 @@ def _operator_ququats(a: np.ndarray, what: str) -> int:
     return n
 
 
+_NO_QUQUAT = "a gate acts on at least one ququat"
+
+
 def _gate_order(shape: tuple[int, ...]) -> tuple[int, int]:
-    """(n_out, n_in) of a 4**m x 4**n gate matrix shape."""
+    """(n_out, n_in), each at least 1, of a 4**m x 4**n gate matrix shape."""
     sides = [_exponent(s, 4) for s in shape]
     if len(sides) != 2 or None in sides:
         raise NumericContractError(f"gate matrix must be 4**m x 4**n, got {shape}")
+    if 0 in sides:
+        raise NumericContractError(f"{_NO_QUQUAT}, got {shape}")
     return tuple(sides)
 
 
@@ -183,8 +188,6 @@ def gate_from_matrix(entries, kind: str | None = None) -> GateMatrix:
     """Wrap a user-supplied real matrix as a gate (CP left unverified)."""
     entries = np.asarray(entries, dtype=float)
     n_out, n_in = _gate_order(entries.shape)
-    if not n_out or not n_in:
-        raise NumericContractError(f"a gate acts on at least one ququat, got {entries.shape}")
     if kind is None:
         kind = classify_kind(entries)
     return GateMatrix(n_in, n_out, entries, kind)

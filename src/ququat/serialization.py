@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import MAX_QUQUATS
 from .errors import NumericContractError, SchemaError
-from .gates import GateMatrix, KrausSet, _gate_order, gate_from_matrix, measurement_gates
+from .gates import _NO_QUQUAT, GateMatrix, KrausSet, gate_from_matrix, measurement_gates
 from .lindblad import (
     GKSModel,
     _liouvillian_propagator,
@@ -217,10 +217,7 @@ def decode_complex_matrix(obj, path: str) -> np.ndarray:
 
 
 def decode_real_matrix(obj, path: str) -> np.ndarray:
-    arr = _bulk_numbers(obj, (2,))
-    if arr is not None:
-        return _finite(arr, path)
-    m = decode_complex_matrix(obj, path)  # [re, im] pairs, mixed or malformed rows
+    m = decode_complex_matrix(obj, path)
     if np.max(np.abs(m.imag)) > 0:
         raise SchemaError(f"{path}: expected a real matrix")
     return m.real
@@ -291,9 +288,12 @@ def gate_from_json(obj, path: str = "gate") -> GateMatrix:
     kind = obj.get("kind")
     if kind is not None and kind not in ("trace_preserving", "trace_decreasing", "general"):
         raise SchemaError(f"{path}.kind: unknown kind {kind!r}")
-    if 0 in _gate_order(entries.shape):
-        raise SchemaError(f"{path}.entries: a gate acts on at least one ququat, got {entries.shape}")
-    gate = gate_from_matrix(entries, kind=kind)
+    try:
+        gate = gate_from_matrix(entries, kind=kind)
+    except NumericContractError as exc:
+        if not str(exc).startswith(_NO_QUQUAT):
+            raise
+        raise SchemaError(f"{path}.entries: {exc}") from None
     for key, want in (("n_in", gate.n_in), ("n_out", gate.n_out)):
         if key in obj and _decode_int(obj[key], f"{path}.{key}", 0) != want:
             raise SchemaError(f"{path}.{key}: inconsistent with entries shape")

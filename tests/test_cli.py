@@ -1174,19 +1174,6 @@ _EDGE_TEXTS = [
 ]
 
 
-@pytest.mark.parametrize("length", [cli._LONG_TEXT - 1, cli._LONG_TEXT, 4 * cli._LONG_TEXT])
-@pytest.mark.parametrize("brackets", [0, 1, 10_000, 10_001, 20_000])
-def test_bracket_count_on_both_sides_of_the_length_switch(length, brackets):
-    """Counted or found one by one, the orjson route takes at most 10000 opening brackets."""
-    rng = random.Random(brackets)
-    for mixed in ("[" * brackets, "{" * brackets, "[{" * (brackets // 2) + "{" * (brackets % 2),
-                  "".join(rng.choice("[{") for _ in range(brackets))):
-        spaced = mixed.replace("{", "{ ")
-        for text in (mixed.ljust(length), mixed.rjust(length), spaced.ljust(length)):
-            assert (len(text), text.count("[") + text.count("{")) == (length, brackets)
-            assert cli._few_brackets(text) is (brackets <= 10_000)
-
-
 @pytest.mark.parametrize("text", _EDGE_TEXTS, ids=[f"{t[:12]!r}.{len(t)}" for t in _EDGE_TEXTS])
 def test_parse_matches_json_loads_at_the_edges(text):
     _assert_parses_as_json_loads(text)

@@ -65,6 +65,14 @@ class TestSplitTranslation:
         with pytest.raises(NumericContractError):
             split_translation(gate_from_kraus([np.array([[1, 0], [0, 0]], dtype=complex)]))
 
+    @pytest.mark.parametrize("build", [lambda: translation_gate(np.zeros(0)),
+                                       lambda: unital_gate(np.zeros((0, 0)))])
+    def test_empty_blocks_give_no_gate(self, build):
+        """An empty T or R block leaves a 1 x 1 matrix, which acts on no ququat."""
+        with pytest.raises(NumericContractError) as info:
+            build()
+        assert str(info.value) == "a gate acts on at least one ququat, got (1, 1)"
+
 
 class TestSVD:
     def test_unitary_gate_singular_values(self):

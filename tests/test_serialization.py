@@ -168,42 +168,6 @@ def test_vector_decoders_agree(monkeypatch, obj, length):
     assert bulk == loop
 
 
-def _real_by_complex_route(obj, path):
-    """A real matrix as the complex decoder reads it, refused if any imaginary part is not 0."""
-    m = sz.decode_complex_matrix(obj, path)
-    if np.max(np.abs(m.imag)) > 0:
-        raise SchemaError(f"{path}: expected a real matrix")
-    return m.real
-
-
-ZERO_IMAGINARY = [
-    [[[1, 0], [2.5, 0.0]]],
-    [[[-0.0, -0.0], [1, 0]], [[3, 0], [-2.5, 0]]],
-    [[1, [2, 0]], [[-0.0, 0], 4]],
-    [[[1e308, 0], [5e-324, -0.0]]],
-    [[[1, 1e-300]]],
-    [[[NAN, 0]]],
-    [[[1, 0]], [[INF, 0]]],
-    [[1, [2, INF]]],
-    [[1.5, -INF]],
-    [[2, 3], [5, 7]],
-    np.arange(16.0).reshape(4, 4),
-    np.array([[[1.0, 0.0], [2.0, -0.0]]]),
-    np.array([[1, 2]]),
-]
-
-
-@pytest.mark.parametrize(
-    "obj",
-    MATRICES + RANDOM + ZERO_IMAGINARY,
-    ids=[repr(m) for m in MATRICES] + [f"random{i}" for i in range(len(RANDOM))]
-    + [f"zero-imaginary{i}" for i in range(len(ZERO_IMAGINARY))],
-)
-def test_real_matrix_decoder_matches_the_complex_route(obj):
-    """Real rows skip the complex copy, with the values and messages of the complex route."""
-    assert _outcome(sz.decode_real_matrix, obj) == _outcome(_real_by_complex_route, obj)
-
-
 def test_well_formed_documents_skip_the_per_element_loop(monkeypatch):
     def refuse(*args):
         raise AssertionError("per-element decode on a well-formed document")
