@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import MAX_QUQUATS, tolerances
 from .decompositions import NAMED_GATES, named_gate
-from .errors import NumericContractError, SchemaError
+from .errors import NumericContractError, QuquatError, SchemaError
 from .gates import (
     GateMatrix,
     GateReport,
@@ -36,13 +36,13 @@ from .gates import (
     _check_gate_size,
     _row0_deviation,
     _target_axes,
+    _renormalize,
     analyze_gate,
     apply_linear,
-    apply_nonlinear,
     gate_from_kraus,
     gate_from_unitary,
 )
-from .liouville import PauliVector, validate_density
+from .liouville import PauliVector, ValidationReport, _validate_pvecs
 from .mvlogic import synthesize_quantum
 from . import serialization as sz
 
@@ -117,12 +117,13 @@ class Circuit:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """State after a step; branch probabilities for measurement steps."""
+    """State after a step, with its validation; branch probabilities for measurement steps."""
 
     state: PauliVector
     probabilities: tuple[float, ...] | None
     probability: float | None
     cumulative_probability: float
+    validation: ValidationReport
 
 
 @dataclass(frozen=True)
@@ -234,37 +235,47 @@ def parse_circuit(doc) -> Circuit:
 
 
 def run_circuit(circuit: Circuit, initial: PauliVector) -> RunRecord:
-    """Fold the steps over an initial state.
+    """Fold the steps over an initial state, then certify the states.
 
     Post-selected measurements renormalize the state and multiply the
-    cumulative probability; zero-probability branches raise.  Every
-    recorded state is checked to be a valid density matrix.
+    cumulative probability; zero-probability branches raise.  The initial
+    state and every recorded state are checked to be valid density
+    matrices in one stacked pass after the fold, and each record keeps
+    its state's :class:`ValidationReport`.  The first failure of the run
+    is raised: an invalid state wins over the error of a later step.
     """
     if initial.n != circuit.n:
         raise NumericContractError(
             f"initial state has n={initial.n}, circuit expects n={circuit.n}"
         )
-    if not validate_density(initial).valid:
-        raise NumericContractError("initial state is not a valid density matrix")
+    n = circuit.n
     state = initial
     cumulative = 1.0
-    records = []
-    for step in circuit.steps:
-        if step.kind == "linear":
-            state = apply_linear(step.gates[0], state, targets=step.targets)
-            records.append(StepRecord(state, None, None, cumulative))
-        else:
-            branches = [_apply_local(g, state, step.targets) for g in step.gates]
-            probs = tuple(float(b[0]) for b in branches)
-            if step.post_select is not None:
-                state, p = apply_nonlinear(
-                    step.gates[step.post_select], state, targets=step.targets
-                )
-                cumulative *= p
-                records.append(StepRecord(state, probs, p, cumulative))
+    rows = []
+    failure = None
+    try:
+        for step in circuit.steps:
+            probs = p = None
+            if step.kind == "linear":
+                state = apply_linear(step.gates[0], state, targets=step.targets)
             else:
-                state = PauliVector(circuit.n, np.sum(branches, axis=0))
-                records.append(StepRecord(state, probs, None, cumulative))
-        if not validate_density(state).valid:
-            raise NumericContractError("circuit produced an invalid state")
-    return RunRecord(steps=tuple(records), cumulative_probability=cumulative)
+                branches = [_apply_local(g, state, step.targets) for g in step.gates]
+                probs = tuple(float(b[0]) for b in branches)
+                if step.post_select is None:
+                    state = PauliVector(n, np.sum(branches, axis=0))
+                else:
+                    state, p = _renormalize(branches[step.post_select], n)
+                    cumulative *= p
+            rows.append((state, probs, p, cumulative))
+    except QuquatError as exc:
+        # raised below, once the states before it are known to be valid
+        failure = exc
+    reports = _validate_pvecs([initial.P] + [row[0].P for row in rows], n)
+    if not reports[0].valid:
+        raise NumericContractError("initial state is not a valid density matrix")
+    if not all(r.valid for r in reports):
+        raise NumericContractError("circuit produced an invalid state")
+    if failure is not None:
+        raise failure
+    records = tuple(StepRecord(*row, report) for row, report in zip(rows, reports[1:]))
+    return RunRecord(steps=records, cumulative_probability=cumulative)

@@ -381,13 +381,21 @@ def apply_nonlinear(
     p = (E @ P)[0].  Raises :class:`ZeroProbabilityError` when p vanishes.
     ``targets`` places the gate as in :func:`apply_linear`.
     """
-    out = _apply_local(gate, pvec, targets)
+    return _renormalize(_apply_local(gate, pvec, targets), pvec.n + gate.n_out - gate.n_in)
+
+
+def _renormalize(out: np.ndarray, n: int) -> tuple[PauliVector, float]:
+    """The n-ququat state out / p of a branch image ``out`` = E @ P, and p = out[0].
+
+    Raises :class:`ZeroProbabilityError` when p vanishes and
+    :class:`NumericContractError` when it exceeds 1.
+    """
     p = float(out[0])
     if p < tolerances.algebra:
         raise ZeroProbabilityError(f"outcome probability {p:.3e} is not positive")
     if p > 1.0 + tolerances.algebra:
         raise NumericContractError(f"outcome probability {p} exceeds 1")
-    return PauliVector(pvec.n + gate.n_out - gate.n_in, out / p), p
+    return PauliVector(n, out / p), p
 
 
 def compose(g2: GateMatrix, g1: GateMatrix) -> GateMatrix:

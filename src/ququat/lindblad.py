@@ -211,6 +211,12 @@ class LiouvillianSuperop:
         return gen
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two d x d matrices as one broadcast product, bit for bit."""
+    d = len(a)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
+
+
 def liouvillian_superop(h: np.ndarray, v: list | tuple = ()) -> LiouvillianSuperop:
     """Liouvillian of dp/dt = -i[H, p] + sum_j (V_j p V_j^dag - 1/2 {V_j^dag V_j, p}).
 
@@ -223,7 +229,7 @@ def liouvillian_superop(h: np.ndarray, v: list | tuple = ()) -> LiouvillianSuper
     if np.max(np.abs(h - h.conj().T)) > tolerances.algebra:
         raise NumericContractError("H must be Hermitian")
     eye = np.eye(d)
-    mat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    mat = -1j * (_kron(h, eye) - _kron(eye, h.T))
     ops = []
     for j, vj in enumerate(v):
         vj = np.asarray(vj, dtype=complex)
@@ -231,7 +237,7 @@ def liouvillian_superop(h: np.ndarray, v: list | tuple = ()) -> LiouvillianSuper
             raise NumericContractError(f"jump operator {j} has shape {vj.shape}, expected {h.shape}")
         ops.append(vj)
         vdv = vj.conj().T @ vj
-        mat += np.kron(vj, vj.conj()) - 0.5 * np.kron(vdv, eye) - 0.5 * np.kron(eye, vdv.T)
+        mat += _kron(vj, vj.conj()) - 0.5 * _kron(vdv, eye) - 0.5 * _kron(eye, vdv.T)
     return LiouvillianSuperop(n=n, matrix=mat, hamiltonian=h, jump_ops=tuple(ops))
 
 

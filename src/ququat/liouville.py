@@ -181,8 +181,13 @@ def _pauli_transfer(images: np.ndarray, n: int) -> np.ndarray:
 
 
 def _pauli_combine(p: np.ndarray, n: int) -> np.ndarray:
-    """The operator 2**-n sum_mu p[mu] sigma_mu: B^T @ p."""
-    return _basis_product(p, n, transpose=True).reshape(2**n, 2**n) / 2**n
+    """The operator 2**-n sum_mu p[mu] sigma_mu: B^T @ p.
+
+    A (4**n, k) p gives the (k, 2**n, 2**n) stack of its columns' operators.
+    """
+    d = 2**n
+    out = _basis_product(p, n, transpose=True) / d
+    return out.reshape(d, d) if p.ndim == 1 else out.T.reshape(-1, d, d)
 
 
 def _exponent(size: int, base: int) -> int | None:
@@ -379,30 +384,65 @@ def validate_density(state: DensityMatrix | PauliVector) -> ValidationReport:
 
     Accepts either representation.  Bounds checked: Hermiticity, unit
     trace, positive semidefiniteness (eigenvalue slack), and the purity
-    window 2**-n <= Tr(rho^2) <= 1.
+    window 2**-n <= Tr(rho^2) <= 1.  This is the one-state call of the
+    stacked check that ``circuits.run_circuit`` makes for a whole run.
     """
-    n = state.n
     if isinstance(state, PauliVector):
-        rho = _pauli_combine(state.P, n)
-    else:
-        rho = state.entries
-    herm = float(np.max(np.abs(rho - rho.conj().T))) <= tolerances.algebra
-    trace = complex(np.trace(rho))
-    unit_trace = bool(abs(trace - 1.0) <= tolerances.algebra)
-    if herm:
-        eigs = np.linalg.eigvalsh(rho)
-    else:
-        eigs = np.linalg.eigvals((rho + rho.conj().T) / 2).real
-    min_eig = float(np.min(eigs))
-    psd = min_eig >= -tolerances.psd
-    purity = float(np.trace(rho @ rho).real)
-    purity_ok = (2.0**-n - tolerances.psd) <= purity <= 1.0 + tolerances.psd
-    return ValidationReport(
-        hermitian=herm,
-        unit_trace=unit_trace,
-        psd=psd,
-        purity_in_bounds=purity_ok,
-        trace=float(trace.real),
-        min_eigenvalue=min_eig,
-        purity=purity,
-    )
+        return _validate_pvecs([state.P], state.n)[0]
+    return _validate_stack(state.entries[None], state.n)[0]
+
+
+# A stack of densities holds at most this many entries: one n = 8 density,
+# 1 MiB of complex.
+_STACK_ENTRIES = 4**8
+
+
+def _validate_pvecs(ps, n: int) -> list[ValidationReport]:
+    """:func:`validate_density` of each length-4**n Pauli vector in ``ps``, in order.
+
+    The vectors are combined into densities by one ``_pauli_combine`` per
+    chunk of at most _STACK_ENTRIES // 4**n of them (one from n = 8 up),
+    and each chunk is checked by :func:`_validate_stack`.
+    """
+    size = max(1, _STACK_ENTRIES // 4**n)
+    reports = []
+    for start in range(0, len(ps), size):
+        reports += _validate_stack(_pauli_combine(np.stack(ps[start : start + size], axis=1), n), n)
+    return reports
+
+
+def _validate_stack(rho: np.ndarray, n: int) -> list[ValidationReport]:
+    """The :class:`ValidationReport` of each operator in a (k, 2**n, 2**n) stack; never raises.
+
+    Hermiticity residuals, traces and purities are computed for the whole
+    stack, and one ``eigvalsh`` call takes the spectra of the entries
+    that pass the Hermiticity test.  An entry that fails it gets the
+    eigenvalues of its Hermitian part (r + r^H) / 2 on its own, or, if it
+    holds a NaN or an infinity, a NaN minimum eigenvalue and ``psd`` False.
+    """
+    tol = tolerances.algebra
+    ok = np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2)) <= tol
+    herm = ok.tolist()
+    traces = np.trace(rho, axis1=1, axis2=2).tolist()
+    purities = np.trace(rho @ rho, axis1=1, axis2=2).real.tolist()
+    min_eigs = np.full(len(rho), np.nan)
+    if ok.any():
+        min_eigs[ok] = np.linalg.eigvalsh(rho[ok])[:, 0]
+    for i in np.flatnonzero(~ok):
+        r = rho[i]
+        if np.isfinite(r).all():
+            min_eigs[i] = np.min(np.linalg.eigvals((r + r.conj().T) / 2).real)
+    low = 2.0**-n - tolerances.psd
+    high = 1.0 + tolerances.psd
+    return [
+        ValidationReport(
+            hermitian=h,
+            unit_trace=abs(trace - 1.0) <= tol,
+            psd=min_eig >= -tolerances.psd,
+            purity_in_bounds=low <= purity <= high,
+            trace=trace.real,
+            min_eigenvalue=min_eig,
+            purity=purity,
+        )
+        for h, trace, min_eig, purity in zip(herm, traces, min_eigs.tolist(), purities)
+    ]

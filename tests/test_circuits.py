@@ -382,3 +382,86 @@ class TestLocalEngine:
                 assert step.report == tuple(analyze_gate(g) for g in step.gates)
         # not a field: construction and equality ignore it
         assert "report" not in {f.name for f in dataclasses.fields(ququat.circuits.CircuitStep)}
+
+
+# -- certifying the run's states -----------------------------------------------
+
+
+class TestStateCertificates:
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_records_carry_the_state_reports(self, n):
+        rng = np.random.default_rng([59, n])
+        circuit = parse_circuit({"n": n, "steps": _random_circuit(rng, n)})
+        record = run_circuit(circuit, random_pvec(rng, n))
+        for step in record.steps:
+            want = ququat.validate_density(step.state)
+            got = step.validation
+            assert got.valid
+            for flag in ("hermitian", "unit_trace", "psd", "purity_in_bounds"):
+                assert getattr(got, flag) == getattr(want, flag)
+            for name in ("trace", "min_eigenvalue", "purity"):
+                assert abs(getattr(got, name) - getattr(want, name)) < 1e-12
+
+    @staticmethod
+    def _spy_eigvalsh(monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        return shapes
+
+    def test_one_eigvalsh_call_covers_a_small_run(self, monkeypatch):
+        steps = [{"named": "not", "targets": [t]} for t in (0, 2, 1, 3)]
+        circuit = parse_circuit({"n": 4, "steps": steps})
+        shapes = self._spy_eigvalsh(monkeypatch)
+        record = run_circuit(circuit, random_pvec(RNG, 4))
+        assert len(record.steps) == 4
+        assert shapes == [(5, 16, 16)]
+
+    def test_no_stack_holds_more_than_one_n8_density(self, monkeypatch):
+        steps = [{"named": "not", "targets": [t]} for t in (0, 7)]
+        circuit = parse_circuit({"n": 8, "steps": steps})
+        initial = computational_state(PauliIndex((3,) + (0,) * 7))
+        shapes = self._spy_eigvalsh(monkeypatch)
+        record = run_circuit(circuit, initial)
+        assert all(s.validation.valid for s in record.steps)
+        assert shapes == [(1, 256, 256)] * 3
+
+    def test_post_selected_branch_is_computed_once(self, monkeypatch):
+        calls = []
+        apply_local = ququat.circuits._apply_local
+
+        def counting(gate, pvec, targets):
+            calls.append(gate)
+            return apply_local(gate, pvec, targets)
+
+        steps = [h_step(), {"measure": {"projectors": [P0_JSON, P1_JSON]}, "post_select": 1}]
+        circuit = parse_circuit({"n": 1, "steps": steps})
+        monkeypatch.setattr(ququat.circuits, "_apply_local", counting)
+        record = run_circuit(circuit, PURE0)
+        assert calls == list(circuit.steps[1].gates)
+        # the same bits as the one-gate route
+        gate = circuit.steps[1].gates[1]
+        state, p = ququat.apply_nonlinear(gate, record.steps[0].state)
+        assert record.steps[1].probability == p
+        assert record.final_state.P.tobytes() == state.P.tobytes()
+
+    def test_invalid_state_wins_over_a_later_step_error(self):
+        grow = {"gate": {"entries": [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]}}
+        zero = {"measure": {"projectors": [P1_JSON]}, "post_select": 0}
+        circuit = parse_circuit({"n": 1, "steps": [grow, zero]})
+        with pytest.raises(NumericContractError, match="circuit produced an invalid state"):
+            run_circuit(circuit, PURE0)
+        with pytest.raises(ZeroProbabilityError):
+            run_circuit(parse_circuit({"n": 1, "steps": [zero]}), PURE0)
+
+    def test_overflowing_state_is_invalid_not_a_crash(self):
+        big = {"gate": {"entries": [[1, 0, 0, 0], [0, 1e200, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}}
+        circuit = parse_circuit({"n": 1, "steps": [big, big, big]})
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericContractError, match="circuit produced an invalid state"):
+                run_circuit(circuit, PauliVector(1, [1, 0.7, 0.7, 0]))

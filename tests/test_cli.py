@@ -506,6 +506,54 @@ class TestNonFiniteInput:
         assert where in err and "finite" in err
 
 
+_GROW = '{"gate": {"entries": [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]}}'
+_ON_ONE = '{"measure": {"projectors": [[[0, 0], [0, 1]]]}, "post_select": 0}'
+
+
+def _run_doc(steps: list[str], initial_p: str) -> str:
+    """A one-ququat simulate document."""
+    return '{"circuit": {"n": 1, "steps": [%s]}, "initial": {"n": 1, "P": %s}}' % (
+        ", ".join(steps),
+        initial_p,
+    )
+
+
+class TestRunErrorOrder:
+    """A run reports its first failure: states are checked in run order, before a later step's error."""
+
+    @pytest.mark.parametrize(
+        "steps,initial,code,message",
+        [
+            # diag(1, 2, 2, 2) makes P = [1, 0, 0, 2], then the branch probability is -1/2
+            ([_GROW, _ON_ONE], "[1, 0, 0, 1]", EXIT_CONTRACT, "circuit produced an invalid state"),
+            ([_ON_ONE], "[1, 0, 0, 2]", EXIT_CONTRACT, "initial state is not a valid density matrix"),
+            (
+                ['{"named": "rot1", "param": 0.3}', _ON_ONE],
+                "[1, 0, 0, 1]",
+                EXIT_ZERO_PROBABILITY,
+                "outcome probability 0.000e+00 is not positive",
+            ),
+            ([_ON_ONE], "[1, 0, 0, 1]", EXIT_ZERO_PROBABILITY, "outcome probability 0.000e+00 is not positive"),
+        ],
+    )
+    def test_first_failure_wins(self, tmp_path, capsys, steps, initial, code, message):
+        got, out, err = _run_text(["simulate"], _run_doc(steps, initial), tmp_path, capsys)
+        assert (got, out, err) == (code, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("scale,count", [("1.7e308", 1), ("1e200", 3)])
+    def test_overflowing_state_is_invalid(self, tmp_path, capsys, scale, count):
+        step = '{"gate": {"entries": [[1, 0, 0, 0], [0, %s, %s, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}}'
+        doc = _run_doc([step % (scale, scale)] * count, "[1, 0.7, 0.7, 0]")
+        got, out, err = _run_text(["simulate"], doc, tmp_path, capsys)
+        assert (got, out, err) == (EXIT_CONTRACT, "", "error: circuit produced an invalid state\n")
+
+    def test_overflowing_state_validates_as_invalid(self, tmp_path, capsys):
+        doc = '{"n": 1, "P": [1.7e308, 0, 0, 1.7e308]}'
+        code, out, _ = _run_text(["state", "validate"], doc, tmp_path, capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["valid"] is False
+
+
 class TestOptionFields:
     """Option fields are type-checked and range-checked when the document is decoded."""
 

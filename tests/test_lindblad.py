@@ -270,3 +270,27 @@ class TestLiouvillian:
     def test_dimension_mismatch(self):
         with pytest.raises(NumericContractError):
             liouvillian_superop(np.zeros((2, 2)), [np.zeros((4, 4))])
+
+
+def _kron_liouvillian(h, v):
+    """The Liouvillian written with np.kron, the reference for liouvillian_superop."""
+    eye = np.eye(len(h))
+    mat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for vj in v:
+        vdv = vj.conj().T @ vj
+        mat += np.kron(vj, vj.conj()) - 0.5 * np.kron(vdv, eye) - 0.5 * np.kron(eye, vdv.T)
+    return mat
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+@pytest.mark.parametrize("jumps", [0, 1, 2])
+def test_liouvillian_matches_the_kron_form_bit_for_bit(d, jumps):
+    rng = np.random.default_rng([53, d, jumps])
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = g + g.conj().T
+    v = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(jumps)]
+    got = liouvillian_superop(h, v).matrix
+    want = _kron_liouvillian(h, v)
+    assert got.shape == want.shape == (d * d, d * d)
+    # as integers, so that the signs of zeros count too
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -16,7 +16,16 @@ from ququat import (
     pvec_to_density,
     validate_density,
 )
-from ququat.liouville import SIGMA, LiouvilleVector, NonPositiveStateWarning, _exponent
+from ququat.config import tolerances
+from ququat.liouville import (
+    SIGMA,
+    LiouvilleVector,
+    NonPositiveStateWarning,
+    ValidationReport,
+    _exponent,
+    _validate_pvecs,
+    _validate_stack,
+)
 
 from helpers import random_density
 
@@ -192,6 +201,109 @@ class TestValidation:
     def test_never_raises(self):
         rep = validate_density(DensityMatrix(1, [[2, 1j], [5, -1]]))
         assert not rep.valid
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_state_is_invalid(self, bad):
+        for n in (1, 3):
+            p = np.zeros(4**n)
+            p[0] = 1.0
+            p[-1] = bad
+            with np.errstate(all="ignore"):
+                rep = validate_density(PauliVector(n, p))
+            assert not rep.valid and not rep.psd and np.isnan(rep.min_eigenvalue)
+
+
+def _oracle_validate(state) -> ValidationReport:
+    """One state at a time, as validate_density did before the stacked pass."""
+    n = state.n
+    if isinstance(state, PauliVector):
+        rho = _combine(state)
+    else:
+        rho = state.entries
+    herm = float(np.max(np.abs(rho - rho.conj().T))) <= tolerances.algebra
+    trace = complex(np.trace(rho))
+    unit_trace = bool(abs(trace - 1.0) <= tolerances.algebra)
+    if herm:
+        eigs = np.linalg.eigvalsh(rho)
+    else:
+        eigs = np.linalg.eigvals((rho + rho.conj().T) / 2).real
+    min_eig = float(np.min(eigs))
+    psd = min_eig >= -tolerances.psd
+    purity = float(np.trace(rho @ rho).real)
+    purity_ok = (2.0**-n - tolerances.psd) <= purity <= 1.0 + tolerances.psd
+    return ValidationReport(
+        hermitian=herm,
+        unit_trace=unit_trace,
+        psd=psd,
+        purity_in_bounds=purity_ok,
+        trace=float(trace.real),
+        min_eigenvalue=min_eig,
+        purity=purity,
+    )
+
+
+def _combine(pvec: PauliVector) -> np.ndarray:
+    """2**-n sum_mu P[mu] sigma_mu, for any P[0], without the basis kernel."""
+    return np.tensordot(pvec.P, pauli_basis(pvec.n), axes=1) / 2**pvec.n
+
+
+_FLAGS = ("hermitian", "unit_trace", "psd", "purity_in_bounds", "valid")
+_VALUES = ("trace", "min_eigenvalue", "purity")
+
+
+def _assert_reports_match(got, want):
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        for flag in _FLAGS:
+            assert getattr(g, flag) == getattr(w, flag), (i, flag)
+        for name in _VALUES:
+            assert abs(getattr(g, name) - getattr(w, name)) <= 1e-12, (i, name)
+
+
+def _edge_densities(rng, n):
+    """Hermitian operators: PSD, not PSD, trace != 1 and at both purity edges."""
+    d = 2**n
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    psd = g @ g.conj().T
+    psd /= np.trace(psd)
+    h = g + g.conj().T
+    indefinite = h / np.trace(h) if abs(np.trace(h)) > 0.1 else h / d + np.eye(d) / d
+    v = g[:, 0] / np.linalg.norm(g[:, 0])
+    pure = np.outer(v, v.conj())
+    return [
+        psd,
+        indefinite,
+        1.5 * psd,  # trace 1.5
+        0.5 * pure,  # trace 0.5
+        pure,  # purity 1
+        np.eye(d) / d,  # purity 2**-n
+        0.5 * (psd + pure),
+        pure + 1e-3 * indefinite,
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stacked_validation_matches_the_per_state_oracle(n):
+    rng = np.random.default_rng([43, n])
+    d = 2**n
+    dens = _edge_densities(rng, n)
+    # non-Hermitian inputs, mixed in among Hermitian ones
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    stack = dens[:3] + [g / np.trace(g), dens[4] + 1e-3j * np.triu(np.ones((d, d)))] + dens[3:]
+    states = [DensityMatrix(n, r) for r in stack]
+    _assert_reports_match(_validate_stack(np.array(stack), n), [_oracle_validate(s) for s in states])
+    _assert_reports_match([validate_density(s) for s in states], [_oracle_validate(s) for s in states])
+    # Pauli vectors of the Hermitian ones: the stacked route through _basis_product
+    pvecs = [PauliVector(n, np.real(np.tensordot(pauli_basis(n), r.T, axes=2))) for r in dens]
+    _assert_reports_match(_validate_pvecs([p.P for p in pvecs], n), [_oracle_validate(p) for p in pvecs])
+
+
+def test_all_non_hermitian_stack_matches_the_oracle():
+    rng = np.random.default_rng(47)
+    stack = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    want = [_oracle_validate(DensityMatrix(2, r)) for r in stack]
+    assert not any(w.hermitian for w in want)
+    _assert_reports_match(_validate_stack(stack, 2), want)
 
 
 @pytest.mark.parametrize("size,base,n", [
