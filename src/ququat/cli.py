@@ -29,7 +29,7 @@ import orjson
 from . import __version__
 from . import serialization as sz
 from .circuits import parse_circuit, run_circuit
-from .config import MAX_CLOSURE_ARITY, set_tolerances, tolerances
+from .config import MAX_CLOSURE_ARITY, MAX_DNF_ARITY, set_tolerances, tolerances
 from .decompositions import (
     euler_angles,
     polar_gate,
@@ -447,6 +447,8 @@ def _cmd_mvlogic_table(args):
 
 def _cmd_mvlogic_dnf(args):
     table = sz.table_from_json(_load_document(args.input))
+    if table.arity > MAX_DNF_ARITY:
+        raise SchemaError(f"table.arity: expected an integer <= {MAX_DNF_ARITY}, got {table.arity}")
     return {"table": sz.table_to_json(table), "dnf": sz.expression_to_json(dnf(table))}
 
 

@@ -6,7 +6,7 @@ eigenvalue slack when testing positive semidefiniteness.  Every check
 reads them when it runs; ``set_tolerances`` (the CLI's ``--tol``) is the
 one way to change them.
 
-Four size ceilings, two in ququats, one in truth-table arguments and
+Five size ceilings, two in ququats, two in truth-table arguments and
 one in matrix side, bound what an input may ask the package to build.
 They are not tolerances and no option changes them; each is checked
 before anything of that size is allocated.
@@ -36,10 +36,17 @@ MAX_GATE_QUQUATS = 5
 # 1.4 s and 240 MB for one unary generator).
 MAX_CLOSURE_ARITY = 6
 
+# Largest arity of a table whose disjunction normal form is written out
+# (``mvlogic dnf``): the form nests one ``max`` per input tuple, 4**arity
+# levels deep.  Arity 4 writes 8.2 MB of JSON; at arity 5 the writers
+# exceed the recursion limit.
+MAX_DNF_ARITY = 4
+
 # Largest side N of the generators of a Lie closure
 # (``universality.lie_closure_dim``): the span holds up to 2 N**2 rows of
-# 2 N**2 reals, and every new row is orthogonalized against all of them.
-# N = 16 closes in a few seconds; N = 32 takes about 38 s.
+# 2 N**2 reals, and every block of candidates is orthogonalized against
+# all of them.  N = 16 closes in under a second; a random pair at N = 32
+# takes about 4 s.
 MAX_LIE_SIDE = 16
 
 # Largest register a document may name: no list holds the 4**33 entries

@@ -125,7 +125,7 @@ class KrausSet:
         if top <= 1.0 + tolerances.algebra:
             return TRACE_DECREASING
         raise NumericContractError(
-            f"trace-increasing Kraus set: max eigenvalue of sum A^dag A is {top:.6g}"
+            f"trace-increasing Kraus set: max eigenvalue of sum A^dag A is {top!r}"
         )
 
 

@@ -117,65 +117,67 @@ def weyl_generators(dim: int) -> GeneratorSet:
     """
     if not _exponent(dim, 4):
         raise NumericContractError(f"dim must be a power of 4, got {dim}")
-    units = []
-    for mu in range(dim):
-        for nu in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[mu, nu] = 1.0
-            e.setflags(write=False)
-            units.append(e)
-    herm = []
-    for a in range(dim):
-        h = np.zeros((dim, dim), dtype=complex)
-        h[a, a] = 1.0
-        h.setflags(write=False)
-        herm.append(h)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            hr = np.zeros((dim, dim), dtype=complex)
-            hr[a, b] = 1.0
-            hr[b, a] = 1.0
-            hr.setflags(write=False)
-            herm.append(hr)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            hi = np.zeros((dim, dim), dtype=complex)
-            hi[a, b] = -1j
-            hi[b, a] = 1j
-            hi.setflags(write=False)
-            herm.append(hi)
+
+    def frozen(*entries):
+        e = np.zeros((dim, dim), dtype=complex)
+        for a, b, value in entries:
+            e[a, b] = value
+        e.setflags(write=False)
+        return e
+
+    pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+    units = [frozen((mu, nu, 1.0)) for mu in range(dim) for nu in range(dim)]
+    herm = [frozen((a, a, 1.0)) for a in range(dim)]
+    herm += [frozen((a, b, 1.0), (b, a, 1.0)) for a, b in pairs]
+    herm += [frozen((a, b, -1j), (b, a, 1j)) for a, b in pairs]
     return GeneratorSet(units=tuple(units), hermitian=tuple(herm))
 
 
-def _vec_real(m: np.ndarray) -> np.ndarray:
-    return np.concatenate([m.real.reshape(-1), m.imag.reshape(-1)])
-
-
 class _RealSpan:
-    """Incremental orthonormal real span with a fixed acceptance threshold."""
+    """Orthonormal rows [Re M, Im M] of complex matrices M, in a (dim, dim) buffer.
+
+    A candidate is kept when its residual after two Gram-Schmidt passes,
+    relative to its norm, exceeds ``threshold``.
+    """
 
     def __init__(self, dim: int, threshold: float = 1e-9):
-        self.rows = np.zeros((0, dim))
+        self.rows = np.zeros((dim, dim))
+        self.dim = 0
         self.threshold = threshold
 
-    def add(self, vec: np.ndarray) -> bool:
-        norm = np.linalg.norm(vec)
-        if norm <= self.threshold:
-            return False
-        v = vec / norm
-        # Two Gram-Schmidt passes keep the basis orthonormal in floats.
+    def extend(self, mats: np.ndarray) -> np.ndarray:
+        """Offer each matrix, then i times it; return the kept ones, normalised, in order."""
+        flat = mats.reshape(len(mats), -1)
+        norms = np.linalg.norm(flat, axis=1)
+        keep = norms > self.threshold
+        flat = flat[keep] / norms[keep, None]
+        flat = np.stack([flat, 1j * flat], axis=1).reshape(-1, flat.shape[1])
+        vecs = np.concatenate([flat.real, flat.imag], axis=1)
+        held = self.rows[: self.dim]
+        # one GEMM per pass against the rows held before the call; a
+        # residual at or below threshold cannot grow in a later pass
         for _ in range(2):
-            if self.rows.shape[0]:
-                v = v - self.rows.T @ (self.rows @ v)
-        resid = np.linalg.norm(v)
-        if resid <= self.threshold:
-            return False
-        self.rows = np.vstack([self.rows, v / resid])
-        return True
+            vecs -= (vecs @ held.T) @ held
+            live = np.linalg.norm(vecs, axis=1) > self.threshold
+            vecs, flat = vecs[live], flat[live]
+        start = self.dim
+        kept = []
+        for j, v in enumerate(vecs):
+            new = self.rows[start : self.dim]
+            for _ in range(2):
+                v = v - new.T @ (new @ v)
+            resid = np.linalg.norm(v)
+            if resid > self.threshold and self.dim < len(self.rows):
+                self.rows[self.dim] = v / resid
+                self.dim += 1
+                kept.append(j)
+        return flat[kept].reshape(-1, *mats.shape[1:])
 
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[0]
+
+# Entries of the commutator block formed at once: 2**14 complex, 256 KiB.
+# In small blocks the rows a block adds are held, and so projected out by
+# GEMM, for the next block; 2**20 took twice as long at N = 16.
+_BRACKET_ENTRIES = 2**14
 
 
 def lie_closure_dim(
@@ -210,31 +212,23 @@ def lie_closure_dim(
             f"generators have side {size}; Lie closures are limited to side {MAX_LIE_SIDE}"
         )
 
+    gens = np.stack(mats)
     span = _RealSpan(2 * size * size, threshold)
-    basis: list[np.ndarray] = []
-
-    def insert(m: np.ndarray) -> None:
-        norm = np.linalg.norm(m)
-        if norm == 0.0:
-            return
-        for cand in (m, 1j * m):
-            if span.add(_vec_real(cand)):
-                basis.append(cand / np.linalg.norm(cand))
-
-    for m in mats:
-        insert(m)
-
-    frontier_start = 0
+    frontier = span.extend(gens)
+    # brackets [g, b], frontier outer and generator inner, in blocks of at
+    # most _BRACKET_ENTRIES entries or of one frontier member
+    step = max(1, _BRACKET_ENTRIES // gens.size)
     for _ in range(max_iter):
-        frontier_end = len(basis)
-        if frontier_start == frontier_end:
+        # a full span has no new directions to find
+        if not len(frontier) or span.dim == len(span.rows):
             break
-        for b in basis[frontier_start:frontier_end]:
-            for g in mats:
-                insert(g @ b - b @ g)
-        frontier_start = frontier_end
+        found = []
+        for i in range(0, len(frontier), step):
+            b = frontier[i : i + step, None]
+            found.append(span.extend((gens @ b - b @ gens).reshape(-1, size, size)))
+        frontier = np.concatenate(found)
     else:
-        if frontier_start != len(basis):
+        if len(frontier):
             warnings.warn(
                 "lie closure did not stabilize within max_iter sweeps; "
                 "returned dimension is a lower bound",

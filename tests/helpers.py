@@ -62,3 +62,25 @@ def depolarizing_kraus(p: float) -> KrausSet:
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
+
+
+def entangler_generators() -> list[np.ndarray]:
+    """Side-16 pseudo-gates of the 2x2 units on each of two ququats, plus |0,1)(1,0|.
+
+    Their Lie closure is gl(16, C), of real dimension 512.
+    """
+    from ququat import left_mult_superop, right_mult_superop
+
+    eye4 = np.eye(4)
+    gens = []
+    for a in range(2):
+        for b in range(2):
+            x = np.zeros((2, 2), dtype=complex)
+            x[a, b] = 1.0
+            lmat = left_mult_superop(x).matrix
+            rmat = right_mult_superop(x).matrix
+            gens += [np.kron(lmat, eye4), np.kron(eye4, lmat),
+                     np.kron(rmat, eye4), np.kron(eye4, rmat)]
+    entangler = np.zeros((16, 16), dtype=complex)
+    entangler[1, 4] = 1.0
+    return gens + [entangler]

@@ -3,7 +3,9 @@
 import decimal
 import json
 import math
+import os
 import random
+import resource
 import struct
 import subprocess
 import sys
@@ -28,7 +30,7 @@ from ququat.errors import SchemaError
 from ququat.lindblad import LiouvillianSuperop
 from ququat.serialization import encode_complex_matrix
 
-from helpers import random_pvec, random_unitary
+from helpers import entangler_generators, random_pvec, random_unitary
 
 
 def run_cli(args, payload=None, tmp_path=None, capsys=None):
@@ -292,6 +294,20 @@ class TestMvlogicCommands:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["dnf"]["op"] == "max"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_dnf_above_the_arity_ceiling_is_refused(self, tmp_path, capsys, fmt):
+        # the form nests one max per input tuple: at arity 5 the writers
+        # ran out of recursion and printed a traceback
+        args = ["--format", fmt, "mvlogic", "dnf"]
+        table = {"arity": 5, "outputs": [i % 4 for i in range(4**5)]}
+        assert run_cli(args, table, tmp_path, capsys) == (
+            EXIT_SCHEMA, "", "error: table.arity: expected an integer <= 4, got 5\n"
+        )
+        table = {"arity": 4, "outputs": [i % 4 for i in range(4**4)]}
+        code, out, err = run_cli(args, table, tmp_path, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert len(out) > 10**6
 
     def test_synth_and_verify(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -1407,6 +1423,25 @@ def test_lie_side_above_the_ceiling_exit_3(tmp_path, capsys, monkeypatch, side):
     assert code == EXIT_CONTRACT
     assert out == ""
     assert err == f"error: generators have side {side}; Lie closures are limited to side 16\n"
+
+
+def test_lie_side_at_the_ceiling_stays_within_3_gib():
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    doc = {"generators": [encode_complex_matrix(g) for g in entangler_generators()]}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ququat.cli", "universality", "closure-dim"],
+        input=json.dumps(doc, default=np.ndarray.tolist),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=cap,
+        # BLAS thread pools reserve address space per core
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr[-500:]
+    assert json.loads(proc.stdout) == {"dimension": 512}
 
 
 _ONE_STEP_CIRCUIT = '{"circuit": {"n": %d, "steps": [{"named": "not"}]}, "initial": {"n": 1, "P": [1,0,0,0]}}'

@@ -28,7 +28,7 @@ from ququat import (
     weyl_generators,
 )
 from ququat.liouville import SIGMA, PauliIndex
-from ququat.gates import TRACE_DECREASING, TRACE_PRESERVING
+from ququat.gates import TRACE_DECREASING, TRACE_PRESERVING, _branch_rows, _projector_family
 
 from helpers import P0, P1, depolarizing_kraus, random_pvec, random_tp_kraus, random_unitary
 
@@ -173,6 +173,32 @@ class TestMeasurementGates:
     def test_rejects_non_square(self, shape):
         with pytest.raises(NumericContractError, match="projector 1 is not Hermitian idempotent"):
             measurement_gates([P0, np.zeros(shape)])
+
+    @pytest.mark.parametrize("build", [measurement_gates, _branch_rows])
+    def test_projector_just_above_one_is_trace_increasing(self, build):
+        # P P - P = eps + eps**2 passes the algebra tolerance, so the family
+        # is accepted as projectors; sum P^dag P then has eigenvalue
+        # (1 + eps)**2, above 1 + tolerance at eps = 9e-11 only
+        def family(eps):
+            return [np.diag([1 + eps, 0.0]), np.diag([0.0, 1.0])]
+
+        with pytest.raises(NumericContractError) as info:
+            build(family(9e-11))
+        assert str(info.value) == (
+            "trace-increasing Kraus set: max eigenvalue of sum A^dag A is 1.00000000018"
+        )
+        if build is measurement_gates:
+            assert [g.kind for g in build(family(3e-11))] == [TRACE_DECREASING] * 2
+        else:
+            assert build(family(3e-11)).shape == (2, 4)
+
+    def test_nan_projector_is_refused_only_as_a_kraus_operator(self):
+        # every comparison with NaN is false, so the family checks pass it
+        nan = np.array([[np.nan, 0.0], [0.0, 0.0]])
+        assert len(_projector_family([nan])) == 1
+        for build in (measurement_gates, _branch_rows):
+            with pytest.raises(NumericContractError, match="^Kraus operators have non-finite entries$"):
+                build([nan])
 
     def test_probabilities_sum_to_one(self):
         g0, g1 = measurement_gates([P0, P1])

@@ -1,5 +1,7 @@
 """Pseudo-gate, Weyl-generator and Lie-closure tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -21,7 +23,7 @@ from ququat import (
 from ququat.config import MAX_LIE_SIDE
 from ququat.liouville import PauliIndex, SIGMA
 
-from helpers import P0, random_tp_kraus, random_unitary
+from helpers import P0, entangler_generators, random_tp_kraus, random_unitary
 
 RNG = np.random.default_rng(19)
 
@@ -158,18 +160,10 @@ class TestLieClosure:
         assert d2 >= d1
 
     def test_pseudo_gate_algebra_with_entangler(self):
-        units2 = [_unit(2, a, b) for a in range(2) for b in range(2)]
-        eye4 = np.eye(4)
-        seed = []
-        for x in units2:
-            lmat = left_mult_superop(x).matrix
-            rmat = right_mult_superop(x).matrix
-            seed += [np.kron(lmat, eye4), np.kron(eye4, lmat),
-                     np.kron(rmat, eye4), np.kron(eye4, rmat)]
-        entangler = _unit(16, 1, 4)  # superoperator unit |0,1)(1,0|
+        gens = entangler_generators()
         # the largest side the ceiling admits
-        assert entangler.shape == (MAX_LIE_SIDE, MAX_LIE_SIDE)
-        assert lie_closure_dim(seed + [entangler], max_iter=60) == 512
+        assert gens[-1].shape == (MAX_LIE_SIDE, MAX_LIE_SIDE)
+        assert lie_closure_dim(gens, max_iter=60) == 512
 
     def test_sweep_budget_warns(self):
         from ququat.universality import LieClosureWarning
@@ -183,6 +177,83 @@ class TestLieClosure:
     def test_empty_rejected(self):
         with pytest.raises(NumericContractError):
             lie_closure_dim([])
+
+
+class _PerVectorSpan:
+    """Reference span: one Gram-Schmidt insertion and one vstack per vector."""
+
+    def __init__(self, dim, threshold):
+        self.rows = np.zeros((0, dim))
+        self.threshold = threshold
+
+    def add(self, vec):
+        norm = np.linalg.norm(vec)
+        if norm <= self.threshold:
+            return False
+        v = vec / norm
+        for _ in range(2):
+            if self.rows.shape[0]:
+                v = v - self.rows.T @ (self.rows @ v)
+        resid = np.linalg.norm(v)
+        if resid <= self.threshold:
+            return False
+        self.rows = np.vstack([self.rows, v / resid])
+        return True
+
+
+def _per_vector_closure(mats, max_iter, threshold=1e-9):
+    """(dimension, warned) of the per-vector closure loop, the reference for the blocked one."""
+    span = _PerVectorSpan(2 * mats[0].size, threshold)
+    basis = []
+
+    def insert(m):
+        if np.linalg.norm(m) == 0.0:
+            return
+        for cand in (m, 1j * m):
+            if span.add(np.concatenate([cand.real.reshape(-1), cand.imag.reshape(-1)])):
+                basis.append(cand / np.linalg.norm(cand))
+
+    for m in mats:
+        insert(m)
+    start = 0
+    for _ in range(max_iter):
+        end = len(basis)
+        if start == end:
+            return span.rows.shape[0], False
+        for b in basis[start:end]:
+            for g in mats:
+                insert(g @ b - b @ g)
+        start = end
+    return span.rows.shape[0], start != len(basis)
+
+
+def _seeded_sets(n, rng):
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    a, b = cplx(n, n), cplx(n, n)
+    return {
+        "random": [a, b],
+        "diagonal": [np.diag(cplx(n)), np.diag(rng.normal(size=n)).astype(complex)],
+        "unit-chain": [_unit(n, k, k + 1) for k in range(n - 1)],
+        "hermitian": [h + h.conj().T for h in (cplx(n, n), cplx(n, n))],
+        # candidates dependent within one block, and a zero matrix
+        "dependent": [a, 2 * a, np.zeros((n, n), dtype=complex), b, a + 1j * b],
+    }
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_blocked_span_matches_the_per_vector_oracle(n):
+    from ququat.universality import LieClosureWarning
+
+    for kind, mats in _seeded_sets(n, np.random.default_rng(100 + n)).items():
+        for max_iter in (1, 2, 3, 100):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                dim = lie_closure_dim(mats, max_iter=max_iter)
+            warned = [w.category for w in caught] == [LieClosureWarning]
+            assert not caught or warned, kind
+            assert (dim, warned) == _per_vector_closure(mats, max_iter), (kind, max_iter)
 
 
 class TestSwap:
