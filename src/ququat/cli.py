@@ -29,7 +29,8 @@ import orjson
 from . import __version__
 from . import serialization as sz
 from .circuits import parse_circuit, run_circuit
-from .config import MAX_CLOSURE_ARITY, MAX_DNF_ARITY, set_tolerances, tolerances
+from .config import (MAX_CLOSURE_ARITY, MAX_CLOSURE_BUDGET, MAX_DNF_ARITY, set_tolerances,
+                     tolerances)
 from .decompositions import (
     euler_angles,
     polar_gate,
@@ -463,6 +464,8 @@ def _cmd_mvlogic_closure(args):
     if max_arity > MAX_CLOSURE_ARITY:
         raise SchemaError(f"max_arity: expected an integer <= {MAX_CLOSURE_ARITY}, got {max_arity}")
     budget = sz._decode_int(doc.get("budget", 5000), "budget", 0)
+    if budget > MAX_CLOSURE_BUDGET:
+        raise SchemaError(f"budget: expected an integer <= {MAX_CLOSURE_BUDGET}, got {budget}")
     result = closure(gens, max_arity=max_arity, budget=budget)
     if args.format == "text":
         # one base-4 output string per discovered table

@@ -6,10 +6,11 @@ eigenvalue slack when testing positive semidefiniteness.  Every check
 reads them when it runs; ``set_tolerances`` (the CLI's ``--tol``) is the
 one way to change them.
 
-Five size ceilings, two in ququats, two in truth-table arguments and
-one in matrix side, bound what an input may ask the package to build.
-They are not tolerances and no option changes them; each is checked
-before anything of that size is allocated.
+Seven size ceilings, two in ququats, two in truth-table arguments, two
+in closure work and one in matrix side, bound what an input may ask the
+package to build.  They are not tolerances and no option changes them;
+each is checked before anything of that size is allocated, except the
+closure's work, which is counted as the search goes.
 """
 
 from dataclasses import dataclass
@@ -36,10 +37,23 @@ MAX_GATE_QUQUATS = 5
 # 1.4 s and 240 MB for one unary generator).
 MAX_CLOSURE_ARITY = 6
 
+# Largest ``budget`` of the closure search, in tables kept: v4 at
+# ``max_arity`` 2 keeps 50000 tables in about 3.5 s and 135 MB, and writes
+# 11.6 MB of JSON.
+MAX_CLOSURE_BUDGET = 50_000
+
+# Most table entries one closure search composes before it stops
+# incomplete: each member tuple a generator is applied to counts 4**arity.
+# A tuple costs about 0.4 us at arity 1 and 110 us at arity 6 (25-100 ns an
+# entry), so the ceiling is a few seconds of work, and no more tables of a
+# large arity can join the pool than were composed.  ``max`` at
+# ``max_arity`` 6 reaches its fixpoint in 17.3 million entries.
+MAX_CLOSURE_ENTRIES = 25_000_000
+
 # Largest arity of a table whose disjunction normal form is written out
-# (``mvlogic dnf``): the form nests one ``max`` per input tuple, 4**arity
-# levels deep.  Arity 4 writes 8.2 MB of JSON; at arity 5 the writers
-# exceed the recursion limit.
+# (``mvlogic dnf``): one term per input tuple, joined by a balanced ``max``
+# tree.  Arity 4 writes 0.77 MB of JSON; arity 5 would write 4.5 MB and
+# arity 6 24.8 MB.
 MAX_DNF_ARITY = 4
 
 # Largest side N of the generators of a Lie closure

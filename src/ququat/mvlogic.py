@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_CLOSURE_ARITY
+from .config import MAX_CLOSURE_ARITY, MAX_CLOSURE_BUDGET, MAX_CLOSURE_ENTRIES
 from .errors import NumericContractError
 from .gates import GateMatrix, TRACE_PRESERVING, _check_gate_size
 
@@ -77,12 +77,9 @@ class TruthTable:
     def __call__(self, *args: int) -> int:
         if len(args) != self.arity:
             raise NumericContractError(f"expected {self.arity} arguments, got {len(args)}")
-        idx = 0
-        for a in args:
-            if a not in (0, 1, 2, 3):
-                raise NumericContractError("inputs must be in 0..3")
-            idx = 4 * idx + a
-        return self.outputs[idx]
+        if any(a not in (0, 1, 2, 3) for a in args):
+            raise NumericContractError("inputs must be in 0..3")
+        return self.outputs[_index(args)]
 
     def is_constant(self) -> bool:
         return len(set(self.outputs)) == 1
@@ -93,6 +90,15 @@ def projection(arity: int, index: int) -> TruthTable:
     if not 0 <= index < arity:
         raise NumericContractError(f"projection index {index} out of range for arity {arity}")
     return _table_from_fn(arity, lambda *xs: xs[index])
+
+
+def _index(rows):
+    """Flat big-endian base-4 index of ``TruthTable.outputs`` for one digit per
+    argument, x_1 first: ints, or integer arrays that broadcast to many tuples."""
+    idx = 0
+    for row in rows:
+        idx = 4 * idx + row
+    return idx
 
 
 def _inputs(arity: int):
@@ -158,7 +164,8 @@ def compose_classical(outer: TruthTable, inners) -> TruthTable:
     m = inners[0].arity
     if any(t.arity != m for t in inners):
         raise NumericContractError("inner tables must share one arity")
-    return _table_from_fn(m, lambda *xs: outer(*[t(*xs) for t in inners]))
+    outputs = np.array(outer.outputs)[_index(np.array(t.outputs) for t in inners)]
+    return TruthTable(m, tuple(outputs.tolist()))
 
 
 def substitute_variables(table: TruthTable, var_map, new_arity: int) -> TruthTable:
@@ -240,10 +247,11 @@ def dnf(table: TruthTable) -> ClassicalExpression:
     terms = dnf_terms(table)
     if not terms:
         return const_expr(0)
-    expr = terms[0]
-    for t in terms[1:]:
-        expr = apply_expr("max", expr, t)
-    return expr
+    # A balanced tree: the 4**arity terms are paired level by level, so the
+    # form nests 2 * arity levels of max deep, not one level per term.
+    while len(terms) > 1:
+        terms = [apply_expr("max", a, b) for a, b in zip(terms[::2], terms[1::2])]
+    return terms[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +266,8 @@ class ClosureResult:
     ``provenance`` maps each table's (arity, outputs) key to an expression
     over variables and the generators (named "g0", "g1", ...); evaluating
     the expression through ``registry`` reproduces the table.  When the
-    budget is exhausted before the fixpoint, ``complete`` is False and the
-    set is a sound under-approximation.
+    budget or the work ceiling is spent before the fixpoint, ``complete``
+    is False and the set is a sound under-approximation.
     """
 
     tables: list[TruthTable]
@@ -282,13 +290,14 @@ def closure(generators, max_arity: int = 2, budget: int = 5000) -> ClosureResult
     Members are kept up to ``max_arity``, at most ``MAX_CLOSURE_ARITY``;
     projections are included (they are the variables).  Each sweep applies
     every generator to all tuples of same-arity members; new output vectors
-    join the pool until the fixpoint or the first new table the budget
-    refuses.  Iteration order is fixed, so the result is deterministic.
+    join the pool until the fixpoint, the first new table the budget (at
+    most ``MAX_CLOSURE_BUDGET``) refuses, or ``MAX_CLOSURE_ENTRIES`` composed
+    table entries.  Iteration order is fixed, so the result is deterministic.
     """
-    if max_arity > MAX_CLOSURE_ARITY:
-        raise NumericContractError(
-            f"max_arity {max_arity} exceeds the closure limit of {MAX_CLOSURE_ARITY}"
-        )
+    for name, value, limit in (("max_arity", max_arity, MAX_CLOSURE_ARITY),
+                               ("budget", budget, MAX_CLOSURE_BUDGET)):
+        if value > limit:
+            raise NumericContractError(f"{name} {value} exceeds the closure limit of {limit}")
     generators = list(generators)
     if not generators:
         raise NumericContractError("closure needs at least one generator")
@@ -323,32 +332,38 @@ def closure(generators, max_arity: int = 2, budget: int = 5000) -> ClosureResult
         for arity, outputs, expr in seeds:
             if (arity, outputs) not in provenance and not add(arity, outputs, expr):
                 return False
+        composed = 0
         # Inner tuples share one arity, so results of arity m depend only on
         # the arity-m pool: each arity is a self-contained fixpoint.  Small
         # arities are saturated first (there are at most 256 unary
         # functions), which keeps unary targets reachable under tight budgets.
         for m in pool_rows:
-            grown = True
-            while grown:
-                size = len(tables)
+            # Pool size at each generator's last pass: a tuple of members
+            # all older than that was composed then, so its table is known.
+            # A pool holding all 4**4**m tables of its arity is closed.
+            cursors = dict.fromkeys(registry, 0)
+            while min(cursors.values()) < len(pool_rows[m]) < 4 ** 4**m:
                 for name, g in registry.items():
+                    old, cursors[name] = cursors[name], len(pool_rows[m])
+                    if old == cursors[name]:
+                        continue
                     g_out = np.array(g.outputs, dtype=np.int64)
                     mat = np.stack(pool_rows[m])
                     exprs = pool_exprs[m]
                     # All but the last argument index the block; the block
-                    # holds every pool member as the last argument.
+                    # holds every pool member (or every new one) as the last.
                     for head in np.ndindex(*[len(mat)] * (g.arity - 1)):
-                        base = 0
-                        for c in head:
-                            base = 4 * base + mat[c]
-                        block = g_out[4 * base + mat].tolist()
-                        for last, outputs in enumerate(map(tuple, block)):
+                        first = old if all(c < old for c in head) else 0
+                        composed += (len(mat) - first) * 4**m
+                        if composed > MAX_CLOSURE_ENTRIES:
+                            return False
+                        block = g_out[_index([*(mat[c] for c in head), mat[first:]])]
+                        for last, outputs in enumerate(map(tuple, block.tolist()), first):
                             if (m, outputs) in provenance:
                                 continue
                             expr = apply_expr(name, *[exprs[c] for c in head], exprs[last])
                             if not add(m, outputs, expr):
                                 return False
-                grown = len(tables) > size
         return True
 
     complete = search()
@@ -372,10 +387,11 @@ def _as_table_tuple(tables) -> tuple[TruthTable, ...]:
     return tables
 
 
-def _output_scalar(tables: tuple[TruthTable, ...], flat_in: int) -> int:
-    out = 0
-    for t in tables:
-        out = 4 * out + t.outputs[flat_in]
+def _one_hot(tables: tuple[TruthTable, ...]) -> np.ndarray:
+    """The (4**m, 4**n) matrix with a one at (g(x), x) for every input x."""
+    cols = 4 ** tables[0].arity
+    out = np.zeros((4 ** len(tables), cols))
+    out[_index(np.array(t.outputs) for t in tables), np.arange(cols)] = 1.0
     return out
 
 
@@ -391,18 +407,12 @@ def synthesize_quantum(tables) -> GateMatrix:
     n = tables[0].arity
     m = len(tables)
     _check_gate_size(max(n, m), "classical map")
-    rows, cols = 4**m, 4**n
-    entries = np.zeros((rows, cols))
-    g0 = _output_scalar(tables, 0)
+    entries = _one_hot(tables)
+    # |nu] = delta_0 + delta_nu for nu != 0, so column nu is g(nu)'s one
+    # less g(0)'s, and row 0 (the trace) is delta.
+    entries[:, 1:] -= entries[:, :1]
+    entries[0] = 0.0
     entries[0, 0] = 1.0
-    if g0 != 0:
-        entries[g0, 0] = 1.0
-    for nu in range(1, cols):
-        gv = _output_scalar(tables, nu)
-        if gv != 0:
-            entries[gv, nu] += 1.0
-        if g0 != 0:
-            entries[g0, nu] -= 1.0
     return GateMatrix(n, m, entries, TRACE_PRESERVING)
 
 
@@ -425,20 +435,12 @@ def _extended_map(table: TruthTable) -> tuple[TruthTable, ...]:
     Lukasiewicz negation alternating across the remaining data wires, and
     the ancilla passed through; a = 0 collapses everything to zero.
     """
-    n = table.arity
-    out_tables = []
-    for slot in range(n + 1):
-        outs = []
-        for *xs, anc in _inputs(n + 1):
-            if anc == 0:
-                outs.append(0)
-            elif slot == n:
-                outs.append(anc)
-            else:
-                g = table(*xs)
-                outs.append(g if slot % 2 == 0 else luk_neg_value(g))
-        out_tables.append(TruthTable(n + 1, tuple(outs)))
-    return tuple(out_tables)
+    # Inputs as a (4**n, 4) grid: data tuple by ancilla digit, in flat order.
+    g = np.array(table.outputs)[:, None]
+    anc = np.arange(4)
+    outs = [np.where(anc != 0, luk_neg_value(g) if i % 2 else g, 0) for i in range(table.arity)]
+    outs.append(np.broadcast_to(anc, g.shape[:1] + anc.shape))
+    return tuple(TruthTable(table.arity + 1, tuple(o.ravel().tolist())) for o in outs)
 
 
 def synthesize_unital_extended(table: TruthTable) -> GateMatrix:
@@ -475,17 +477,12 @@ def verify_realization(gate: GateMatrix, tables, mode: str = "plain") -> bool:
         tables = _extended_map(tables)
     else:
         raise NumericContractError(f"unknown mode {mode!r}")
-    n = tables[0].arity
-    m = len(tables)
-    if gate.n_in != n or gate.n_out != m:
+    if (gate.n_in, gate.n_out) != (tables[0].arity, len(tables)):
         return False
-    for nu in range(4**n):
-        vin = np.zeros(4**n)
-        vin[0] = 1.0
-        vin[nu] = 1.0
-        expected = np.zeros(4**m)
-        expected[0] = 1.0
-        expected[_output_scalar(tables, nu)] = 1.0
-        if not np.array_equal(gate.entries @ vin, expected):
-            return False
-    return True
+    # Every computational input at once: |0] is delta_0 and |nu] is
+    # delta_0 + delta_nu, so the images are column 0 and column 0 plus nu.
+    images = gate.entries + gate.entries[:, :1]
+    images[:, 0] = gate.entries[:, 0]
+    expected = _one_hot(tables)
+    expected[0] = 1.0
+    return np.array_equal(images, expected)

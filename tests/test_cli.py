@@ -28,6 +28,7 @@ from ququat.cli import EXIT_CONTRACT, EXIT_OK, EXIT_SCHEMA, EXIT_ZERO_PROBABILIT
 from ququat.config import tolerances
 from ququat.errors import SchemaError
 from ququat.lindblad import LiouvillianSuperop
+from ququat.mvlogic import evaluate_expression
 from ququat.serialization import encode_complex_matrix
 
 from helpers import entangler_generators, random_pvec, random_unitary
@@ -297,17 +298,23 @@ class TestMvlogicCommands:
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_dnf_above_the_arity_ceiling_is_refused(self, tmp_path, capsys, fmt):
-        # the form nests one max per input tuple: at arity 5 the writers
-        # ran out of recursion and printed a traceback
+        # the form has one term per input tuple, 1024 at arity 5
         args = ["--format", fmt, "mvlogic", "dnf"]
         table = {"arity": 5, "outputs": [i % 4 for i in range(4**5)]}
         assert run_cli(args, table, tmp_path, capsys) == (
             EXIT_SCHEMA, "", "error: table.arity: expected an integer <= 4, got 5\n"
         )
-        table = {"arity": 4, "outputs": [i % 4 for i in range(4**4)]}
-        code, out, err = run_cli(args, table, tmp_path, capsys)
+        outputs = [(7 * i + i // 5) % 4 for i in range(4**4)]
+        code, out, err = run_cli(args, {"arity": 4, "outputs": outputs}, tmp_path, capsys)
         assert (code, err) == (EXIT_OK, "")
-        assert len(out) > 10**6
+        if fmt == "text":
+            # 256 terms of five factors each, joined by 255 maxes
+            lines = [line.strip() for line in out.splitlines()]
+            assert (lines.count("op: min"), lines.count("op: max")) == (4 * 256, 255)
+            return
+        expr = sz.expression_from_json(json.loads(out)["dnf"])
+        inputs = [[(x >> s) & 3 for s in (6, 4, 2, 0)] for x in range(4**4)]
+        assert [evaluate_expression(expr, xs) for xs in inputs] == outputs
 
     def test_synth_and_verify(self, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -25,9 +25,12 @@ from ququat import (
     unital_realizable,
     verify_realization,
 )
+from ququat import mvlogic
 from ququat.cli import EXIT_OK, EXIT_SCHEMA
+from ququat.gates import GateMatrix
 from ququat.mvlogic import (
     TruthTable,
+    _extended_map,
     _table_from_fn,
     apply_expr,
     dnf_terms,
@@ -36,6 +39,7 @@ from ququat.mvlogic import (
     substitute_variables,
     var_expr,
 )
+from ququat.serialization import expression_from_json, expression_to_json
 
 ALL_UNARY = [TruthTable(1, outs) for outs in itertools.product(range(4), repeat=4)]
 
@@ -144,6 +148,42 @@ class TestDNF:
         for t in ALL_UNARY:
             expr = dnf(t)
             assert tuple(evaluate_expression(expr, (x,)) for x in range(4)) == t.outputs
+
+    @pytest.mark.parametrize("arity", [5, 6])
+    def test_wide_tables_evaluate_and_serialize(self, arity):
+        # above the CLI's ceiling, the recursive evaluator and writers
+        # still walk the form: it nests a few levels per argument
+        rng = np.random.default_rng(arity)
+        t = TruthTable(arity, tuple(rng.integers(0, 4, 4**arity).tolist()))
+        expr = dnf(t)
+
+        def depth(e):
+            return 1 + max(map(depth, e.args), default=0)
+
+        # 2 * arity levels of max, a term's chain of arity mins, I_k and its variable
+        assert depth(expr) == 3 * arity + 2
+        assert expression_from_json(expression_to_json(expr)) == expr
+        for flat in rng.integers(0, 4**arity, 6).tolist():
+            digits = [(flat >> (2 * (arity - 1 - i))) & 3 for i in range(arity)]
+            assert evaluate_expression(expr, digits) == t.outputs[flat]
+
+    def test_terms_keep_their_order(self):
+        t = builtin("v4")
+        expr, terms = dnf(t), dnf_terms(t)
+        leaves = []
+
+        def collect(e):
+            if e.op == "max":
+                for a in e.args:
+                    collect(a)
+            else:
+                leaves.append(e)
+
+        collect(expr)
+        assert leaves == terms
+        t = TruthTable(1, (0, 1, 2, 3))
+        a, b, c, d = dnf_terms(t)
+        assert dnf(t) == apply_expr("max", apply_expr("max", a, b), apply_expr("max", c, d))
 
 
 class TestClosure:
@@ -275,6 +315,20 @@ _ORACLE_CASES = [
     (_gens("const1", "max"), 2, 4, False),
     (_gens("g2"), 1, 400, True),
     (_gens("g2"), 1, 2, True),
+    # several passes per generator, and budgets that cut a later pass
+    (_gens("g1"), 1, 400, True),
+    (_gens("g1"), 1, 3, False),
+    (_gens("g2", "g1"), 1, 400, True),
+    (_gens("g1", "g3"), 1, 100, False),
+    (_gens("g1", "g3"), 1, 64, False),
+    (_gens("g1", "g3"), 1, 200, True),
+    (_gens("v4"), 2, 300, False),
+    (_gens("v4"), 2, 257, False),
+    (_gens("cyclic_shift", "max"), 2, 333, False),
+    (_gens("luk_neg", "min"), 3, 150, False),
+    (_gens("max", "I0"), 3, 300, False),
+    (_gens(_MAX3, "luk_neg"), 3, 60, False),
+    (_gens("max", "box"), 3, 5000, True),
 ]
 
 
@@ -287,21 +341,23 @@ def test_closure_matches_three_branch_oracle(gens, max_arity, budget, complete):
     assert res.complete is oracle_complete is complete
 
 
-def test_closure_cli_stays_within_3_gib():
-    # a pass that stacked every pair of members would need 257 GiB here
+def _capped_run(args, stdin=None, timeout=60):
+    """A child Python under a 3 GiB address-space cap and a timeout."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "ququat.cli", "mvlogic", "closure"],
-        input='{"generators": ["v4"], "budget": 50000}',
-        capture_output=True,
-        text=True,
-        timeout=120,
-        preexec_fn=cap,
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, text=True,
+        timeout=timeout, preexec_fn=cap,
         # BLAS thread pools reserve address space per core
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
     )
+
+
+def test_closure_cli_stays_within_3_gib():
+    # a pass that stacked every pair of members would need 257 GiB here
+    proc = _capped_run(["-m", "ququat.cli", "mvlogic", "closure"],
+                       '{"generators": ["v4"], "budget": 50000}', timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr[-500:]
     out = json.loads(proc.stdout)
     assert out["count"] == 50000 and out["complete"] is False
@@ -328,6 +384,69 @@ def test_max_arity_above_the_ceiling_is_refused(max_arity):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60, env=env)
     assert proc.stdout == f"max_arity {max_arity} exceeds the closure limit of 6\n", proc.stderr
+
+
+def test_budget_above_the_ceiling_is_refused():
+    from ququat.config import MAX_CLOSURE_BUDGET
+
+    assert MAX_CLOSURE_BUDGET == 50000  # test_closure_cli_stays_within_3_gib runs at it
+    script = (
+        "import io, sys\n"
+        "from ququat import NumericContractError, builtin, closure\n"
+        "from ququat.cli import main\n"
+        "for budget in (50001, 10**7):\n"
+        "    sys.stdin = io.StringIO('{\"generators\": [\"v4\"], \"budget\": %d}' % budget)\n"
+        "    print(main(['mvlogic', 'closure']))\n"
+        "    try:\n"
+        "        closure([builtin('v4')], budget=budget)\n"
+        "    except NumericContractError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = _capped_run(["-c", script])
+    assert proc.stdout.splitlines() == [
+        "2", "budget 50001 exceeds the closure limit of 50000",
+        "2", "budget 10000000 exceeds the closure limit of 50000",
+    ], proc.stderr[-500:]
+    assert proc.stderr.splitlines() == [
+        "error: budget: expected an integer <= 50000, got 50001",
+        "error: budget: expected an integer <= 50000, got 10000000",
+    ]
+
+
+def test_closure_work_ceiling_stops_the_four_ary_witness():
+    # v4 of its first two arguments as a 4-ary generator: once the 256 unary
+    # members are in the pool, every pass would compose 256**4 tuples
+    v4_of_two = _table_from_fn(4, lambda a, b, c, d: (max(a, b) + 1) % 4)
+    doc = {"generators": [{"arity": 4, "outputs": list(v4_of_two.outputs)}], "max_arity": 4}
+    proc = _capped_run(["-m", "ququat.cli", "mvlogic", "closure"], json.dumps(doc), timeout=30)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    out = json.loads(proc.stdout)
+    assert out["complete"] is False and out["count_by_arity"]["1"] > 100
+
+
+def test_closure_work_ceiling_is_exact(monkeypatch):
+    # luk_neg and min reach their 86-table fixpoint composing 108976 entries
+    gens = _gens("luk_neg", "min")
+    tables, provenance, _ = three_branch_closure(gens, 2, 5000)
+    monkeypatch.setattr(mvlogic, "MAX_CLOSURE_ENTRIES", 108976)
+    res = closure(gens, max_arity=2, budget=5000)
+    assert res.complete and res.tables == tables
+    assert list(res.provenance.items()) == list(provenance.items())
+    for ceiling in (108975, 10000):
+        monkeypatch.setattr(mvlogic, "MAX_CLOSURE_ENTRIES", ceiling)
+        res = closure(gens, max_arity=2, budget=5000)
+        assert not res.complete and res.tables == tables[: res.count()]
+    assert res.count() < len(tables)
+
+
+def test_a_pool_of_every_unary_table_is_closed(monkeypatch):
+    # no pass runs once the 256 unary tables are in; the passes that
+    # confirmed the fixpoint took the count from 3056 entries to 3072
+    monkeypatch.setattr(mvlogic, "MAX_CLOSURE_ENTRIES", 3056)
+    res = closure(_gens(*_UNARY_BASIS), max_arity=1, budget=400)
+    assert res.complete and res.count() == 256
+    monkeypatch.setattr(mvlogic, "MAX_CLOSURE_ENTRIES", 3055)
+    assert not closure(_gens(*_UNARY_BASIS), max_arity=1, budget=400).complete
 
 
 def test_max_arity_ceiling_admits_six():
@@ -512,3 +631,159 @@ class TestCDGate:
         gate = synthesize_quantum([builtin("min"), builtin("max")])
         col0 = gate.entries[:, 0]
         assert col0[0] == 1.0 and not np.any(col0[1:])
+
+
+# -- the per-input loops that the flat-index kernel replaced, as oracles --------
+
+
+def _flat(digits):
+    idx = 0
+    for d in digits:
+        idx = 4 * idx + d
+    return idx
+
+
+def _loop_call(table, xs):
+    return table.outputs[_flat(xs)]
+
+
+def _loop_compose(outer, inners):
+    m = inners[0].arity
+    return tuple(
+        _loop_call(outer, [_loop_call(t, xs) for t in inners])
+        for xs in itertools.product(range(4), repeat=m)
+    )
+
+
+def _loop_scalar(tables, nu):
+    return _flat([t.outputs[nu] for t in tables])
+
+
+def _loop_synthesis(tables):
+    n, m = tables[0].arity, len(tables)
+    entries = np.zeros((4**m, 4**n))
+    g0 = _loop_scalar(tables, 0)
+    entries[0, 0] = 1.0
+    if g0 != 0:
+        entries[g0, 0] = 1.0
+    for nu in range(1, 4**n):
+        gv = _loop_scalar(tables, nu)
+        if gv != 0:
+            entries[gv, nu] += 1.0
+        if g0 != 0:
+            entries[g0, nu] -= 1.0
+    return entries
+
+
+def _loop_extended_map(table):
+    n = table.arity
+    out = []
+    for slot in range(n + 1):
+        outs = []
+        for *xs, anc in itertools.product(range(4), repeat=n + 1):
+            if anc == 0:
+                outs.append(0)
+            elif slot == n:
+                outs.append(anc)
+            else:
+                g = _loop_call(table, xs)
+                outs.append(g if slot % 2 == 0 else 3 - g)
+        out.append(tuple(outs))
+    return out
+
+
+def _loop_verify(entries, tables):
+    n, m = tables[0].arity, len(tables)
+    if entries.shape != (4**m, 4**n):
+        return False
+    for nu in range(4**n):
+        vin = np.zeros(4**n)
+        vin[0] = 1.0
+        vin[nu] = 1.0
+        expected = np.zeros(4**m)
+        expected[0] = 1.0
+        expected[_loop_scalar(tables, nu)] = 1.0
+        with np.errstate(invalid="ignore"):  # 0 * inf in the product
+            image = entries @ vin
+        if not np.array_equal(image, expected):
+            return False
+    return True
+
+
+def _random_tables(rng, arity, count):
+    return tuple(TruthTable(arity, tuple(rng.integers(0, 4, 4**arity).tolist()))
+                 for _ in range(count))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_SHAPES = [(n, m) for n in range(4) for m in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n,m", _SHAPES)
+def test_synthesis_matches_the_per_column_loop(n, m):
+    rng = np.random.default_rng([n, m])
+    for _ in range(4):
+        tables = _random_tables(rng, n, m)
+        assert _same_bits(synthesize_quantum(tables).entries, _loop_synthesis(tables))
+    # g(0) = 0 and a constant map, the two ends of column 0
+    zero = (TruthTable(n, (0,) * 4**n),) * m
+    assert _same_bits(synthesize_quantum(zero).entries, _loop_synthesis(zero))
+    three = (TruthTable(n, (3,) * 4**n),) * m
+    assert _same_bits(synthesize_quantum(three).entries, _loop_synthesis(three))
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_extended_map_matches_the_per_input_loop(n):
+    rng = np.random.default_rng(n)
+    for (table,) in [_random_tables(rng, n, 1) for _ in range(4)]:
+        mapped = _extended_map(table)
+        assert [t.outputs for t in mapped] == _loop_extended_map(table)
+        assert _same_bits(synthesize_quantum(mapped).entries, _loop_synthesis(mapped))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("m", range(4))
+def test_compose_matches_the_per_input_loop(k, m):
+    rng = np.random.default_rng([k, m])
+    for _ in range(4):
+        (outer,) = _random_tables(rng, k, 1)
+        inners = _random_tables(rng, m, k)
+        assert compose_classical(outer, inners).outputs == _loop_compose(outer, inners)
+
+
+@pytest.mark.parametrize("n,m", _SHAPES)
+def test_verify_matches_the_per_input_loop(n, m):
+    rng = np.random.default_rng([n, m, 1])
+    tables = _random_tables(rng, n, m)
+    good = synthesize_quantum(tables).entries
+    gates = [good, synthesize_quantum(_random_tables(rng, n, m)).entries]
+    for value in (np.nan, np.inf, -np.inf, 1.0, -1.0, 2.0):
+        for at in [(0, 0), (0, good.shape[1] - 1), tuple(rng.integers(0, good.shape))]:
+            bad = good.copy()
+            bad[at] = value
+            gates.append(bad)
+    verdicts = [verify_realization(GateMatrix(n, m, e, "general"), tables) for e in gates]
+    assert verdicts == [_loop_verify(e, tables) for e in gates]
+    assert verdicts[0] is True
+    assert not verify_realization(GateMatrix(n + 1, m, np.eye(4**m, 4 ** (n + 1)), "general"),
+                                  tables)
+
+
+@pytest.mark.parametrize("n", range(3))
+def test_extended_verify_matches_the_per_input_loop(n):
+    rng = np.random.default_rng([n, 2])
+    for (table,) in [_random_tables(rng, n, 1) for _ in range(3)]:
+        mapped = tuple(TruthTable(n + 1, o) for o in _loop_extended_map(table))
+        good = _loop_synthesis(mapped)
+        gates = [good]
+        for value in (np.nan, np.inf, -np.inf, 1.0):
+            bad = good.copy()
+            bad[tuple(rng.integers(0, good.shape))] = value
+            gates.append(bad)
+        verdicts = [verify_realization(GateMatrix(n + 1, n + 1, e, "general"), table,
+                                       mode="extended") for e in gates]
+        assert verdicts == [_loop_verify(e, mapped) for e in gates]
+        assert verdicts[0] is True

@@ -1,0 +1,153 @@
+"""Output-identity corpus for the ``ququat`` CLI.
+
+Runs a fixed corpus of commands in process through ``ququat.cli.main`` and
+prints one line per case: the arguments, the sha256 of the input, the exit
+code and the sha256 of stdout and of stderr.  The last line is a summary
+that starts with ``#``.  Two checkouts print the same lines exactly when
+every command writes the same bytes and exits alike, so comparing two
+revisions is one ``diff``:
+
+    python tools/cli_corpus.py --root PARENT_CHECKOUT > parent.txt
+    python tools/cli_corpus.py > change.txt
+    diff parent.txt change.txt
+
+``--root`` names the checkout whose ``src/``, ``tests/`` and ``perfbench/``
+are imported (by default the one holding this file).  The corpus is the
+README examples of ``tests/test_cli.py`` and every single-node mutant of
+them, each in JSON and in ``--format text``; rounds 0-7 of
+``GateWide(101)``, each job fed the output of the one before as the
+benchmark does; the ``SimulateLocal(101)`` and ``(102)`` documents; and
+the ``mvlogic`` commands below.  BLAS runs on one thread, as with more
+threads two runs of one revision can differ in the last bits.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from collections import Counter
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+
+
+def run_case(main, argv, text):
+    """(exit code, stdout, stderr) of ``main(argv)`` with ``text`` on stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except Exception as exc:  # a traceback from the real CLI
+                code = f"raised {type(exc).__name__}"
+                err.write(f"{exc}\n")
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _mvlogic_cases():
+    """The ``mvlogic`` cases, in the protocol of :func:`corpus`: every builtin
+    table, DNF and synthesis of small tables, verification of each gate
+    against its table and against the negated one, and closure searches up
+    to and just above the ceilings."""
+    from ququat.mvlogic import BUILTIN_NAMES, builtin
+
+    for name in BUILTIN_NAMES:
+        for fmt in ("json", "text"):
+            yield ["--format", fmt, "mvlogic", "table", name], ""
+    tables = [{"arity": 1, "outputs": list(builtin(name).outputs)} for name in BUILTIN_NAMES]
+    tables += [{"arity": a, "outputs": [(7 * i + i // 5) % 4 for i in range(4**a)]}
+               for a in (0, 2, 3, 4)]
+    for table in tables:
+        text = json.dumps(table)
+        for fmt in ("json", "text"):
+            yield ["--format", fmt, "mvlogic", "dnf"], text
+        negated = {**table, "outputs": [3 - v for v in table["outputs"]]}
+        for extra, mode in (([], "plain"), (["--extended"], "extended")):
+            code, out, _ = yield ["mvlogic", "synth", *extra], text
+            for against in (table, negated) if code == 0 else ():
+                doc = {"gate": json.loads(out), "table": against, "mode": mode}
+                yield ["mvlogic", "verify"], json.dumps(doc)
+    closures = [
+        {"generators": ["v4"], "budget": 5000},
+        {"generators": ["cyclic_shift", "max"], "budget": 2000},
+        {"generators": ["g1", "g2", "g3"], "max_arity": 1, "budget": 400},
+        {"generators": ["luk_neg", "min"], "max_arity": 3, "budget": 500},
+        {"generators": ["max"], "max_arity": 6},
+        {"generators": ["cyclic_shift"], "max_arity": 6},
+        {"generators": ["v4"], "budget": 50000},
+        {"generators": ["v4"], "budget": 50001},
+        {"generators": ["v4"], "max_arity": 7},
+    ]
+    for doc in closures:
+        for fmt in ("json", "text"):
+            yield ["--format", fmt, "mvlogic", "closure"], json.dumps(doc)
+
+
+def corpus():
+    """Yield (argv, text) for every case and receive its (exit code, stdout,
+    stderr): a chained ``gate-wide`` job reads the output of the one before."""
+    import numpy as np
+    from test_cli import _README_EXAMPLES, _mutants, _mutate
+    from workloads import GateWide, SimulateLocal
+
+    for fmt in ("json", "text"):
+        for argv, doc in _README_EXAMPLES:
+            yield ["--format", fmt, *argv], json.dumps(doc, default=np.ndarray.tolist)
+        for argv, doc, where, value in _mutants():
+            yield ["--format", fmt, *argv], json.dumps(_mutate(doc, where, value))
+    gate_wide = GateWide(101)
+    for index in range(8):
+        for job in gate_wide.round(index):
+            code, out, _ = yield job.argv, job.text
+            job.output = out if code == 0 else None
+    for seed in (101, 102):
+        for text in SimulateLocal(seed).docs:
+            yield ["simulate"], text
+    yield from _mvlogic_cases()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="checkout whose src/, tests/ and perfbench/ are imported")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "tests"), str(root / "perfbench")]
+    import ququat.cli
+
+    codes = Counter()
+    digest = hashlib.sha256()
+    cases = corpus()
+    result = None
+    while True:
+        try:
+            case_argv, text = cases.send(result)
+        except StopIteration:
+            break
+        text = "" if text is None else text
+        result = run_case(ququat.cli.main, case_argv, text)
+        code, out, err = result
+        line = "\t".join([" ".join(case_argv), _sha(text)[:16], str(code), _sha(out), _sha(err)])
+        print(line)
+        digest.update(line.encode() + b"\n")
+        codes[code] += 1
+    by_code = ", ".join(f"{n} exit {c}" for c, n in sorted(codes.items(), key=str))
+    print(f"# {sum(codes.values())} cases ({by_code}); digest {digest.hexdigest()[:16]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
