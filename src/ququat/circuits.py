@@ -34,6 +34,7 @@ from .gates import (
     TRACE_PRESERVING,
     _apply_local,
     _check_gate_size,
+    _projector_gate,
     _row0_deviation,
     _target_axes,
     _renormalize,
@@ -185,26 +186,22 @@ def _parse_step(raw, path: str, n: int) -> CircuitStep:
     raw = sz._expect(raw, dict, path, "an object")
     if "measure" in raw:
         spec = sz._expect(raw["measure"], dict, f"{path}.measure", "an object")
-        gates, post = sz.measurement_from_json(
+        family, post = sz.measurement_from_json(
             sz._expect_key(spec, "projectors", f"{path}.measure"),
             raw.get("post_select"),
             f"{path}.measure.projectors",
             f"{path}.post_select",
         )
+        gates = tuple(_projector_gate(p, kind) for p, kind in family)
         targets = _decode_targets(raw, gates[0], n, path)
         if post is None:
             # row 0 of the embedded sum is this row 0 tensored with delta
-            total = np.sum([g.entries for g in gates], axis=0)
-            if _row0_deviation(total[0]) > tolerances.algebra:
+            total = np.sum([g.entries[0] for g in gates], axis=0)
+            if _row0_deviation(total) > tolerances.algebra:
                 raise NumericContractError(
                     f"{path}: projector family is incomplete; give post_select"
                 )
-        return CircuitStep(
-            kind="measurement",
-            gates=tuple(gates),
-            targets=targets,
-            post_select=post,
-        )
+        return CircuitStep(kind="measurement", gates=gates, targets=targets, post_select=post)
     gate = _build_step_gate(raw, path)
     targets = _decode_targets(raw, gate, n, path)
     if gate.kind != TRACE_PRESERVING:

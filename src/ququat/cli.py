@@ -39,6 +39,7 @@ from .decompositions import (
 from .errors import NumericContractError, QuquatError, SchemaError, ZeroProbabilityError
 from .gates import (
     _branch_rows,
+    _projector_gate,
     adjoint_gate,
     analyze_gate,
     apply_nonlinear,
@@ -47,6 +48,7 @@ from .gates import (
     compose,
     gate_from_kraus,
     gate_from_unitary,
+    measurement_gates,
     tensor_gates,
 )
 from .liouville import PauliVector, _exponent, density_to_pvec, pvec_to_density, validate_density
@@ -64,7 +66,6 @@ from .universality import (
     lie_closure_dim,
     right_mult_superop,
     swap_pseudo_gate,
-    trace_decreasing_bound,
 )
 
 EXIT_OK = 0
@@ -343,9 +344,8 @@ def _cmd_gate_from_lindblad(args):
 
 
 def _cmd_gate_analyze(args):
-    gate = sz.gate_from_json(_load_document(args.input))
-    bound_ok, bound = trace_decreasing_bound(gate)
-    return {**asdict(analyze_gate(gate)), "row0_sq_sum": bound, "row0_bound_holds": bound_ok}
+    report = analyze_gate(sz.gate_from_json(_load_document(args.input)))
+    return {**asdict(report), "row0_bound_holds": report.trace_decreasing}
 
 
 def _cmd_gate_decompose(args):
@@ -399,18 +399,17 @@ def _cmd_gate_tensor(args):
 
 def _cmd_measure(args):
     doc = sz._expect(_load_document(args.input), dict, "input", "an object")
-    projectors = sz._decode_list(doc.get("projectors"), "projectors", sz.decode_complex_matrix)
+    family, post = sz.measurement_from_json(doc.get("projectors"), doc.get("post_select"))
     # a probability is row 0 of its branch gate times P; only the
     # post-selected branch needs its whole gate
-    rows = _branch_rows(projectors)
-    post = sz._post_select_from_json(doc.get("post_select"), len(rows), "post_select")
+    rows = _branch_rows(family)
     state = _state_from_json(doc.get("state"), "state")
-    n = _exponent(len(projectors[0]), 2)
+    n = _exponent(len(family[0][0]), 2)
     if state.n != n:
         raise NumericContractError(f"state has n={state.n}, projectors act on n={n}")
     out = {"probabilities": [float(row @ state.P) for row in rows]}
     if post is not None:
-        new_state, p = apply_nonlinear(gate_from_kraus([projectors[post]]), state)
+        new_state, p = apply_nonlinear(_projector_gate(*family[post]), state)
         out["post_select"] = post
         out["probability"] = p
         out["state"] = sz.pvec_to_json(new_state)
@@ -423,7 +422,7 @@ def _cmd_reversible(args):
     proj = sz.decode_complex_matrix(doc.get("projector"), "projector")
     cert = check_reversible(kraus, proj)
     gate = gate_from_kraus(kraus)
-    gate_m = gate_from_kraus([proj])
+    (gate_m,) = measurement_gates([proj])
     agree, gamma = check_reversible_superop(gate, gate_m)
     return {
         "reversible": cert.reversible,

@@ -248,11 +248,14 @@ def gate_from_kraus(kraus: KrausSet | list | tuple) -> GateMatrix:
     return GateMatrix(kraus.n_in, kraus.n_out, entries, kind)
 
 
-def _projector_family(projectors) -> list[np.ndarray]:
-    """The projectors as complex arrays, refused unless they form a measurement.
+def _projector_family(projectors) -> list[tuple[np.ndarray, str]]:
+    """The projectors as complex arrays, each with its gate's kind, refused
+    unless they form a measurement.
 
     Each must be a Hermitian idempotent of side 2**n, all must be of one
-    size, and each pair must be orthogonal.
+    size, and each pair must be orthogonal.  ``KrausSet((p,)).kind()`` then
+    refuses, as in :func:`gate_from_kraus`, a non-finite or 1x1 P and a
+    trace-increasing P^dagger P, which P P = P within tolerance allows.
     """
     projectors = [np.asarray(p, dtype=complex) for p in projectors]
     if not projectors:
@@ -279,7 +282,14 @@ def _projector_family(projectors) -> list[np.ndarray]:
         for j in range(i + 1, len(projectors)):
             if np.max(np.abs(projectors[i] @ projectors[j])) > tol:
                 raise NumericContractError(f"projectors {i} and {j} are not orthogonal")
-    return projectors
+    return [(p, KrausSet((p,)).kind()) for p in projectors]
+
+
+def _projector_gate(p: np.ndarray, kind: str) -> GateMatrix:
+    """Gate of rho -> P rho P for a projector P certified by :func:`_projector_family`."""
+    n = _exponent(len(p), 2)
+    entries = _kraus_transfer([p], n, n, snap_row0=kind == TRACE_PRESERVING)
+    return GateMatrix(n, n, entries, kind)
 
 
 def measurement_gates(projectors) -> list[GateMatrix]:
@@ -289,24 +299,20 @@ def measurement_gates(projectors) -> list[GateMatrix]:
     enforced.  If the family is complete the gate matrices sum to a
     trace-preserving gate.
     """
-    return [gate_from_kraus([p]) for p in _projector_family(projectors)]
+    return [_projector_gate(p, kind) for p, kind in _projector_family(projectors)]
 
 
-def _branch_rows(projectors) -> np.ndarray:
-    """Row 0 of each of ``measurement_gates(projectors)``, without the gates.
+def _branch_rows(family) -> np.ndarray:
+    """Row 0 of each gate of a certified ``family`` from :func:`_projector_family`.
 
     Row 0 of the gate of a Kraus set {A} is 2**-n Tr(sigma_nu A^dagger A),
     so one Pauli transfer of the stack of P_k^dagger P_k gives every row,
-    and ``rows @ P`` every branch probability.  The projectors are checked
-    as ``measurement_gates`` checks them, with the same messages.
+    and ``rows @ P`` every branch probability.
     """
-    projectors = _projector_family(projectors)
-    # the shape and kind refusals of gate_from_kraus, in the same order
-    kinds = [KrausSet((p,)).kind() for p in projectors]
-    n = _exponent(len(projectors[0]), 2)
-    squares = np.stack([p.conj().T @ p for p in projectors])
+    n = _exponent(len(family[0][0]), 2)
+    squares = np.stack([p.conj().T @ p for p, _ in family])
     rows = np.ascontiguousarray(_pauli_transfer(squares, n).real.T) / 2**n
-    for row, kind in zip(rows, kinds):
+    for row, (_, kind) in zip(rows, family):
         if kind == TRACE_PRESERVING:
             # as in _kraus_transfer: the certified row is pinned exactly
             _pin_row0(row)
@@ -398,6 +404,15 @@ def _renormalize(out: np.ndarray, n: int) -> tuple[PauliVector, float]:
     return PauliVector(n, out / p), p
 
 
+def _product_kind(ga: GateMatrix, gb: GateMatrix, entries: np.ndarray) -> str:
+    """Kind of ``entries``, the composition or tensor product of ``ga`` and ``gb``."""
+    if ga.kind == gb.kind == TRACE_PRESERVING:
+        return TRACE_PRESERVING
+    if GENERAL in (ga.kind, gb.kind):
+        return classify_kind(entries)
+    return TRACE_DECREASING
+
+
 def compose(g2: GateMatrix, g1: GateMatrix) -> GateMatrix:
     """Gate of the composition: g1 first, then g2 (matrix product g2 @ g1)."""
     if g1.n_out != g2.n_in:
@@ -405,26 +420,14 @@ def compose(g2: GateMatrix, g1: GateMatrix) -> GateMatrix:
             f"shape mismatch: first gate outputs n={g1.n_out}, second expects n={g2.n_in}"
         )
     entries = g2.entries @ g1.entries
-    kinds = {g1.kind, g2.kind}
-    if kinds == {TRACE_PRESERVING}:
-        kind = TRACE_PRESERVING
-    elif GENERAL in kinds:
-        kind = classify_kind(entries)
-    else:
-        kind = TRACE_DECREASING
-    return GateMatrix(g1.n_in, g2.n_out, entries, kind)
+    return GateMatrix(g1.n_in, g2.n_out, entries, _product_kind(g1, g2, entries))
 
 
 def tensor_gates(ga: GateMatrix, gb: GateMatrix) -> GateMatrix:
     """Kronecker product acting as ga on the leading (big-endian) indices."""
     _check_gate_size(max(ga.n_in + gb.n_in, ga.n_out + gb.n_out), "tensor product")
     entries = np.kron(ga.entries, gb.entries)
-    if ga.kind == gb.kind == TRACE_PRESERVING:
-        kind = TRACE_PRESERVING
-    elif GENERAL in (ga.kind, gb.kind):
-        kind = classify_kind(entries)
-    else:
-        kind = TRACE_DECREASING
+    kind = _product_kind(ga, gb, entries)
     return GateMatrix(ga.n_in + gb.n_in, ga.n_out + gb.n_out, entries, kind)
 
 
@@ -544,6 +547,9 @@ def check_reversible(kraus: KrausSet | list | tuple, p_m: np.ndarray) -> Reversi
     if not isinstance(kraus, KrausSet):
         kraus = KrausSet(tuple(kraus))
     p = np.asarray(p_m, dtype=complex)
+    if not np.isfinite(p).all():
+        # every tolerance comparison below would pass NaN
+        raise NumericContractError("P_M has non-finite entries")
     d = 2**kraus.n_in
     if p.shape != (d, d):
         raise NumericContractError(f"P_M must be {d}x{d} like the Kraus input, got {p.shape}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import MAX_QUQUATS
 from .errors import NumericContractError, SchemaError
-from .gates import _NO_QUQUAT, GateMatrix, KrausSet, gate_from_matrix, measurement_gates
+from .gates import _NO_QUQUAT, GateMatrix, KrausSet, _projector_family, gate_from_matrix
 from .lindblad import (
     GKSModel,
     _liouvillian_propagator,
@@ -347,20 +347,15 @@ def lindblad_from_json(obj, path: str = "lindblad") -> tuple[GateMatrix, np.ndar
 
 def measurement_from_json(
     projectors, post_select, path: str = "projectors", post_path: str = "post_select"
-) -> tuple[list[GateMatrix], int | None]:
-    """Branch gates of a projector family and the optional post-selected index."""
-    gates = measurement_gates(_decode_list(projectors, path, decode_complex_matrix))
-    return gates, _post_select_from_json(post_select, len(gates), post_path)
-
-
-def _post_select_from_json(post_select, count: int, path: str) -> int | None:
-    """The post-selected index among ``count`` projectors, or None when not given."""
+) -> tuple[list[tuple[np.ndarray, str]], int | None]:
+    """The certified family of ``gates._projector_family`` and the optional post-selected index."""
+    family = _projector_family(_decode_list(projectors, path, decode_complex_matrix))
     if post_select is None:
-        return None
-    post = _decode_int(post_select, path, 0)
-    if post >= count:
-        raise SchemaError(f"{path}: index {post} out of range for {count} projectors")
-    return post
+        return family, None
+    post = _decode_int(post_select, post_path, 0)
+    if post >= len(family):
+        raise SchemaError(f"{post_path}: index {post} out of range for {len(family)} projectors")
+    return family, post
 
 
 # -- classical logic --------------------------------------------------------

@@ -16,7 +16,9 @@ from scipy.linalg import expm
 
 from ququat import (
     PauliVector,
+    apply_nonlinear,
     cli,
+    gate_from_kraus,
     gate_from_unitary,
     liouvillian_superop,
     measurement_gates,
@@ -227,6 +229,24 @@ class TestMeasureReversible:
         want = [g.entries[0] @ state.P for g in measurement_gates(projs)]
         assert np.max(np.abs(np.array(json.loads(out)["probabilities"]) - want)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_measure_post_selected_state_matches_the_kraus_route(self, tmp_path, capsys, n):
+        rng = np.random.default_rng(1919 + n)
+        d = 2**n
+        v = random_unitary(rng, d)
+        state = random_pvec(rng, n)
+        for projs in ([v[:, :1] @ v[:, :1].conj().T, v[:, 1:] @ v[:, 1:].conj().T], [np.eye(d)]):
+            for post, p in enumerate(projs):
+                doc = {"projectors": [encode_complex_matrix(q) for q in projs],
+                       "state": {"n": n, "P": state.P.tolist()}, "post_select": post}
+                code, out, err = run_cli(["measure"], doc, tmp_path, capsys)
+                assert code == EXIT_OK, err
+                want, prob = apply_nonlinear(gate_from_kraus([p]), state)
+                got = json.loads(out)
+                assert got["probability"] == prob
+                got_p = np.array(got["state"]["P"])
+                assert np.array_equal(got_p.view(np.uint64), want.P.view(np.uint64))
+
     def test_measure_builds_only_the_post_selected_gate(self, tmp_path, capsys, monkeypatch):
         from ququat import gates
 
@@ -240,7 +260,7 @@ class TestMeasureReversible:
             return build
 
         for namespace in (gates, cli, sz):
-            for name in ("gate_from_kraus", "measurement_gates"):
+            for name in ("_projector_gate", "gate_from_kraus", "measurement_gates"):
                 if hasattr(namespace, name):
                     monkeypatch.setattr(namespace, name, counted(name, getattr(namespace, name)))
         payload = {"projectors": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
@@ -252,7 +272,7 @@ class TestMeasureReversible:
         code, out, _ = run_cli(["measure"], {**payload, "post_select": 1}, tmp_path, capsys)
         assert code == EXIT_OK
         assert json.loads(out)["probability"] == 0.09999999999999998
-        assert built == ["gate_from_kraus"]
+        assert built == ["_projector_gate"]
 
     @pytest.mark.parametrize("args", [["measure"], ["simulate"]])
     def test_projectors_of_mixed_sizes_exit_3(self, tmp_path, capsys, args):

@@ -174,7 +174,13 @@ class TestMeasurementGates:
         with pytest.raises(NumericContractError, match="projector 1 is not Hermitian idempotent"):
             measurement_gates([P0, np.zeros(shape)])
 
-    @pytest.mark.parametrize("build", [measurement_gates, _branch_rows])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            measurement_gates,
+            pytest.param(lambda ps: _branch_rows(_projector_family(ps)), id="_branch_rows"),
+        ],
+    )
     def test_projector_just_above_one_is_trace_increasing(self, build):
         # P P - P = eps + eps**2 passes the algebra tolerance, so the family
         # is accepted as projectors; sum P^dag P then has eigenvalue
@@ -193,10 +199,10 @@ class TestMeasurementGates:
             assert build(family(3e-11)).shape == (2, 4)
 
     def test_nan_projector_is_refused_only_as_a_kraus_operator(self):
-        # every comparison with NaN is false, so the family checks pass it
+        # every comparison with NaN is false, so the Hermitian, idempotent
+        # and orthogonality checks pass it; the kind's KrausSet refuses it
         nan = np.array([[np.nan, 0.0], [0.0, 0.0]])
-        assert len(_projector_family([nan])) == 1
-        for build in (measurement_gates, _branch_rows):
+        for build in (_projector_family, measurement_gates):
             with pytest.raises(NumericContractError, match="^Kraus operators have non-finite entries$"):
                 build([nan])
 
@@ -206,6 +212,76 @@ class TestMeasurementGates:
             p = random_pvec(RNG, 1)
             total = (g0.entries @ p.P)[0] + (g1.entries @ p.P)[0]
             assert abs(total - 1.0) < 1e-10
+
+
+def _kraus_route(projectors):
+    """The gates of the projectors, each through ``gate_from_kraus([p])``, or
+    the message that route refuses with: the oracle for measurement_gates."""
+    try:
+        return [gate_from_kraus([p]) for p in projectors]
+    except NumericContractError as exc:
+        return str(exc)
+
+
+def _oracle_families(n):
+    """Named n-ququat projector families for the differential oracle."""
+    rng = np.random.default_rng(1919 + n)
+    d = 2**n
+    v = random_unitary(rng, d)
+    cuts = sorted(rng.choice(np.arange(1, d), size=min(3, d - 1), replace=False))
+    complete = [v[:, a:b] @ v[:, a:b].conj().T for a, b in zip([0, *cuts], [*cuts, d])]
+
+    def edge(eps):
+        top = np.zeros((d, d))
+        top[0, 0] = 1 + eps
+        return [top, np.diag([0.0] + [1.0] * (d - 1))]
+
+    nan = np.zeros((d, d))
+    nan[0, 0] = np.nan
+    return {
+        "complete": complete,
+        "incomplete": complete[:-1],
+        "identity": [np.eye(d)],
+        "edge accepted": edge(3e-11),
+        "edge refused": edge(9e-11),
+        "nan": [nan],
+    }
+
+
+class TestMeasurementOracle:
+    """measurement_gates against the gate_from_kraus route, bit for bit."""
+
+    REFUSED = {
+        "edge refused":
+            "trace-increasing Kraus set: max eigenvalue of sum A^dag A is 1.00000000018",
+        "nan": "Kraus operators have non-finite entries",
+    }
+
+    @pytest.mark.parametrize("name", list(_oracle_families(1)))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_gates_match_the_kraus_route(self, n, name):
+        family = _oracle_families(n)[name]
+        want = _kraus_route(family)
+        if name in self.REFUSED:
+            assert want == self.REFUSED[name]
+            with pytest.raises(NumericContractError) as info:
+                measurement_gates(family)
+            assert str(info.value) == want
+            return
+        got = measurement_gates(family)
+        assert [g.kind for g in got] == [g.kind for g in want]
+        if name == "identity":
+            assert got[0].kind == TRACE_PRESERVING
+        for g, w in zip(got, want, strict=True):
+            assert (g.n_in, g.n_out) == (w.n_in, w.n_out) == (n, n)
+            assert np.array_equal(g.entries.view(np.uint64), w.entries.view(np.uint64))
+
+    def test_one_by_one_projector_is_refused_as_a_kraus_operator(self):
+        want = "Kraus operators must be 2**m x 2**n, got (1, 1)"
+        assert _kraus_route([np.eye(1)]) == want
+        with pytest.raises(NumericContractError) as info:
+            measurement_gates([np.eye(1)])
+        assert str(info.value) == want
 
 
 class TestApply:
@@ -370,6 +446,12 @@ class TestReversibility:
         assert cert.reversible
         assert np.allclose(cert.m, np.diag([0, 1]), atol=1e-12)
         assert cert.mu_sq == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_projector_rejected(self, bad):
+        # NaN passes every tolerance comparison, and max(0.0, nan) is 0.0
+        with pytest.raises(NumericContractError, match="^P_M has non-finite entries$"):
+            check_reversible([np.eye(2)], np.array([[bad, 0], [0, 0]]))
 
     def test_zero_projector_rejected(self):
         with pytest.raises(NumericContractError):

@@ -155,7 +155,7 @@ CASES = [
      lambda: check_reversible_superop(_gate(np.eye(4)), _gate(np.diag([1.0 + OFF, 1, 1, 1])))),
     ("_kraus_transfer", lambda: _kraus_transfer(_SCALED_ID, 1, 1, snap_row0=True)),
     ("_projector_family", lambda: _projector_family([_P0_OFF])),
-    ("_branch_rows", lambda: _branch_rows([_P0_OFF])),
+    ("_branch_rows", lambda: _branch_rows(_projector_family([_P0_OFF]))),
     ("split_translation", lambda: split_translation(_gate(_ROW0_OFF))),
     ("svd_rect_gate", lambda: svd_rect_gate(_gate(_ROW0_OFF))),
     ("svd_gate", lambda: svd_gate(_gate(_ROW0_OFF))),

@@ -17,8 +17,9 @@ README examples of ``tests/test_cli.py`` and every single-node mutant of
 them, each in JSON and in ``--format text``; rounds 0-7 of
 ``GateWide(101)``, each job fed the output of the one before as the
 benchmark does; the ``SimulateLocal(101)`` and ``(102)`` documents; and
-the ``mvlogic`` commands below.  BLAS runs on one thread, as with more
-threads two runs of one revision can differ in the last bits.
+the ``mvlogic`` and measurement commands below.  BLAS runs on one
+thread, as with more threads two runs of one revision can differ in the
+last bits.
 """
 
 from __future__ import annotations
@@ -96,6 +97,51 @@ def _mvlogic_cases():
             yield ["--format", fmt, "mvlogic", "closure"], json.dumps(doc)
 
 
+def _measurement_cases():
+    """The measurement cases, in the protocol of :func:`corpus`: each projector
+    family through ``measure``, a ``simulate`` measurement step and
+    ``reversible``, with and without ``post_select``.  The families are the
+    edges of the projector certificate: P P - P just inside the tolerance
+    with P^dagger P just inside (3e-11) or just above (9e-11) 1 + tolerance,
+    also under ``--tol 1e-9``; P = I; an incomplete family; a non-orthogonal
+    pair; mixed sizes; a 1x1 projector and one over the gate size ceiling."""
+    import numpy as np
+
+    def pair(eps):
+        return [np.diag([1 + eps, 0.0]), np.diag([0.0, 1.0])]
+
+    families = [
+        pair(3e-11),
+        pair(9e-11),
+        [np.eye(2)],
+        [np.diag([1.0, 0, 0, 0])],
+        [np.diag([1.0, 0]), np.full((2, 2), 0.5)],
+        [np.diag([1.0, 0]), np.diag([0, 0, 1.0, 1])],
+        [np.eye(1)],
+        [np.eye(64)],
+    ]
+    for projs in families:
+        d = len(projs[0])
+        n = max(d.bit_length() - 1, 1)
+        state = {"n": n, "P": [1.0] + [0.0] * (4**n - 1)}
+        encoded = [p.tolist() for p in projs]
+        for tol in ([], ["--tol", "1e-9"]):
+            for post in [None, *range(len(projs))]:
+                extra = {} if post is None else {"post_select": post}
+                doc = {"projectors": encoded, "state": state, **extra}
+                yield [*tol, "measure"], json.dumps(doc)
+                step = {"measure": {"projectors": encoded}, **extra}
+                doc = {"circuit": {"n": n, "steps": [step]}, "initial": state}
+                yield [*tol, "simulate"], json.dumps(doc)
+            for p in encoded:
+                doc = {"kraus": {"ops": [np.eye(d).tolist()]}, "projector": p}
+                yield [*tol, "reversible"], json.dumps(doc)
+    for op, p in (([[1, 0], [0, 1], [0, 0], [0, 0]], np.diag([1.0, 0])),
+                  ([[1, 0, 0, 0], [0, 1, 0, 0]], np.diag([1.0, 1, 0, 0]))):
+        doc = {"kraus": {"ops": [op]}, "projector": p.tolist()}
+        yield ["reversible"], json.dumps(doc)
+
+
 def corpus():
     """Yield (argv, text) for every case and receive its (exit code, stdout,
     stderr): a chained ``gate-wide`` job reads the output of the one before."""
@@ -117,6 +163,7 @@ def corpus():
         for text in SimulateLocal(seed).docs:
             yield ["simulate"], text
     yield from _mvlogic_cases()
+    yield from _measurement_cases()
 
 
 def main(argv=None) -> int:
