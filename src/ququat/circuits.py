@@ -1,15 +1,19 @@
 """Circuit documents: parse gate sequences from JSON and fold them over states.
 
-A circuit fixes the ququat count n and lists steps.  Gate-bearing steps
-hold one of: a named single-ququat gate, a unitary, a Kraus set, a
-Lindblad model with an evolution time, a raw gate matrix, or a classical
-table to synthesize.  Measurement steps hold a projector family and
-optionally a post-selection index; without post-selection the family
-must be complete and the recorded state is the nonselective mixture
-(the summed, trace-preserving gate), with the branch probabilities
-recorded.  Gates are constructed and checked eagerly, so schema and
-contract failures surface at parse time; a step is certified (its
-:class:`GateReport` computed) only when its ``report`` is first read.
+A circuit fixes the ququat count n and lists steps, and every step is one
+gate on some of the n ququats.  Gate-bearing steps hold one of: a named
+single-ququat gate, a unitary, a Kraus set, a Lindblad model with an
+evolution time, a raw gate matrix, or a classical table to synthesize.
+Measurement steps hold a projector family and optionally a
+post-selection index.  With post-selection the step's gate is the
+trace-decreasing rho -> P rho P of the selected projector, applied with
+renormalisation; without it the family must be complete, and the gate is
+the trace-preserving nonselective channel rho -> sum_k P_k rho P_k.  A
+measurement step also keeps row 0 of each branch gate, from which the
+branch probabilities are read as ``ququat measure`` reads them.  Gates
+are constructed and checked eagerly, so schema and contract failures
+surface at parse time; a step is certified (its :class:`GateReport`
+computed) only when its ``report`` is first read.
 
 Every step keeps its gate on its own k ququats together with its
 targets; it is certified and applied there, and the identity on the
@@ -32,18 +36,19 @@ from .gates import (
     GateMatrix,
     GateReport,
     TRACE_PRESERVING,
-    _apply_local,
+    _branch_probabilities,
+    _branch_rows,
     _check_gate_size,
     _projector_gate,
     _row0_deviation,
     _target_axes,
-    _renormalize,
     analyze_gate,
     apply_linear,
+    apply_nonlinear,
     gate_from_kraus,
     gate_from_unitary,
 )
-from .liouville import PauliVector, ValidationReport, _validate_pvecs
+from .liouville import PauliVector, ValidationReport, _exponent, _validate_pvecs
 from .mvlogic import synthesize_quantum
 from . import serialization as sz
 
@@ -85,29 +90,28 @@ def embed_gate(gate: GateMatrix, targets, n: int) -> GateMatrix:
 
 @dataclass(frozen=True)
 class CircuitStep:
-    """One parsed step: a linear gate or a measurement family on ``targets``.
+    """One parsed step: a local k-ququat gate on ``targets``.
 
-    ``gates`` holds the local k-ququat gates (one, or one per projector),
-    constructed and checked at parse time.  ``report`` certifies them on
-    first read, with the tolerances then in force, and keeps the result:
-    the :class:`GateReport` of the linear gate, or a tuple with one per
-    projector.  Tensoring with the
+    ``gate`` is constructed and checked at parse time.  A step with
+    ``post_select`` applies it with renormalisation; any other step is
+    trace-preserving.  ``rows`` holds row 0 of each branch gate of a
+    measurement step, frozen, and is ``None`` for a linear step.
+    ``report`` certifies the gate on first read, with the tolerances then
+    in force, and keeps its :class:`GateReport`.  Tensoring with the
     identity keeps every flag and ``row0_deviation``, ``row0_sq_sum`` and
     ``t_norm``; ``min_choi_eigenvalue`` is the local gate's.  The Choi
     spectrum of the embedded n-ququat gate is the local one scaled by
     2**(n - k), plus zeros.
     """
 
-    kind: str  # "linear" | "measurement"
-    gates: tuple[GateMatrix, ...]
+    gate: GateMatrix
     targets: tuple[int, ...]
-    post_select: int | None
+    post_select: int | None = None
+    rows: np.ndarray | None = None
 
     @cached_property
-    def report(self) -> GateReport | tuple[GateReport, ...]:
-        if self.kind == "linear":
-            return analyze_gate(self.gates[0])
-        return tuple(analyze_gate(g) for g in self.gates)
+    def report(self) -> GateReport:
+        return analyze_gate(self.gate)
 
 
 @dataclass(frozen=True)
@@ -164,21 +168,20 @@ def _build_step_gate(step: dict, path: str) -> GateMatrix:
     return synthesize_quantum(sz.table_from_json(step["table"], f"{path}.table"))
 
 
-def _decode_targets(step: dict, gate: GateMatrix, n: int, path: str) -> tuple[int, ...]:
-    """The step's targets, checked against the gate and the circuit size.
+def _decode_targets(step: dict, n_in: int, n_out: int, n: int, path: str) -> tuple[int, ...]:
+    """The targets of a step's gate of order (n_in, n_out), checked against the circuit size.
 
     The check caches the step's axis order, so ``run_circuit`` does not
     work it out again for every state.
     """
-    k = gate.n_in
     if "targets" in step:
         raw = step["targets"]
         targets = tuple(sz._decode_list(raw, f"{path}.targets", partial(sz._decode_int, minimum=0)))
-    elif k > n:
-        raise NumericContractError(f"{path}: gate needs {k} ququats, circuit has {n}")
+    elif n_in > n:
+        raise NumericContractError(f"{path}: gate needs {n_in} ququats, circuit has {n}")
     else:
-        targets = tuple(range(k))
-    _target_axes(targets, n, gate.n_in, gate.n_out)
+        targets = tuple(range(n_in))
+    _target_axes(targets, n, n_in, n_out)
     return targets
 
 
@@ -192,26 +195,21 @@ def _parse_step(raw, path: str, n: int) -> CircuitStep:
             f"{path}.measure.projectors",
             f"{path}.post_select",
         )
-        gates = tuple(_projector_gate(p, kind) for p, kind in family)
-        targets = _decode_targets(raw, gates[0], n, path)
-        if post is None:
-            # row 0 of the embedded sum is this row 0 tensored with delta
-            total = np.sum([g.entries[0] for g in gates], axis=0)
-            if _row0_deviation(total) > tolerances.algebra:
-                raise NumericContractError(
-                    f"{path}: projector family is incomplete; give post_select"
-                )
-        return CircuitStep(kind="measurement", gates=gates, targets=targets, post_select=post)
+        rows = _branch_rows(family)
+        k = _exponent(len(family[0][0]), 2)
+        targets = _decode_targets(raw, k, k, n, path)
+        if post is not None:
+            return CircuitStep(_projector_gate(*family[post]), targets, post, rows)
+        # the probabilities sum to 1 for every state
+        if _row0_deviation(rows.sum(axis=0)) > tolerances.algebra:
+            raise NumericContractError(f"{path}: projector family is incomplete; give post_select")
+        gate = _projector_gate([p for p, _ in family], TRACE_PRESERVING)
+        return CircuitStep(gate, targets, rows=rows)
     gate = _build_step_gate(raw, path)
-    targets = _decode_targets(raw, gate, n, path)
+    targets = _decode_targets(raw, gate.n_in, gate.n_out, n, path)
     if gate.kind != TRACE_PRESERVING:
         raise NumericContractError(f"{path}: non-measurement steps need a trace-preserving gate")
-    return CircuitStep(
-        kind="linear",
-        gates=(gate,),
-        targets=targets,
-        post_select=None,
-    )
+    return CircuitStep(gate, targets)
 
 
 def parse_circuit(doc) -> Circuit:
@@ -248,31 +246,28 @@ def run_circuit(circuit: Circuit, initial: PauliVector) -> RunRecord:
     n = circuit.n
     state = initial
     cumulative = 1.0
-    rows = []
+    folded = []
     failure = None
     try:
         for step in circuit.steps:
             probs = p = None
-            if step.kind == "linear":
-                state = apply_linear(step.gates[0], state, targets=step.targets)
+            if step.rows is not None:
+                probs = tuple(_branch_probabilities(step.rows, state, step.targets))
+            if step.post_select is None:
+                state = apply_linear(step.gate, state, targets=step.targets)
             else:
-                branches = [_apply_local(g, state, step.targets) for g in step.gates]
-                probs = tuple(float(b[0]) for b in branches)
-                if step.post_select is None:
-                    state = PauliVector(n, np.sum(branches, axis=0))
-                else:
-                    state, p = _renormalize(branches[step.post_select], n)
-                    cumulative *= p
-            rows.append((state, probs, p, cumulative))
+                state, p = apply_nonlinear(step.gate, state, targets=step.targets)
+                cumulative *= p
+            folded.append((state, probs, p, cumulative))
     except QuquatError as exc:
         # raised below, once the states before it are known to be valid
         failure = exc
-    reports = _validate_pvecs([initial.P] + [row[0].P for row in rows], n)
+    reports = _validate_pvecs([initial.P] + [row[0].P for row in folded], n)
     if not reports[0].valid:
         raise NumericContractError("initial state is not a valid density matrix")
     if not all(r.valid for r in reports):
         raise NumericContractError("circuit produced an invalid state")
     if failure is not None:
         raise failure
-    records = tuple(StepRecord(*row, report) for row, report in zip(rows, reports[1:]))
+    records = tuple(StepRecord(*row, report) for row, report in zip(folded, reports[1:]))
     return RunRecord(steps=records, cumulative_probability=cumulative)

@@ -38,6 +38,7 @@ from .decompositions import (
 )
 from .errors import NumericContractError, QuquatError, SchemaError, ZeroProbabilityError
 from .gates import (
+    _branch_probabilities,
     _branch_rows,
     _projector_gate,
     adjoint_gate,
@@ -144,6 +145,11 @@ def _as_json_loads_reads_it(doc) -> bool:
             return True
         level = inner
     return False
+
+
+def _load_object(args) -> dict:
+    """The input document, which must be a JSON object."""
+    return sz._expect(_load_document(args.input), dict, "input", "an object")
 
 
 def _state_from_json(obj, path: str = "state") -> PauliVector:
@@ -380,7 +386,7 @@ def _cmd_gate_adjoint(args):
 
 
 def _load_gates(args) -> list:
-    doc = sz._expect(_load_document(args.input), dict, "input", "an object")
+    doc = _load_object(args)
     gates = sz._decode_list(doc.get("gates"), "gates", sz.gate_from_json)
     if len(gates) < 2:
         raise SchemaError("gates: expected at least two gates")
@@ -398,7 +404,7 @@ def _cmd_gate_tensor(args):
 
 
 def _cmd_measure(args):
-    doc = sz._expect(_load_document(args.input), dict, "input", "an object")
+    doc = _load_object(args)
     family, post = sz.measurement_from_json(doc.get("projectors"), doc.get("post_select"))
     # a probability is row 0 of its branch gate times P; only the
     # post-selected branch needs its whole gate
@@ -407,7 +413,7 @@ def _cmd_measure(args):
     n = _exponent(len(family[0][0]), 2)
     if state.n != n:
         raise NumericContractError(f"state has n={state.n}, projectors act on n={n}")
-    out = {"probabilities": [float(row @ state.P) for row in rows]}
+    out = {"probabilities": _branch_probabilities(rows, state)}
     if post is not None:
         new_state, p = apply_nonlinear(_projector_gate(*family[post]), state)
         out["post_select"] = post
@@ -417,7 +423,7 @@ def _cmd_measure(args):
 
 
 def _cmd_reversible(args):
-    doc = sz._expect(_load_document(args.input), dict, "input", "an object")
+    doc = _load_object(args)
     kraus = sz.kraus_from_json(doc.get("kraus"), "kraus")
     proj = sz.decode_complex_matrix(doc.get("projector"), "projector")
     cert = check_reversible(kraus, proj)
@@ -457,7 +463,7 @@ def _generator_from_json(obj, path: str):
 
 
 def _cmd_mvlogic_closure(args):
-    doc = sz._expect(_load_document(args.input), dict, "input", "an object")
+    doc = _load_object(args)
     gens = sz._decode_list(doc.get("generators"), "generators", _generator_from_json)
     max_arity = sz._decode_int(doc.get("max_arity", 2), "max_arity", 1)
     if max_arity > MAX_CLOSURE_ARITY:
@@ -493,7 +499,7 @@ def _cmd_mvlogic_synth(args):
 
 
 def _cmd_mvlogic_verify(args):
-    doc = sz._expect(_load_document(args.input), dict, "input", "an object")
+    doc = _load_object(args)
     gate = sz.gate_from_json(doc.get("gate"), "gate")
     mode = doc.get("mode", "plain")
     if "tables" in doc:
@@ -504,7 +510,7 @@ def _cmd_mvlogic_verify(args):
 
 
 def _cmd_universality_pseudo(args):
-    doc = sz._expect(_load_document(args.input), dict, "input", "an object")
+    doc = _load_object(args)
     a = sz.decode_complex_matrix(doc.get("A"), "A")
     side = doc.get("side", "left")
     if side == "left":
@@ -515,7 +521,7 @@ def _cmd_universality_pseudo(args):
 
 
 def _cmd_universality_closure_dim(args):
-    doc = sz._expect(_load_document(args.input), dict, "input", "an object")
+    doc = _load_object(args)
     gens = sz._decode_list(doc.get("generators"), "generators", sz.decode_complex_matrix)
     max_iter = sz._decode_int(doc.get("max_iter", 100), "max_iter", 0)
     return {"dimension": lie_closure_dim(gens, max_iter=max_iter)}
@@ -526,7 +532,7 @@ def _cmd_universality_swap(args):
 
 
 def _cmd_simulate(args):
-    doc = sz._expect(_load_document(args.input), dict, "input", "an object")
+    doc = _load_object(args)
     circuit = parse_circuit(doc.get("circuit"))
     initial = _state_from_json(doc.get("initial"), "initial")
     record = run_circuit(circuit, initial)

@@ -252,9 +252,10 @@ def _projector_family(projectors) -> list[tuple[np.ndarray, str]]:
     """The projectors as complex arrays, each with its gate's kind, refused
     unless they form a measurement.
 
-    Each must be a Hermitian idempotent of side 2**n, all must be of one
-    size, and each pair must be orthogonal.  ``KrausSet((p,)).kind()`` then
-    refuses, as in :func:`gate_from_kraus`, a non-finite or 1x1 P and a
+    Each must be a square operator of side 2**n, n >= 1, sized as every
+    other operator is, and a Hermitian idempotent; all must be of one size,
+    and each pair must be orthogonal.  ``KrausSet((p,)).kind()`` then
+    refuses, as in :func:`gate_from_kraus`, a non-finite P and a
     trace-increasing P^dagger P, which P P = P within tolerance allows.
     """
     projectors = [np.asarray(p, dtype=complex) for p in projectors]
@@ -262,15 +263,8 @@ def _projector_family(projectors) -> list[tuple[np.ndarray, str]]:
         raise NumericContractError("need at least one projector")
     tol = tolerances.algebra
     for i, p in enumerate(projectors):
-        n = _exponent(len(p), 2) if p.ndim == 2 else None
-        if n is not None:
-            _check_gate_size(n, f"projector {i}")
-        if (
-            n is None
-            or p.shape != (2**n, 2**n)
-            or np.max(np.abs(p - p.conj().T)) > tol
-            or np.max(np.abs(p @ p - p)) > tol
-        ):
+        _operator_ququats(p, f"projector {i}")
+        if np.max(np.abs(p - p.conj().T)) > tol or np.max(np.abs(p @ p - p)) > tol:
             raise NumericContractError(f"projector {i} is not Hermitian idempotent")
     d = len(projectors[0])
     for i, p in enumerate(projectors):
@@ -285,10 +279,15 @@ def _projector_family(projectors) -> list[tuple[np.ndarray, str]]:
     return [(p, KrausSet((p,)).kind()) for p in projectors]
 
 
-def _projector_gate(p: np.ndarray, kind: str) -> GateMatrix:
-    """Gate of rho -> P rho P for a projector P certified by :func:`_projector_family`."""
-    n = _exponent(len(p), 2)
-    entries = _kraus_transfer([p], n, n, snap_row0=kind == TRACE_PRESERVING)
+def _projector_gate(p, kind: str) -> GateMatrix:
+    """Gate of rho -> P rho P for a projector P certified by :func:`_projector_family`.
+
+    A list of the projectors of a family gives the channel
+    rho -> sum_k P_k rho P_k, through one Pauli transfer.
+    """
+    ops = p if isinstance(p, list) else [p]
+    n = _exponent(len(ops[0]), 2)
+    entries = _kraus_transfer(ops, n, n, snap_row0=kind == TRACE_PRESERVING)
     return GateMatrix(n, n, entries, kind)
 
 
@@ -316,7 +315,23 @@ def _branch_rows(family) -> np.ndarray:
         if kind == TRACE_PRESERVING:
             # as in _kraus_transfer: the certified row is pinned exactly
             _pin_row0(row)
+    rows.setflags(write=False)
     return rows
+
+
+def _branch_probabilities(
+    rows: np.ndarray, pvec: PauliVector, targets: tuple[int, ...] | None = None
+) -> list[float]:
+    """The probability ``row @ x`` of each branch row of :func:`_branch_rows`.
+
+    x is the state on the ququats ``targets`` with every other digit 0: a
+    row 0 tensored with the identity elsewhere reads only those entries.
+    ``None`` is the whole register, where x is P itself.
+    """
+    k = _exponent(rows.shape[1], 4)
+    order, _ = _target_axes(targets, pvec.n, k, k)
+    x = pvec.P.reshape((4,) * pvec.n).transpose(order).reshape(rows.shape[1], -1)[:, 0]
+    return [float(row @ x) for row in rows]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -384,24 +399,17 @@ def apply_nonlinear(
     """Apply a (trace-decreasing) gate with renormalization.
 
     Returns the renormalized state and the outcome probability
-    p = (E @ P)[0].  Raises :class:`ZeroProbabilityError` when p vanishes.
-    ``targets`` places the gate as in :func:`apply_linear`.
+    p = (E @ P)[0].  Raises :class:`ZeroProbabilityError` when p vanishes
+    and :class:`NumericContractError` when it exceeds 1.  ``targets``
+    places the gate as in :func:`apply_linear`.
     """
-    return _renormalize(_apply_local(gate, pvec, targets), pvec.n + gate.n_out - gate.n_in)
-
-
-def _renormalize(out: np.ndarray, n: int) -> tuple[PauliVector, float]:
-    """The n-ququat state out / p of a branch image ``out`` = E @ P, and p = out[0].
-
-    Raises :class:`ZeroProbabilityError` when p vanishes and
-    :class:`NumericContractError` when it exceeds 1.
-    """
+    out = _apply_local(gate, pvec, targets)
     p = float(out[0])
     if p < tolerances.algebra:
         raise ZeroProbabilityError(f"outcome probability {p:.3e} is not positive")
     if p > 1.0 + tolerances.algebra:
         raise NumericContractError(f"outcome probability {p} exceeds 1")
-    return PauliVector(n, out / p), p
+    return PauliVector(pvec.n + gate.n_out - gate.n_in, out / p), p
 
 
 def _product_kind(ga: GateMatrix, gb: GateMatrix, entries: np.ndarray) -> str:

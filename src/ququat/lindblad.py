@@ -8,12 +8,11 @@ the real 4x4 generator
     A[k, l] = 2 H_m eps(k,m,l) + (C[k,l] + C[l,k])/8 - delta(k,l) Tr(C)/4,
     B[k]    = -1/4 eps(i,j,k) Im C[i,j],
 
-with L = [[0, 0], [B, A]]; its propagator is the trace-preserving gate
-[[1, 0], [T, R]] with R = expm(tau A) and T the integral of expm(s A) B,
-computed through an augmented block exponential so singular A needs no
-inversion.  The general-n route builds the Liouvillian superoperator from
-a Hamiltonian and jump operators V_j; its propagator gate is expm(t L) of
-the real Pauli-basis generator L.
+with L = [[0, 0], [B, A]].  The general-n route builds the Liouvillian
+superoperator from a Hamiltonian and jump operators V_j and takes its
+real Pauli-basis generator L.  Both routes share one propagator kernel:
+the trace-preserving gate expm(t L), which for the single-qubit route is
+[[1, 0], [T, R]] with R = expm(tau A) and T the integral of expm(s A) B.
 
 Ordering note: the source derivation writes the dissipator anticommutator
 with V_j V_j^dagger.  That ordering does not preserve the trace for
@@ -150,33 +149,24 @@ def gks_matrix(model: GKSModel) -> GeneratorMatrix:
 
 
 def gks_propagator(gen: GeneratorMatrix, tau: float) -> GateMatrix:
-    """Propagator gate of a fixed generator over time tau.
+    """Propagator gate expm(tau L) of a fixed generator over time tau.
 
-    R = expm(tau A); T = (integral_0^tau expm(s A) ds) B via the augmented
-    exponential expm(tau [[A, B], [0, 0]]), well defined for singular A.
-    B = 0 yields T = 0 exactly at assembly.
+    Its block form is [[1, 0], [T, R]] with R = expm(tau A) and T the
+    integral of expm(s A) B; no inversion of A is needed, so singular A is
+    fine.  B = 0 yields T = 0.
     """
     if tau < 0:
         raise NumericContractError("tau must be nonnegative")
-    a = gen.a
-    b = gen.b
-    r = expm(tau * a)
-    entries = np.zeros((4, 4))
-    entries[0, 0] = 1.0
-    entries[1:, 1:] = r
-    if np.any(b != 0.0):
-        aug = np.zeros((4, 4))
-        aug[:3, :3] = a
-        aug[:3, 3] = b
-        entries[1:, 0] = expm(tau * aug)[:3, 3]
-    return GateMatrix(1, 1, _finite_propagator(entries), TRACE_PRESERVING)
+    return _propagator(gen.matrix, tau, 1)
 
 
-def _finite_propagator(entries: np.ndarray) -> np.ndarray:
-    """``entries``, unless ``expm`` overflowed into NaN or Infinity."""
+def _propagator(gen: np.ndarray, t: float, n: int) -> GateMatrix:
+    """The trace-preserving n-ququat gate expm(t L) of a real Pauli-basis generator,
+    unless ``expm`` overflowed into NaN or Infinity."""
+    entries = expm(t * gen)
     if not np.isfinite(entries).all():
         raise NumericContractError("propagator has non-finite entries")
-    return entries
+    return GateMatrix(n, n, entries, TRACE_PRESERVING)
 
 
 @dataclass(frozen=True)
@@ -256,8 +246,7 @@ def _liouvillian_propagator(
     if t < 0:
         raise NumericContractError("t must be nonnegative")
     gen = liouvillian.to_pauli_generator()
-    entries = _finite_propagator(expm(t * gen))
-    return GateMatrix(liouvillian.n, liouvillian.n, entries, TRACE_PRESERVING), gen
+    return _propagator(gen, t, liouvillian.n), gen
 
 
 def propagate(liouvillian: LiouvillianSuperop, t: float, pvec: PauliVector) -> PauliVector:

@@ -32,7 +32,6 @@ __all__ = [
     "evaluate_expression",
     "builtin",
     "BUILTIN_NAMES",
-    "evaluate",
     "compose_classical",
     "substitute_variables",
     "projection",
@@ -141,11 +140,6 @@ def builtin(name: str) -> TruthTable:
         return _BUILTINS[name]
     except KeyError:
         raise NumericContractError(f"unknown builtin table {name!r}") from None
-
-
-def evaluate(table: TruthTable, inputs) -> int:
-    """Pointwise evaluation of a table."""
-    return table(*inputs)
 
 
 def compose_classical(outer: TruthTable, inners) -> TruthTable:

@@ -17,11 +17,12 @@ from ququat import (
     embed_gate,
     gate_from_kraus,
     gate_from_unitary,
+    measurement_gates,
     parse_circuit,
     run_circuit,
 )
 from ququat.liouville import SIGMA
-from ququat.serialization import encode_complex_matrix, encode_real_matrix
+from ququat.serialization import decode_complex_matrix, encode_complex_matrix, encode_real_matrix
 
 from helpers import random_pvec, random_tp_kraus, random_unitary
 
@@ -82,7 +83,8 @@ class TestParse:
         c = parse_circuit({"n": 1, "steps": [{"named": "not"}]})
         assert c.n == 1
         assert len(c.steps) == 1
-        assert c.steps[0].kind == "linear"
+        assert c.steps[0].rows is None
+        assert c.steps[0].post_select is None
 
     def test_two_step_measure(self):
         c = parse_circuit(
@@ -94,7 +96,8 @@ class TestParse:
                 ],
             }
         )
-        assert c.steps[1].kind == "measurement"
+        assert c.steps[1].rows.shape == (2, 4)
+        assert not c.steps[1].rows.flags.writeable
         assert c.steps[1].post_select == 0
 
     def test_malformed_complex_pair(self):
@@ -116,6 +119,24 @@ class TestParse:
             {"n": 1, "steps": [{"measure": {"projectors": [P0_JSON]}, "post_select": 0}]}
         )
 
+    def test_targets_are_checked_before_completeness(self):
+        for targets, message in (([1], r"targets \(1,\) invalid for n=1"),
+                                 ([0, 0], "gate acts on 1 ququats")):
+            step = {"measure": {"projectors": [P0_JSON]}, "targets": targets}
+            with pytest.raises(NumericContractError, match=message):
+                parse_circuit({"n": 1, "steps": [step]})
+
+    def test_nonselective_step_is_one_trace_preserving_channel(self):
+        c = parse_circuit(
+            {"n": 1, "steps": [{"measure": {"projectors": [P0_JSON, P1_JSON]}}]}
+        )
+        step = c.steps[0]
+        assert step.post_select is None
+        assert step.gate.kind == "trace_preserving"
+        # rho -> P0 rho P0 + P1 rho P1 keeps P[0] and P[3] and drops the rest
+        assert np.array_equal(step.gate.entries, np.diag([1.0, 0, 0, 1]))
+        assert np.array_equal(step.rows, [[0.5, 0, 0, 0.5], [0.5, 0, 0, -0.5]])
+
     def test_lindblad_step(self):
         c = parse_circuit(
             {
@@ -132,7 +153,7 @@ class TestParse:
         )
         from ququat import named_gate
 
-        assert np.max(np.abs(c.steps[0].gates[0].entries - named_gate("rot1", 1.0).entries)) < 1e-12
+        assert np.max(np.abs(c.steps[0].gate.entries - named_gate("rot1", 1.0).entries)) < 1e-12
 
     def test_table_step(self):
         c = parse_circuit(
@@ -263,17 +284,24 @@ def _random_circuit(rng, n):
     ]
 
 
-def _dense_run(circuit, initial):
-    """Fold the embedded 4**n x 4**n step matrices over the initial state."""
+def _dense_run(circuit, docs, initial):
+    """Fold the embedded 4**n x 4**n step matrices over the initial state.
+
+    A measurement step is rebuilt from the projectors of its document
+    ``docs[i]``, one ``measurement_gates`` branch gate each: every branch
+    image is formed, then one is picked or all are summed.
+    """
     p = initial.P
     cumulative = 1.0
     out = []
-    for step in circuit.steps:
-        mats = [embed_gate(g, step.targets, circuit.n).entries for g in step.gates]
-        if step.kind == "linear":
-            p = mats[0] @ p
+    for step, doc in zip(circuit.steps, docs, strict=True):
+        if "measure" not in doc:
+            p = embed_gate(step.gate, step.targets, circuit.n).entries @ p
             out.append((p, None, None, cumulative))
             continue
+        projectors = [decode_complex_matrix(m, "projector") for m in doc["measure"]["projectors"]]
+        gates = measurement_gates(projectors)
+        mats = [embed_gate(g, step.targets, circuit.n).entries for g in gates]
         probs = [m[0] @ p for m in mats]
         if step.post_select is None:
             p = sum(m @ p for m in mats)
@@ -291,10 +319,11 @@ class TestLocalEngine:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_dense_embedding(self, n, seed):
         rng = np.random.default_rng([29, n, seed])
-        circuit = parse_circuit({"n": n, "steps": _random_circuit(rng, n)})
+        steps = _random_circuit(rng, n)
+        circuit = parse_circuit({"n": n, "steps": steps})
         initial = random_pvec(rng, n)
         record = run_circuit(circuit, initial)
-        dense = _dense_run(circuit, initial)
+        dense = _dense_run(circuit, steps, initial)
         assert len(record.steps) == len(dense)
         for got, (p, probs, prob, cumulative) in zip(record.steps, dense):
             assert np.max(np.abs(got.state.P - p)) < 1e-12
@@ -318,19 +347,18 @@ class TestLocalEngine:
         circuit = parse_circuit({"n": n, "steps": steps})
         assert not any(s.report.completely_positive for s in circuit.steps[-2:])
         for step in circuit.steps:
-            reports = step.report if isinstance(step.report, tuple) else (step.report,)
-            for g, local in zip(step.gates, reports, strict=True):
-                full = analyze_gate(embed_gate(g, step.targets, n))
-                for flag in _FLAGS:
-                    assert getattr(local, flag) == getattr(full, flag), flag
-                for name in ("row0_deviation", "row0_sq_sum", "t_norm"):
-                    assert abs(getattr(local, name) - getattr(full, name)) < 1e-12, name
-                # the embedded Choi spectrum is the local one times 2**(n-k), plus zeros
-                scale = 2 ** (n - g.n_in)
-                want = local.min_choi_eigenvalue * scale
-                if scale > 1:
-                    want = min(want, 0.0)
-                assert abs(full.min_choi_eigenvalue - want) < 1e-10
+            local = step.report
+            full = analyze_gate(embed_gate(step.gate, step.targets, n))
+            for flag in _FLAGS:
+                assert getattr(local, flag) == getattr(full, flag), flag
+            for name in ("row0_deviation", "row0_sq_sum", "t_norm"):
+                assert abs(getattr(local, name) - getattr(full, name)) < 1e-12, name
+            # the embedded Choi spectrum is the local one times 2**(n-k), plus zeros
+            scale = 2 ** (n - step.gate.n_in)
+            want = local.min_choi_eigenvalue * scale
+            if scale > 1:
+                want = min(want, 0.0)
+            assert abs(full.min_choi_eigenvalue - want) < 1e-10
 
     def test_hot_path_stays_local(self, monkeypatch):
         def no_embedding(*args, **kwargs):
@@ -356,7 +384,7 @@ class TestLocalEngine:
         for _ in range(2):
             for step in circuit.steps:
                 step.report
-        local = [g for s in circuit.steps for g in s.gates]
+        local = [s.gate for s in circuit.steps]
         assert len(analyzed) == len(local)
         assert all(a is g for a, g in zip(analyzed, local))
         assert all(g.n_in <= 2 and g.n_out <= 2 for g in analyzed)
@@ -374,12 +402,11 @@ class TestLocalEngine:
         ]
         circuit = parse_circuit({"n": n, "steps": steps})
         assert not any(s.report.completely_positive for s in circuit.steps[-3:])
-        assert {s.kind for s in circuit.steps} == {"linear", "measurement"}
+        # linear steps, and measurement steps with and without post-selection
+        assert {(s.rows is None, s.post_select is None) for s in circuit.steps} == {
+            (True, True), (False, True), (False, False)}
         for step in circuit.steps:
-            if step.kind == "linear":
-                assert step.report == analyze_gate(step.gates[0])
-            else:
-                assert step.report == tuple(analyze_gate(g) for g in step.gates)
+            assert step.report == analyze_gate(step.gate)
         # not a field: construction and equality ignore it
         assert "report" not in {f.name for f in dataclasses.fields(ququat.circuits.CircuitStep)}
 
@@ -431,24 +458,39 @@ class TestStateCertificates:
         assert all(s.validation.valid for s in record.steps)
         assert shapes == [(1, 256, 256)] * 3
 
-    def test_post_selected_branch_is_computed_once(self, monkeypatch):
+    @staticmethod
+    def _spy_apply_local(monkeypatch):
         calls = []
-        apply_local = ququat.circuits._apply_local
+        apply_local = ququat.gates._apply_local
 
         def counting(gate, pvec, targets):
             calls.append(gate)
             return apply_local(gate, pvec, targets)
 
+        monkeypatch.setattr(ququat.gates, "_apply_local", counting)
+        return calls
+
+    def test_post_selected_branch_is_computed_once(self, monkeypatch):
         steps = [h_step(), {"measure": {"projectors": [P0_JSON, P1_JSON]}, "post_select": 1}]
         circuit = parse_circuit({"n": 1, "steps": steps})
-        monkeypatch.setattr(ququat.circuits, "_apply_local", counting)
+        calls = self._spy_apply_local(monkeypatch)
         record = run_circuit(circuit, PURE0)
-        assert calls == list(circuit.steps[1].gates)
+        assert calls == [step.gate for step in circuit.steps]
         # the same bits as the one-gate route
-        gate = circuit.steps[1].gates[1]
+        gate = circuit.steps[1].gate
         state, p = ququat.apply_nonlinear(gate, record.steps[0].state)
         assert record.steps[1].probability == p
         assert record.final_state.P.tobytes() == state.P.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_each_step_forms_one_image(self, monkeypatch, n):
+        rng = np.random.default_rng([61, n])
+        circuit = parse_circuit({"n": n, "steps": _random_circuit(rng, n)})
+        initial = random_pvec(rng, n)
+        calls = self._spy_apply_local(monkeypatch)
+        run_circuit(circuit, initial)
+        assert len(calls) == len(circuit.steps)
+        assert all(a is s.gate for a, s in zip(calls, circuit.steps))
 
     def test_invalid_state_wins_over_a_later_step_error(self):
         grow = {"gate": {"entries": [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]}}

@@ -247,6 +247,32 @@ class TestMeasureReversible:
                 got_p = np.array(got["state"]["P"])
                 assert np.array_equal(got_p.view(np.uint64), want.P.view(np.uint64))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_measure_and_a_simulate_step_print_the_same_bits(self, tmp_path, capsys, n, seed):
+        # a seeded Haar family on the whole register, read by both commands
+        rng = np.random.default_rng([2020, n, seed])
+        d = 2**n
+        v = random_unitary(rng, d)
+        cuts = sorted(rng.choice(np.arange(1, d), size=min(2, d - 1), replace=False))
+        projs = [encode_complex_matrix(v[:, a:b] @ v[:, a:b].conj().T)
+                 for a, b in zip([0, *cuts], [*cuts, d])]
+        state = {"n": n, "P": random_pvec(rng, n).P.tolist()}
+        for post in [None, *range(len(projs))]:
+            extra = {} if post is None else {"post_select": post}
+            doc = {"projectors": projs, "state": state, **extra}
+            code, out, err = run_cli(["measure"], doc, tmp_path, capsys)
+            assert code == EXIT_OK, err
+            measured = json.loads(out)
+            step = {"measure": {"projectors": projs}, **extra}
+            doc = {"circuit": {"n": n, "steps": [step]}, "initial": state}
+            code, out, err = run_cli(["simulate"], doc, tmp_path, capsys)
+            assert code == EXIT_OK, err
+            simulated = json.loads(out)["steps"][0]
+            keys = ["probabilities"] if post is None else ["probabilities", "probability", "state"]
+            for key in keys:
+                assert json.dumps(simulated[key]) == json.dumps(measured[key]), key
+
     def test_measure_builds_only_the_post_selected_gate(self, tmp_path, capsys, monkeypatch):
         from ququat import gates
 
@@ -640,7 +666,7 @@ class TestOptionFields:
             (
                 ["measure"],
                 '{"projectors": [[[1]]], "state": {"n": 1, "P": [1, 0, 0, 0]}}',
-                "Kraus operators must be 2**m x 2**n",
+                "projector 0 must be square 2**n x 2**n",
             ),
             (["gate", "from-lindblad"], '{"H": [[1]], "t": 1}', "H must be square 2**n x 2**n"),
             (["universality", "pseudo"], '{"A": [[1]]}', "operator must be square 2**n x 2**n"),
@@ -760,7 +786,7 @@ class TestLindbladHamiltonianRoute:
         assert np.max(np.abs(np.array(doc["generator"]) - liou.to_pauli_generator())) < 1e-12
 
         step = parse_circuit({"n": n, "steps": [{"lindblad": spec}]}).steps[0]
-        assert np.max(np.abs(step.gates[0].entries - expected)) < 1e-12
+        assert np.max(np.abs(step.gate.entries - expected)) < 1e-12
 
         p = PauliVector(n, np.eye(4**n)[0])
         assert np.max(np.abs(expected @ p.P - propagate(liou, t, p).P)) < 1e-12

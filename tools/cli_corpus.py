@@ -104,7 +104,8 @@ def _measurement_cases():
     edges of the projector certificate: P P - P just inside the tolerance
     with P^dagger P just inside (3e-11) or just above (9e-11) 1 + tolerance,
     also under ``--tol 1e-9``; P = I; an incomplete family; a non-orthogonal
-    pair; mixed sizes; a 1x1 projector and one over the gate size ceiling."""
+    pair; mixed sizes; a 1x1 projector and one over the gate size ceiling;
+    and the seeded Haar families of :func:`_haar_measurement_cases`."""
     import numpy as np
 
     def pair(eps):
@@ -140,6 +141,51 @@ def _measurement_cases():
                   ([[1, 0, 0, 0], [0, 1, 0, 0]], np.diag([1.0, 1, 0, 0]))):
         doc = {"kraus": {"ops": [op]}, "projector": p.tolist()}
         yield ["reversible"], json.dumps(doc)
+    yield from _haar_measurement_cases()
+
+
+def _complex(m):
+    import numpy as np
+
+    return np.stack((m.real, m.imag), axis=-1).tolist()
+
+
+def _haar_measurement_cases():
+    """Seeded Haar projector families, each measured through ``measure`` and
+    through a one-step ``simulate``, without and with every ``post_select``.
+    A family on k ququats is cut from the columns of a Haar unitary, so its
+    probabilities are not exact.  It is measured on the whole register
+    (k = n) and on sub-register targets of n = k + 1 or k + 2 ququats, where
+    ``measure`` gets the family tensored with the identity elsewhere."""
+    import numpy as np
+
+    placements = [(k, tuple(range(k)), seed) for k in (1, 2, 3) for seed in range(4)]
+    placements += [(3, t, seed) for t in ((1,), (2, 0)) for seed in range(2)]
+    placements += [(2, (1,), seed) for seed in range(2)]
+    for n, targets, seed in placements:
+        rng = np.random.default_rng([2020, n, len(targets), seed])
+        k, d = len(targets), 2 ** len(targets)
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        v = np.linalg.qr(z)[0]
+        cuts = sorted(rng.choice(np.arange(1, d), size=min(2, d - 1), replace=False))
+        family = [v[:, a:b] @ v[:, a:b].conj().T for a, b in zip([0, *cuts], [*cuts, d])]
+        # each projector on the targets, the identity on the other qubits
+        order = [*targets, *(q for q in range(n) if q not in targets)]
+        inverse = [order.index(q) for q in range(n)]
+        axes = [*inverse, *(n + i for i in inverse)]
+        wide = [np.kron(p, np.eye(2 ** (n - k))).reshape((2,) * (2 * n)).transpose(axes)
+                .reshape(2**n, 2**n) for p in family]
+        g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        rho = g @ g.conj().T
+        state = {"entries": _complex(rho / np.trace(rho).real)}
+        for post in [None, *range(len(family))]:
+            extra = {} if post is None else {"post_select": post}
+            doc = {"projectors": [_complex(p) for p in wide], "state": state, **extra}
+            yield ["measure"], json.dumps(doc)
+            step = {"measure": {"projectors": [_complex(p) for p in family]},
+                    "targets": list(targets), **extra}
+            doc = {"circuit": {"n": n, "steps": [step]}, "initial": state}
+            yield ["simulate"], json.dumps(doc)
 
 
 def corpus():
