@@ -10,10 +10,11 @@ trace-decreasing rho -> P rho P of the selected projector, applied with
 renormalisation; without it the family must be complete, and the gate is
 the trace-preserving nonselective channel rho -> sum_k P_k rho P_k.  A
 measurement step also keeps row 0 of each branch gate, from which the
-branch probabilities are read as ``ququat measure`` reads them.  Gates
-are constructed and checked eagerly, so schema and contract failures
-surface at parse time; a step is certified (its :class:`GateReport`
-computed) only when its ``report`` is first read.
+branch probabilities are read as ``ququat measure`` reads them; the
+post-selected branch's is the probability the state was renormalised
+by.  Gates are constructed and checked eagerly, so schema and contract
+failures surface at parse time; a step is certified (its
+:class:`GateReport` computed) only when its ``report`` is first read.
 
 Every step keeps its gate on its own k ququats together with its
 targets; it is certified and applied there, and the identity on the
@@ -29,7 +30,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .config import MAX_QUQUATS, tolerances
+from .config import MAX_QUQUATS, MAX_RUN_ENTRIES, tolerances
 from .decompositions import NAMED_GATES, named_gate
 from .errors import NumericContractError, QuquatError, SchemaError
 from .gates import (
@@ -37,9 +38,7 @@ from .gates import (
     GateReport,
     TRACE_PRESERVING,
     _branch_probabilities,
-    _branch_rows,
     _check_gate_size,
-    _projector_gate,
     _row0_deviation,
     _target_axes,
     analyze_gate,
@@ -48,7 +47,7 @@ from .gates import (
     gate_from_kraus,
     gate_from_unitary,
 )
-from .liouville import PauliVector, ValidationReport, _exponent, _validate_pvecs
+from .liouville import PauliVector, ValidationReport, _validate_pvecs
 from .mvlogic import synthesize_quantum
 from . import serialization as sz
 
@@ -189,22 +188,19 @@ def _parse_step(raw, path: str, n: int) -> CircuitStep:
     raw = sz._expect(raw, dict, path, "an object")
     if "measure" in raw:
         spec = sz._expect(raw["measure"], dict, f"{path}.measure", "an object")
-        family, post = sz.measurement_from_json(
+        m, post = sz.measurement_from_json(
             sz._expect_key(spec, "projectors", f"{path}.measure"),
             raw.get("post_select"),
             f"{path}.measure.projectors",
             f"{path}.post_select",
         )
-        rows = _branch_rows(family)
-        k = _exponent(len(family[0][0]), 2)
-        targets = _decode_targets(raw, k, k, n, path)
+        targets = _decode_targets(raw, m.n, m.n, n, path)
         if post is not None:
-            return CircuitStep(_projector_gate(*family[post]), targets, post, rows)
+            return CircuitStep(m.gate(post), targets, post, m.rows)
         # the probabilities sum to 1 for every state
-        if _row0_deviation(rows.sum(axis=0)) > tolerances.algebra:
+        if _row0_deviation(m.rows.sum(axis=0)) > tolerances.algebra:
             raise NumericContractError(f"{path}: projector family is incomplete; give post_select")
-        gate = _projector_gate([p for p, _ in family], TRACE_PRESERVING)
-        return CircuitStep(gate, targets, rows=rows)
+        return CircuitStep(m.gate(), targets, rows=m.rows)
     gate = _build_step_gate(raw, path)
     targets = _decode_targets(raw, gate.n_in, gate.n_out, n, path)
     if gate.kind != TRACE_PRESERVING:
@@ -225,6 +221,14 @@ def parse_circuit(doc) -> Circuit:
         # targets are checked against range(n)
         raise SchemaError(f"circuit.n: expected an integer <= {MAX_QUQUATS}, got {n}")
     raw_steps = sz._expect_key(doc, "steps", "circuit")
+    if isinstance(raw_steps, list) and raw_steps:
+        # every state of the run is kept and written: refused before any gate is built
+        states = len(raw_steps) + 1
+        if states * 4 ** max(n, 4) > MAX_RUN_ENTRIES:
+            raise SchemaError(
+                f"steps: {states} states at n={n} count {states * 4 ** max(n, 4)} numbers; "
+                f"a run is limited to {MAX_RUN_ENTRIES}"
+            )
     steps = sz._decode_list(raw_steps, "steps", lambda raw, path: _parse_step(raw, path, n))
     return Circuit(n=n, steps=tuple(steps))
 
@@ -252,13 +256,14 @@ def run_circuit(circuit: Circuit, initial: PauliVector) -> RunRecord:
         for step in circuit.steps:
             probs = p = None
             if step.rows is not None:
-                probs = tuple(_branch_probabilities(step.rows, state, step.targets))
+                probs = _branch_probabilities(step.rows, state, step.targets)
             if step.post_select is None:
                 state = apply_linear(step.gate, state, targets=step.targets)
             else:
                 state, p = apply_nonlinear(step.gate, state, targets=step.targets)
+                probs[step.post_select] = p
                 cumulative *= p
-            folded.append((state, probs, p, cumulative))
+            folded.append((state, None if probs is None else tuple(probs), p, cumulative))
     except QuquatError as exc:
         # raised below, once the states before it are known to be valid
         failure = exc

@@ -39,8 +39,6 @@ from .decompositions import (
 from .errors import NumericContractError, QuquatError, SchemaError, ZeroProbabilityError
 from .gates import (
     _branch_probabilities,
-    _branch_rows,
-    _projector_gate,
     adjoint_gate,
     analyze_gate,
     apply_nonlinear,
@@ -52,7 +50,7 @@ from .gates import (
     measurement_gates,
     tensor_gates,
 )
-from .liouville import PauliVector, _exponent, density_to_pvec, pvec_to_density, validate_density
+from .liouville import PauliVector, density_to_pvec, pvec_to_density, validate_density
 from .mvlogic import (
     builtin,
     closure,
@@ -405,17 +403,17 @@ def _cmd_gate_tensor(args):
 
 def _cmd_measure(args):
     doc = _load_object(args)
-    family, post = sz.measurement_from_json(doc.get("projectors"), doc.get("post_select"))
+    m, post = sz.measurement_from_json(doc.get("projectors"), doc.get("post_select"))
+    state = _state_from_json(doc.get("state"), "state")
+    if state.n != m.n:
+        raise NumericContractError(f"state has n={state.n}, projectors act on n={m.n}")
     # a probability is row 0 of its branch gate times P; only the
     # post-selected branch needs its whole gate
-    rows = _branch_rows(family)
-    state = _state_from_json(doc.get("state"), "state")
-    n = _exponent(len(family[0][0]), 2)
-    if state.n != n:
-        raise NumericContractError(f"state has n={state.n}, projectors act on n={n}")
-    out = {"probabilities": _branch_probabilities(rows, state)}
+    out = {"probabilities": _branch_probabilities(m.rows, state)}
     if post is not None:
-        new_state, p = apply_nonlinear(_projector_gate(*family[post]), state)
+        new_state, p = apply_nonlinear(m.gate(post), state)
+        # the branch has one probability: the p the state is renormalised by
+        out["probabilities"][post] = p
         out["post_select"] = post
         out["probability"] = p
         out["state"] = sz.pvec_to_json(new_state)

@@ -6,11 +6,12 @@ eigenvalue slack when testing positive semidefiniteness.  Every check
 reads them when it runs; ``set_tolerances`` (the CLI's ``--tol``) is the
 one way to change them.
 
-Seven size ceilings, two in ququats, two in truth-table arguments, two
-in closure work and one in matrix side, bound what an input may ask the
-package to build.  They are not tolerances and no option changes them;
-each is checked before anything of that size is allocated, except the
-closure's work, which is counted as the search goes.
+Eight size ceilings, two in ququats, two in truth-table arguments, two
+in closure work, one in matrix side and one in run size, bound what an
+input may ask the package to build.  They are not tolerances and no
+option changes them; each is checked before anything of that size is
+allocated, except the closure's work, which is counted as the search
+goes.
 """
 
 from dataclasses import dataclass
@@ -66,6 +67,15 @@ MAX_LIE_SIDE = 16
 # Largest register a document may name: no list holds the 4**33 entries
 # of a larger Pauli vector or truth table.
 MAX_QUQUATS = 32
+
+# Most numbers a circuit run may hold, (steps + 1) * 4**max(n, 4): the
+# initial state and the state after each step are each kept and written
+# out, and a step's fixed cost is about that of 4**4 numbers.  At the
+# ceiling, ``ququat simulate`` of random states under a 3 GiB address-space
+# cap takes 2.0 s and 123 MB at n = 1 (32767 steps), 5.1 s and 429 MB at
+# n = 4 (32767 steps), 3.4 s and 416 MB at n = 8 (127 steps) and 14 s and
+# 785 MB at n = 11 (1 step); 1000 steps at n = 8 ran out of the 3 GiB.
+MAX_RUN_ENTRIES = 2**23
 
 
 def set_tolerances(algebra=None, psd=None):

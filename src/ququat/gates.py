@@ -37,6 +37,8 @@ __all__ = [
     "gate_from_matrix",
     "gate_from_unitary",
     "gate_from_kraus",
+    "Measurement",
+    "measurement",
     "measurement_gates",
     "apply_linear",
     "apply_nonlinear",
@@ -193,7 +195,7 @@ def gate_from_matrix(entries, kind: str | None = None) -> GateMatrix:
     return GateMatrix(n_in, n_out, entries, kind)
 
 
-def _kraus_transfer(ops, n_in: int, n_out: int, snap_row0: bool = False) -> np.ndarray:
+def _kraus_transfer(ops, n_in: int, n_out: int) -> np.ndarray:
     bin_ = pauli_basis(n_in)
     # the sum of a @ bin_ @ a^dagger over the operators, with the two
     # products of each later operator written into reused buffers
@@ -209,11 +211,15 @@ def _kraus_transfer(ops, n_in: int, n_out: int, snap_row0: bool = False) -> np.n
     resid = float(np.max(np.abs(acc.imag)))
     if resid > tolerances.algebra:
         raise NumericContractError(f"gate entries not real: max imaginary part {resid:.3e}")
-    entries = acc.real
-    if snap_row0:
-        # trace preservation is certified by the completeness test
+    return acc.real
+
+
+def _kraus_gate(ops, n_in: int, n_out: int, kind: str) -> GateMatrix:
+    """Gate of operators certified to be of ``kind``; a trace-preserving row 0 is pinned."""
+    entries = _kraus_transfer(ops, n_in, n_out)
+    if kind == TRACE_PRESERVING:
         _pin_row0(entries[0])
-    return entries
+    return GateMatrix(n_in, n_out, entries, kind)
 
 
 def gate_from_unitary(u: np.ndarray) -> GateMatrix:
@@ -228,8 +234,7 @@ def gate_from_unitary(u: np.ndarray) -> GateMatrix:
     n = _operator_ququats(u, "unitary")
     if np.max(np.abs(u.conj().T @ u - np.eye(2**n))) > tolerances.algebra:
         raise NumericContractError("input is not unitary within tolerance")
-    entries = _kraus_transfer([u], n, n, snap_row0=True)
-    return GateMatrix(n, n, entries, TRACE_PRESERVING)
+    return _kraus_gate([u], n, n, TRACE_PRESERVING)
 
 
 def gate_from_kraus(kraus: KrausSet | list | tuple) -> GateMatrix:
@@ -242,15 +247,30 @@ def gate_from_kraus(kraus: KrausSet | list | tuple) -> GateMatrix:
     if not isinstance(kraus, KrausSet):
         kraus = KrausSet(tuple(kraus))
     _check_gate_size(max(kraus.n_in, kraus.n_out), "Kraus set")
-    kind = kraus.kind()
-    tp = kind == TRACE_PRESERVING
-    entries = _kraus_transfer(kraus.ops, kraus.n_in, kraus.n_out, snap_row0=tp)
-    return GateMatrix(kraus.n_in, kraus.n_out, entries, kind)
+    return _kraus_gate(kraus.ops, kraus.n_in, kraus.n_out, kraus.kind())
 
 
-def _projector_family(projectors) -> list[tuple[np.ndarray, str]]:
-    """The projectors as complex arrays, each with its gate's kind, refused
-    unless they form a measurement.
+@dataclass(frozen=True)
+class Measurement:
+    """Frozen projectors P_k on n ququats, certified by :func:`measurement`, with
+    the kind and row 0 of each branch gate rho -> P_k rho P_k: ``rows @ P``
+    gives every branch probability without building a gate."""
+
+    n: int
+    projectors: tuple[np.ndarray, ...]
+    kinds: tuple[str, ...]
+    rows: np.ndarray
+
+    def gate(self, k: int | None = None) -> GateMatrix:
+        """The branch gate of P_k, or with ``None`` the channel rho -> sum_k P_k rho P_k
+        of a complete family, through one Pauli transfer."""
+        if k is None:
+            return _kraus_gate(self.projectors, self.n, self.n, TRACE_PRESERVING)
+        return _kraus_gate([self.projectors[k]], self.n, self.n, self.kinds[k])
+
+
+def measurement(projectors) -> Measurement:
+    """The projectors as a :class:`Measurement`, refused unless they form one.
 
     Each must be a square operator of side 2**n, n >= 1, sized as every
     other operator is, and a Hermitian idempotent; all must be of one size,
@@ -276,19 +296,16 @@ def _projector_family(projectors) -> list[tuple[np.ndarray, str]]:
         for j in range(i + 1, len(projectors)):
             if np.max(np.abs(projectors[i] @ projectors[j])) > tol:
                 raise NumericContractError(f"projectors {i} and {j} are not orthogonal")
-    return [(p, KrausSet((p,)).kind()) for p in projectors]
-
-
-def _projector_gate(p, kind: str) -> GateMatrix:
-    """Gate of rho -> P rho P for a projector P certified by :func:`_projector_family`.
-
-    A list of the projectors of a family gives the channel
-    rho -> sum_k P_k rho P_k, through one Pauli transfer.
-    """
-    ops = p if isinstance(p, list) else [p]
-    n = _exponent(len(ops[0]), 2)
-    entries = _kraus_transfer(ops, n, n, snap_row0=kind == TRACE_PRESERVING)
-    return GateMatrix(n, n, entries, kind)
+    kinds = tuple(KrausSet((p,)).kind() for p in projectors)
+    n = _exponent(d, 2)
+    # row 0 of the gate of {A} is 2**-n Tr(sigma_nu A^dagger A): one transfer gives all
+    squares = np.stack([p.conj().T @ p for p in projectors])
+    rows = np.ascontiguousarray(_pauli_transfer(squares, n).real.T) / 2**n
+    for row, kind in zip(rows, kinds):
+        if kind == TRACE_PRESERVING:
+            # as in _kraus_gate: the certified row is pinned exactly
+            _pin_row0(row)
+    return Measurement(n, tuple(map(_frozen, projectors)), kinds, _frozen(rows))
 
 
 def measurement_gates(projectors) -> list[GateMatrix]:
@@ -298,31 +315,14 @@ def measurement_gates(projectors) -> list[GateMatrix]:
     enforced.  If the family is complete the gate matrices sum to a
     trace-preserving gate.
     """
-    return [_projector_gate(p, kind) for p, kind in _projector_family(projectors)]
-
-
-def _branch_rows(family) -> np.ndarray:
-    """Row 0 of each gate of a certified ``family`` from :func:`_projector_family`.
-
-    Row 0 of the gate of a Kraus set {A} is 2**-n Tr(sigma_nu A^dagger A),
-    so one Pauli transfer of the stack of P_k^dagger P_k gives every row,
-    and ``rows @ P`` every branch probability.
-    """
-    n = _exponent(len(family[0][0]), 2)
-    squares = np.stack([p.conj().T @ p for p, _ in family])
-    rows = np.ascontiguousarray(_pauli_transfer(squares, n).real.T) / 2**n
-    for row, (_, kind) in zip(rows, family):
-        if kind == TRACE_PRESERVING:
-            # as in _kraus_transfer: the certified row is pinned exactly
-            _pin_row0(row)
-    rows.setflags(write=False)
-    return rows
+    m = measurement(projectors)
+    return [m.gate(k) for k in range(len(m.projectors))]
 
 
 def _branch_probabilities(
     rows: np.ndarray, pvec: PauliVector, targets: tuple[int, ...] | None = None
 ) -> list[float]:
-    """The probability ``row @ x`` of each branch row of :func:`_branch_rows`.
+    """The probability ``row @ x`` of each row of :attr:`Measurement.rows`.
 
     x is the state on the ququats ``targets`` with every other digit 0: a
     row 0 tensored with the identity elsewhere reads only those entries.

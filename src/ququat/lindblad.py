@@ -86,8 +86,10 @@ class GKSModel:
 
     def is_positive(self) -> bool:
         """Positivity of the Hermitian form (eigenvalue test, equivalent to
-        the leading-minors criterion but numerically sturdier)."""
-        return float(np.linalg.eigvalsh((self.c + self.c.conj().T) / 2)[0]) >= -tolerances.psd
+        the leading-minors criterion but numerically sturdier).  The form is
+        halved before it is summed, so no finite C overflows it."""
+        form = self.c / 2 + self.c.conj().T / 2
+        return float(np.linalg.eigvalsh(form)[0]) >= -tolerances.psd
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import MAX_QUQUATS
 from .errors import NumericContractError, SchemaError
-from .gates import _NO_QUQUAT, GateMatrix, KrausSet, _projector_family, gate_from_matrix
+from .gates import _NO_QUQUAT, GateMatrix, KrausSet, Measurement, gate_from_matrix, measurement
 from .lindblad import (
     GKSModel,
     _liouvillian_propagator,
@@ -347,15 +347,17 @@ def lindblad_from_json(obj, path: str = "lindblad") -> tuple[GateMatrix, np.ndar
 
 def measurement_from_json(
     projectors, post_select, path: str = "projectors", post_path: str = "post_select"
-) -> tuple[list[tuple[np.ndarray, str]], int | None]:
-    """The certified family of ``gates._projector_family`` and the optional post-selected index."""
-    family = _projector_family(_decode_list(projectors, path, decode_complex_matrix))
+) -> tuple[Measurement, int | None]:
+    """The certified :class:`~ququat.gates.Measurement` and the optional post-selected index."""
+    m = measurement(_decode_list(projectors, path, decode_complex_matrix))
     if post_select is None:
-        return family, None
+        return m, None
     post = _decode_int(post_select, post_path, 0)
-    if post >= len(family):
-        raise SchemaError(f"{post_path}: index {post} out of range for {len(family)} projectors")
-    return family, post
+    if post >= len(m.projectors):
+        raise SchemaError(
+            f"{post_path}: index {post} out of range for {len(m.projectors)} projectors"
+        )
+    return m, post
 
 
 # -- classical logic --------------------------------------------------------

@@ -133,32 +133,34 @@ def weyl_generators(dim: int) -> GeneratorSet:
     return GeneratorSet(units=tuple(units), hermitian=tuple(herm))
 
 
+_SPAN_THRESHOLD = 1e-9  # relative residual above which a candidate joins a Lie span
+
+
 class _RealSpan:
     """Orthonormal rows [Re M, Im M] of complex matrices M, in a (dim, dim) buffer.
 
     A candidate is kept when its residual after two Gram-Schmidt passes,
-    relative to its norm, exceeds ``threshold``.
+    relative to its norm, exceeds ``_SPAN_THRESHOLD``.
     """
 
-    def __init__(self, dim: int, threshold: float = 1e-9):
+    def __init__(self, dim: int):
         self.rows = np.zeros((dim, dim))
         self.dim = 0
-        self.threshold = threshold
 
     def extend(self, mats: np.ndarray) -> np.ndarray:
         """Offer each matrix, then i times it; return the kept ones, normalised, in order."""
         flat = mats.reshape(len(mats), -1)
         norms = np.linalg.norm(flat, axis=1)
-        keep = norms > self.threshold
+        keep = norms > _SPAN_THRESHOLD
         flat = flat[keep] / norms[keep, None]
         flat = np.stack([flat, 1j * flat], axis=1).reshape(-1, flat.shape[1])
         vecs = np.concatenate([flat.real, flat.imag], axis=1)
         held = self.rows[: self.dim]
         # one GEMM per pass against the rows held before the call; a
-        # residual at or below threshold cannot grow in a later pass
+        # residual at or below the threshold cannot grow in a later pass
         for _ in range(2):
             vecs -= (vecs @ held.T) @ held
-            live = np.linalg.norm(vecs, axis=1) > self.threshold
+            live = np.linalg.norm(vecs, axis=1) > _SPAN_THRESHOLD
             vecs, flat = vecs[live], flat[live]
         start = self.dim
         kept = []
@@ -167,7 +169,7 @@ class _RealSpan:
             for _ in range(2):
                 v = v - new.T @ (new @ v)
             resid = np.linalg.norm(v)
-            if resid > self.threshold and self.dim < len(self.rows):
+            if resid > _SPAN_THRESHOLD and self.dim < len(self.rows):
                 self.rows[self.dim] = v / resid
                 self.dim += 1
                 kept.append(j)
@@ -180,9 +182,7 @@ class _RealSpan:
 _BRACKET_ENTRIES = 2**14
 
 
-def lie_closure_dim(
-    generators, max_iter: int = 100, threshold: float = 1e-9
-) -> int:
+def lie_closure_dim(generators, max_iter: int = 100) -> int:
     """Real dimension of the matrix Lie algebra generated by a set.
 
     The algebra is taken closed under multiplication by i (each element
@@ -213,7 +213,7 @@ def lie_closure_dim(
         )
 
     gens = np.stack(mats)
-    span = _RealSpan(2 * size * size, threshold)
+    span = _RealSpan(2 * size * size)
     frontier = span.extend(gens)
     # brackets [g, b], frontier outer and generator inner, in blocks of at
     # most _BRACKET_ENTRIES entries or of one frontier member
@@ -238,15 +238,13 @@ def lie_closure_dim(
     return span.dim
 
 
-def swap_pseudo_gate(n: int = 2) -> PseudoGate:
-    """Permutation superoperator exchanging the two ququat factors.
+def swap_pseudo_gate() -> PseudoGate:
+    """Permutation superoperator exchanging the two factors of a two-ququat register.
 
     Maps coefficient index (mu, nu) to (nu, mu); it is an involution, and
     conjugating tensor_gates(g, identity) by it yields
     tensor_gates(identity, g).
     """
-    if n != 2:
-        raise NumericContractError("the twist pseudo-gate is defined for two ququats")
     size = 16
     mat = np.zeros((size, size), dtype=complex)
     for mu in range(4):

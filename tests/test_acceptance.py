@@ -154,7 +154,7 @@ def test_criterion_2_property_suite():
                 acc += np.einsum("mij,nji->mn", basis, conj) / 2
             assert np.max(np.abs(acc.imag)) < tol
             # Prop 3 (row 0 = delta) on the raw, unsnapped entries
-            raw = _kraus_transfer(kraus.ops, 1, 1, snap_row0=False)
+            raw = _kraus_transfer(kraus.ops, 1, 1)
             assert np.max(np.abs(raw[0] - delta)) < tol
         for _ in range(100):
             u = random_unitary(rng, 2)

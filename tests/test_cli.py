@@ -9,17 +9,21 @@ import resource
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from ququat import (
+    GKSModel,
+    NumericContractError,
     PauliVector,
     apply_nonlinear,
     cli,
     gate_from_kraus,
     gate_from_unitary,
+    gks_matrix,
     liouvillian_superop,
     measurement_gates,
     parse_circuit,
@@ -27,7 +31,7 @@ from ququat import (
 )
 from ququat import serialization as sz
 from ququat.cli import EXIT_CONTRACT, EXIT_OK, EXIT_SCHEMA, EXIT_ZERO_PROBABILITY, main
-from ququat.config import tolerances
+from ququat.config import MAX_RUN_ENTRIES, tolerances
 from ququat.errors import SchemaError
 from ququat.lindblad import LiouvillianSuperop
 from ququat.mvlogic import evaluate_expression
@@ -273,6 +277,41 @@ class TestMeasureReversible:
             for key in keys:
                 assert json.dumps(simulated[key]) == json.dumps(measured[key]), key
 
+    @pytest.mark.parametrize(
+        "n,targets",
+        [(1, (0,)), (2, (0, 1)), (3, (0, 1, 2)), (2, (1,)), (3, (1,)), (3, (2, 0))],
+        ids=str,
+    )
+    def test_a_post_selected_branch_has_one_probability(self, tmp_path, capsys, n, targets):
+        # seeded Haar families, on the whole register and on sub-register
+        # targets, where ``measure`` gets the family tensored with the identity
+        k = len(targets)
+        order = [*targets, *(q for q in range(n) if q not in targets)]
+        axes = [order.index(q) for q in range(n)]
+        axes += [n + a for a in axes]
+        for seed in range(4):
+            rng = np.random.default_rng([2021, n, k, seed])
+            v = random_unitary(rng, 2**k)
+            cuts = sorted(rng.choice(np.arange(1, 2**k), size=min(2, 2**k - 1), replace=False))
+            family = [v[:, a:b] @ v[:, a:b].conj().T for a, b in zip([0, *cuts], [*cuts, 2**k])]
+            wide = [np.kron(p, np.eye(2 ** (n - k))).reshape((2,) * (2 * n)).transpose(axes)
+                    .reshape(2**n, 2**n) for p in family]
+            state = {"n": n, "P": random_pvec(rng, n).P.tolist()}
+            for post in range(len(family)):
+                doc = {"projectors": [encode_complex_matrix(p) for p in wide], "state": state,
+                       "post_select": post}
+                code, out, err = run_cli(["measure"], doc, tmp_path, capsys)
+                assert code == EXIT_OK, err
+                measured = json.loads(out)
+                step = {"measure": {"projectors": [encode_complex_matrix(p) for p in family]},
+                        "targets": list(targets), "post_select": post}
+                doc = {"circuit": {"n": n, "steps": [step]}, "initial": state}
+                code, out, err = run_cli(["simulate"], doc, tmp_path, capsys)
+                assert code == EXIT_OK, err
+                for got in (measured, json.loads(out)["steps"][0]):
+                    assert json.dumps(got["probabilities"][post]) == json.dumps(got["probability"])
+                    assert got["state"]["P"][0] == 1.0
+
     def test_measure_builds_only_the_post_selected_gate(self, tmp_path, capsys, monkeypatch):
         from ququat import gates
 
@@ -286,7 +325,7 @@ class TestMeasureReversible:
             return build
 
         for namespace in (gates, cli, sz):
-            for name in ("_projector_gate", "gate_from_kraus", "measurement_gates"):
+            for name in ("_kraus_gate", "gate_from_kraus", "measurement_gates"):
                 if hasattr(namespace, name):
                     monkeypatch.setattr(namespace, name, counted(name, getattr(namespace, name)))
         payload = {"projectors": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
@@ -298,7 +337,7 @@ class TestMeasureReversible:
         code, out, _ = run_cli(["measure"], {**payload, "post_select": 1}, tmp_path, capsys)
         assert code == EXIT_OK
         assert json.loads(out)["probability"] == 0.09999999999999998
-        assert built == ["_projector_gate"]
+        assert built == ["_kraus_gate"]
 
     @pytest.mark.parametrize("args", [["measure"], ["simulate"]])
     def test_projectors_of_mixed_sizes_exit_3(self, tmp_path, capsys, args):
@@ -1356,6 +1395,36 @@ def test_non_finite_results_exit_3_with_one_line(tmp_path, capsys, argv, doc, me
     assert (code, out, err) == (EXIT_CONTRACT, "", f"error: {message}\n")
 
 
+_GKS_MODEL = {"H": [0, 0, 0.5], "C": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
+def _gks_overflow_mutants():
+    """The README GKS model with one entry of C or H set to +-1.7e308."""
+    for key, shape in (("C", (3, 3)), ("H", (3,))):
+        for where in np.ndindex(shape):
+            for value in (1.7e308, -1.7e308):
+                model = json.loads(json.dumps(_GKS_MODEL))
+                entries = model[key]
+                for i in where[:-1]:
+                    entries = entries[i]
+                entries[where[-1]] = value
+                yield pytest.param(model, id=f"{key}{list(where)}={value:+.1e}")
+
+
+@pytest.mark.parametrize("model", list(_gks_overflow_mutants()))
+def test_overflowing_gks_coefficients_exit_3_with_one_line(tmp_path, capsys, model):
+    code, out, err = run_cli(["gate", "from-lindblad"], {"model": model, "tau": 1.0}, tmp_path, capsys)
+    assert (code, out) == (EXIT_CONTRACT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    # the library refuses by contract, never by a LinAlgError
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            gks_matrix(GKSModel(model["H"], model["C"]))
+        except NumericContractError:
+            pass
+
+
 class TestUnreadableInput:
     def test_deeply_nested_arrays(self, tmp_path, capsys):
         code, out, err = _run_text(["state", "validate"], "[" * 100000 + "]" * 100000,
@@ -1465,7 +1534,7 @@ def test_gates_above_the_ceiling_exit_3(tmp_path, capsys, monkeypatch, args, doc
 def test_lie_side_above_the_ceiling_exit_3(tmp_path, capsys, monkeypatch, side):
     from ququat import universality
 
-    def refuse(dim, threshold):
+    def refuse(dim):
         raise AssertionError(f"a span of {dim} reals allocated above the Lie ceiling")
 
     monkeypatch.setattr(universality, "_RealSpan", refuse)
@@ -1497,6 +1566,47 @@ def test_lie_side_at_the_ceiling_stays_within_3_gib():
     assert json.loads(proc.stdout) == {"dimension": 512}
 
 
+def _capped_env_run(args, **kwargs):
+    """A child Python under a 3 GiB address-space cap, on one BLAS thread."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    return subprocess.run(
+        [sys.executable, *args], text=True, timeout=120, preexec_fn=cap,
+        # BLAS thread pools reserve address space per core
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, **kwargs,
+    )
+
+
+def test_run_at_the_ceiling_stays_within_3_gib():
+    # 1000 such steps at n = 8 used to end in an orjson SystemError at 2.89 GB
+    n = 8
+    steps = MAX_RUN_ENTRIES // 4**n - 1
+    doc = {"circuit": {"n": n, "steps": [{"named": "not", "targets": [i % n]}
+                                         for i in range(steps)]},
+           "initial": {"n": n, "P": random_pvec(np.random.default_rng(8), n).P.tolist()}}
+    proc = _capped_env_run(["-m", "ququat.cli", "simulate"], input=json.dumps(doc),
+                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 11])
+def test_run_above_the_ceiling_is_refused_before_any_gate(tmp_path, capsys, n):
+    # no step names a gate: at the ceiling the first step is refused, one
+    # step above it the run is, before any step is read
+    states = MAX_RUN_ENTRIES // 4 ** max(n, 4)
+    for count in (states - 1, states):
+        doc = {"circuit": {"n": n, "steps": [{"named": "none"}] * count},
+               "initial": {"n": 1, "P": [1, 0, 0, 0]}}
+        code, out, err = run_cli(["simulate"], doc, tmp_path, capsys)
+        if count < states:
+            assert (code, out, err) == (EXIT_SCHEMA, "", "error: steps[0].named: unknown gate name 'none'\n")
+        else:
+            assert (code, out) == (EXIT_SCHEMA, "")
+            assert err == (f"error: steps: {states + 1} states at n={n} count "
+                           f"{(states + 1) * 4 ** max(n, 4)} numbers; a run is limited to 8388608\n")
+
+
 _ONE_STEP_CIRCUIT = '{"circuit": {"n": %d, "steps": [{"named": "not"}]}, "initial": {"n": 1, "P": [1,0,0,0]}}'
 
 
@@ -1517,5 +1627,10 @@ def test_circuit_n_above_32_is_refused_before_targets():
 def test_circuit_n_up_to_32(tmp_path, capsys):
     code, _, err = _run_text(["simulate"], _ONE_STEP_CIRCUIT % 33, tmp_path, capsys)
     assert (code, err) == (EXIT_SCHEMA, "error: circuit.n: expected an integer <= 32, got 33\n")
+    # n = 32 passes the bound on n; its two states are then above the run ceiling
     code, _, err = _run_text(["simulate"], _ONE_STEP_CIRCUIT % 32, tmp_path, capsys)
-    assert (code, err) == (EXIT_CONTRACT, "error: initial state has n=1, circuit expects n=32\n")
+    assert (code, err) == (EXIT_SCHEMA, f"error: steps: 2 states at n=32 count {2 * 4**32} "
+                                        "numbers; a run is limited to 8388608\n")
+    # the largest one-step circuit under the run ceiling is parsed and run
+    code, _, err = _run_text(["simulate"], _ONE_STEP_CIRCUIT % 11, tmp_path, capsys)
+    assert (code, err) == (EXIT_CONTRACT, "error: initial state has n=1, circuit expects n=11\n")

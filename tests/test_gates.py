@@ -28,7 +28,7 @@ from ququat import (
     weyl_generators,
 )
 from ququat.liouville import SIGMA, PauliIndex
-from ququat.gates import TRACE_DECREASING, TRACE_PRESERVING, _branch_rows, _projector_family
+from ququat.gates import TRACE_DECREASING, TRACE_PRESERVING, measurement
 
 from helpers import P0, P1, depolarizing_kraus, random_pvec, random_tp_kraus, random_unitary
 
@@ -179,7 +179,7 @@ class TestMeasurementGates:
         "build",
         [
             measurement_gates,
-            pytest.param(lambda ps: _branch_rows(_projector_family(ps)), id="_branch_rows"),
+            pytest.param(lambda ps: measurement(ps).rows, id="Measurement.rows"),
         ],
     )
     def test_projector_just_above_one_is_trace_increasing(self, build):
@@ -203,7 +203,7 @@ class TestMeasurementGates:
         # every comparison with NaN is false, so the Hermitian, idempotent
         # and orthogonality checks pass it; the kind's KrausSet refuses it
         nan = np.array([[np.nan, 0.0], [0.0, 0.0]])
-        for build in (_projector_family, measurement_gates):
+        for build in (measurement, measurement_gates):
             with pytest.raises(NumericContractError, match="^Kraus operators have non-finite entries$"):
                 build([nan])
 

@@ -42,10 +42,9 @@ from ququat import (
 from ququat.config import Tolerances, tolerances
 from ququat.gates import (
     TRACE_PRESERVING,
-    _branch_rows,
-    _kraus_transfer,
-    _projector_family,
+    _kraus_gate,
     classify_kind,
+    measurement,
 )
 from ququat.liouville import SIGMA, DensityMatrix, PauliIndex
 
@@ -88,7 +87,8 @@ def _callables():
 def test_no_callable_takes_a_tolerance():
     found = dict(_callables())
     assert "ququat.gates.KrausSet.kind" in found and "ququat.gates._kraus_transfer" in found
-    assert [name for name, fn in found.items() if "tol" in inspect.signature(fn).parameters] == []
+    knobs = {"tol", "threshold"}
+    assert [name for name, fn in found.items() if knobs & set(inspect.signature(fn).parameters)] == []
 
 
 # -- one input OFF from its contract per former ``tol`` function ---------------
@@ -153,9 +153,10 @@ CASES = [
     ("check_reversible", lambda: check_reversible([SIGMA[0]], _P0_OFF)),
     ("check_reversible_superop",
      lambda: check_reversible_superop(_gate(np.eye(4)), _gate(np.diag([1.0 + OFF, 1, 1, 1])))),
-    ("_kraus_transfer", lambda: _kraus_transfer(_SCALED_ID, 1, 1, snap_row0=True)),
-    ("_projector_family", lambda: _projector_family([_P0_OFF])),
-    ("_branch_rows", lambda: _branch_rows(_projector_family([_P0_OFF]))),
+    ("_kraus_gate", lambda: _kraus_gate(_SCALED_ID, 1, 1, TRACE_PRESERVING)),
+    # measurement() now holds the checks of both former projector helpers
+    ("_projector_family", lambda: measurement([_P0_OFF])),
+    ("_branch_rows", lambda: measurement([_P0_OFF]).rows),
     ("split_translation", lambda: split_translation(_gate(_ROW0_OFF))),
     ("svd_rect_gate", lambda: svd_rect_gate(_gate(_ROW0_OFF))),
     ("svd_gate", lambda: svd_gate(_gate(_ROW0_OFF))),

@@ -13,13 +13,15 @@ revisions is one ``diff``:
 
 ``--root`` names the checkout whose ``src/``, ``tests/`` and ``perfbench/``
 are imported (by default the one holding this file).  The corpus is the
-README examples of ``tests/test_cli.py`` and every single-node mutant of
-them, each in JSON and in ``--format text``; rounds 0-7 of
+README examples of ``tests/test_cli.py``, every single-node mutant of
+them, and every mutant that sets one numeric leaf to a float edge of
+:data:`EDGE_FLOATS`, each in JSON and in ``--format text``; rounds 0-7 of
 ``GateWide(101)``, each job fed the output of the one before as the
 benchmark does; the ``SimulateLocal(101)`` and ``(102)`` documents; and
 the ``mvlogic`` and measurement commands below.  BLAS runs on one
 thread, as with more threads two runs of one revision can differ in the
-last bits.
+last bits.  The tool exits 1 when any case ends outside the CLI's exit
+codes 0, 2, 3 and 4, such as in a traceback.
 """
 
 from __future__ import annotations
@@ -36,6 +38,12 @@ from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+
+
+# floats near the largest finite one, which overflow when summed or squared,
+# and the smallest subnormal
+EDGE_FLOATS = (1.7e308, -1.7e308, 5e-324)
+EXIT_CODES = (0, 2, 3, 4)
 
 
 def _sha(text: str) -> str:
@@ -192,14 +200,25 @@ def corpus():
     """Yield (argv, text) for every case and receive its (exit code, stdout,
     stderr): a chained ``gate-wide`` job reads the output of the one before."""
     import numpy as np
-    from test_cli import _README_EXAMPLES, _mutants, _mutate
+    from test_cli import _README_EXAMPLES, _mutants, _mutate, _node_paths
     from workloads import GateWide, SimulateLocal
+
+    def leaf(doc, where):
+        for key in where:
+            doc = doc[key]
+        return doc
 
     for fmt in ("json", "text"):
         for argv, doc in _README_EXAMPLES:
             yield ["--format", fmt, *argv], json.dumps(doc, default=np.ndarray.tolist)
         for argv, doc, where, value in _mutants():
             yield ["--format", fmt, *argv], json.dumps(_mutate(doc, where, value))
+        for argv, doc in _README_EXAMPLES:
+            for where in _node_paths(doc):
+                number = leaf(doc, where)
+                if isinstance(number, (int, float)) and not isinstance(number, bool):
+                    for value in EDGE_FLOATS:
+                        yield ["--format", fmt, *argv], json.dumps(_mutate(doc, where, value))
     gate_wide = GateWide(101)
     for index in range(8):
         for job in gate_wide.round(index):
@@ -239,7 +258,7 @@ def main(argv=None) -> int:
         codes[code] += 1
     by_code = ", ".join(f"{n} exit {c}" for c, n in sorted(codes.items(), key=str))
     print(f"# {sum(codes.values())} cases ({by_code}); digest {digest.hexdigest()[:16]}")
-    return 0
+    return int(any(code not in EXIT_CODES for code in codes))
 
 
 if __name__ == "__main__":
