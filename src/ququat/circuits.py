@@ -229,8 +229,21 @@ def parse_circuit(doc) -> Circuit:
                 f"steps: {states} states at n={n} count {states * 4 ** max(n, 4)} numbers; "
                 f"a run is limited to {MAX_RUN_ENTRIES}"
             )
-    steps = sz._decode_list(raw_steps, "steps", lambda raw, path: _parse_step(raw, path, n))
-    return Circuit(n=n, steps=tuple(steps))
+    entries = 0
+
+    def parse_step(raw, path: str) -> CircuitStep:
+        # every gate is kept too, counted apart from the states
+        nonlocal entries
+        step = _parse_step(raw, path, n)
+        entries += step.gate.entries.size
+        if entries > MAX_RUN_ENTRIES:
+            raise SchemaError(
+                f"{path}: the gates up to this step count {entries} numbers; "
+                f"a run's gates are limited to {MAX_RUN_ENTRIES}"
+            )
+        return step
+
+    return Circuit(n=n, steps=tuple(sz._decode_list(raw_steps, "steps", parse_step)))
 
 
 def run_circuit(circuit: Circuit, initial: PauliVector) -> RunRecord:

@@ -299,6 +299,26 @@ def _json_text(obj) -> str:
     return "".join(_json_pieces(obj))
 
 
+_FINITE_TYPES = frozenset((int, bool, str, type(None)))
+
+
+def _finite(obj) -> bool:
+    """Whether a payload holds no NaN and no infinity, at any depth."""
+    kind = type(obj)
+    if kind is float:
+        return math.isfinite(obj)
+    if kind is np.ndarray:
+        return obj.dtype.kind not in "fc" or bool(np.isfinite(obj).all())
+    if kind is dict:
+        return all(map(_finite, obj.values()))
+    if kind is not list and kind is not tuple:
+        return True
+    types = set(map(type, obj))
+    if types <= _FINITE_TYPES:
+        return True
+    return all(map(math.isfinite if types == {float} else _finite, obj))
+
+
 def _emit(payload, args) -> None:
     if args.format == "json":
         sys.stdout.writelines([*_json_pieces(payload), "\n"])
@@ -328,7 +348,9 @@ def _cmd_state_validate(args):
     else:
         state = sz.pvec_from_json(doc, "state")
     rep = validate_density(state)
-    return {**asdict(rep), "valid": rep.valid}
+    # a quantity that overflowed is reported as not computed
+    report = {key: v if _finite(v) else None for key, v in asdict(rep).items()}
+    return {**report, "valid": rep.valid}
 
 
 def _cmd_gate_from_unitary(args):
@@ -407,6 +429,8 @@ def _cmd_measure(args):
     state = _state_from_json(doc.get("state"), "state")
     if state.n != m.n:
         raise NumericContractError(f"state has n={state.n}, projectors act on n={m.n}")
+    if not validate_density(state).valid:
+        raise NumericContractError("state is not a valid density matrix")
     # a probability is row 0 of its branch gate times P; only the
     # post-selected branch needs its whole gate
     out = {"probabilities": _branch_probabilities(m.rows, state)}
@@ -630,6 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     try:
         payload = args.handler(args)
+        # checked once, before either format writes anything
+        if not _finite(payload):
+            raise NumericContractError("result has non-finite entries")
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -75,6 +75,8 @@ MAX_QUQUATS = 32
 # cap takes 2.0 s and 123 MB at n = 1 (32767 steps), 5.1 s and 429 MB at
 # n = 4 (32767 steps), 3.4 s and 416 MB at n = 8 (127 steps) and 14 s and
 # 785 MB at n = 11 (1 step); 1000 steps at n = 8 ran out of the 3 GiB.
+# The entries of the steps' gates, which are kept too, are held to the same
+# number, counted apart: eight 5-ququat gates fit.
 MAX_RUN_ENTRIES = 2**23
 
 

@@ -26,7 +26,8 @@ import numpy as np
 
 from .config import MAX_GATE_QUQUATS, tolerances
 from .errors import NumericContractError, ZeroProbabilityError
-from .liouville import PauliVector, _basis_product, _exponent, _frozen, _pauli_transfer, pauli_basis
+from .liouville import (PauliVector, _basis_product, _exponent, _frozen, _kron, _pauli_transfer,
+                        _superop_transfer)
 
 __all__ = [
     "GateMatrix",
@@ -196,18 +197,7 @@ def gate_from_matrix(entries, kind: str | None = None) -> GateMatrix:
 
 
 def _kraus_transfer(ops, n_in: int, n_out: int) -> np.ndarray:
-    bin_ = pauli_basis(n_in)
-    # the sum of a @ bin_ @ a^dagger over the operators, with the two
-    # products of each later operator written into reused buffers
-    left = ops[0] @ bin_
-    images = left @ ops[0].conj().T
-    images += 0  # as sum() starts from 0: no image entry is -0.0
-    right = None
-    for a in ops[1:]:
-        right = np.matmul(np.matmul(a, bin_, out=left), a.conj().T, out=right)
-        images += right
-    acc = _pauli_transfer(images, n_out)
-    acc /= 2**n_in
+    acc = _superop_transfer(sum(_kron(a, a.conj()) for a in ops), n_in, n_out)
     resid = float(np.max(np.abs(acc.imag)))
     if resid > tolerances.algebra:
         raise NumericContractError(f"gate entries not real: max imaginary part {resid:.3e}")

@@ -36,7 +36,7 @@ from scipy.linalg import expm
 from .config import tolerances
 from .errors import NumericContractError
 from .gates import GateMatrix, TRACE_PRESERVING, _operator_ququats
-from .liouville import PauliVector, _basis_product, _pauli_transfer
+from .liouville import PauliVector, _kron, _superop_transfer
 
 __all__ = [
     "GKSModel",
@@ -187,10 +187,7 @@ class LiouvillianSuperop:
 
     def to_pauli_generator(self) -> np.ndarray:
         """Real generator of dP/dt = L P over Pauli coefficient vectors."""
-        # L[mu, nu] = 2**-n Tr(sigma_mu X_nu), X_nu the image of sigma_nu
-        d = 2**self.n
-        images = _basis_product(self.matrix.T, self.n)
-        gen = _pauli_transfer(images.reshape(-1, d, d), self.n) / d
+        gen = _superop_transfer(self.matrix, self.n, self.n)
         resid = float(np.max(np.abs(gen.imag)))
         if resid > tolerances.algebra:
             raise NumericContractError(f"Pauli-basis generator not real: residual {resid:.3e}")
@@ -201,12 +198,6 @@ class LiouvillianSuperop:
                 f"generator does not preserve trace: top row residual {row0:.3e}"
             )
         return gen
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a, b) of two d x d matrices as one broadcast product, bit for bit."""
-    d = len(a)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
 
 
 def liouvillian_superop(h: np.ndarray, v: list | tuple = ()) -> LiouvillianSuperop:

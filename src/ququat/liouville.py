@@ -180,6 +180,24 @@ def _pauli_transfer(images: np.ndarray, n: int) -> np.ndarray:
     return _basis_product(images.transpose(0, 2, 1).reshape(len(images), -1).T, n)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two matrices as one broadcast product, bit for bit."""
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+
+
+def _superop_transfer(s: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
+    """E[mu, nu] = 2**-n_in Tr(sigma_mu Phi(sigma_nu)) of Phi: vec(X) -> s @ vec(X).
+
+    vec is the row-major flattening, so vec(A X B) = (A kron B^T) vec(X)
+    gives ``s`` of any sum of such products.  The images Phi(sigma_nu) are
+    the rows of B_in @ s^T; one more basis change reads their coefficients.
+    """
+    d_out = 2**n_out
+    images = _basis_product(s.T, n_in).reshape(-1, d_out, d_out)
+    return _pauli_transfer(images, n_out) / 2**n_in
+
+
 def _pauli_combine(p: np.ndarray, n: int) -> np.ndarray:
     """The operator 2**-n sum_mu p[mu] sigma_mu: B^T @ p.
 

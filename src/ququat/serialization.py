@@ -135,12 +135,16 @@ def _decode_list(obj, path: str, decode_item) -> list:
 def decode_complex(obj, path: str) -> complex:
     if isinstance(obj, bool):
         raise SchemaError(f"{path}: expected a number or [re, im] pair")
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, list) and len(obj) == 2 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj
-    ):
-        return complex(obj[0], obj[1])
+    try:
+        if isinstance(obj, (int, float)):
+            return complex(obj)
+        if isinstance(obj, list) and len(obj) == 2 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj
+        ):
+            return complex(obj[0], obj[1])
+    except OverflowError:
+        # an integer beyond float range
+        raise SchemaError(f"{path}: expected a finite number") from None
     raise SchemaError(f"{path}: expected a [re, im] pair")
 
 
@@ -197,20 +201,13 @@ def decode_complex_matrix(obj, path: str) -> np.ndarray:
         raise SchemaError(f"{path}: matrix must not be empty")
     out = []
     width = None
-    try:
-        for i, row in enumerate(rows):
-            row = _expect(row, list, f"{path}[{i}]", "a row (list)")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise SchemaError(f"{path}[{i}]: ragged matrix row")
-            out.append([decode_complex(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
-    except OverflowError:
-        # an integer beyond float range; find it only now, off the fast path
-        for j, v in enumerate(row):
-            for x in v if isinstance(v, list) else [v]:
-                _decode_number(x, f"{path}[{i}][{j}]")
-        raise
+    for i, row in enumerate(rows):
+        row = _expect(row, list, f"{path}[{i}]", "a row (list)")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise SchemaError(f"{path}[{i}]: ragged matrix row")
+        out.append([decode_complex(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
     if width == 0:
         raise SchemaError(f"{path}: matrix must not be empty")
     return _finite(np.array(out, dtype=complex), path)

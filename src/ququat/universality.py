@@ -20,7 +20,7 @@ from scipy.linalg import expm
 from .config import MAX_LIE_SIDE, tolerances
 from .errors import NumericContractError
 from .gates import GateMatrix, _operator_ququats
-from .liouville import _exponent, _pauli_transfer, pauli_basis
+from .liouville import _exponent, _kron, _superop_transfer
 
 __all__ = [
     "PseudoGate",
@@ -71,7 +71,7 @@ def left_mult_superop(a: np.ndarray) -> PseudoGate:
     """
     a = np.asarray(a, dtype=complex)
     n = _operator_ququats(a, "operator")
-    mat = _pauli_transfer(a @ pauli_basis(n), n) / 2**n
+    mat = _superop_transfer(_kron(a, np.eye(2**n)), n, n)
     return PseudoGate(n, mat, "left")
 
 
@@ -84,7 +84,7 @@ def right_mult_superop(a: np.ndarray) -> PseudoGate:
     """
     a = np.asarray(a, dtype=complex)
     n = _operator_ququats(a, "operator")
-    mat = _pauli_transfer(pauli_basis(n) @ a, n) / 2**n
+    mat = _superop_transfer(_kron(np.eye(2**n), a.T), n, n)
     return PseudoGate(n, mat, "right")
 
 

@@ -34,8 +34,9 @@ from ququat.cli import EXIT_CONTRACT, EXIT_OK, EXIT_SCHEMA, EXIT_ZERO_PROBABILIT
 from ququat.config import MAX_RUN_ENTRIES, tolerances
 from ququat.errors import SchemaError
 from ququat.lindblad import LiouvillianSuperop
-from ququat.mvlogic import evaluate_expression
+from ququat.mvlogic import evaluate_expression, synthesize_quantum
 from ququat.serialization import encode_complex_matrix
+from ququat.universality import right_mult_superop
 
 from helpers import entangler_generators, random_pvec, random_unitary
 
@@ -167,6 +168,13 @@ class TestGateCommands:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["n_in"] == 2 and len(doc["entries"]) == 16
+
+    @pytest.mark.parametrize("command", ["compose", "tensor"])
+    def test_one_gate_is_refused(self, tmp_path, capsys, command):
+        doc = {"gates": [{"entries": np.eye(4).tolist()}]}
+        assert run_cli(["gate", command], doc, tmp_path, capsys) == (
+            EXIT_SCHEMA, "", "error: gates: expected at least two gates\n"
+        )
 
     def test_adjoint(self, tmp_path, capsys):
         gate = {"entries": [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0]]}
@@ -417,6 +425,16 @@ class TestMvlogicCommands:
         assert code == EXIT_OK
         assert json.loads(out)["realizes"] is True
 
+    def test_verify_a_list_of_tables(self, tmp_path, capsys):
+        tables = [{"arity": 1, "outputs": [3, 2, 1, 0]}, {"arity": 1, "outputs": [1, 2, 3, 0]}]
+        gate = sz.gate_to_json(synthesize_quantum([sz.table_from_json(t) for t in tables]))
+        for order, realizes in ((tables, True), (tables[::-1], False), (tables[:1], False)):
+            code, out, err = run_cli(
+                ["mvlogic", "verify"], {"gate": gate, "tables": order}, tmp_path, capsys
+            )
+            assert (code, err) == (EXIT_OK, "")
+            assert json.loads(out) == {"realizes": realizes}
+
     def test_closure(self, tmp_path, capsys):
         payload = {"generators": ["g1", "g2", "g3"], "max_arity": 1, "budget": 300}
         code, out, _ = run_cli(["mvlogic", "closure"], payload, tmp_path, capsys)
@@ -434,6 +452,21 @@ class TestUniversalityCommands:
         assert code == EXIT_OK
         mat = json.loads(out)["matrix"]
         assert mat[0][0] == [1.0, 0.0]
+
+    def test_pseudo_right(self, tmp_path, capsys):
+        a = random_unitary(np.random.default_rng(41), 4) @ np.diag([1, 0.5, 0.25, 2])
+        doc = {"A": encode_complex_matrix(a), "side": "right"}
+        code, out, err = run_cli(["universality", "pseudo"], doc, tmp_path, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        mat = np.array(json.loads(out)["matrix"])
+        assert np.array_equal(mat[..., 0] + 1j * mat[..., 1], right_mult_superop(a).matrix)
+
+    @pytest.mark.parametrize("side", ["up", 1, None])
+    def test_pseudo_bad_side(self, tmp_path, capsys, side):
+        doc = {"A": [[0, 1], [0, 0]], "side": side}
+        assert run_cli(["universality", "pseudo"], doc, tmp_path, capsys) == (
+            EXIT_SCHEMA, "", "error: side: expected 'left' or 'right'\n"
+        )
 
     def test_closure_dim(self, tmp_path, capsys):
         gens = []
@@ -660,6 +693,66 @@ class TestRunErrorOrder:
         code, out, _ = _run_text(["state", "validate"], doc, tmp_path, capsys)
         assert code == EXIT_OK
         assert json.loads(out)["valid"] is False
+
+
+def _reject_non_finite(name):
+    raise AssertionError(f"{name} on stdout")
+
+
+class TestOutputGuard:
+    """No command prints NaN or Infinity: a quantity that overflowed is refused or written as null."""
+
+    @pytest.mark.parametrize(
+        "p,missing",
+        [
+            ("[1.7e308, 0.2, 0.1, 0.3]", ["purity"]),
+            ("[1.7e308, 0, 0, 1.7e308]", ["min_eigenvalue", "purity", "trace"]),
+        ],
+    )
+    def test_state_validate_writes_null_for_an_overflow(self, tmp_path, capsys, p, missing):
+        code, out, _ = _run_text(["state", "validate"], '{"n": 1, "P": %s}' % p, tmp_path, capsys)
+        assert code == EXIT_OK
+        report = json.loads(out, parse_constant=_reject_non_finite)
+        assert report["valid"] is False
+        assert sorted(k for k, v in report.items() if v is None) == missing
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_gate_analyze_refuses_an_overflowing_report(self, tmp_path, capsys, fmt):
+        # row 0 squared overflows: row0_sq_sum is infinite
+        gate = json.loads(json.dumps(_README_GATE))
+        gate["entries"][0][1] = 1.7e308
+        code, out, err = run_cli(["--format", fmt, "gate", "analyze"], gate, tmp_path, capsys)
+        assert (code, out, err) == (EXIT_CONTRACT, "", "error: result has non-finite entries\n")
+
+    def test_payloads_are_checked_at_every_depth(self):
+        assert cli._finite({"a": [1, "x", None, True], "b": np.zeros(3), "c": (0.5, 2)})
+        for bad in (math.inf, [[math.nan]], {"a": {"b": [1, -math.inf]}}, np.array([[1, math.nan]]),
+                    (1, 2.0, math.inf)):
+            assert not cli._finite(bad)
+
+
+class TestMeasureRefusesInvalidStates:
+    """``measure`` checks its state as a one-step ``simulate`` does."""
+
+    @pytest.mark.parametrize(
+        "p,extra",
+        [
+            # probabilities 2 and -1 were printed with exit 0
+            ([1, 0, 0, 3], {}),
+            # exit 4 with a negative outcome probability
+            ([-1, 1, 0, 0], {"post_select": 0}),
+        ],
+    )
+    def test_invalid_state_exits_3(self, tmp_path, capsys, p, extra):
+        projectors = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+        doc = {"projectors": projectors, "state": {"n": 1, "P": p}, **extra}
+        assert run_cli(["measure"], doc, tmp_path, capsys) == (
+            EXIT_CONTRACT, "", "error: state is not a valid density matrix\n"
+        )
+        step = {"measure": {"projectors": projectors}, **extra}
+        doc = {"circuit": {"n": 1, "steps": [step]}, "initial": {"n": 1, "P": p}}
+        code, out, _ = run_cli(["simulate"], doc, tmp_path, capsys)
+        assert (code, out) == (EXIT_CONTRACT, "")
 
 
 class TestOptionFields:
@@ -1517,13 +1610,12 @@ _ABOVE_GATE_CEILING = [
 @pytest.mark.parametrize("args,doc,what", _ABOVE_GATE_CEILING,
                          ids=[" ".join(case[0]) for case in _ABOVE_GATE_CEILING])
 def test_gates_above_the_ceiling_exit_3(tmp_path, capsys, monkeypatch, args, doc, what):
-    from ququat import gates, liouville
+    from ququat import liouville
 
     def refuse(n):
         raise AssertionError(f"pauli_basis({n}) reached above the gate ceiling")
 
     monkeypatch.setattr(liouville, "pauli_basis", refuse)
-    monkeypatch.setattr(gates, "pauli_basis", refuse)
     code, out, err = run_cli(args, doc, tmp_path, capsys)
     assert code == EXIT_CONTRACT
     assert out == ""
@@ -1605,6 +1697,35 @@ def test_run_above_the_ceiling_is_refused_before_any_gate(tmp_path, capsys, n):
             assert (code, out) == (EXIT_SCHEMA, "")
             assert err == (f"error: steps: {states + 1} states at n={n} count "
                            f"{(states + 1) * 4 ** max(n, 4)} numbers; a run is limited to 8388608\n")
+
+
+def test_gates_above_the_run_ceiling_are_refused_within_1_gib():
+    # 150 such steps used to end in an _ArrayMemoryError traceback: each
+    # 5-ququat gate is 4**10 numbers, and eight of them fit
+    doc = {"circuit": {"n": 5, "steps": [{"unitary": np.eye(32).tolist()}] * 150},
+           "initial": {"n": 5, "P": [1] + [0] * 1023}}
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "ququat.cli", "simulate"], input=json.dumps(doc),
+        capture_output=True, text=True, timeout=120, preexec_fn=cap,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_SCHEMA, "")
+    assert proc.stderr == (f"error: steps[8]: the gates up to this step count {9 * 4**10} numbers; "
+                           f"a run's gates are limited to {MAX_RUN_ENTRIES}\n")
+
+
+def test_gates_at_the_run_ceiling_run(tmp_path, capsys):
+    p = random_pvec(np.random.default_rng(5), 5).P
+    step = {"unitary": np.eye(32).tolist(), "targets": [4, 3, 2, 1, 0]}
+    doc = {"circuit": {"n": 5, "steps": [step] * 8}, "initial": {"n": 5, "P": p}}
+    assert sum(s.gate.entries.size for s in parse_circuit(doc["circuit"]).steps) == MAX_RUN_ENTRIES
+    code, out, err = run_cli(["simulate"], doc, tmp_path, capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert np.allclose(json.loads(out)["final_state"]["P"], p, rtol=0, atol=1e-12)
 
 
 _ONE_STEP_CIRCUIT = '{"circuit": {"n": %d, "steps": [{"named": "not"}]}, "initial": {"n": 1, "P": [1,0,0,0]}}'

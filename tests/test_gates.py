@@ -499,13 +499,12 @@ class TestGateCeiling:
 
     @staticmethod
     def _refuse_basis(monkeypatch):
-        from ququat import gates, liouville
+        from ququat import liouville
 
         def refuse(n):
             raise AssertionError(f"pauli_basis({n}) reached above the gate ceiling")
 
         monkeypatch.setattr(liouville, "pauli_basis", refuse)
-        monkeypatch.setattr(gates, "pauli_basis", refuse)
 
     @staticmethod
     def _builders():

@@ -25,7 +25,7 @@ from ququat.gates import (
     gate_from_unitary,
     measurement_gates,
 )
-from ququat import gates, liouville
+from ququat import liouville
 from ququat.lindblad import liouvillian_superop
 from ququat.liouville import (
     DensityMatrix,
@@ -103,8 +103,8 @@ def dense_product(y, n, transpose=False):
 
 
 def dense_kraus_transfer(ops, n_in, n_out):
-    bin_ = pauli_basis(n_in)
-    images = sum(a @ bin_ @ a.conj().T for a in ops)
+    s = sum(np.kron(a, a.conj()) for a in ops)
+    images = dense_product(s.T, n_in).reshape(-1, 2**n_out, 2**n_out)
     return dense_product(images.transpose(0, 2, 1).reshape(len(images), -1).T, n_out) / 2**n_in
 
 
@@ -201,7 +201,8 @@ def test_state_kernels_match_dense_route(n):
 
 
 def test_no_dense_basis_above_three_ququats(monkeypatch):
-    """Choi matrices, state checks and conversions at n = 4..6 never build pauli_basis(n > 3)."""
+    """Choi matrices, state checks, conversions, gates and pseudo-gates at n = 4..6 never
+    build pauli_basis(n > 3)."""
     original = pauli_basis
 
     def small_only(n):
@@ -210,7 +211,9 @@ def test_no_dense_basis_above_three_ququats(monkeypatch):
         return original(n)
 
     monkeypatch.setattr(liouville, "pauli_basis", small_only)
-    monkeypatch.setattr(gates, "pauli_basis", small_only)
+    # a module that imported the name calls the cached function itself: its
+    # cache then holds more than the bases of n = 1, 2, 3
+    original.cache_clear()
     rng = np.random.default_rng(230)
     for n_in, n_out in ((4, 4), (5, 5), (6, 1), (1, 6)):
         gate = GateMatrix(n_in, n_out, rng.normal(size=(4**n_out, 4**n_in)), "general")
@@ -223,6 +226,13 @@ def test_no_dense_basis_above_three_ququats(monkeypatch):
     h = ginibre(rng, 16, 16)
     liou = liouvillian_superop(h + h.conj().T, [ginibre(rng, 16, 16)])
     assert liou.to_pauli_generator().shape == (256, 256)
+    for n in (4, 5):
+        u = random_unitary(rng, 2**n)
+        assert gate_from_unitary(u).entries.shape == (4**n, 4**n)
+        assert gate_from_kraus(random_kraus(rng, n, n)).entries.shape == (4**n, 4**n)
+        for build in (left_mult_superop, right_mult_superop):
+            assert build(u).matrix.shape == (4**n, 4**n)
+    assert original.cache_info().currsize <= 3
 
 
 # -- Pauli transfer ------------------------------------------------------------

@@ -241,3 +241,12 @@ def test_array_encoders_refuse_non_finite_entries(bad):
     m[0, 1] = complex(0, bad)
     with pytest.raises(NumericContractError, match="non-finite"):
         sz.encode_complex_matrix(m)
+
+
+@pytest.mark.parametrize("obj", [10**400, -(10**400), [10**400, 0], [0, -(10**400)]],
+                         ids=["int", "negative", "real part", "imaginary part"])
+def test_decode_complex_refuses_an_integer_beyond_float_range(obj):
+    with pytest.raises(SchemaError, match=r"^x: expected a finite number$"):
+        sz.decode_complex(obj, "x")
+    with pytest.raises(SchemaError, match=r"^m\[0\]\[1\]: expected a finite number$"):
+        sz.decode_complex_matrix([[1, obj]], "m")

@@ -18,10 +18,21 @@ them, and every mutant that sets one numeric leaf to a float edge of
 :data:`EDGE_FLOATS`, each in JSON and in ``--format text``; rounds 0-7 of
 ``GateWide(101)``, each job fed the output of the one before as the
 benchmark does; the ``SimulateLocal(101)`` and ``(102)`` documents; and
-the ``mvlogic`` and measurement commands below.  BLAS runs on one
+the ``mvlogic``, measurement and edge commands below.  BLAS runs on one
 thread, as with more threads two runs of one revision can differ in the
 last bits.  The tool exits 1 when any case ends outside the CLI's exit
-codes 0, 2, 3 and 4, such as in a traceback.
+codes 0, 2, 3 and 4, such as in a traceback, or prints a non-finite
+number: NaN or Infinity in JSON, a nan or inf cell in text.
+
+Where outputs are meant to move only in their last bits, compare mode
+says by how much:
+
+    python tools/cli_corpus.py --against PARENT_CHECKOUT
+
+runs the corpus in PARENT_CHECKOUT and in ``--root``, each in a child
+process, and prints each case that differs with the largest absolute
+move of a float on its stdout.  It exits 1 on a difference of any other
+kind: exit code, stderr, JSON structure, or a value that is not a float.
 """
 
 from __future__ import annotations
@@ -31,7 +42,10 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -196,6 +210,34 @@ def _haar_measurement_cases():
             yield ["simulate"], json.dumps(doc)
 
 
+def _edge_cases():
+    """Paths nothing above reaches: ``gate compose`` and ``gate tensor`` of one
+    gate, ``universality pseudo`` on the right and with a bad side, ``mvlogic
+    verify`` against a list of tables, and ``state validate`` of states whose
+    purity or trace overflows."""
+    import numpy as np
+    from ququat.mvlogic import builtin, synthesize_quantum
+    from ququat.serialization import gate_to_json
+
+    one = json.dumps({"gates": [{"entries": np.eye(4).tolist()}]})
+    a = np.arange(16).reshape(4, 4) / 7 + 1j * np.eye(4)
+    pseudo = [{"A": _complex(a), "side": side} for side in ("right", "up")]
+    tables = [builtin("luk_neg"), builtin("cyclic_shift")]
+    gate = gate_to_json(synthesize_quantum(tables))
+    listed = [{"arity": 1, "outputs": list(t.outputs)} for t in tables]
+    states = [{"n": 1, "P": [1.7e308, 0.2, 0.1, 0.3]}, {"n": 1, "P": [1.7e308, 0, 0, 1.7e308]}]
+    for fmt in ("json", "text"):
+        for command in ("compose", "tensor"):
+            yield ["--format", fmt, "gate", command], one
+        for doc in pseudo:
+            yield ["--format", fmt, "universality", "pseudo"], json.dumps(doc)
+        for order in (listed, listed[::-1]):
+            doc = {"gate": gate, "tables": order}
+            yield ["--format", fmt, "mvlogic", "verify"], json.dumps(doc, default=np.ndarray.tolist)
+        for doc in states:
+            yield ["--format", fmt, "state", "validate"], json.dumps(doc)
+
+
 def corpus():
     """Yield (argv, text) for every case and receive its (exit code, stdout,
     stderr): a chained ``gate-wide`` job reads the output of the one before."""
@@ -229,36 +271,189 @@ def corpus():
             yield ["simulate"], text
     yield from _mvlogic_cases()
     yield from _measurement_cases()
+    yield from _edge_cases()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
-                        help="checkout whose src/, tests/ and perfbench/ are imported")
-    args = parser.parse_args(argv)
-    root = args.root.resolve()
+def _results(root: Path):
+    """Run the corpus against the package of ``root``: yield (argv, input sha,
+    exit code, stdout, stderr) of every case, in order."""
     sys.path[:0] = [str(root / "src"), str(root / "tests"), str(root / "perfbench")]
     import ququat.cli
 
-    codes = Counter()
-    digest = hashlib.sha256()
     cases = corpus()
     result = None
     while True:
         try:
             case_argv, text = cases.send(result)
         except StopIteration:
-            break
+            return
         text = "" if text is None else text
         result = run_case(ququat.cli.main, case_argv, text)
-        code, out, err = result
-        line = "\t".join([" ".join(case_argv), _sha(text)[:16], str(code), _sha(out), _sha(err)])
+        yield (case_argv, _sha(text)[:16], *result)
+
+
+def _is_text(argv) -> bool:
+    return "--format" in argv and argv[argv.index("--format") + 1] == "text"
+
+
+# a text cell is rendered with an explicit sign, "+inf" or "-nan" at an overflow
+_TEXT_NON_FINITE = re.compile(r"[+-](?:nan|inf)")
+
+
+class _NonFinite(Exception):
+    pass
+
+
+def _reject_constant(name):
+    raise _NonFinite(name)
+
+
+def non_finite(argv, out: str) -> bool:
+    """Whether stdout holds NaN or Infinity (JSON) or a nan or inf cell (text)."""
+    if _is_text(argv):
+        return _TEXT_NON_FINITE.search(out) is not None
+    try:
+        json.loads(out or "null", parse_constant=_reject_constant)
+    except _NonFinite:
+        return True
+    return False
+
+
+# -- comparing two checkouts ---------------------------------------------------
+
+
+_NUMBER = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|[+-]?(?:nan|inf)")
+
+
+def _float_moves(a, b, moves: list) -> str | None:
+    """Append to ``moves`` |a - b| of each pair of unequal floats of two JSON
+    values; return the first difference of any other kind, or None."""
+    if type(a) is not type(b):
+        return f"{type(a).__name__} became {type(b).__name__}"
+    if type(a) is float:
+        move = abs(a - b)
+        if not math.isfinite(move):
+            return f"float {a!r} became {b!r}"
+        if move:
+            moves.append(move)
+    elif type(a) is dict:
+        if list(a) != list(b):
+            return "object keys differ"
+        for key in a:
+            why = _float_moves(a[key], b[key], moves)
+            if why:
+                return why
+    elif type(a) is list:
+        if len(a) != len(b):
+            return "list lengths differ"
+        for x, y in zip(a, b):
+            why = _float_moves(x, y, moves)
+            if why:
+                return why
+    elif a != b:
+        return f"{a!r} became {b!r}"
+    return None
+
+
+def _text_moves(a: str, b: str, moves: list) -> str | None:
+    """As :func:`_float_moves`, for text: everything but the numbers must match,
+    and a number that differs must be written as a float on both sides."""
+    if _NUMBER.sub("#", a) != _NUMBER.sub("#", b):
+        return "text outside the numbers differs"
+    for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b)):
+        if x == y:
+            continue
+        if not all("." in z or "e" in z or z[-3:] in ("nan", "inf") for z in (x, y)):
+            return f"{x} became {y}"
+        why = _float_moves(float(x), float(y), moves)
+        if why:
+            return why
+    return None
+
+
+def difference(base, change) -> tuple[float | None, str | None]:
+    """How one case's result moved between two checkouts: the largest move of a
+    float on stdout (None if stdout is identical), and the first difference of
+    any other kind (None if there is none).  The inputs may differ only where
+    a chained ``gate-wide`` job read an output that moved."""
+    if base[0] != change[0]:
+        return None, "the cases differ"
+    if base[2] != change[2]:
+        return None, f"exit {base[2]} became {change[2]}"
+    if base[4] != change[4]:
+        return None, "stderr differs"
+    if base[3] == change[3]:
+        return None, None
+    moves = []
+    if _is_text(base[0]):
+        why = _text_moves(base[3], change[3], moves)
+    else:
+        try:
+            why = _float_moves(json.loads(base[3]), json.loads(change[3]), moves)
+        except ValueError:
+            why = "stdout is not JSON"
+    return max(moves, default=None), why
+
+
+def compare(against: Path, root: Path) -> int:
+    """Run the corpus in ``against`` and in ``root``, one child process each as
+    both import ``ququat``, and print each case whose result differs."""
+    command = [sys.executable, __file__, "--records", "--root"]
+    children = [subprocess.Popen([*command, str(r)], stdout=subprocess.PIPE, text=True,
+                                 encoding="utf-8", errors="surrogatepass") for r in (against, root)]
+    total, floats, others, top = 0, Counter(), 0, 0.0
+    for lines in zip(*(child.stdout for child in children)):
+        base, change = (json.loads(line) for line in lines)
+        total += 1
+        move, why = difference(base, change)
+        if why:
+            others += 1
+            print(f"{' '.join(base[0])}\t{base[1]}\tdiffers: {why}")
+        elif move is not None:
+            floats[" ".join(base[0])] += 1
+            top = max(top, move)
+            sha = base[1] if base[1] == change[1] else f"{base[1]} -> {change[1]}"
+            print(f"{' '.join(base[0])}\t{sha}\tfloats move by at most {move:.3g}")
+    # a child with cases left over ran a different corpus
+    others += sum(1 for child in children for _ in child.stdout)
+    codes = [child.wait() for child in children]
+    by_command = ", ".join(f"{n} {c}" for c, n in floats.most_common())
+    print(f"# {total} cases; {sum(floats.values())} differ in stdout floats only, by at most "
+          f"{top:.3g} ({by_command or 'none'}); {others} differ otherwise")
+    return int(others > 0 or any(codes))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    here = Path(__file__).resolve().parent.parent
+    parser.add_argument("--root", type=Path, default=here,
+                        help="checkout whose src/, tests/ and perfbench/ are imported")
+    parser.add_argument("--against", type=Path, metavar="CHECKOUT",
+                        help="compare the results of CHECKOUT with those of --root")
+    parser.add_argument("--records", action="store_true",
+                        help="print each case's full result as one JSON line")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    if args.against is not None:
+        return compare(args.against.resolve(), root)
+    if args.records:
+        for result in _results(root):
+            print(json.dumps(result))
+        return 0
+    codes = Counter()
+    digest = hashlib.sha256()
+    non_finite_cases = 0
+    for case_argv, sha, code, out, err in _results(root):
+        line = "\t".join([" ".join(case_argv), sha, str(code), _sha(out), _sha(err)])
         print(line)
         digest.update(line.encode() + b"\n")
         codes[code] += 1
+        if non_finite(case_argv, out):
+            non_finite_cases += 1
+            print(f"non-finite number on stdout: {' '.join(case_argv)} {sha}", file=sys.stderr)
     by_code = ", ".join(f"{n} exit {c}" for c, n in sorted(codes.items(), key=str))
     print(f"# {sum(codes.values())} cases ({by_code}); digest {digest.hexdigest()[:16]}")
-    return int(any(code not in EXIT_CODES for code in codes))
+    return int(non_finite_cases > 0 or any(code not in EXIT_CODES for code in codes))
 
 
 if __name__ == "__main__":
