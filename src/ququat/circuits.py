@@ -180,7 +180,10 @@ def _decode_targets(step: dict, n_in: int, n_out: int, n: int, path: str) -> tup
         raise NumericContractError(f"{path}: gate needs {n_in} ququats, circuit has {n}")
     else:
         targets = tuple(range(n_in))
-    _target_axes(targets, n, n_in, n_out)
+    try:
+        _target_axes(targets, n, n_in, n_out)
+    except NumericContractError as exc:
+        raise NumericContractError(f"{path}: {exc}") from None
     return targets
 
 

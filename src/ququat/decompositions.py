@@ -251,8 +251,6 @@ def _rot2(theta: float) -> np.ndarray:
 
 
 def _pauli_gate(k: int) -> np.ndarray:
-    if k not in (1, 2, 3):
-        raise NumericContractError("pauli_k takes k in {1, 2, 3}")
     d = -np.ones(4)
     d[0] = 1.0
     d[k] = 1.0
@@ -305,6 +303,9 @@ def named_gate(name: str, param: float | int | None = None) -> GateMatrix:
     elif name == "pauli_k":
         if param is None:
             raise NumericContractError("pauli_k requires k")
+        if param not in (1, 2, 3):
+            # checked before int() would truncate a k such as 2.5
+            raise NumericContractError("pauli_k takes k in {1, 2, 3}")
         entries = _pauli_gate(int(param))
     elif name == "hadamard":
         entries = _HADAMARD

@@ -64,8 +64,9 @@ class GateMatrix:
     ``kind`` is one of ``trace_preserving``, ``trace_decreasing`` or
     ``general`` (neither; e.g. the adjoint of a non-unital gate, which can
     be trace-increasing).  Gates from unitaries, Kraus sets and
-    measurements are completely positive by construction;
-    :func:`analyze_gate` certifies any other matrix.
+    measurements have the kind sum A^dagger A shows and are completely
+    positive by construction; any other matrix has the kind of its row 0
+    (:func:`classify_kind`), and :func:`analyze_gate` certifies it.
     """
 
     n_in: int
@@ -121,15 +122,19 @@ class KrausSet:
         return sum(a.conj().T @ a for a in self.ops)
 
     def kind(self) -> str:
-        s = self.completeness()
-        if np.max(np.abs(s - np.eye(s.shape[0]))) <= tolerances.algebra:
-            return TRACE_PRESERVING
-        top = float(np.linalg.eigvalsh(s)[-1])
-        if top <= 1.0 + tolerances.algebra:
-            return TRACE_DECREASING
-        raise NumericContractError(
-            f"trace-increasing Kraus set: max eigenvalue of sum A^dag A is {top!r}"
-        )
+        return _completeness_kind(self.completeness())
+
+
+def _completeness_kind(s: np.ndarray) -> str:
+    """Kind of a map with sum_j A_j^dagger A_j = s; a trace-increasing s is refused."""
+    if np.max(np.abs(s - np.eye(s.shape[0]))) <= tolerances.algebra:
+        return TRACE_PRESERVING
+    top = float(np.linalg.eigvalsh(s)[-1])
+    if top <= 1.0 + tolerances.algebra:
+        return TRACE_DECREASING
+    raise NumericContractError(
+        f"trace-increasing Kraus set: max eigenvalue of sum A^dag A is {top!r}"
+    )
 
 
 def _check_gate_size(n: int, what: str) -> None:
@@ -178,7 +183,7 @@ def _pin_row0(row: np.ndarray) -> None:
 
 
 def classify_kind(entries: np.ndarray) -> str:
-    """Classify a raw gate matrix by its row zero."""
+    """Kind of a gate matrix that no construction certifies, read off its row zero."""
     row0 = np.asarray(entries)[0]
     if _row0_deviation(row0) <= tolerances.algebra:
         return TRACE_PRESERVING
@@ -187,13 +192,11 @@ def classify_kind(entries: np.ndarray) -> str:
     return GENERAL
 
 
-def gate_from_matrix(entries, kind: str | None = None) -> GateMatrix:
-    """Wrap a user-supplied real matrix as a gate (CP left unverified)."""
+def gate_from_matrix(entries) -> GateMatrix:
+    """Wrap a user-supplied real matrix as a gate of the kind of its row 0 (CP unverified)."""
     entries = np.asarray(entries, dtype=float)
     n_out, n_in = _gate_order(entries.shape)
-    if kind is None:
-        kind = classify_kind(entries)
-    return GateMatrix(n_in, n_out, entries, kind)
+    return GateMatrix(n_in, n_out, entries, classify_kind(entries))
 
 
 def _kraus_transfer(ops, n_in: int, n_out: int) -> np.ndarray:
@@ -264,19 +267,20 @@ def measurement(projectors) -> Measurement:
 
     Each must be a square operator of side 2**n, n >= 1, sized as every
     other operator is, and a Hermitian idempotent; all must be of one size,
-    and each pair must be orthogonal.  ``KrausSet((p,)).kind()`` then
-    refuses, as in :func:`gate_from_kraus`, a non-finite P and a
+    and each pair must be orthogonal.  Each kind is then read off P^dagger P
+    as in :func:`gate_from_kraus`, refusing a non-finite P and a
     trace-increasing P^dagger P, which P P = P within tolerance allows.
     """
     projectors = [np.asarray(p, dtype=complex) for p in projectors]
     if not projectors:
         raise NumericContractError("need at least one projector")
     tol = tolerances.algebra
+    sizes = []
     for i, p in enumerate(projectors):
-        _operator_ququats(p, f"projector {i}")
+        sizes.append(_operator_ququats(p, f"projector {i}"))
         if np.max(np.abs(p - p.conj().T)) > tol or np.max(np.abs(p @ p - p)) > tol:
             raise NumericContractError(f"projector {i} is not Hermitian idempotent")
-    d = len(projectors[0])
+    n, d = sizes[0], len(projectors[0])
     for i, p in enumerate(projectors):
         if len(p) != d:
             raise NumericContractError(
@@ -286,10 +290,12 @@ def measurement(projectors) -> Measurement:
         for j in range(i + 1, len(projectors)):
             if np.max(np.abs(projectors[i] @ projectors[j])) > tol:
                 raise NumericContractError(f"projectors {i} and {j} are not orthogonal")
-    kinds = tuple(KrausSet((p,)).kind() for p in projectors)
-    n = _exponent(d, 2)
-    # row 0 of the gate of {A} is 2**-n Tr(sigma_nu A^dagger A): one transfer gives all
     squares = np.stack([p.conj().T @ p for p in projectors])
+    if not np.isfinite(squares).all():
+        # NaN passes every tolerance comparison above
+        raise NumericContractError("Kraus operators have non-finite entries")
+    kinds = tuple(map(_completeness_kind, squares))
+    # row 0 of the gate of {A} is 2**-n Tr(sigma_nu A^dagger A): one transfer gives all
     rows = np.ascontiguousarray(_pauli_transfer(squares, n).real.T) / 2**n
     for row, kind in zip(rows, kinds):
         if kind == TRACE_PRESERVING:
@@ -402,15 +408,6 @@ def apply_nonlinear(
     return PauliVector(pvec.n + gate.n_out - gate.n_in, out / p), p
 
 
-def _product_kind(ga: GateMatrix, gb: GateMatrix, entries: np.ndarray) -> str:
-    """Kind of ``entries``, the composition or tensor product of ``ga`` and ``gb``."""
-    if ga.kind == gb.kind == TRACE_PRESERVING:
-        return TRACE_PRESERVING
-    if GENERAL in (ga.kind, gb.kind):
-        return classify_kind(entries)
-    return TRACE_DECREASING
-
-
 def compose(g2: GateMatrix, g1: GateMatrix) -> GateMatrix:
     """Gate of the composition: g1 first, then g2 (matrix product g2 @ g1)."""
     if g1.n_out != g2.n_in:
@@ -418,15 +415,14 @@ def compose(g2: GateMatrix, g1: GateMatrix) -> GateMatrix:
             f"shape mismatch: first gate outputs n={g1.n_out}, second expects n={g2.n_in}"
         )
     entries = g2.entries @ g1.entries
-    return GateMatrix(g1.n_in, g2.n_out, entries, _product_kind(g1, g2, entries))
+    return GateMatrix(g1.n_in, g2.n_out, entries, classify_kind(entries))
 
 
 def tensor_gates(ga: GateMatrix, gb: GateMatrix) -> GateMatrix:
     """Kronecker product acting as ga on the leading (big-endian) indices."""
     _check_gate_size(max(ga.n_in + gb.n_in, ga.n_out + gb.n_out), "tensor product")
     entries = np.kron(ga.entries, gb.entries)
-    kind = _product_kind(ga, gb, entries)
-    return GateMatrix(ga.n_in + gb.n_in, ga.n_out + gb.n_out, entries, kind)
+    return GateMatrix(ga.n_in + gb.n_in, ga.n_out + gb.n_out, entries, classify_kind(entries))
 
 
 def adjoint_gate(gate: GateMatrix) -> GateMatrix:

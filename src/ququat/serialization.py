@@ -283,10 +283,11 @@ def gate_from_json(obj, path: str = "gate") -> GateMatrix:
     obj = _expect(obj, dict, path, "an object")
     entries = decode_real_matrix(_expect_key(obj, "entries", path), f"{path}.entries")
     kind = obj.get("kind")
+    # a kind name is checked, but the kind is read off the entries
     if kind is not None and kind not in ("trace_preserving", "trace_decreasing", "general"):
         raise SchemaError(f"{path}.kind: unknown kind {kind!r}")
     try:
-        gate = gate_from_matrix(entries, kind=kind)
+        gate = gate_from_matrix(entries)
     except NumericContractError as exc:
         if not str(exc).startswith(_NO_QUQUAT):
             raise

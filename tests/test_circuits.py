@@ -126,6 +126,21 @@ class TestParse:
             with pytest.raises(NumericContractError, match=message):
                 parse_circuit({"n": 1, "steps": [step]})
 
+    @pytest.mark.parametrize("n,step,message", [
+        (1, {"named": "not", "targets": [5]}, "steps[0]: targets (5,) invalid for n=1"),
+        (2, {"kraus": {"ops": [np.eye(2, 4).tolist()]}},
+         "steps[0]: only square gates can be embedded in a circuit"),
+    ])
+    def test_target_errors_name_their_step(self, n, step, message):
+        with pytest.raises(NumericContractError) as info:
+            parse_circuit({"n": n, "steps": [step]})
+        assert str(info.value) == message
+
+    def test_trace_decreasing_kraus_step_is_refused(self):
+        with pytest.raises(NumericContractError) as info:
+            parse_circuit({"n": 1, "steps": [{"kraus": {"ops": [P0_JSON]}}]})
+        assert str(info.value) == "steps[0]: non-measurement steps need a trace-preserving gate"
+
     def test_nonselective_step_is_one_trace_preserving_channel(self):
         c = parse_circuit(
             {"n": 1, "steps": [{"measure": {"projectors": [P0_JSON, P1_JSON]}}]}

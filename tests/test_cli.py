@@ -695,6 +695,35 @@ class TestRunErrorOrder:
         assert json.loads(out)["valid"] is False
 
 
+# the identity with row 0 set to (1, 0.5, 0, 0), labelled trace-preserving
+_ROW0_OFF = '{"kind": "trace_preserving", "entries": [[1, 0.5, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}'
+_EYE = "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
+
+
+class TestKindFromEntries:
+    """A gate document's kind is read off its entries; the label is not trusted."""
+
+    @pytest.mark.parametrize("command", ["compose", "tensor"])
+    def test_products_print_the_kind_they_computed(self, tmp_path, capsys, command):
+        doc = '{"gates": [%s, %s]}' % (_ROW0_OFF, _ROW0_OFF)
+        code, out, _ = _run_text(["gate", command], doc, tmp_path, capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["kind"] == "general"
+
+    def test_a_trace_preserving_label_does_not_make_a_step(self, tmp_path, capsys):
+        doc = _run_doc(['{"gate": %s}' % _ROW0_OFF], "[1, 0, 0, 0]")
+        message = "steps[0]: non-measurement steps need a trace-preserving gate"
+        assert _run_text(["simulate"], doc, tmp_path, capsys) == (
+            EXIT_CONTRACT, "", f"error: {message}\n"
+        )
+
+    def test_a_general_label_does_not_refuse_a_step(self, tmp_path, capsys):
+        doc = _run_doc(['{"gate": {"kind": "general", "entries": %s}}' % _EYE], "[1, 0, 0, 0]")
+        code, out, err = _run_text(["simulate"], doc, tmp_path, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["final_state"]["P"] == [1.0, 0.0, 0.0, 0.0]
+
+
 def _reject_non_finite(name):
     raise AssertionError(f"{name} on stdout")
 

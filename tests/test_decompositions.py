@@ -265,6 +265,11 @@ class TestNamedGates:
                 atol=1e-12,
             )
 
+    @pytest.mark.parametrize("k", [2.5, 0.5, 3.000001, 0, 4, 5])
+    def test_pauli_k_refuses_a_k_it_would_truncate(self, k):
+        with pytest.raises(NumericContractError, match=r"^pauli_k takes k in \{1, 2, 3\}$"):
+            named_gate("pauli_k", k)
+
     def test_reflection_identities_at_pi(self):
         inv = named_gate("inversion")
         r1 = compose(named_gate("rot1", math.pi), compose(named_gate("rot2", math.pi), inv))

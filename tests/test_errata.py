@@ -161,7 +161,7 @@ class TestShefferTermList:
     def test_published_terms_fail_verification(self):
         from ququat import gate_from_matrix
 
-        gate = gate_from_matrix(self.published_sf(), kind="general")
+        gate = gate_from_matrix(self.published_sf())
         assert not verify_realization(gate, self.pair_tables())
 
     def test_published_terms_miss_columns(self):

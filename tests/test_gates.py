@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import ququat.gates
 from ququat import (
     DensityMatrix,
+    GateMatrix,
     KrausSet,
     LiouvilleVector,
     NumericContractError,
@@ -28,7 +30,8 @@ from ququat import (
     weyl_generators,
 )
 from ququat.liouville import SIGMA, PauliIndex
-from ququat.gates import TRACE_DECREASING, TRACE_PRESERVING, measurement
+from ququat.gates import GENERAL, TRACE_DECREASING, TRACE_PRESERVING, measurement
+from ququat.serialization import gate_from_json, gate_to_json
 
 from helpers import P0, P1, depolarizing_kraus, random_pvec, random_tp_kraus, random_unitary
 
@@ -201,7 +204,7 @@ class TestMeasurementGates:
 
     def test_nan_projector_is_refused_only_as_a_kraus_operator(self):
         # every comparison with NaN is false, so the Hermitian, idempotent
-        # and orthogonality checks pass it; the kind's KrausSet refuses it
+        # and orthogonality checks pass it; the finiteness check on P^dagger P refuses it
         nan = np.array([[np.nan, 0.0], [0.0, 0.0]])
         for build in (measurement, measurement_gates):
             with pytest.raises(NumericContractError, match="^Kraus operators have non-finite entries$"):
@@ -380,6 +383,56 @@ class TestComposeTensorAdjoint:
     def test_adjoint_of_measurement_symmetric(self):
         g = gate_from_kraus([P0])
         assert np.array_equal(adjoint_gate(g).entries, g.entries)
+
+
+def _labelled_row0_off():
+    """The identity with row 0 set to (1, 0.5, 0, 0), labelled trace-preserving."""
+    m = np.eye(4)
+    m[0, 1] = 0.5
+    return GateMatrix(1, 1, m, TRACE_PRESERVING)
+
+
+class TestKindRules:
+    """A gate's kind comes from its construction or from its row 0, never from a label."""
+
+    def test_a_product_is_classified_by_its_row_0(self):
+        m = _labelled_row0_off()
+        product = compose(m, m)
+        assert product.entries[0].tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert product.kind == GENERAL
+        assert tensor_gates(m, m).kind == GENERAL
+
+    def test_a_decoded_gate_ignores_its_label(self):
+        doc = {"kind": TRACE_PRESERVING, "entries": _labelled_row0_off().entries.tolist()}
+        assert gate_from_json(doc).kind == GENERAL
+        assert gate_from_json({"kind": GENERAL, "entries": np.eye(4).tolist()}).kind == (
+            TRACE_PRESERVING
+        )
+
+    def test_a_label_unlike_the_entries_is_not_refused(self):
+        # sum A^dag A is 1.5e-10 off I, so the Kraus set is trace-decreasing,
+        # while row 0 is within 1e-10 of delta, so the matrix reads as preserving
+        a = np.diag([np.sqrt(1 - 1.5e-10), 1.0])
+        g = gate_from_kraus([a])
+        assert g.kind == TRACE_DECREASING
+        assert gate_from_json(gate_to_json(g)).kind == TRACE_PRESERVING
+
+    def test_kraus_sets_and_measurements_share_one_kind_rule(self, monkeypatch):
+        calls = []
+        rule = ququat.gates._completeness_kind
+
+        def counted(s):
+            calls.append(s.shape)
+            return rule(s)
+
+        def no_kraus_set(*args):
+            raise AssertionError("measurement built a KrausSet")
+
+        monkeypatch.setattr(ququat.gates, "_completeness_kind", counted)
+        assert KrausSet((P0,)).kind() == TRACE_DECREASING
+        monkeypatch.setattr(ququat.gates, "KrausSet", no_kraus_set)
+        assert measurement([P0, P1]).kinds == (TRACE_DECREASING,) * 2
+        assert calls == [(2, 2)] * 3
 
 
 class TestChoi:

@@ -214,7 +214,11 @@ def _edge_cases():
     """Paths nothing above reaches: ``gate compose`` and ``gate tensor`` of one
     gate, ``universality pseudo`` on the right and with a bad side, ``mvlogic
     verify`` against a list of tables, and ``state validate`` of states whose
-    purity or trace overflows."""
+    purity or trace overflows.  Then, after all of those, the documents of
+    :func:`_error_documents` and a gate's kind against its label: M, the
+    identity with row 0 set to (1, 0.5, 0, 0) and labelled trace-preserving,
+    through ``gate compose`` and ``gate tensor`` of [M, M] and as a
+    ``simulate`` step, and a step of the identity labelled ``general``."""
     import numpy as np
     from ququat.mvlogic import builtin, synthesize_quantum
     from ququat.serialization import gate_to_json
@@ -236,6 +240,72 @@ def _edge_cases():
             yield ["--format", fmt, "mvlogic", "verify"], json.dumps(doc, default=np.ndarray.tolist)
         for doc in states:
             yield ["--format", fmt, "state", "validate"], json.dumps(doc)
+    m = np.eye(4)
+    m[0, 1] = 0.5
+    labelled = {"kind": "trace_preserving", "entries": m.tolist()}
+    general = {"kind": "general", "entries": np.eye(4).tolist()}
+    kinds = [(["gate", c], {"gates": [labelled, labelled]}) for c in ("compose", "tensor")]
+    kinds += [(["simulate"], _one_step(1, {"gate": gate})) for gate in (labelled, general)]
+    for fmt in ("json", "text"):
+        for argv, doc in [*_error_documents(), *kinds]:
+            yield ["--format", fmt, *argv], json.dumps(doc)
+
+
+def _one_step(n, step):
+    """A ``simulate`` document of one step on n ququats from the state P = (1, 0, ..., 0)."""
+    state = {"n": n, "P": [1.0] + [0.0] * (4**n - 1)}
+    return {"circuit": {"n": n, "steps": [step]}, "initial": state}
+
+
+def _error_documents():
+    """(argv, document) of each refusal, exit 2 or 3 with one line, that no
+    other case reaches.  ``simulate``: a two-ququat unitary at n = 1 without
+    targets, a trace-decreasing Kraus step, a Kraus step of 2x4 operators and
+    a 4x16 gate step at n = 2, ``pauli_k`` with k = 5, k = 2.5 and no k,
+    ``rot1`` and ``rot2`` without an angle, and ``not`` on target 5 at n = 1.
+    ``gate``: ``compose`` of a one-ququat gate after a two-ququat one,
+    ``adjoint``, ``decompose --polar`` of a 4x16 gate, ``decompose --euler``
+    of a 16x16 one, ``from-kraus`` of operators of two shapes, and
+    ``from-lindblad`` with a non-Hermitian H and with a 2x2 C.  Then ``state
+    convert`` with an n unlike the entries', ``measure`` with ``post_select``
+    2 of two projectors, ``mvlogic closure`` of a generator above
+    ``max_arity``, ``mvlogic verify`` of tables of two arities and of a table
+    list in extended mode, and ``universality closure-dim`` of generators of
+    two sizes."""
+    import numpy as np
+
+    eye, wide = np.eye(4).tolist(), np.eye(4, 16).tolist()
+    steps = [
+        (1, {"unitary": eye}),
+        (1, {"kraus": {"ops": [[[1, 0], [0, 0]]]}}),
+        (2, {"kraus": {"ops": [np.eye(2, 4).tolist()]}}),
+        (2, {"gate": {"entries": wide}}),
+        (1, {"named": "pauli_k", "param": 5}),
+        (1, {"named": "pauli_k", "param": 2.5}),
+        (1, {"named": "pauli_k"}),
+        (1, {"named": "rot1"}),
+        (1, {"named": "rot2"}),
+        (1, {"named": "not", "targets": [5]}),
+    ]
+    yield from ((["simulate"], _one_step(n, step)) for n, step in steps)
+    yield ["gate", "compose"], {"gates": [{"entries": eye}, {"entries": np.eye(16).tolist()}]}
+    yield ["gate", "adjoint"], {"entries": wide}
+    yield ["gate", "decompose", "--polar"], {"entries": wide}
+    yield ["gate", "decompose", "--euler"], {"entries": np.eye(16).tolist()}
+    yield ["gate", "from-kraus"], {"ops": [np.eye(2).tolist(), eye]}
+    yield ["gate", "from-lindblad"], {"H": [[0, 1], [0, 0]], "t": 1.0}
+    model = {"H": [0, 0, 0.5], "C": [[1, 0], [0, 1]]}
+    yield ["gate", "from-lindblad"], {"model": model, "tau": 1.0}
+    yield ["state", "convert"], {"n": 2, "entries": [[1, 0], [0, 0]]}
+    state = {"n": 1, "P": [1, 0, 0, 0]}
+    yield ["measure"], {"projectors": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "state": state,
+                        "post_select": 2}
+    yield ["mvlogic", "closure"], {"generators": ["max"], "max_arity": 1}
+    tables = [{"arity": 1, "outputs": [0, 1, 2, 3]}, {"arity": 0, "outputs": [1]}]
+    yield ["mvlogic", "verify"], {"gate": {"entries": eye}, "tables": tables}
+    yield ["mvlogic", "verify"], {"gate": {"entries": eye}, "tables": tables[:1],
+                                  "mode": "extended"}
+    yield ["universality", "closure-dim"], {"generators": [[[0, 1], [1, 0]], eye]}
 
 
 def corpus():
