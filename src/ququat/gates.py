@@ -27,7 +27,7 @@ import numpy as np
 from .config import MAX_GATE_QUQUATS, tolerances
 from .errors import NumericContractError, ZeroProbabilityError
 from .liouville import (PauliVector, _basis_product, _exponent, _frozen, _kron, _pauli_transfer,
-                        _superop_transfer)
+                        _real_part, _superop_transfer)
 
 __all__ = [
     "GateMatrix",
@@ -201,10 +201,7 @@ def gate_from_matrix(entries) -> GateMatrix:
 
 def _kraus_transfer(ops, n_in: int, n_out: int) -> np.ndarray:
     acc = _superop_transfer(sum(_kron(a, a.conj()) for a in ops), n_in, n_out)
-    resid = float(np.max(np.abs(acc.imag)))
-    if resid > tolerances.algebra:
-        raise NumericContractError(f"gate entries not real: max imaginary part {resid:.3e}")
-    return acc.real
+    return _real_part(acc, "gate entries not real: max imaginary part")
 
 
 def _kraus_gate(ops, n_in: int, n_out: int, kind: str) -> GateMatrix:

@@ -35,8 +35,8 @@ from scipy.linalg import expm
 
 from .config import tolerances
 from .errors import NumericContractError
-from .gates import GateMatrix, TRACE_PRESERVING, _operator_ququats
-from .liouville import PauliVector, _kron, _superop_transfer
+from .gates import GateMatrix, TRACE_PRESERVING, _operator_ququats, _pin_row0
+from .liouville import PauliVector, _kron, _real_part, _superop_transfer
 
 __all__ = [
     "GKSModel",
@@ -94,7 +94,7 @@ class GKSModel:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Real 4x4 single-qubit generator with vanishing top row."""
+    """Real 4x4 single-qubit generator whose certified top row is set to zero."""
 
     matrix: np.ndarray
 
@@ -102,8 +102,9 @@ class GeneratorMatrix:
         matrix = np.array(self.matrix, dtype=float)
         if matrix.shape != (4, 4):
             raise NumericContractError("generator matrix must be 4x4")
-        if np.max(np.abs(matrix[0])) > tolerances.algebra:
+        if not np.max(np.abs(matrix[0])) <= tolerances.algebra:  # a NaN is refused, not pinned
             raise NumericContractError("generator top row must vanish (trace preservation)")
+        matrix[0] = 0.0
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
@@ -157,23 +158,30 @@ def gks_propagator(gen: GeneratorMatrix, tau: float) -> GateMatrix:
     integral of expm(s A) B; no inversion of A is needed, so singular A is
     fine.  B = 0 yields T = 0.
     """
-    if tau < 0:
-        raise NumericContractError("tau must be nonnegative")
-    return _propagator(gen.matrix, tau, 1)
+    return _propagator(lambda: gen.matrix, tau, 1, "tau")[0]
 
 
-def _propagator(gen: np.ndarray, t: float, n: int) -> GateMatrix:
-    """The trace-preserving n-ququat gate expm(t L) of a real Pauli-basis generator,
-    unless ``expm`` overflowed into NaN or Infinity."""
+def _propagator(generator, t: float, n: int, time_name: str = "t") -> tuple[GateMatrix, np.ndarray]:
+    """The trace-preserving n-ququat gate expm(t L) and the generator L = ``generator()``.
+
+    The time is checked before L is made, so a negative time is reported
+    before any error of the generator.  L's certified top row is zero, so
+    row 0 of expm(t L) is pinned to delta unless ``expm`` overflowed into NaN
+    or Infinity.
+    """
+    if t < 0:
+        raise NumericContractError(f"{time_name} must be nonnegative")
+    gen = generator()
     entries = expm(t * gen)
     if not np.isfinite(entries).all():
         raise NumericContractError("propagator has non-finite entries")
-    return GateMatrix(n, n, entries, TRACE_PRESERVING)
+    _pin_row0(entries[0])
+    return GateMatrix(n, n, entries, TRACE_PRESERVING), gen
 
 
 @dataclass(frozen=True)
 class LiouvillianSuperop:
-    """Liouvillian over the operator basis |k,l), with its ingredients.
+    """Liouvillian over the operator basis |k,l).
 
     ``matrix`` acts on the row-major flattening of the density matrix
     (the coefficients over |k,l)).  Converting to the Pauli basis yields
@@ -182,21 +190,18 @@ class LiouvillianSuperop:
 
     n: int
     matrix: np.ndarray
-    hamiltonian: np.ndarray
-    jump_ops: tuple[np.ndarray, ...]
 
     def to_pauli_generator(self) -> np.ndarray:
-        """Real generator of dP/dt = L P over Pauli coefficient vectors."""
-        gen = _superop_transfer(self.matrix, self.n, self.n)
-        resid = float(np.max(np.abs(gen.imag)))
-        if resid > tolerances.algebra:
-            raise NumericContractError(f"Pauli-basis generator not real: residual {resid:.3e}")
-        gen = gen.real
+        """Real generator of dP/dt = L P over Pauli coefficient vectors; its
+        certified top row is set to zero."""
+        gen = _real_part(_superop_transfer(self.matrix, self.n, self.n),
+                         "Pauli-basis generator not real: residual")
         row0 = float(np.max(np.abs(gen[0])))
         if row0 > tolerances.algebra:
             raise NumericContractError(
                 f"generator does not preserve trace: top row residual {row0:.3e}"
             )
+        gen[0] = 0.0
         return gen
 
 
@@ -213,15 +218,13 @@ def liouvillian_superop(h: np.ndarray, v: list | tuple = ()) -> LiouvillianSuper
         raise NumericContractError("H must be Hermitian")
     eye = np.eye(d)
     mat = -1j * (_kron(h, eye) - _kron(eye, h.T))
-    ops = []
     for j, vj in enumerate(v):
         vj = np.asarray(vj, dtype=complex)
         if vj.shape != (d, d):
             raise NumericContractError(f"jump operator {j} has shape {vj.shape}, expected {h.shape}")
-        ops.append(vj)
         vdv = vj.conj().T @ vj
         mat += _kron(vj, vj.conj()) - 0.5 * _kron(vdv, eye) - 0.5 * _kron(eye, vdv.T)
-    return LiouvillianSuperop(n=n, matrix=mat, hamiltonian=h, jump_ops=tuple(ops))
+    return LiouvillianSuperop(n=n, matrix=mat)
 
 
 def liouvillian_gate(liouvillian: LiouvillianSuperop, t: float) -> GateMatrix:
@@ -229,17 +232,7 @@ def liouvillian_gate(liouvillian: LiouvillianSuperop, t: float) -> GateMatrix:
 
     L is the real Pauli-basis generator of :meth:`LiouvillianSuperop.to_pauli_generator`.
     """
-    return _liouvillian_propagator(liouvillian, t)[0]
-
-
-def _liouvillian_propagator(
-    liouvillian: LiouvillianSuperop, t: float
-) -> tuple[GateMatrix, np.ndarray]:
-    """The propagator gate expm(t L) and the generator L, computed once."""
-    if t < 0:
-        raise NumericContractError("t must be nonnegative")
-    gen = liouvillian.to_pauli_generator()
-    return _propagator(gen, t, liouvillian.n), gen
+    return _propagator(liouvillian.to_pauli_generator, t, liouvillian.n)[0]
 
 
 def propagate(liouvillian: LiouvillianSuperop, t: float, pvec: PauliVector) -> PauliVector:

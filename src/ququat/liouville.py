@@ -198,6 +198,15 @@ def _superop_transfer(s: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
     return _pauli_transfer(images, n_out) / 2**n_in
 
 
+def _real_part(a: np.ndarray, message: str) -> np.ndarray:
+    """Real part of a Pauli-basis result, refused with ``message`` and the
+    largest imaginary part when that exceeds the algebraic tolerance."""
+    resid = float(np.max(np.abs(a.imag)))
+    if resid > tolerances.algebra:
+        raise NumericContractError(f"{message} {resid:.3e}")
+    return a.real
+
+
 def _pauli_combine(p: np.ndarray, n: int) -> np.ndarray:
     """The operator 2**-n sum_mu p[mu] sigma_mu: B^T @ p.
 
@@ -339,12 +348,8 @@ def density_to_pvec(rho: DensityMatrix) -> PauliVector:
     imaginary part above tolerance (non-Hermitian input).
     """
     coeffs = _pauli_transfer(rho.entries[None], rho.n)[:, 0]
-    resid = float(np.max(np.abs(coeffs.imag)))
-    if resid > tolerances.algebra:
-        raise NumericContractError(
-            f"input is not Hermitian: max imaginary Pauli coefficient {resid:.3e}"
-        )
-    return PauliVector(rho.n, coeffs.real)
+    message = "input is not Hermitian: max imaginary Pauli coefficient"
+    return PauliVector(rho.n, _real_part(coeffs, message))
 
 
 def pvec_to_density(pvec: PauliVector) -> DensityMatrix:

@@ -27,13 +27,7 @@ import numpy as np
 from .config import MAX_QUQUATS
 from .errors import NumericContractError, SchemaError
 from .gates import _NO_QUQUAT, GateMatrix, KrausSet, Measurement, gate_from_matrix, measurement
-from .lindblad import (
-    GKSModel,
-    _liouvillian_propagator,
-    gks_matrix,
-    gks_propagator,
-    liouvillian_superop,
-)
+from .lindblad import GKSModel, _propagator, gks_matrix, gks_propagator, liouvillian_superop
 from .liouville import DensityMatrix, PauliVector, _exponent
 from .mvlogic import (
     ClassicalExpression,
@@ -339,7 +333,8 @@ def lindblad_from_json(obj, path: str = "lindblad") -> tuple[GateMatrix, np.ndar
         v = obj.get("V", [])
         ops = [] if v == [] else _decode_list(v, f"{path}.V", decode_complex_matrix)
         t = _decode_number(_expect_key(obj, "t", path), f"{path}.t")
-        return _liouvillian_propagator(liouvillian_superop(h, ops), t)
+        liouvillian = liouvillian_superop(h, ops)
+        return _propagator(liouvillian.to_pauli_generator, t, liouvillian.n)
     raise SchemaError(f"{path}: expected 'model' or 'H'")
 
 

@@ -924,6 +924,12 @@ class TestWarnings:
         assert len(recwarn) == 0
 
 
+_LONG_HVT = (
+    '{"H": [[[0.19, 0], [-0.41, -2.44]], [[-0.41, 2.44], [-0.52, 0]]], '
+    '"V": [[[[1.8, 1.14], [-0.33, 0.77]], [[0.28, -0.55], [0.98, -0.31]]]], "t": 1000000.0}'
+)
+
+
 class TestLindbladHamiltonianRoute:
     """The {H, V, t} route of gate from-lindblad and of circuit steps."""
 
@@ -970,6 +976,23 @@ class TestLindbladHamiltonianRoute:
         code, _, _ = _run_text(["simulate"], _one_step(steps), tmp_path, capsys)
         assert code == EXIT_OK
         assert calls == [1, 1, 1]
+
+    def test_a_long_time_keeps_row_0_exactly(self, tmp_path, capsys):
+        # the Pauli-basis generator of this model has a top-row residue of about
+        # 2e-16, which expm at t = 1e6 would grow to 2.3e-10 in entry [0, 0]
+        code, out, _ = _run_text(["gate", "from-lindblad"], _LONG_HVT, tmp_path, capsys)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["kind"] == "trace_preserving"
+        assert doc["entries"][0] == [1.0, 0.0, 0.0, 0.0]
+        assert doc["generator"][0] == [0.0, 0.0, 0.0, 0.0]
+        code, out, _ = run_cli(["gate", "analyze"], doc, tmp_path, capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["trace_preserving"] is True
+        code, out, _ = _run_text(["simulate"], _one_step('{"lindblad": %s}' % _LONG_HVT),
+                                 tmp_path, capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["final_state"]["P"][0] == 1.0
 
 
 # The example documents of the CLI section of README.md; the gate document

@@ -7,6 +7,7 @@ import ququat.gates
 from ququat import (
     DensityMatrix,
     GateMatrix,
+    GeneratorMatrix,
     KrausSet,
     LiouvilleVector,
     NumericContractError,
@@ -16,21 +17,30 @@ from ququat import (
     analyze_gate,
     apply_linear,
     apply_nonlinear,
+    builtin,
     check_reversible,
     check_reversible_superop,
     choi_matrix,
     compose,
     computational_state,
+    embed_gate,
     gate_from_kraus,
     gate_from_matrix,
     gate_from_unitary,
+    gks_propagator,
+    liouvillian_gate,
+    liouvillian_superop,
     measurement_gates,
+    named_gate,
+    synthesize_quantum,
     tensor_gates,
+    translation_gate,
+    unital_gate,
     validate_density,
     weyl_generators,
 )
 from ququat.liouville import SIGMA, PauliIndex
-from ququat.gates import GENERAL, TRACE_DECREASING, TRACE_PRESERVING, measurement
+from ququat.gates import GENERAL, TRACE_DECREASING, TRACE_PRESERVING, classify_kind, measurement
 from ququat.serialization import gate_from_json, gate_to_json
 
 from helpers import P0, P1, depolarizing_kraus, random_pvec, random_tp_kraus, random_unitary
@@ -433,6 +443,45 @@ class TestKindRules:
         monkeypatch.setattr(ququat.gates, "KrausSet", no_kraus_set)
         assert measurement([P0, P1]).kinds == (TRACE_DECREASING,) * 2
         assert calls == [(2, 2)] * 3
+
+
+# a Lindblad model whose Pauli-basis generator keeps a top-row residue of
+# about 2e-16, which expm at t = 1e6 used to grow to 2.3e-10 in entry [0, 0]
+WITNESS_H = np.array([[0.19, -0.41 - 2.44j], [-0.41 + 2.44j, -0.52]])
+WITNESS_V = np.array([[1.8 + 1.14j, -0.33 + 0.77j], [0.28 - 0.55j, 0.98 - 0.31j]])
+
+
+def _generator_with_top_row_residue():
+    m = np.zeros((4, 4))
+    m[0, 0] = 5e-11  # within tolerances.algebra, so the certificate accepts it
+    m[1:, 1:] = -np.eye(3)
+    return GeneratorMatrix(m)
+
+
+TRACE_PRESERVING_CONSTRUCTIONS = {
+    "gate_from_unitary": lambda: gate_from_unitary(random_unitary(RNG, 4)),
+    "gate_from_kraus": lambda: gate_from_kraus(random_tp_kraus(RNG, 2)),
+    "measurement_gate": lambda: measurement([P0, P1]).gate(),
+    "named_gate": lambda: named_gate("hadamard"),
+    "synthesize_quantum": lambda: synthesize_quantum(builtin("cyclic_shift")),
+    "unital_gate": lambda: unital_gate(np.diag([1.0, -1.0, -1.0])),
+    "translation_gate": lambda: translation_gate(np.array([0.1, 0.2, 0.3])),
+    "embed_gate": lambda: embed_gate(gate_from_kraus(random_tp_kraus(RNG, 1)), [1], 2),
+    "gks_propagator": lambda: gks_propagator(_generator_with_top_row_residue(), 1e6),
+    "liouvillian_gate": lambda: liouvillian_gate(
+        liouvillian_superop(WITNESS_H, [WITNESS_V]), 1e6
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TRACE_PRESERVING_CONSTRUCTIONS)
+def test_a_trace_preserving_construction_has_row_0_exactly_delta(name):
+    gate = TRACE_PRESERVING_CONSTRUCTIONS[name]()
+    assert gate.kind == TRACE_PRESERVING
+    delta = np.zeros(4**gate.n_in)
+    delta[0] = 1.0
+    assert np.array_equal(gate.entries[0], delta)
+    assert classify_kind(gate.entries) == gate.kind
 
 
 class TestChoi:

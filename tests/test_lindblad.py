@@ -23,7 +23,7 @@ from ququat import (
     propagate,
     validate_density,
 )
-from ququat.lindblad import IndefiniteCoefficientWarning
+from ququat.lindblad import GeneratorMatrix, IndefiniteCoefficientWarning
 from ququat.liouville import SIGMA
 
 from helpers import random_pvec
@@ -163,6 +163,14 @@ class TestPropagator:
             lhs = gks_propagator(gen, t1).entries @ gks_propagator(gen, t2).entries
             rhs = gks_propagator(gen, t1 + t2).entries
             assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+    def test_a_nan_top_row_is_refused(self):
+        # the top row is certified and then set to zero; a NaN must not pass
+        # the certificate and vanish
+        matrix = -np.eye(4)
+        matrix[0] = [0.0, np.nan, 0.0, 0.0]
+        with pytest.raises(NumericContractError):
+            gks_propagator(GeneratorMatrix(matrix), 1.0)
 
     def test_row_zero_is_delta(self):
         for _ in range(20):

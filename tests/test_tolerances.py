@@ -125,9 +125,7 @@ def _choi_of_nonreal_gate():
 
 
 def _generator_off_trace():
-    return LiouvillianSuperop(
-        n=1, matrix=OFF * np.eye(4), hamiltonian=np.zeros((2, 2)), jump_ops=()
-    ).to_pauli_generator()
+    return LiouvillianSuperop(n=1, matrix=OFF * np.eye(4)).to_pauli_generator()
 
 
 _RHO_OFF = (SIGMA[0] + 1j * OFF * SIGMA[1]) / 2  # an imaginary Pauli coefficient of OFF

@@ -218,7 +218,10 @@ def _edge_cases():
     :func:`_error_documents` and a gate's kind against its label: M, the
     identity with row 0 set to (1, 0.5, 0, 0) and labelled trace-preserving,
     through ``gate compose`` and ``gate tensor`` of [M, M] and as a
-    ``simulate`` step, and a step of the identity labelled ``general``."""
+    ``simulate`` step, and a step of the identity labelled ``general``.  Last,
+    a Lindblad model whose Pauli-basis generator has a top-row residue of
+    about 2e-16, at t = 1e6, through ``gate from-lindblad`` and as a
+    ``simulate`` step: its propagator's row 0 must stay exactly delta."""
     import numpy as np
     from ququat.mvlogic import builtin, synthesize_quantum
     from ququat.serialization import gate_to_json
@@ -246,6 +249,9 @@ def _edge_cases():
     general = {"kind": "general", "entries": np.eye(4).tolist()}
     kinds = [(["gate", c], {"gates": [labelled, labelled]}) for c in ("compose", "tensor")]
     kinds += [(["simulate"], _one_step(1, {"gate": gate})) for gate in (labelled, general)]
+    long = {"H": [[[0.19, 0], [-0.41, -2.44]], [[-0.41, 2.44], [-0.52, 0]]],
+            "V": [[[[1.8, 1.14], [-0.33, 0.77]], [[0.28, -0.55], [0.98, -0.31]]]], "t": 1e6}
+    kinds += [(["gate", "from-lindblad"], long), (["simulate"], _one_step(1, {"lindblad": long}))]
     for fmt in ("json", "text"):
         for argv, doc in [*_error_documents(), *kinds]:
             yield ["--format", fmt, *argv], json.dumps(doc)
