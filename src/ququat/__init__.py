@@ -69,7 +69,6 @@ from .lindblad import (
     gks_propagator,
     liouvillian_gate,
     liouvillian_superop,
-    propagate,
 )
 from .mvlogic import (
     ClosureResult,

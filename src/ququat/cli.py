@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import asdict
@@ -667,7 +668,13 @@ def _run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
     if payload is not None:
-        _emit(payload, args)
+        try:
+            _emit(payload, args)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone, as after `| head -n 1`: what is left in the
+            # buffer goes to the null device, so the final flush stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 

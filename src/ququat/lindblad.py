@@ -1,17 +1,19 @@
 """Markovian generators and propagator gates.
 
 Two routes are provided.  The single-qubit route takes Hamiltonian
-coefficients H_k and a Hermitian coefficient matrix C_kl and assembles
-the real 4x4 generator
+coefficients H_k and a Hermitian coefficient matrix C_kl, the model
+-i[H, p] + sum_kl (C_kl/8)(sigma_k p sigma_l - 1/2 {sigma_l sigma_k, p})
+with H = sum_k H_k sigma_k, whose real 4x4 generator is documented as
 
     dP_mu/dt = sum_nu L[mu, nu] P_nu,
     A[k, l] = 2 H_m eps(k,m,l) + (C[k,l] + C[l,k])/8 - delta(k,l) Tr(C)/4,
     B[k]    = -1/4 eps(i,j,k) Im C[i,j],
 
 with L = [[0, 0], [B, A]].  The general-n route builds the Liouvillian
-superoperator from a Hamiltonian and jump operators V_j and takes its
-real Pauli-basis generator L.  Both routes share one propagator kernel:
-the trace-preserving gate expm(t L), which for the single-qubit route is
+superoperator from a Hamiltonian and jump operators V_j.  Both routes
+compute L from their superoperator through one kernel, certified
+relative to its size, and share one propagator kernel: the
+trace-preserving gate expm(t L), which for the single-qubit route is
 [[1, 0], [T, R]] with R = expm(tau A) and T the integral of expm(s A) B.
 
 Ordering note: the source derivation writes the dissipator anticommutator
@@ -36,7 +38,7 @@ from scipy.linalg import expm
 from .config import tolerances
 from .errors import NumericContractError
 from .gates import GateMatrix, TRACE_PRESERVING, _operator_ququats, _pin_row0
-from .liouville import PauliVector, _kron, _real_part, _superop_transfer
+from .liouville import SIGMA, _kron, _real_part, _superop_transfer
 
 __all__ = [
     "GKSModel",
@@ -46,20 +48,12 @@ __all__ = [
     "gks_propagator",
     "liouvillian_gate",
     "liouvillian_superop",
-    "propagate",
     "IndefiniteCoefficientWarning",
 ]
 
 
 class IndefiniteCoefficientWarning(UserWarning):
     """The coefficient matrix C is not positive semidefinite."""
-
-
-_EPS = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS[_i, _j, _k] = 1.0
-    _EPS[_j, _i, _k] = -1.0
-_EPS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -120,9 +114,10 @@ class GeneratorMatrix:
 def gks_matrix(model: GKSModel) -> GeneratorMatrix:
     """Assemble the single-qubit generator from (H, C).
 
-    Raises on non-Hermitian C; an indefinite C only triggers an
-    :class:`IndefiniteCoefficientWarning`.  Real C gives B = 0 exactly,
-    hence a unital propagator.
+    The model's superoperator (see the module docstring) goes through
+    :meth:`LiouvillianSuperop.to_pauli_generator`.  Raises on non-Hermitian
+    C; an indefinite C only triggers an :class:`IndefiniteCoefficientWarning`.
+    Real C gives B = 0 exactly, hence a unital propagator.
     """
     if not model.is_hermitian():
         raise NumericContractError("C must be Hermitian")
@@ -132,23 +127,15 @@ def gks_matrix(model: GKSModel) -> GeneratorMatrix:
             IndefiniteCoefficientWarning,
             stacklevel=2,
         )
-    c = model.c
-    trc = float(np.trace(c).real)
-    a = np.zeros((3, 3))
-    for k in range(3):
-        for l in range(3):
-            a[k, l] = (
-                2.0 * float(np.dot(model.h, _EPS[k, :, l]))
-                + (c[k, l] + c[l, k]).real / 8.0
-            )
-        a[k, k] -= trc / 4.0
-    b = np.array(
-        [-0.25 * float(np.sum(_EPS[:, :, k] * c.imag)) for k in range(3)]
-    )
-    matrix = np.zeros((4, 4))
-    matrix[1:, 1:] = a
-    matrix[1:, 0] = b
-    return GeneratorMatrix(matrix)
+    sigma = np.array(SIGMA[1:])
+    c8 = model.c / 8
+    # sum_kl C_kl/8 (sigma_k kron sigma_l^T) and the operator sum_kl C_kl/8 sigma_l sigma_k
+    jumps = np.einsum("kl,kac,ldb->abcd", c8, sigma, sigma).reshape(4, 4)
+    anti = np.einsum("kl,lab,kbc->ac", c8, sigma, sigma)
+    eye = np.eye(2)
+    s = (liouvillian_superop(np.tensordot(model.h, sigma, 1)).matrix + jumps
+         - 0.5 * _kron(anti, eye) - 0.5 * _kron(eye, anti.T))
+    return GeneratorMatrix(LiouvillianSuperop(1, s).to_pauli_generator())
 
 
 def gks_propagator(gen: GeneratorMatrix, tau: float) -> GateMatrix:
@@ -193,11 +180,18 @@ class LiouvillianSuperop:
 
     def to_pauli_generator(self) -> np.ndarray:
         """Real generator of dP/dt = L P over Pauli coefficient vectors; its
-        certified top row is set to zero."""
+        certified top row is set to zero.
+
+        Its imaginary part and its top row are rounding that grows with the
+        superoperator, so both are compared with ``tolerances.algebra`` times
+        max(1, max|S|); a NaN or infinite entry leaves the factor at 1.
+        """
+        size = float(np.max(np.abs(self.matrix)))
+        scale = size if 1.0 < size < np.inf else 1.0
         gen = _real_part(_superop_transfer(self.matrix, self.n, self.n),
-                         "Pauli-basis generator not real: residual")
+                         "Pauli-basis generator not real: residual", scale)
         row0 = float(np.max(np.abs(gen[0])))
-        if row0 > tolerances.algebra:
+        if row0 > tolerances.algebra * scale:
             raise NumericContractError(
                 f"generator does not preserve trace: top row residual {row0:.3e}"
             )
@@ -234,11 +228,3 @@ def liouvillian_gate(liouvillian: LiouvillianSuperop, t: float) -> GateMatrix:
     """
     return _propagator(liouvillian.to_pauli_generator, t, liouvillian.n)[0]
 
-
-def propagate(liouvillian: LiouvillianSuperop, t: float, pvec: PauliVector) -> PauliVector:
-    """Evolve a state for time t under a fixed Liouvillian."""
-    if pvec.n != liouvillian.n:
-        raise NumericContractError(
-            f"state has n={pvec.n}, Liouvillian expects n={liouvillian.n}"
-        )
-    return PauliVector(pvec.n, liouvillian_gate(liouvillian, t).entries @ pvec.P)

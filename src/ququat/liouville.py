@@ -198,11 +198,12 @@ def _superop_transfer(s: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
     return _pauli_transfer(images, n_out) / 2**n_in
 
 
-def _real_part(a: np.ndarray, message: str) -> np.ndarray:
+def _real_part(a: np.ndarray, message: str, scale: float = 1.0) -> np.ndarray:
     """Real part of a Pauli-basis result, refused with ``message`` and the
-    largest imaginary part when that exceeds the algebraic tolerance."""
+    largest imaginary part when that exceeds the algebraic tolerance times
+    ``scale``, the size the rounding of the result grows with."""
     resid = float(np.max(np.abs(a.imag)))
-    if resid > tolerances.algebra:
+    if resid > tolerances.algebra * scale:
         raise NumericContractError(f"{message} {resid:.3e}")
     return a.real
 

@@ -19,15 +19,16 @@ from ququat import (
     GKSModel,
     NumericContractError,
     PauliVector,
+    apply_linear,
     apply_nonlinear,
     cli,
     gate_from_kraus,
     gate_from_unitary,
     gks_matrix,
+    liouvillian_gate,
     liouvillian_superop,
     measurement_gates,
     parse_circuit,
-    propagate,
 )
 from ququat import serialization as sz
 from ququat.cli import EXIT_CONTRACT, EXIT_OK, EXIT_SCHEMA, EXIT_ZERO_PROBABILITY, main
@@ -579,6 +580,19 @@ class TestSimulateAndMisc:
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["valid"] is True
 
+    @pytest.mark.parametrize("args", [["universality", "swap"], ["version"],
+                                      ["--format", "text", "universality", "swap"]])
+    def test_a_closed_stdout_pipe_exits_0_quietly(self, args):
+        # what `| head -n 1` leaves once head exits: a pipe with no reader
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ququat.cli", *args], stdout=write,
+                                  stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
     def test_tol_flag(self, tmp_path, capsys):
         # a slightly non-unitary matrix passes under a loose tolerance
         payload = {"U": [[1, 0], [0, 1.0000001]]}
@@ -929,6 +943,14 @@ _LONG_HVT = (
     '"V": [[[[1.8, 1.14], [-0.33, 0.77]], [[0.28, -0.55], [0.98, -0.31]]]], "t": 1000000.0}'
 )
 
+# an exactly Hermitian H whose Pauli-basis generator keeps an imaginary
+# rounding residue of 1.164e-10, small against its entries of about 1e6
+_LARGE_HVT = (
+    '{"H": [[[-828701.7, 0], [-526379.0, 602548.9]], [[-526379.0, -602548.9], [828701.7, 0]]], '
+    '"V": [[[[-811.7, -133.7], [-41.9, -680.5]], [[469.2, -772.7], [-217.5, 33.5]]]], '
+    '"t": 1e-06}'
+)
+
 
 class TestLindbladHamiltonianRoute:
     """The {H, V, t} route of gate from-lindblad and of circuit steps."""
@@ -956,7 +978,7 @@ class TestLindbladHamiltonianRoute:
         assert np.max(np.abs(step.gate.entries - expected)) < 1e-12
 
         p = PauliVector(n, np.eye(4**n)[0])
-        assert np.max(np.abs(expected @ p.P - propagate(liou, t, p).P)) < 1e-12
+        assert np.max(np.abs(expected @ p.P - apply_linear(liouvillian_gate(liou, t), p).P)) < 1e-12
 
     def test_one_generator_per_spec(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -993,6 +1015,13 @@ class TestLindbladHamiltonianRoute:
                                  tmp_path, capsys)
         assert code == EXIT_OK
         assert json.loads(out)["final_state"]["P"][0] == 1.0
+
+    def test_large_coefficients_are_certified_relative_to_their_size(self, tmp_path, capsys):
+        code, out, err = _run_text(["gate", "from-lindblad"], _LARGE_HVT, tmp_path, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert doc["kind"] == "trace_preserving"
+        assert doc["entries"][0] == [1.0, 0.0, 0.0, 0.0]
 
 
 # The example documents of the CLI section of README.md; the gate document

@@ -20,10 +20,9 @@ from ququat import (
     gks_propagator,
     liouvillian_gate,
     liouvillian_superop,
-    propagate,
     validate_density,
 )
-from ququat.lindblad import GeneratorMatrix, IndefiniteCoefficientWarning
+from ququat.lindblad import GeneratorMatrix, IndefiniteCoefficientWarning, LiouvillianSuperop
 from ququat.liouville import SIGMA
 
 from helpers import random_pvec
@@ -59,6 +58,37 @@ def jump_ops_from_c(c):
         coeff = np.sqrt(vals[j] / 8.0)
         ops.append(coeff * sum(vecs[k, j] * SIGMA[k + 1] for k in range(3)))
     return ops
+
+
+_EPS = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    _EPS[_i, _j, _k] = 1.0
+    _EPS[_j, _i, _k] = -1.0
+
+
+def closed_form_generator(model: GKSModel) -> np.ndarray:
+    """The single-qubit generator by its closed formula, the oracle for gks_matrix:
+
+    A[k, l] = 2 H_m eps(k,m,l) + (C[k,l] + C[l,k])/8 - delta(k,l) Tr(C)/4,
+    B[k]    = -1/4 eps(i,j,k) Im C[i,j],   L = [[0, 0], [B, A]].
+    """
+    c = model.c
+    trc = float(np.trace(c).real)
+    a = np.zeros((3, 3))
+    for k in range(3):
+        for l in range(3):
+            a[k, l] = (
+                2.0 * float(np.dot(model.h, _EPS[k, :, l]))
+                + (c[k, l] + c[l, k]).real / 8.0
+            )
+        a[k, k] -= trc / 4.0
+    b = np.array(
+        [-0.25 * float(np.sum(_EPS[:, :, k] * c.imag)) for k in range(3)]
+    )
+    matrix = np.zeros((4, 4))
+    matrix[1:, 1:] = a
+    matrix[1:, 0] = b
+    return matrix
 
 
 class TestGKSMatrix:
@@ -110,6 +140,71 @@ class TestGKSMatrix:
         gate = gks_propagator(gen, 60.0)
         out = apply_linear(gate, PauliVector(1, [1, 0, 0, 0]))
         assert np.allclose(out.P, [1, 0, 0, 1], atol=1e-9)
+
+
+# C as (re, im) pairs, exactly Hermitian; the generator's top row keeps a
+# rounding residue of 1.164e-10, small against C's entries of about 3e6
+_GKS_WITNESS = GKSModel(
+    [283379.4, 112078.2, -629887.9],
+    np.array([[[2523224.3, 0.0], [-362715.9, 565606.3], [-734551.3, 180180.9]],
+              [[-362715.9, -565606.3], [3457121.1, 0.0], [-561778.1, -800736.1]],
+              [[-734551.3, -180180.9], [-561778.1, 800736.1], [2549938.7, 0.0]]]) @ [1, 1j],
+)
+
+
+def _seeded_model(rng, scale, positive, complex_c) -> GKSModel:
+    """A model whose C is exactly Hermitian, positive definite or traceless."""
+    g = rng.normal(size=(3, 3)) + (1j * rng.normal(size=(3, 3)) if complex_c else 0)
+    c = g @ g.conj().T
+    if not positive:
+        c = c - np.trace(c).real / 3 * np.eye(3)
+    c = scale * c
+    return GKSModel(scale * rng.normal(size=3), (c + c.conj().T) / 2)
+
+
+class TestClosedFormOracle:
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e10, 1e100])
+    @pytest.mark.parametrize("positive", [True, False])
+    @pytest.mark.parametrize("complex_c", [True, False])
+    def test_gks_matrix_matches_the_closed_formula(self, scale, positive, complex_c):
+        rng = np.random.default_rng([61, int(np.log10(scale)), positive, complex_c])
+        for _ in range(20):
+            model = _seeded_model(rng, scale, positive, complex_c)
+            if positive:
+                got = gks_matrix(model).matrix
+            else:
+                with pytest.warns(IndefiniteCoefficientWarning):
+                    got = gks_matrix(model).matrix
+            want = closed_form_generator(model)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+            if not complex_c:
+                assert np.array_equal(got[1:, 0], np.zeros(3))
+
+    def test_the_large_witness_matches_the_closed_formula(self):
+        want = closed_form_generator(_GKS_WITNESS)
+        got = gks_matrix(_GKS_WITNESS).matrix
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert np.array_equal(gks_propagator(GeneratorMatrix(got), 1e-6).entries[0], [1, 0, 0, 0])
+
+
+class TestPauliGeneratorCertificate:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 20, 60, 300])
+    def test_the_generator_is_exact_under_power_of_two_scaling(self, n, k):
+        # the residuals grow with S, and so does their threshold
+        rng = np.random.default_rng([67, n])
+        d = 2**n
+        for _ in range(5):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            vs = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)]
+            s = liouvillian_superop(g + g.conj().T, vs).matrix
+            gen = LiouvillianSuperop(n, s).to_pauli_generator()
+            scaled = LiouvillianSuperop(n, 2.0**k * s).to_pauli_generator()
+            assert np.array_equal(scaled, 2.0**k * gen)
+
+    def test_a_real_trace_violation_is_refused_at_any_scale(self):
+        with pytest.raises(NumericContractError, match="generator does not preserve trace"):
+            LiouvillianSuperop(1, 1e6 * np.eye(4)).to_pauli_generator()
 
 
 class TestPropagator:
@@ -222,7 +317,8 @@ class TestLiouvillian:
         )
         assert np.max(np.abs(gen - expected)) < 1e-12
         # long-time limit fixes the Bloch vector (0, 0, 1)
-        out = propagate(liouvillian_superop(np.zeros((2, 2)), [v]), 80.0, PauliVector(1, [1, 0, 0, 0]))
+        liou = liouvillian_superop(np.zeros((2, 2)), [v])
+        out = apply_linear(liouvillian_gate(liou, 80.0), PauliVector(1, [1, 0, 0, 0]))
         assert np.allclose(out.P, [1, 0, 0, 1], atol=1e-9)
 
     def test_dephasing_generator(self):
@@ -234,7 +330,7 @@ class TestLiouvillian:
     def test_dephasing_decay(self):
         gamma = 0.7
         liou = liouvillian_superop(np.zeros((2, 2)), [np.sqrt(gamma / 2) * SIGMA[3]])
-        out = propagate(liou, 1 / gamma, PauliVector(1, [1, 1, 0, 0]))
+        out = apply_linear(liouvillian_gate(liou, 1 / gamma), PauliVector(1, [1, 1, 0, 0]))
         assert np.allclose(out.P, [1, np.exp(-1), 0, 0], atol=1e-12)
 
     def test_liouvillian_negative_time_rejected(self):
@@ -242,12 +338,12 @@ class TestLiouvillian:
         with pytest.raises(NumericContractError, match="nonnegative"):
             liouvillian_gate(liou, -0.1)
         with pytest.raises(NumericContractError, match="nonnegative"):
-            propagate(liou, -0.1, PauliVector(1, [1, 0, 0, 0]))
+            apply_linear(liouvillian_gate(liou, -0.1), PauliVector(1, [1, 0, 0, 0]))
 
     def test_propagate_zero_time(self):
         liou = liouvillian_superop(np.zeros((2, 2)), [0.3 * SIGMA[1]])
         p = random_pvec(RNG, 1)
-        assert np.allclose(propagate(liou, 0.0, p).P, p.P, atol=1e-12)
+        assert np.allclose(apply_linear(liouvillian_gate(liou, 0.0), p).P, p.P, atol=1e-12)
 
     def test_propagate_against_ode(self):
         for _ in range(10):
@@ -264,7 +360,7 @@ class TestLiouvillian:
             sol = solve_ivp(
                 lambda _, y: gen @ y, (0, t), p0.P, method="DOP853", rtol=1e-11, atol=1e-11
             )
-            assert np.max(np.abs(propagate(liou, t, p0).P - sol.y[:, -1])) < 1e-6
+            assert np.max(np.abs(apply_linear(liouvillian_gate(liou, t), p0).P - sol.y[:, -1])) < 1e-6
 
     def test_output_valid_two_qubit(self):
         for _ in range(5):
@@ -272,7 +368,7 @@ class TestLiouvillian:
             h = h + h.conj().T
             vs = [0.4 * (RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4)))]
             liou = liouvillian_superop(h, vs)
-            out = propagate(liou, 0.8, random_pvec(RNG, 2))
+            out = apply_linear(liouvillian_gate(liou, 0.8), random_pvec(RNG, 2))
             assert validate_density(out).valid
 
     def test_dimension_mismatch(self):

@@ -18,7 +18,8 @@ them, and every mutant that sets one numeric leaf to a float edge of
 :data:`EDGE_FLOATS`, each in JSON and in ``--format text``; rounds 0-7 of
 ``GateWide(101)``, each job fed the output of the one before as the
 benchmark does; the ``SimulateLocal(101)`` and ``(102)`` documents; and
-the ``mvlogic``, measurement and edge commands below.  BLAS runs on one
+the ``mvlogic``, measurement and edge commands below; and last, seeded
+single-qubit Lindblad models and two witnesses at large coefficients.  BLAS runs on one
 thread, as with more threads two runs of one revision can differ in the
 last bits.  The tool exits 1 when any case ends outside the CLI's exit
 codes 0, 2, 3 and 4, such as in a traceback, or prints a non-finite
@@ -257,6 +258,45 @@ def _edge_cases():
             yield ["--format", fmt, *argv], json.dumps(doc)
 
 
+def _lindblad_model_cases():
+    """After every other case, in JSON and in text: seeded single-qubit models
+    through ``gate from-lindblad``, with C positive definite or traceless, real
+    or complex, at scales 1, 1e6 and 1e12 and tau = 0.3 / scale; then two
+    witnesses whose Pauli-basis generators keep a rounding residue of 1.164e-10
+    at entries of about 1e6, a GKS model and an H/V one, and a one-step
+    ``simulate`` of the H/V one.  The documents are written out here, not
+    imported from the tests, so that an older checkout runs the same cases."""
+    import numpy as np
+
+    docs = []
+    for scale in (1.0, 1e6, 1e12):
+        for positive in (True, False):
+            for complex_c in (False, True):
+                rng = np.random.default_rng([2026, int(np.log10(scale)), positive, complex_c])
+                for _ in range(3):
+                    g = rng.normal(size=(3, 3)) + (1j * rng.normal(size=(3, 3)) if complex_c else 0)
+                    c = g @ g.conj().T
+                    if not positive:
+                        c = c - np.trace(c).real / 3 * np.eye(3)
+                    c = scale * c
+                    c = (c + c.conj().T) / 2  # exactly Hermitian
+                    model = {"H": (scale * rng.normal(size=3)).tolist(),
+                             "C": _complex(c) if complex_c else c.real.tolist()}
+                    docs.append((["gate", "from-lindblad"], {"model": model, "tau": 0.3 / scale}))
+    gks = {"H": [283379.4, 112078.2, -629887.9],
+           "C": [[[2523224.3, 0.0], [-362715.9, 565606.3], [-734551.3, 180180.9]],
+                 [[-362715.9, -565606.3], [3457121.1, 0.0], [-561778.1, -800736.1]],
+                 [[-734551.3, -180180.9], [-561778.1, 800736.1], [2549938.7, 0.0]]]}
+    hv = {"H": [[[-828701.7, 0], [-526379.0, 602548.9]], [[-526379.0, -602548.9], [828701.7, 0]]],
+          "V": [[[[-811.7, -133.7], [-41.9, -680.5]], [[469.2, -772.7], [-217.5, 33.5]]]],
+          "t": 1e-06}
+    docs += [(["gate", "from-lindblad"], {"model": gks, "tau": 1e-06}),
+             (["gate", "from-lindblad"], hv), (["simulate"], _one_step(1, {"lindblad": hv}))]
+    for fmt in ("json", "text"):
+        for argv, doc in docs:
+            yield ["--format", fmt, *argv], json.dumps(doc)
+
+
 def _one_step(n, step):
     """A ``simulate`` document of one step on n ququats from the state P = (1, 0, ..., 0)."""
     state = {"n": n, "P": [1.0] + [0.0] * (4**n - 1)}
@@ -348,6 +388,7 @@ def corpus():
     yield from _mvlogic_cases()
     yield from _measurement_cases()
     yield from _edge_cases()
+    yield from _lindblad_model_cases()
 
 
 def _results(root: Path):
