@@ -321,7 +321,9 @@ def _finite(obj) -> bool:
 
 
 def _emit(payload, args) -> None:
-    if args.format == "json":
+    if type(payload) is str:  # text a handler rendered, written as it is
+        sys.stdout.write(payload)
+    elif args.format == "json":
         sys.stdout.writelines([*_json_pieces(payload), "\n"])
     else:
         print("\n".join(_render_text(payload, args.precision)))
@@ -462,16 +464,13 @@ def _cmd_reversible(args):
     }
 
 
-def _table_digits(table) -> str:
-    return "".join(str(v) for v in table.outputs)
+def _table_line(table) -> str:
+    return "".join(str(v) for v in table.outputs) + "\n"
 
 
 def _cmd_mvlogic_table(args):
     table = builtin(args.name)
-    if args.format == "text":
-        print(_table_digits(table))
-        return None
-    return sz.table_to_json(table)
+    return _table_line(table) if args.format == "text" else sz.table_to_json(table)
 
 
 def _cmd_mvlogic_dnf(args):
@@ -495,11 +494,8 @@ def _cmd_mvlogic_closure(args):
     if budget > MAX_CLOSURE_BUDGET:
         raise SchemaError(f"budget: expected an integer <= {MAX_CLOSURE_BUDGET}, got {budget}")
     result = closure(gens, max_arity=max_arity, budget=budget)
-    if args.format == "text":
-        # one base-4 output string per discovered table
-        for t in result.tables:
-            print(_table_digits(t))
-        return None
+    if args.format == "text":  # one base-4 output string per discovered table
+        return "".join(map(_table_line, result.tables))
     return {
         "count": result.count(),
         "count_by_arity": {
@@ -599,7 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=_tolerance, default=None, help="algebraic tolerance (default 1e-10)"
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--precision", type=int, default=6, help="digits in text output")
+    parser.add_argument("--precision", type=int, choices=range(18), default=6,
+                        metavar="PRECISION", help="digits in text output, 0 to 17")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(parent, name, handler, with_input=True):
@@ -667,14 +664,13 @@ def _run(args) -> int:
     except (NumericContractError, QuquatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    if payload is not None:
-        try:
-            _emit(payload, args)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader has gone, as after `| head -n 1`: what is left in the
-            # buffer goes to the null device, so the final flush stays quiet
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    try:
+        _emit(payload, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone, as after `| head -n 1`: what is left in the
+        # buffer goes to the null device, so the final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 

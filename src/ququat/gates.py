@@ -455,7 +455,7 @@ def choi_matrix(gate: GateMatrix) -> np.ndarray:
     j /= d_out
     jh = j.conj().T
     resid = float(np.max(np.abs(j - jh)))
-    if resid > tolerances.algebra:
+    if not resid <= tolerances.algebra:  # a NaN is refused before eigvalsh meets it
         raise NumericContractError(f"Choi matrix not Hermitian: residual {resid:.3e}")
     j += jh
     j /= 2

@@ -38,7 +38,7 @@ from scipy.linalg import expm
 from .config import tolerances
 from .errors import NumericContractError
 from .gates import GateMatrix, TRACE_PRESERVING, _operator_ququats, _pin_row0
-from .liouville import SIGMA, _kron, _real_part, _superop_transfer
+from .liouville import SIGMA, _kron, _real_part, _scale, _superop_transfer
 
 __all__ = [
     "GKSModel",
@@ -76,19 +76,21 @@ class GKSModel:
         object.__setattr__(self, "c", c)
 
     def is_hermitian(self) -> bool:
-        return float(np.max(np.abs(self.c - self.c.conj().T))) <= tolerances.algebra
+        """max|C - C^H| within the algebraic tolerance, read at C's size (``_scale``)."""
+        resid = float(np.max(np.abs(self.c - self.c.conj().T)))
+        return resid <= tolerances.algebra * _scale(self.c)
 
     def is_positive(self) -> bool:
-        """Positivity of the Hermitian form (eigenvalue test, equivalent to
-        the leading-minors criterion but numerically sturdier).  The form is
-        halved before it is summed, so no finite C overflows it."""
+        """Positivity of the Hermitian form by its least eigenvalue, with the psd
+        slack read at C's size (``_scale``).  The form is halved before it is
+        summed, so no finite C overflows it."""
         form = self.c / 2 + self.c.conj().T / 2
-        return float(np.linalg.eigvalsh(form)[0]) >= -tolerances.psd
+        return float(np.linalg.eigvalsh(form)[0]) >= -tolerances.psd * _scale(self.c)
 
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Real 4x4 single-qubit generator whose certified top row is set to zero."""
+    """Real 4x4 generator whose top row, certified at the generator's size, is set to zero."""
 
     matrix: np.ndarray
 
@@ -96,7 +98,7 @@ class GeneratorMatrix:
         matrix = np.array(self.matrix, dtype=float)
         if matrix.shape != (4, 4):
             raise NumericContractError("generator matrix must be 4x4")
-        if not np.max(np.abs(matrix[0])) <= tolerances.algebra:  # a NaN is refused, not pinned
+        if not np.max(np.abs(matrix[0])) <= tolerances.algebra * _scale(matrix):  # NaN refused
             raise NumericContractError("generator top row must vanish (trace preservation)")
         matrix[0] = 0.0
         matrix.setflags(write=False)
@@ -182,12 +184,10 @@ class LiouvillianSuperop:
         """Real generator of dP/dt = L P over Pauli coefficient vectors; its
         certified top row is set to zero.
 
-        Its imaginary part and its top row are rounding that grows with the
-        superoperator, so both are compared with ``tolerances.algebra`` times
-        max(1, max|S|); a NaN or infinite entry leaves the factor at 1.
+        Its imaginary part and its top row are rounding, so both are compared
+        with ``tolerances.algebra`` times ``_scale`` of the superoperator.
         """
-        size = float(np.max(np.abs(self.matrix)))
-        scale = size if 1.0 < size < np.inf else 1.0
+        scale = _scale(self.matrix)
         gen = _real_part(_superop_transfer(self.matrix, self.n, self.n),
                          "Pauli-basis generator not real: residual", scale)
         row0 = float(np.max(np.abs(gen[0])))
@@ -203,12 +203,12 @@ def liouvillian_superop(h: np.ndarray, v: list | tuple = ()) -> LiouvillianSuper
     """Liouvillian of dp/dt = -i[H, p] + sum_j (V_j p V_j^dag - 1/2 {V_j^dag V_j, p}).
 
     With no jump operators this is -i(L_H - R_H) and expm(L t) equals the
-    gate of expm(-i H t).
+    gate of expm(-i H t).  H's Hermitian check is read at H's size (``_scale``).
     """
     h = np.asarray(h, dtype=complex)
     n = _operator_ququats(h, "H")
     d = 2**n
-    if np.max(np.abs(h - h.conj().T)) > tolerances.algebra:
+    if np.max(np.abs(h - h.conj().T)) > tolerances.algebra * _scale(h):
         raise NumericContractError("H must be Hermitian")
     eye = np.eye(d)
     mat = -1j * (_kron(h, eye) - _kron(eye, h.T))

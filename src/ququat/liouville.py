@@ -198,10 +198,18 @@ def _superop_transfer(s: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
     return _pauli_transfer(images, n_out) / 2**n_in
 
 
+def _scale(a: np.ndarray) -> float:
+    """max|a| when 1 < max|a| < inf, else 1 (a NaN included).  Rounding grows
+    with the operator, so a certificate on an operator the caller sized reads
+    its tolerance times this factor; where max|a| <= 1 the bound is the tolerance."""
+    size = float(np.max(np.abs(a)))
+    return size if 1.0 < size < np.inf else 1.0
+
+
 def _real_part(a: np.ndarray, message: str, scale: float = 1.0) -> np.ndarray:
     """Real part of a Pauli-basis result, refused with ``message`` and the
     largest imaginary part when that exceeds the algebraic tolerance times
-    ``scale``, the size the rounding of the result grows with."""
+    ``scale``: :func:`_scale` of the operator the caller sized, else 1."""
     resid = float(np.max(np.abs(a.imag)))
     if resid > tolerances.algebra * scale:
         raise NumericContractError(f"{message} {resid:.3e}")
@@ -346,11 +354,11 @@ def density_to_pvec(rho: DensityMatrix) -> PauliVector:
     """Expand a density matrix over the Pauli basis: P[mu] = Tr(sigma_mu rho).
 
     Raises :class:`NumericContractError` if the coefficients carry an
-    imaginary part above tolerance (non-Hermitian input).
+    imaginary part above tolerance at the density's size (non-Hermitian input).
     """
     coeffs = _pauli_transfer(rho.entries[None], rho.n)[:, 0]
     message = "input is not Hermitian: max imaginary Pauli coefficient"
-    return PauliVector(rho.n, _real_part(coeffs, message))
+    return PauliVector(rho.n, _real_part(coeffs, message, _scale(rho.entries)))
 
 
 def pvec_to_density(pvec: PauliVector) -> DensityMatrix:

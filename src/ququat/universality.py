@@ -44,14 +44,12 @@ class LieClosureWarning(UserWarning):
 class PseudoGate:
     """Complex superoperator matrix over the generalized computational basis.
 
-    ``tag`` records the construction: ``left`` (L_A), ``right`` (R_A) or
-    ``swap``.  Matrices of L_A and R_{A^dagger} are entrywise complex
-    conjugates of each other.
+    Matrices of L_A and R_{A^dagger} are entrywise complex conjugates of
+    each other.
     """
 
     n: int
     matrix: np.ndarray
-    tag: str
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=complex)
@@ -72,7 +70,7 @@ def left_mult_superop(a: np.ndarray) -> PseudoGate:
     a = np.asarray(a, dtype=complex)
     n = _operator_ququats(a, "operator")
     mat = _superop_transfer(_kron(a, np.eye(2**n)), n, n)
-    return PseudoGate(n, mat, "left")
+    return PseudoGate(n, mat)
 
 
 def right_mult_superop(a: np.ndarray) -> PseudoGate:
@@ -85,7 +83,7 @@ def right_mult_superop(a: np.ndarray) -> PseudoGate:
     a = np.asarray(a, dtype=complex)
     n = _operator_ququats(a, "operator")
     mat = _superop_transfer(_kron(np.eye(2**n), a.T), n, n)
-    return PseudoGate(n, mat, "right")
+    return PseudoGate(n, mat)
 
 
 @dataclass(frozen=True)
@@ -250,7 +248,7 @@ def swap_pseudo_gate() -> PseudoGate:
     for mu in range(4):
         for nu in range(4):
             mat[4 * nu + mu, 4 * mu + nu] = 1.0
-    return PseudoGate(2, mat, "swap")
+    return PseudoGate(2, mat)
 
 
 def trace_decreasing_bound(gate: GateMatrix) -> tuple[bool, float]:

@@ -581,14 +581,18 @@ class TestSimulateAndMisc:
         assert json.loads(proc.stdout)["valid"] is True
 
     @pytest.mark.parametrize("args", [["universality", "swap"], ["version"],
-                                      ["--format", "text", "universality", "swap"]])
+                                      ["--format", "text", "universality", "swap"],
+                                      ["--format", "text", "mvlogic", "table", "max"],
+                                      ["--format", "text", "mvlogic", "closure"]])
     def test_a_closed_stdout_pipe_exits_0_quietly(self, args):
-        # what `| head -n 1` leaves once head exits: a pipe with no reader
+        # what `| head -n 1` leaves once head exits: a pipe with no reader;
+        # stdin is the input document of the one command that reads it
         read, write = os.pipe()
         os.close(read)
         try:
             proc = subprocess.run([sys.executable, "-m", "ququat.cli", *args], stdout=write,
-                                  stderr=subprocess.PIPE, text=True)
+                                  input='{"generators": ["max"]}', stderr=subprocess.PIPE,
+                                  text=True)
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
@@ -892,6 +896,22 @@ class TestOptionFields:
         assert out == ""
         assert "--tol" in err
 
+    @pytest.mark.parametrize("precision", ["-1", "18", str(10**11), "x"])
+    def test_precision_must_be_0_to_17(self, capsys, precision):
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "text", "--precision", precision, "universality", "swap"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_SCHEMA
+        assert out == ""
+        assert "--precision" in err
+
+    @pytest.mark.parametrize("precision", [0, 17])
+    def test_precision_0_and_17_are_accepted(self, capsys, precision):
+        code = main(["--format", "text", "--precision", str(precision), "universality", "swap"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[1].split()[0] == f"{1:+.{precision}f}{0:+.{precision}f}j"
+
     def test_validate_reports_non_hermitian_density(self, tmp_path, capsys):
         payload = {"entries": [[[0.5, 0], [0.5, 0]], [[0, 0], [0.5, 0]]]}
         code, out, _ = run_cli(["state", "validate"], payload, tmp_path, capsys)
@@ -949,6 +969,28 @@ _LARGE_HVT = (
     '{"H": [[[-828701.7, 0], [-526379.0, 602548.9]], [[-526379.0, -602548.9], [828701.7, 0]]], '
     '"V": [[[[-811.7, -133.7], [-41.9, -680.5]], [[469.2, -772.7], [-217.5, 33.5]]]], '
     '"t": 1e-06}'
+)
+
+# H = U diag(x) U^H and C = g g^H, computed in floating point: their Hermitian
+# residues (about 1e-10) are rounding against entries of about 1e6, and the
+# rank-one C's least eigenvalue is rounding too
+_COMPUTED_H = (
+    '{"H": [[[-1351013.371381643, 1.1480496329382049e-11], [-848451.1263078249, '
+    '146333.91161126996]], [[-848451.1263078247, -146333.91161126996], '
+    '[-148986.62861835706, 1.651383466427677e-12]]], "t": 1e-06}'
+)
+_COMPUTED_C = (
+    '{"model": {"H": [0.0, 0.0, 0.0], "C": [[[2695100.0, -3.1952218648712005e-11], '
+    '[2206300.0, -137799.9999999999], [-2548899.9999999995, 1937200.0]], '
+    '[[2206300.0, 137799.99999999997], [2907300.0, 5.595524044110789e-12], '
+    '[-679700.0000000002, 1790400.0]], [[-2548899.9999999995, -1937200.0], '
+    '[-679700.0000000002, -1790400.0], [7053500.0, 8.886225089099753e-11]]]}, "tau": 1e-07}'
+)
+_RANK_ONE_C = (
+    '{"model": {"H": [0.0, 0.0, 0.0], "C": [[[3914500.0, 0.0], [-1397600.0, -2844800.0], '
+    '[1814799.9999999998, -1459600.0]], [[-1397600.0, 2844800.0], [2566400.0000000005, 0.0], '
+    '[412800.00000000006, 1840000.0]], [[1814799.9999999998, 1459600.0], '
+    '[412800.00000000006, -1840000.0], [1385600.0, 0.0]]]}, "tau": 1e-07}'
 )
 
 
@@ -1015,6 +1057,13 @@ class TestLindbladHamiltonianRoute:
                                  tmp_path, capsys)
         assert code == EXIT_OK
         assert json.loads(out)["final_state"]["P"][0] == 1.0
+
+    @pytest.mark.parametrize("text", [_COMPUTED_H, _COMPUTED_C, _RANK_ONE_C],
+                             ids=["H", "C", "rank-one C"])
+    def test_computed_h_and_c_are_certified_relative_to_their_size(self, tmp_path, capsys, text):
+        code, out, err = _run_text(["gate", "from-lindblad"], text, tmp_path, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["kind"] == "trace_preserving"
 
     def test_large_coefficients_are_certified_relative_to_their_size(self, tmp_path, capsys):
         code, out, err = _run_text(["gate", "from-lindblad"], _LARGE_HVT, tmp_path, capsys)
@@ -1562,6 +1611,9 @@ def test_mode_echoes_a_wide_integer_as_json_loads_reads_it(tmp_path, capsys):
          "result has non-finite entries"),
         (["gate", "tensor"], {"gates": [{"entries": [[1e200] * 4] * 4}] * 2},
          "result has non-finite entries"),
+        # two entries of 1.7e308 overflow the Choi matrix into NaN
+        (["gate", "analyze"], {"entries": np.diag([1, 1.7e308, 1.7e308, 1]).tolist()},
+         "Choi matrix not Hermitian: residual nan"),
     ],
 )
 def test_non_finite_results_exit_3_with_one_line(tmp_path, capsys, argv, doc, message):

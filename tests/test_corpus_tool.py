@@ -57,3 +57,11 @@ def _result(argv, out, code=0, err="", sha="0" * 16):
 )
 def test_compare_verdicts(base, change, move, why):
     assert cli_corpus.difference(base, change) == (move, why)
+
+
+def test_run_case_records_an_argument_error_as_its_exit_code():
+    def refuses(argv):
+        print("usage: ququat", file=sys.stderr)
+        raise SystemExit(2)
+
+    assert cli_corpus.run_case(refuses, ["--precision", "-1"], "") == (2, "", "usage: ququat\n")

@@ -509,6 +509,14 @@ class TestChoi:
                 g = gate_from_kraus(random_tp_kraus(RNG, n))
                 assert np.linalg.eigvalsh(choi_matrix(g))[0] >= -1e-9
 
+    def test_an_overflowed_choi_matrix_is_refused_as_not_hermitian(self):
+        # two entries of 1.7e308 overflow the basis products into NaN
+        gate = gate_from_matrix(np.diag([1.0, 1.7e308, 1.7e308, 1.0]))
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericContractError, match=r"^Choi matrix not Hermitian: residual nan$"
+        ):
+            choi_matrix(gate)
+
 
 class TestAnalyze:
     def test_not_gate(self):

@@ -25,7 +25,7 @@ from ququat import (
 from ququat.lindblad import GeneratorMatrix, IndefiniteCoefficientWarning, LiouvillianSuperop
 from ququat.liouville import SIGMA
 
-from helpers import random_pvec
+from helpers import random_pvec, random_unitary
 
 RNG = np.random.default_rng(17)
 
@@ -205,6 +205,66 @@ class TestPauliGeneratorCertificate:
     def test_a_real_trace_violation_is_refused_at_any_scale(self):
         with pytest.raises(NumericContractError, match="generator does not preserve trace"):
             LiouvillianSuperop(1, 1e6 * np.eye(4)).to_pauli_generator()
+
+
+_POWERS = [0, 30, 60, 300]
+
+
+class TestSizeRule:
+    """Certificates on H, C and a generator read their bound at the operator's
+    size: scaling an input by 2**k is exact, so it scales the result by 2**k
+    and keeps the verdict, and a real violation stays refused at any size."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("k", _POWERS)
+    def test_liouvillian_of_a_computed_hamiltonian(self, n, k):
+        rng = np.random.default_rng([71, n])
+        for _ in range(10):
+            u = random_unitary(rng, 2**n)
+            h = u @ np.diag(4 * rng.normal(size=2**n)) @ u.conj().T  # Hermitian up to rounding
+            s = liouvillian_superop(h).matrix
+            scaled = liouvillian_superop(2.0**k * h)
+            assert np.array_equal(scaled.matrix, 2.0**k * s)
+            want = LiouvillianSuperop(n, s).to_pauli_generator()
+            assert np.array_equal(scaled.to_pauli_generator(), 2.0**k * want)
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    @pytest.mark.parametrize("k", _POWERS)
+    def test_gks_checks_of_a_computed_c(self, rank, k):
+        rng = np.random.default_rng([72, rank])
+        for _ in range(20):
+            g = 2 * (rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank)))
+            c = g @ g.conj().T  # Hermitian and positive semidefinite up to rounding
+            model, scaled = GKSModel(np.zeros(3), c), GKSModel(np.zeros(3), 2.0**k * c)
+            assert model.is_hermitian() and model.is_positive()
+            assert scaled.is_hermitian() and scaled.is_positive()
+
+    @pytest.mark.parametrize("k", _POWERS)
+    def test_generator_top_row_rounding(self, k):
+        rng = np.random.default_rng(73)
+        for _ in range(10):
+            m = 4 * rng.normal(size=(4, 4))
+            m[0] = 1e-14 * rng.normal(size=4)  # rounding, below tolerances.algebra
+            want = GeneratorMatrix(m).matrix
+            assert np.array_equal(GeneratorMatrix(2.0**k * m).matrix, 2.0**k * want)
+
+    @pytest.mark.parametrize("s", [1.0, 1e6, 1e100])
+    def test_a_real_violation_is_refused_at_any_size(self, s):
+        with pytest.raises(NumericContractError, match="^H must be Hermitian$"):
+            liouvillian_superop(s * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        c = np.zeros((3, 3), dtype=complex)
+        c[0, 1] = s
+        assert not GKSModel(np.zeros(3), c).is_hermitian()
+        with pytest.raises(NumericContractError, match="^C must be Hermitian$"):
+            gks_matrix(GKSModel(np.zeros(3), c))
+        top = s * np.eye(4)
+        with pytest.raises(NumericContractError, match="generator top row must vanish"):
+            GeneratorMatrix(top)
+
+    @pytest.mark.parametrize("s", [1.0, 1e6, 1e100])
+    def test_an_indefinite_c_stays_indefinite_at_any_size(self, s):
+        model = GKSModel(np.zeros(3), np.diag([s, s, -1e-3 * s]))
+        assert model.is_hermitian() and not model.is_positive()
 
 
 class TestPropagator:

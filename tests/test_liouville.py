@@ -23,6 +23,7 @@ from ququat.liouville import (
     NonPositiveStateWarning,
     ValidationReport,
     _exponent,
+    _scale,
     _validate_pvecs,
     _validate_stack,
 )
@@ -313,3 +314,31 @@ def test_all_non_hermitian_stack_matches_the_oracle():
 ])
 def test_exponent(size, base, n):
     assert _exponent(size, base) == n
+
+
+@pytest.mark.parametrize("a,want", [
+    ([[0.5, -1.0]], 1.0), ([[3.0, -4.0]], 4.0), ([[0.0, 3j - 4]], 5.0), ([[1e300, 0]], 1e300),
+    ([[np.nan, 1e6]], 1.0), ([[np.inf, 1e6]], 1.0), ([[-np.inf, 0.5]], 1.0), ([[0.0]], 1.0),
+])
+def test_scale_is_max_abs_above_1_and_finite(a, want):
+    assert _scale(np.array(a)) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [0, 30, 60, 300])
+def test_density_expansion_is_exact_under_power_of_two_scaling(n, k):
+    # the imaginary rounding of the coefficients grows with rho, and so does its bound
+    rng = np.random.default_rng([79, n])
+    for _ in range(10):
+        rho = random_density(rng, n).entries
+        rho = (rho + rho.conj().T) / 2  # Hermitian entry for entry
+        want = density_to_pvec(DensityMatrix(n, rho)).P
+        assert np.array_equal(density_to_pvec(DensityMatrix(n, 2.0**k * rho)).P, 2.0**k * want)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e6, 1e100])
+def test_an_imaginary_diagonal_is_refused_at_any_size(s):
+    rho = np.eye(2, dtype=complex) / 2
+    rho[0, 0] += 1j * s
+    with pytest.raises(NumericContractError, match="^input is not Hermitian"):
+        density_to_pvec(DensityMatrix(1, rho))

@@ -19,7 +19,8 @@ them, and every mutant that sets one numeric leaf to a float edge of
 ``GateWide(101)``, each job fed the output of the one before as the
 benchmark does; the ``SimulateLocal(101)`` and ``(102)`` documents; and
 the ``mvlogic``, measurement and edge commands below; and last, seeded
-single-qubit Lindblad models and two witnesses at large coefficients.  BLAS runs on one
+single-qubit Lindblad models and two witnesses at large coefficients, and the
+cases of certificates read at an operator's size.  BLAS runs on one
 thread, as with more threads two runs of one revision can differ in the
 last bits.  The tool exits 1 when any case ends outside the CLI's exit
 codes 0, 2, 3 and 4, such as in a traceback, or prints a non-finite
@@ -73,6 +74,8 @@ def run_case(main, argv, text):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(list(argv))
+            except SystemExit as exc:  # argparse refused the arguments
+                code = exc.code
             except Exception as exc:  # a traceback from the real CLI
                 code = f"raised {type(exc).__name__}"
                 err.write(f"{exc}\n")
@@ -297,6 +300,44 @@ def _lindblad_model_cases():
             yield ["--format", fmt, *argv], json.dumps(doc)
 
 
+def _size_rule_cases():
+    """After the Lindblad model cases, in JSON and in text: an H and a C
+    computed in floating point, whose Hermitian residues are rounding at
+    entries of about 1e6, and a rank-one C whose least eigenvalue is; three
+    seeded, exactly Hermitian densities at n = 3 and scale 1e5 through ``state
+    convert``; and ``gate analyze`` of a gate whose Choi matrix overflows into
+    NaN.  Then ``--precision`` at -1, 0, 17, 18 and 10**11 on a text
+    ``universality swap``."""
+    import numpy as np
+
+    h = [[[-1351013.371381643, 1.1480496329382049e-11], [-848451.1263078249, 146333.91161126996]],
+         [[-848451.1263078247, -146333.91161126996], [-148986.62861835706, 1.651383466427677e-12]]]
+    c = [[[2695100.0, -3.1952218648712005e-11], [2206300.0, -137799.9999999999],
+          [-2548899.9999999995, 1937200.0]],
+         [[2206300.0, 137799.99999999997], [2907300.0, 5.595524044110789e-12],
+          [-679700.0000000002, 1790400.0]],
+         [[-2548899.9999999995, -1937200.0], [-679700.0000000002, -1790400.0],
+          [7053500.0, 8.886225089099753e-11]]]
+    rank_one = [[[3914500.0, 0.0], [-1397600.0, -2844800.0], [1814799.9999999998, -1459600.0]],
+                [[-1397600.0, 2844800.0], [2566400.0000000005, 0.0], [412800.00000000006, 1840000.0]],
+                [[1814799.9999999998, 1459600.0], [412800.00000000006, -1840000.0], [1385600.0, 0.0]]]
+    docs = [(["gate", "from-lindblad"], {"H": h, "t": 1e-06})]
+    docs += [(["gate", "from-lindblad"], {"model": {"H": [0.0, 0.0, 0.0], "C": m}, "tau": 1e-07})
+             for m in (c, rank_one)]
+    rng = np.random.default_rng(83)
+    for _ in range(3):
+        g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rho = 1e5 * (g @ g.conj().T)
+        rho = (rho + rho.conj().T) / 2  # Hermitian entry for entry
+        docs.append((["state", "convert"], {"n": 3, "entries": _complex(rho)}))
+    docs.append((["gate", "analyze"], {"entries": np.diag([1, 1.7e308, 1.7e308, 1]).tolist()}))
+    for fmt in ("json", "text"):
+        for argv, doc in docs:
+            yield ["--format", fmt, *argv], json.dumps(doc)
+    for precision in (-1, 0, 17, 18, 10**11):
+        yield ["--format", "text", "--precision", str(precision), "universality", "swap"], ""
+
+
 def _one_step(n, step):
     """A ``simulate`` document of one step on n ququats from the state P = (1, 0, ..., 0)."""
     state = {"n": n, "P": [1.0] + [0.0] * (4**n - 1)}
@@ -389,6 +430,7 @@ def corpus():
     yield from _measurement_cases()
     yield from _edge_cases()
     yield from _lindblad_model_cases()
+    yield from _size_rule_cases()
 
 
 def _results(root: Path):
