@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import MAX_GATE_QUQUATS, tolerances
 from .errors import NumericContractError, ZeroProbabilityError
-from .liouville import (PauliVector, _basis_product, _exponent, _frozen, _kron, _pauli_transfer,
+from .liouville import (PauliVector, _U, _basis_product, _exponent, _frozen, _kron, _pauli_transfer,
                         _real_part, _superop_transfer)
 
 __all__ = [
@@ -126,9 +126,20 @@ class KrausSet:
 
 
 def _completeness_kind(s: np.ndarray) -> str:
-    """Kind of a map with sum_j A_j^dagger A_j = s; a trace-increasing s is refused."""
-    if np.max(np.abs(s - np.eye(s.shape[0]))) <= tolerances.algebra:
+    """Kind of a map with sum_j A_j^dagger A_j = s; a trace-increasing s is refused.
+
+    s is positive semidefinite, so its top eigenvalue is at most Tr(s).
+    A trace within 1 + tol, less a margin of 4 (d**2 + 1) u Tr(s) for a
+    d x d s and u the unit roundoff, decides ``trace_decreasing`` without
+    the spectrum: the margin covers the rounding of s, summed from up to
+    d**2 products, and of ``eigvalsh``.  Otherwise ``eigvalsh`` decides.
+    """
+    d = len(s)
+    if np.max(np.abs(s - np.eye(d))) <= tolerances.algebra:
         return TRACE_PRESERVING
+    trace = float(np.trace(s).real)
+    if trace * (1 + 4 * (d * d + 1) * _U) <= 1.0 + tolerances.algebra:
+        return TRACE_DECREASING
     top = float(np.linalg.eigvalsh(s)[-1])
     if top <= 1.0 + tolerances.algebra:
         return TRACE_DECREASING

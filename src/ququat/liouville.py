@@ -394,16 +394,39 @@ def computational_state(idx: PauliIndex) -> PauliVector:
     return PauliVector(idx.n, P)
 
 
+class _OnFirstRead:
+    """A dataclass field whose value may be given as a zero-argument callable,
+    called once, when the field is first read; any other value is stored as it is."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot)  # the field has no default
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the state checks, with the measured quantities."""
+    """Outcome of the state checks, with the measured quantities.
+
+    ``min_eigenvalue`` may be given as a callable: a state certified
+    without its spectrum computes it when it is first read.
+    """
 
     hermitian: bool
     unit_trace: bool
     psd: bool
     purity_in_bounds: bool
     trace: float
-    min_eigenvalue: float
+    min_eigenvalue: float = _OnFirstRead()
     purity: float
 
     @property
@@ -428,19 +451,58 @@ def validate_density(state: DensityMatrix | PauliVector) -> ValidationReport:
 # 1 MiB of complex.
 _STACK_ENTRIES = 4**8
 
+# Unit roundoff of float64.
+_U = np.finfo(float).eps / 2
+
 
 def _validate_pvecs(ps, n: int) -> list[ValidationReport]:
     """:func:`validate_density` of each length-4**n Pauli vector in ``ps``, in order.
 
     The vectors are combined into densities by one ``_pauli_combine`` per
-    chunk of at most _STACK_ENTRIES // 4**n of them (one from n = 8 up),
-    and each chunk is checked by :func:`_validate_stack`.
+    chunk of at most _STACK_ENTRIES // 4**n of them (one from n = 8 up).
+    A chunk's traces P[0] and purities |P|**2 / 2**n are read off P, which
+    is Hermitian by construction, and one Cholesky factorization of the
+    stack rho + s I, s = tol_psd / 2, decides ``psd``.  A factorization
+    that completes is exact for a perturbation of norm at most about
+    (d + 1) u Tr(rho + s I), d = 2**n and u the unit roundoff (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, section 10.1),
+    so every min eigenvalue is above -s less that term, and is computed
+    only when read.  Twice the term, for complex arithmetic and for the
+    rounding of rho itself, must be below s and the algebraic tolerance;
+    then every verdict is that of :func:`_validate_stack`.  A chunk that
+    is not finite, whose term is too large, or whose factorization fails
+    is checked by :func:`_validate_stack` instead.
     """
     size = max(1, _STACK_ENTRIES // 4**n)
+    d = 2**n
+    s = tolerances.psd / 2
     reports = []
     for start in range(0, len(ps), size):
-        reports += _validate_stack(_pauli_combine(np.stack(ps[start : start + size], axis=1), n), n)
+        chunk = ps[start : start + size]
+        p = np.stack(chunk, axis=1)
+        rho = _pauli_combine(p, n)
+        rounding = 2 * (d + 1) * _U * (float(np.max(np.abs(p[0]))) + d * s)
+        if rounding < min(s, tolerances.algebra) and np.isfinite(rho).all():
+            try:
+                np.linalg.cholesky(rho + s * np.eye(d))
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                purities = (np.einsum("ij,ij->j", p, p) / d).tolist()
+                spectra = [functools.partial(_pvec_min_eigenvalue, vec, n) for vec in chunk]
+                reports += [
+                    _report(n, True, trace, True, min_eig, purity)
+                    for trace, min_eig, purity in zip(p[0].tolist(), spectra, purities)
+                ]
+                continue
+        reports += _validate_stack(rho, n)
     return reports
+
+
+def _pvec_min_eigenvalue(p: np.ndarray, n: int) -> float:
+    """The min eigenvalue of one Pauli vector's density, bit for bit as
+    :func:`validate_density` of that vector alone gives it."""
+    return _validate_stack(_pauli_combine(np.stack([p], axis=1), n), n)[0].min_eigenvalue
 
 
 def _validate_stack(rho: np.ndarray, n: int) -> list[ValidationReport]:
@@ -452,8 +514,7 @@ def _validate_stack(rho: np.ndarray, n: int) -> list[ValidationReport]:
     eigenvalues of its Hermitian part (r + r^H) / 2 on its own, or, if it
     holds a NaN or an infinity, a NaN minimum eigenvalue and ``psd`` False.
     """
-    tol = tolerances.algebra
-    ok = np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2)) <= tol
+    ok = np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2)) <= tolerances.algebra
     herm = ok.tolist()
     traces = np.trace(rho, axis1=1, axis2=2).tolist()
     purities = np.trace(rho @ rho, axis1=1, axis2=2).real.tolist()
@@ -464,17 +525,21 @@ def _validate_stack(rho: np.ndarray, n: int) -> list[ValidationReport]:
         r = rho[i]
         if np.isfinite(r).all():
             min_eigs[i] = np.min(np.linalg.eigvals((r + r.conj().T) / 2).real)
-    low = 2.0**-n - tolerances.psd
-    high = 1.0 + tolerances.psd
     return [
-        ValidationReport(
-            hermitian=h,
-            unit_trace=abs(trace - 1.0) <= tol,
-            psd=min_eig >= -tolerances.psd,
-            purity_in_bounds=low <= purity <= high,
-            trace=trace.real,
-            min_eigenvalue=min_eig,
-            purity=purity,
-        )
+        _report(n, h, trace, min_eig >= -tolerances.psd, min_eig, purity)
         for h, trace, min_eig, purity in zip(herm, traces, min_eigs.tolist(), purities)
     ]
+
+
+def _report(n: int, hermitian: bool, trace, psd: bool, min_eigenvalue, purity) -> ValidationReport:
+    """The report of an n-ququat state of this trace (real or complex) and purity:
+    unit trace within the algebraic tolerance, purity in [2**-n, 1] within the psd one."""
+    return ValidationReport(
+        hermitian=hermitian,
+        unit_trace=abs(trace - 1.0) <= tolerances.algebra,
+        psd=psd,
+        purity_in_bounds=2.0**-n - tolerances.psd <= purity <= 1.0 + tolerances.psd,
+        trace=trace.real,
+        min_eigenvalue=min_eigenvalue,
+        purity=purity,
+    )

@@ -208,6 +208,10 @@ def decode_complex_matrix(obj, path: str) -> np.ndarray:
 
 
 def decode_real_matrix(obj, path: str) -> np.ndarray:
+    arr = _bulk_numbers(obj, (2,))
+    if arr is not None:
+        # rows of plain numbers: no imaginary part to scan
+        return _finite(arr, path)
     m = decode_complex_matrix(obj, path)
     if np.max(np.abs(m.imag)) > 0:
         raise SchemaError(f"{path}: expected a real matrix")

@@ -60,6 +60,23 @@ def depolarizing_kraus(p: float) -> KrausSet:
     )
 
 
+def spy_shapes(monkeypatch, module, *names) -> dict[str, list]:
+    """Wrap each function ``names`` of ``module`` so that every call first
+    appends the shape of its first argument to that name's list."""
+    shapes = {name: [] for name in names}
+
+    def recording(func, calls):
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return func(a, *args, **kwargs)
+
+        return spy
+
+    for name, calls in shapes.items():
+        monkeypatch.setattr(module, name, recording(getattr(module, name), calls))
+    return shapes
+
+
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 

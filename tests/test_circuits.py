@@ -24,7 +24,7 @@ from ququat import (
 from ququat.liouville import SIGMA
 from ququat.serialization import decode_complex_matrix, encode_complex_matrix, encode_real_matrix
 
-from helpers import random_pvec, random_tp_kraus, random_unitary
+from helpers import random_pvec, random_tp_kraus, random_unitary, spy_shapes
 
 RNG = np.random.default_rng(23)
 
@@ -444,34 +444,34 @@ class TestStateCertificates:
             for name in ("trace", "min_eigenvalue", "purity"):
                 assert abs(getattr(got, name) - getattr(want, name)) < 1e-12
 
-    @staticmethod
-    def _spy_eigvalsh(monkeypatch):
-        shapes = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def spy(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        return shapes
-
-    def test_one_eigvalsh_call_covers_a_small_run(self, monkeypatch):
+    def test_one_factorization_covers_a_small_run(self, monkeypatch):
         steps = [{"named": "not", "targets": [t]} for t in (0, 2, 1, 3)]
         circuit = parse_circuit({"n": 4, "steps": steps})
-        shapes = self._spy_eigvalsh(monkeypatch)
+        shapes = spy_shapes(monkeypatch, np.linalg, "cholesky", "eigvalsh")
         record = run_circuit(circuit, random_pvec(RNG, 4))
         assert len(record.steps) == 4
-        assert shapes == [(5, 16, 16)]
+        assert shapes == {"cholesky": [(5, 16, 16)], "eigvalsh": []}
 
     def test_no_stack_holds_more_than_one_n8_density(self, monkeypatch):
         steps = [{"named": "not", "targets": [t]} for t in (0, 7)]
         circuit = parse_circuit({"n": 8, "steps": steps})
         initial = computational_state(PauliIndex((3,) + (0,) * 7))
-        shapes = self._spy_eigvalsh(monkeypatch)
+        shapes = spy_shapes(monkeypatch, np.linalg, "cholesky", "eigvalsh")
         record = run_circuit(circuit, initial)
         assert all(s.validation.valid for s in record.steps)
-        assert shapes == [(1, 256, 256)] * 3
+        assert shapes == {"cholesky": [(1, 256, 256)] * 3, "eigvalsh": []}
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_a_run_report_reads_the_min_eigenvalue_of_validate_density(self, monkeypatch, n):
+        rng = np.random.default_rng([67, n])
+        circuit = parse_circuit({"n": n, "steps": _random_circuit(rng, n)})
+        record = run_circuit(circuit, random_pvec(rng, n))
+        shapes = spy_shapes(monkeypatch, np.linalg, "cholesky", "eigvalsh")
+        got = [step.validation.min_eigenvalue for step in record.steps]
+        # computed on first read, one spectrum per state
+        assert shapes["eigvalsh"] == [(1, 2**n, 2**n)] * len(record.steps)
+        want = [ququat.validate_density(step.state).min_eigenvalue for step in record.steps]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     @staticmethod
     def _spy_apply_local(monkeypatch):

@@ -39,7 +39,7 @@ from ququat.mvlogic import evaluate_expression, synthesize_quantum
 from ququat.serialization import encode_complex_matrix
 from ququat.universality import right_mult_superop
 
-from helpers import entangler_generators, random_pvec, random_unitary
+from helpers import entangler_generators, random_pvec, random_unitary, spy_shapes
 
 
 def run_cli(args, payload=None, tmp_path=None, capsys=None):
@@ -519,6 +519,25 @@ class TestSimulateAndMisc:
         _, out1, _ = run_cli(["simulate"], self.simulate_payload(), tmp_path, capsys)
         _, out2, _ = run_cli(["simulate"], self.simulate_payload(), tmp_path, capsys)
         assert out1 == out2
+
+    def test_a_benchmark_simulate_job_factors_once_and_takes_no_spectrum(self, monkeypatch):
+        # every document of the benchmark's simulate-local workload at seed 1:
+        # the state check is one Cholesky factorization, and no projector kind
+        # or state needs a spectrum
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+        import workloads
+
+        workload = workloads.SimulateLocal(1)
+        calls = spy_shapes(monkeypatch, np.linalg, "cholesky", "eigvalsh")
+        for index in range(workload.pool):
+            (job,) = workload.round(index)
+            out = job.run()
+            # the initial state and seven steps' states, in one stack
+            assert calls == {"cholesky": [(8, 16, 16)], "eigvalsh": []}, index
+            assert job.check(out) == []
+            for shapes in calls.values():
+                shapes.clear()
 
     def test_schema_error_exit_code(self, tmp_path, capsys):
         payload = {"circuit": {"n": 1, "steps": [{"unitary": [[[1], 0], [0, 1]]}]},

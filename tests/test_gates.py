@@ -39,11 +39,13 @@ from ququat import (
     validate_density,
     weyl_generators,
 )
+from ququat.config import tolerances
 from ququat.liouville import SIGMA, PauliIndex
 from ququat.gates import GENERAL, TRACE_DECREASING, TRACE_PRESERVING, classify_kind, measurement
 from ququat.serialization import gate_from_json, gate_to_json
 
-from helpers import P0, P1, depolarizing_kraus, random_pvec, random_tp_kraus, random_unitary
+from helpers import (P0, P1, depolarizing_kraus, random_pvec, random_tp_kraus, random_unitary,
+                     spy_shapes)
 
 RNG = np.random.default_rng(11)
 
@@ -443,6 +445,57 @@ class TestKindRules:
         monkeypatch.setattr(ququat.gates, "KrausSet", no_kraus_set)
         assert measurement([P0, P1]).kinds == (TRACE_DECREASING,) * 2
         assert calls == [(2, 2)] * 3
+
+
+def _eigvalsh_kind(s):
+    """The kind rule by the spectrum alone, the oracle of its trace step: the
+    kind, or the message a trace-increasing s is refused with."""
+    if np.max(np.abs(s - np.eye(len(s)))) <= tolerances.algebra:
+        return TRACE_PRESERVING
+    top = float(np.linalg.eigvalsh(s)[-1])
+    if top <= 1.0 + tolerances.algebra:
+        return TRACE_DECREASING
+    return f"trace-increasing Kraus set: max eigenvalue of sum A^dag A is {top!r}"
+
+
+def _kind_or_message(s):
+    try:
+        return ququat.gates._completeness_kind(s)
+    except NumericContractError as exc:
+        return str(exc)
+
+
+class TestKindTraceStep:
+    """The kind rule decides by Tr(sum A^dag A) where that suffices, and by eigvalsh otherwise."""
+
+    def test_rank_1_qubit_projectors_are_decided_by_their_trace(self, monkeypatch):
+        rng = np.random.default_rng(103)
+        vs = [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(20)]
+        projectors = [P0, P1] + [np.outer(v, v.conj()) / (v.conj() @ v) for v in vs]
+        squares = [p.conj().T @ p for p in projectors]
+        want = [_eigvalsh_kind(s) for s in squares]
+        assert want == [TRACE_DECREASING] * len(squares)
+        calls = spy_shapes(monkeypatch, np.linalg, "eigvalsh")["eigvalsh"]
+        assert [_kind_or_message(s) for s in squares] == want
+        assert measurement([P0, P1]).kinds == (TRACE_DECREASING,) * 2
+        assert calls == []
+
+    def test_other_sets_fall_back_to_the_spectrum(self, monkeypatch):
+        rng = np.random.default_rng(107)
+        v = random_unitary(rng, 16)
+        rank_4 = [v[:, k : k + 4] @ v[:, k : k + 4].conj().T for k in (0, 4, 8, 12)]
+        edge = np.diag([1 + 9e-11, 0.0])  # the family refused as trace-increasing
+        increasing = KrausSet((np.eye(2), 0.5 * SIGMA[1])).completeness()  # 1.25 I
+        squares = [p.conj().T @ p for p in rank_4] + [edge.conj().T @ edge, increasing]
+        want = [_eigvalsh_kind(s) for s in squares]
+        assert want[:4] == [TRACE_DECREASING] * 4
+        assert want[4] == (
+            "trace-increasing Kraus set: max eigenvalue of sum A^dag A is 1.00000000018")
+        assert want[5] == "trace-increasing Kraus set: max eigenvalue of sum A^dag A is 1.25"
+        calls = spy_shapes(monkeypatch, np.linalg, "eigvalsh")["eigvalsh"]
+        assert [_kind_or_message(s) for s in squares] == want
+        assert calls == [(16, 16)] * 4 + [(2, 2)] * 2
+        assert measurement(rank_4).kinds == (TRACE_DECREASING,) * 4
 
 
 # a Lindblad model whose Pauli-basis generator keeps a top-row residue of

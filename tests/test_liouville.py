@@ -1,5 +1,7 @@
 """Basis, inner product and state conversion tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,19 +18,21 @@ from ququat import (
     pvec_to_density,
     validate_density,
 )
-from ququat.config import tolerances
+from ququat.config import set_tolerances, tolerances
 from ququat.liouville import (
     SIGMA,
+    _STACK_ENTRIES,
     LiouvilleVector,
     NonPositiveStateWarning,
     ValidationReport,
     _exponent,
+    _pauli_combine,
     _scale,
     _validate_pvecs,
     _validate_stack,
 )
 
-from helpers import random_density
+from helpers import random_density, spy_shapes
 
 RNG = np.random.default_rng(7)
 
@@ -342,3 +346,163 @@ def test_an_imaginary_diagonal_is_refused_at_any_size(s):
     rho[0, 0] += 1j * s
     with pytest.raises(NumericContractError, match="^input is not Hermitian"):
         density_to_pvec(DensityMatrix(1, rho))
+
+
+# -- the factored state check against the eigvalsh route -------------------------
+
+
+def _eigvalsh_route(ps, n, stacked=False):
+    """The reports of _validate_stack, the route that takes every spectrum and
+    the oracle of the factored one: of each Pauli vector on its own, or
+    stacked as _validate_pvecs stacks them."""
+    size = max(1, _STACK_ENTRIES // 4**n) if stacked else 1
+    chunks = [np.stack(ps[i : i + size], axis=1) for i in range(0, len(ps), size)]
+    return [rep for p in chunks for rep in _validate_stack(_pauli_combine(p, n), n)]
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _assert_same_reports(got, want, n):
+    """Flags and min eigenvalues bit for bit; trace and purity to the rounding of rho."""
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        for flag in _FLAGS:
+            assert getattr(g, flag) == getattr(w, flag), (i, flag)
+        assert _bits(g.min_eigenvalue) == _bits(w.min_eigenvalue), i
+        for name in ("trace", "purity"):
+            a, b = getattr(g, name), getattr(w, name)
+            rounding = 2**n * np.finfo(float).eps * abs(b)
+            assert _bits(a) == _bits(b) or abs(a - b) <= rounding, (i, name)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """The shapes passed to ``cholesky`` and to ``eigvalsh``, call by call."""
+    return spy_shapes(monkeypatch, np.linalg, "cholesky", "eigvalsh")
+
+
+def _forget(calls) -> None:
+    for shapes in calls.values():
+        shapes.clear()
+
+
+def _pure_pvec(rng, n):
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    rho = np.outer(v, v.conj()) / (v.conj() @ v)
+    return density_to_pvec(DensityMatrix(n, (rho + rho.conj().T) / 2)).P
+
+
+def _seeded_pvecs(rng, n):
+    """PSD states of full rank, rank 1 and with zero eigenvalues, then invalid ones."""
+    mixed = [density_to_pvec(random_density(rng, n)).P for _ in range(3 if n == 8 else 6)]
+    picks = rng.integers(4**n, size=2)
+    basis = [computational_state(PauliIndex.from_scalar(int(k), n)).P for k in picks]
+    pure = _pure_pvec(rng, n)
+    flat = computational_state(PauliIndex((0,) * n)).P  # I / 2**n
+    valid = mixed + [pure, flat] + basis
+    # trace 1.5, then two indefinite ones of unit trace
+    return valid, [1.5 * mixed[0], 2.0 * mixed[1] - flat, np.r_[1.0, 3.0 * pure[1:]]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+def test_factored_route_matches_the_eigvalsh_route(n, linalg_calls):
+    valid, invalid = _seeded_pvecs(np.random.default_rng([83, n]), n)
+    want = _eigvalsh_route(valid + invalid, n)
+    assert [w.psd for w in want] == [True] * len(valid) + [True, False, False]
+    _forget(linalg_calls)
+    got = [_validate_pvecs([p], n)[0] for p in valid]
+    # no spectrum until a min eigenvalue is read
+    assert linalg_calls == {"cholesky": [(1, 2**n, 2**n)] * len(valid), "eigvalsh": []}
+    _assert_same_reports(got, want[: len(valid)], n)
+    # a chunk holding an indefinite state takes the spectrum of each
+    stacked = _eigvalsh_route(valid + invalid, n, stacked=True)
+    _assert_same_reports(_validate_pvecs(valid + invalid, n), stacked, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("depth,factored,psd", [
+    (0.99 / 2, True, True),  # just inside tol_psd / 2
+    (1.01 / 2, False, True),  # just outside it
+    (0.99, False, True),  # just inside tol_psd
+    (1.01, False, False),  # just outside it
+])
+def test_states_at_the_psd_slack_edges(n, depth, factored, psd, linalg_calls):
+    rng = np.random.default_rng([89, n])
+    d = 2**n
+    low = -depth * tolerances.psd
+    eigs = np.concatenate([[low], rng.uniform(0.5, 1.0, size=d - 1)])
+    eigs[1:] *= (1 - low) / eigs[1:].sum()
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    rho = (u * eigs) @ u.conj().T
+    p = density_to_pvec(DensityMatrix(n, (rho + rho.conj().T) / 2)).P
+    want = _eigvalsh_route([p], n)
+    assert want[0].psd is psd
+    _forget(linalg_calls)
+    got = _validate_pvecs([p], n)
+    assert linalg_calls == {"cholesky": [(1, d, d)], "eigvalsh": [] if factored else [(1, d, d)]}
+    _assert_same_reports(got, want, n)
+
+
+@pytest.mark.parametrize("slack", [{"psd": 1e-16}, {"algebra": 1e-17}])
+def test_a_slack_too_small_for_the_factorization_takes_the_spectrum(slack, linalg_calls):
+    states = {n: sum(_seeded_pvecs(np.random.default_rng([97, n]), n), []) for n in (1, 3)}
+    saved = tolerances.algebra, tolerances.psd
+    set_tolerances(**slack)
+    try:
+        for n, ps in states.items():
+            want = _eigvalsh_route(ps, n, stacked=True)
+            _forget(linalg_calls)
+            got = _validate_pvecs(ps, n)
+            assert linalg_calls == {"cholesky": [], "eigvalsh": [(len(ps), 2**n, 2**n)]}
+            _assert_same_reports(got, want, n)
+    finally:
+        set_tolerances(*saved)
+
+
+@pytest.mark.parametrize("p", [
+    [1.7e308, 0.2, 0.1, 0.3],  # the two overflow cases of `state validate`
+    [1.7e308, 0.0, 0.0, 1.7e308],
+    [1.0, 1e200, 0.0, 0.0],  # finite, far from PSD
+    [1.0, 0.0, np.nan, 0.0],
+    [1.0, np.inf, 0.0, 0.0],
+    [-np.inf, 0.0, 0.0, 0.0],
+])
+def test_non_finite_and_overflowing_states_keep_the_eigvalsh_route(p):
+    with np.errstate(all="ignore"):
+        got = _validate_pvecs([np.array(p)], 1)[0]
+        want = _eigvalsh_route([np.array(p)], 1)[0]
+    assert not got.valid
+    for name in (*_FLAGS, *_VALUES):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+
+
+def test_a_non_hermitian_density_is_never_factored(linalg_calls):
+    rng = np.random.default_rng(101)
+    for n in (1, 3):
+        g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        rep = validate_density(DensityMatrix(n, g / np.trace(g)))
+        _assert_reports_match([rep], [_oracle_validate(DensityMatrix(n, g / np.trace(g)))])
+        assert not rep.hermitian
+    assert linalg_calls["cholesky"] == []
+
+
+def test_a_min_eigenvalue_is_computed_once_when_first_read():
+    calls = []
+
+    def spectrum():
+        calls.append(1)
+        return -0.25
+
+    flags = dict(hermitian=True, unit_trace=True, psd=False, purity_in_bounds=True)
+    rep = ValidationReport(**flags, trace=1.0, min_eigenvalue=spectrum, purity=0.5)
+    assert calls == []
+    assert rep.min_eigenvalue == -0.25 and rep.min_eigenvalue == -0.25
+    assert calls == [1]
+    eager = ValidationReport(**flags, trace=1.0, min_eigenvalue=-0.25, purity=0.5)
+    assert rep == eager and hash(rep) == hash(eager)
+    assert list(dataclasses.asdict(eager)) == [
+        "hermitian", "unit_trace", "psd", "purity_in_bounds", "trace", "min_eigenvalue", "purity"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.min_eigenvalue = 0.0
