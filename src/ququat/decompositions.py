@@ -212,10 +212,10 @@ def euler_angles(gate: GateMatrix) -> EulerAngles:
     if gate.entries.shape != (4, 4):
         raise NumericContractError("euler_angles requires a single-ququat gate")
     split = split_translation(gate)
-    if np.max(np.abs(split.t)) > tol:
+    if np.abs(split.t).max() > tol:
         raise NumericContractError("euler_angles requires a unital gate")
     b = split.r
-    if np.max(np.abs(b @ b.T - np.eye(3))) > tol:
+    if np.abs(b @ b.T - np.eye(3)).max() > tol:
         raise NumericContractError("Bloch block is not orthogonal")
     if np.linalg.det(b) < 0:
         raise NumericContractError("Bloch block has determinant -1 (not from SU(2))")

@@ -26,8 +26,8 @@ import numpy as np
 
 from .config import MAX_GATE_QUQUATS, tolerances
 from .errors import NumericContractError, ZeroProbabilityError
-from .liouville import (PauliVector, _U, _basis_product, _exponent, _frozen, _kron, _pauli_transfer,
-                        _real_part, _superop_transfer)
+from .liouville import (PauliVector, _U, _basis_product, _eigvalsh, _exponent, _frozen, _kron,
+                        _pauli_transfer, _real_part, _superop_transfer)
 
 __all__ = [
     "GateMatrix",
@@ -135,12 +135,12 @@ def _completeness_kind(s: np.ndarray) -> str:
     d**2 products, and of ``eigvalsh``.  Otherwise ``eigvalsh`` decides.
     """
     d = len(s)
-    if np.max(np.abs(s - np.eye(d))) <= tolerances.algebra:
+    if np.abs(s - np.eye(d)).max() <= tolerances.algebra:
         return TRACE_PRESERVING
     trace = float(np.trace(s).real)
     if trace * (1 + 4 * (d * d + 1) * _U) <= 1.0 + tolerances.algebra:
         return TRACE_DECREASING
-    top = float(np.linalg.eigvalsh(s)[-1])
+    top = float(_eigvalsh(s)[-1])
     if top <= 1.0 + tolerances.algebra:
         return TRACE_DECREASING
     raise NumericContractError(
@@ -182,7 +182,7 @@ def _row0_deviation(row: np.ndarray) -> float:
     """max |row - delta| for delta = (1, 0, ..., 0), the row 0 of a trace-preserving gate."""
     delta = np.zeros(len(row))
     delta[0] = 1.0
-    return float(np.max(np.abs(row - delta)))
+    return float(np.abs(row - delta).max())
 
 
 def _pin_row0(row: np.ndarray) -> None:
@@ -233,7 +233,7 @@ def gate_from_unitary(u: np.ndarray) -> GateMatrix:
     if not np.isfinite(u).all():
         raise NumericContractError("unitary has non-finite entries")
     n = _operator_ququats(u, "unitary")
-    if np.max(np.abs(u.conj().T @ u - np.eye(2**n))) > tolerances.algebra:
+    if np.abs(u.conj().T @ u - np.eye(2**n)).max() > tolerances.algebra:
         raise NumericContractError("input is not unitary within tolerance")
     return _kraus_gate([u], n, n, TRACE_PRESERVING)
 
@@ -286,7 +286,7 @@ def measurement(projectors) -> Measurement:
     sizes = []
     for i, p in enumerate(projectors):
         sizes.append(_operator_ququats(p, f"projector {i}"))
-        if np.max(np.abs(p - p.conj().T)) > tol or np.max(np.abs(p @ p - p)) > tol:
+        if np.abs(p - p.conj().T).max() > tol or np.abs(p @ p - p).max() > tol:
             raise NumericContractError(f"projector {i} is not Hermitian idempotent")
     n, d = sizes[0], len(projectors[0])
     for i, p in enumerate(projectors):
@@ -296,7 +296,7 @@ def measurement(projectors) -> Measurement:
             )
     for i in range(len(projectors)):
         for j in range(i + 1, len(projectors)):
-            if np.max(np.abs(projectors[i] @ projectors[j])) > tol:
+            if np.abs(projectors[i] @ projectors[j]).max() > tol:
                 raise NumericContractError(f"projectors {i} and {j} are not orthogonal")
     squares = np.stack([p.conj().T @ p for p in projectors])
     if not np.isfinite(squares).all():
@@ -465,7 +465,7 @@ def choi_matrix(gate: GateMatrix) -> np.ndarray:
     j = j.reshape(d_out, d_out, d_in, d_in).transpose(0, 3, 1, 2).reshape(d_out * d_in, -1)
     j /= d_out
     jh = j.conj().T
-    resid = float(np.max(np.abs(j - jh)))
+    resid = float(np.abs(j - jh).max())
     if not resid <= tolerances.algebra:  # a NaN is refused before eigvalsh meets it
         raise NumericContractError(f"Choi matrix not Hermitian: residual {resid:.3e}")
     j += jh
@@ -489,6 +489,13 @@ class GateReport:
     t_norm: float
 
 
+def _gram_deviation(g: np.ndarray) -> float:
+    """max|G - I| of a fresh Gram product G, which it overwrites: 1 is taken
+    off its diagonal in place, the same differences without an identity."""
+    np.fill_diagonal(g, g.diagonal() - 1.0)
+    return float(np.abs(g).max())
+
+
 def analyze_gate(gate: GateMatrix) -> GateReport:
     """Test a gate against the superoperator requirements.
 
@@ -502,11 +509,8 @@ def analyze_gate(gate: GateMatrix) -> GateReport:
     row0_sq = float(e[0] @ e[0])
     t_norm = float(np.linalg.norm(e[1:, 0]))
     unital = _row0_deviation(e[:, 0]) <= tol
-    ortho = (
-        np.max(np.abs(e @ e.T - np.eye(e.shape[0]))) <= tol
-        and np.max(np.abs(e.T @ e - np.eye(e.shape[1]))) <= tol
-    )
-    min_choi = float(np.linalg.eigvalsh(choi_matrix(gate))[0])
+    ortho = _gram_deviation(e @ e.T) <= tol and _gram_deviation(e.T @ e) <= tol
+    min_choi = float(_eigvalsh(choi_matrix(gate))[0])
     return GateReport(
         real=bool(np.isrealobj(e)),
         trace_preserving=row0_dev <= tol,
@@ -555,7 +559,7 @@ def check_reversible(kraus: KrausSet | list | tuple, p_m: np.ndarray) -> Reversi
     d = 2**kraus.n_in
     if p.shape != (d, d):
         raise NumericContractError(f"P_M must be {d}x{d} like the Kraus input, got {p.shape}")
-    if np.max(np.abs(p - p.conj().T)) > tol or np.max(np.abs(p @ p - p)) > tol:
+    if np.abs(p - p.conj().T).max() > tol or np.abs(p @ p - p).max() > tol:
         raise NumericContractError("P_M is not a Hermitian idempotent projector")
     tr_p = float(np.trace(p).real)
     if tr_p <= tol:
@@ -567,9 +571,9 @@ def check_reversible(kraus: KrausSet | list | tuple, p_m: np.ndarray) -> Reversi
         for k, ak in enumerate(ops):
             block = p @ ak.conj().T @ aj @ p
             m[j, k] = np.trace(block) / tr_p
-            residual = max(residual, float(np.max(np.abs(block - m[j, k] * p))))
-    herm = float(np.max(np.abs(m - m.conj().T)))
-    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+            residual = max(residual, float(np.abs(block - m[j, k] * p).max()))
+    herm = float(np.abs(m - m.conj().T).max())
+    min_eig = float(_eigvalsh((m + m.conj().T) / 2)[0])
     reversible = residual <= tol and herm <= tol and min_eig >= -tolerances.psd
     return ReversibilityCertificate(
         reversible=reversible, m=m, mu_sq=float(np.trace(m).real), residual=residual
@@ -585,12 +589,12 @@ def check_reversible_superop(gate: GateMatrix, gate_m: GateMatrix) -> tuple[bool
     """
     tol = tolerances.algebra
     gm = gate_m.entries
-    if np.max(np.abs(gm @ gm - gm)) > tol or np.max(np.abs(gm - gm.T)) > tol:
+    if np.abs(gm @ gm - gm).max() > tol or np.abs(gm - gm.T).max() > tol:
         raise NumericContractError("projection gate is not symmetric idempotent")
     x = gm @ gate.entries.T @ gate.entries @ gm
     denom = float(np.sum(gm * gm))
     if denom <= tol:
         raise NumericContractError("projection gate is zero")
     gamma = float(np.sum(x * gm) / denom)
-    residual = float(np.max(np.abs(x - gamma * gm)))
+    residual = float(np.abs(x - gamma * gm).max())
     return residual <= tol, gamma

@@ -38,7 +38,7 @@ from scipy.linalg import expm
 from .config import tolerances
 from .errors import NumericContractError
 from .gates import GateMatrix, TRACE_PRESERVING, _operator_ququats, _pin_row0
-from .liouville import SIGMA, _kron, _real_part, _scale, _superop_transfer
+from .liouville import SIGMA, _eigvalsh, _kron, _real_part, _scale, _superop_transfer
 
 __all__ = [
     "GKSModel",
@@ -77,7 +77,7 @@ class GKSModel:
 
     def is_hermitian(self) -> bool:
         """max|C - C^H| within the algebraic tolerance, read at C's size (``_scale``)."""
-        resid = float(np.max(np.abs(self.c - self.c.conj().T)))
+        resid = float(np.abs(self.c - self.c.conj().T).max())
         return resid <= tolerances.algebra * _scale(self.c)
 
     def is_positive(self) -> bool:
@@ -85,7 +85,7 @@ class GKSModel:
         slack read at C's size (``_scale``).  The form is halved before it is
         summed, so no finite C overflows it."""
         form = self.c / 2 + self.c.conj().T / 2
-        return float(np.linalg.eigvalsh(form)[0]) >= -tolerances.psd * _scale(self.c)
+        return float(_eigvalsh(form)[0]) >= -tolerances.psd * _scale(self.c)
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class GeneratorMatrix:
         matrix = np.array(self.matrix, dtype=float)
         if matrix.shape != (4, 4):
             raise NumericContractError("generator matrix must be 4x4")
-        if not np.max(np.abs(matrix[0])) <= tolerances.algebra * _scale(matrix):  # NaN refused
+        if not np.abs(matrix[0]).max() <= tolerances.algebra * _scale(matrix):  # NaN refused
             raise NumericContractError("generator top row must vanish (trace preservation)")
         matrix[0] = 0.0
         matrix.setflags(write=False)
@@ -190,7 +190,7 @@ class LiouvillianSuperop:
         scale = _scale(self.matrix)
         gen = _real_part(_superop_transfer(self.matrix, self.n, self.n),
                          "Pauli-basis generator not real: residual", scale)
-        row0 = float(np.max(np.abs(gen[0])))
+        row0 = float(np.abs(gen[0]).max())
         if row0 > tolerances.algebra * scale:
             raise NumericContractError(
                 f"generator does not preserve trace: top row residual {row0:.3e}"
@@ -208,7 +208,7 @@ def liouvillian_superop(h: np.ndarray, v: list | tuple = ()) -> LiouvillianSuper
     h = np.asarray(h, dtype=complex)
     n = _operator_ququats(h, "H")
     d = 2**n
-    if np.max(np.abs(h - h.conj().T)) > tolerances.algebra * _scale(h):
+    if np.abs(h - h.conj().T).max() > tolerances.algebra * _scale(h):
         raise NumericContractError("H must be Hermitian")
     eye = np.eye(d)
     mat = -1j * (_kron(h, eye) - _kron(eye, h.T))

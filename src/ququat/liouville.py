@@ -202,15 +202,29 @@ def _scale(a: np.ndarray) -> float:
     """max|a| when 1 < max|a| < inf, else 1 (a NaN included).  Rounding grows
     with the operator, so a certificate on an operator the caller sized reads
     its tolerance times this factor; where max|a| <= 1 the bound is the tolerance."""
-    size = float(np.max(np.abs(a)))
+    size = float(np.abs(a).max())
     return size if 1.0 < size < np.inf else 1.0
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, by ``np.linalg.eigvalsh``.
+
+    A complex matrix whose imaginary part is exactly zero is real symmetric,
+    and the real solver, which costs about a quarter of the complex one,
+    takes its real part; the eigenvalues agree with the complex solver's to
+    rounding.  A -0.0 counts as zero; a NaN does not, so such a matrix
+    takes the complex solver as any other input does.
+    """
+    if np.iscomplexobj(a) and not a.imag.any():
+        a = a.real
+    return np.linalg.eigvalsh(a)
 
 
 def _real_part(a: np.ndarray, message: str, scale: float = 1.0) -> np.ndarray:
     """Real part of a Pauli-basis result, refused with ``message`` and the
     largest imaginary part when that exceeds the algebraic tolerance times
     ``scale``: :func:`_scale` of the operator the caller sized, else 1."""
-    resid = float(np.max(np.abs(a.imag)))
+    resid = float(np.abs(a.imag).max())
     if resid > tolerances.algebra * scale:
         raise NumericContractError(f"{message} {resid:.3e}")
     return a.real
@@ -366,12 +380,15 @@ def pvec_to_density(pvec: PauliVector) -> DensityMatrix:
 
     Requires P[0] = 1 (unit trace).  If the result is not positive
     semidefinite a :class:`NonPositiveStateWarning` is issued; the matrix
-    is still returned.
+    is still returned.  A Cholesky factorization (:func:`_psd_factors`)
+    clears a PSD result; the spectrum is taken only when it does not.
     """
     if abs(pvec.P[0] - 1.0) > tolerances.algebra:
         raise NumericContractError(f"P[0] must be 1 for a normalized state, got {pvec.P[0]}")
     rho = _pauli_combine(pvec.P, pvec.n)
     out = DensityMatrix(pvec.n, rho)
+    if _psd_factors(rho, abs(float(pvec.P[0]))):
+        return out
     min_eig = float(np.linalg.eigvalsh(rho)[0])
     if min_eig < -tolerances.psd:
         warnings.warn(
@@ -455,6 +472,34 @@ _STACK_ENTRIES = 4**8
 _U = np.finfo(float).eps / 2
 
 
+def _psd_factors(rho: np.ndarray, trace: float) -> bool:
+    """Whether one Cholesky factorization of rho + s I, s = tol_psd / 2, shows
+    each operator of ``rho`` (2**n x 2**n, or a stack of them) to be PSD as the
+    eigenvalue test of :func:`_validate_stack` finds it; ``trace`` bounds |Tr rho|.
+    rho must be Hermitian, as the density of a real Pauli vector is: the
+    factorization reads one triangle.
+
+    A factorization that completes is exact for a perturbation of norm at
+    most about (d + 1) u Tr(rho + s I), d = 2**n and u the unit roundoff
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    section 10.1), so every min eigenvalue is above -s less that term.
+    Twice the term, for complex arithmetic and for the rounding of rho
+    itself, must be below s and the algebraic tolerance; then the verdict
+    is the spectrum's.  False when rho is not finite, the term is too
+    large or the factorization fails: the spectrum must then decide.
+    """
+    d = rho.shape[-1]
+    s = tolerances.psd / 2
+    rounding = 2 * (d + 1) * _U * (trace + d * s)
+    if not (rounding < min(s, tolerances.algebra) and np.isfinite(rho).all()):
+        return False
+    try:
+        np.linalg.cholesky(rho + s * np.eye(d))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _validate_pvecs(ps, n: int) -> list[ValidationReport]:
     """:func:`validate_density` of each length-4**n Pauli vector in ``ps``, in order.
 
@@ -462,40 +507,26 @@ def _validate_pvecs(ps, n: int) -> list[ValidationReport]:
     chunk of at most _STACK_ENTRIES // 4**n of them (one from n = 8 up).
     A chunk's traces P[0] and purities |P|**2 / 2**n are read off P, which
     is Hermitian by construction, and one Cholesky factorization of the
-    stack rho + s I, s = tol_psd / 2, decides ``psd``.  A factorization
-    that completes is exact for a perturbation of norm at most about
-    (d + 1) u Tr(rho + s I), d = 2**n and u the unit roundoff (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2002, section 10.1),
-    so every min eigenvalue is above -s less that term, and is computed
-    only when read.  Twice the term, for complex arithmetic and for the
-    rounding of rho itself, must be below s and the algebraic tolerance;
-    then every verdict is that of :func:`_validate_stack`.  A chunk that
-    is not finite, whose term is too large, or whose factorization fails
-    is checked by :func:`_validate_stack` instead.
+    stack (:func:`_psd_factors`) decides ``psd``; every min eigenvalue is
+    then computed only when read.  A chunk that factorization does not
+    clear is checked by :func:`_validate_stack` instead.
     """
     size = max(1, _STACK_ENTRIES // 4**n)
     d = 2**n
-    s = tolerances.psd / 2
     reports = []
     for start in range(0, len(ps), size):
         chunk = ps[start : start + size]
         p = np.stack(chunk, axis=1)
         rho = _pauli_combine(p, n)
-        rounding = 2 * (d + 1) * _U * (float(np.max(np.abs(p[0]))) + d * s)
-        if rounding < min(s, tolerances.algebra) and np.isfinite(rho).all():
-            try:
-                np.linalg.cholesky(rho + s * np.eye(d))
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                purities = (np.einsum("ij,ij->j", p, p) / d).tolist()
-                spectra = [functools.partial(_pvec_min_eigenvalue, vec, n) for vec in chunk]
-                reports += [
-                    _report(n, True, trace, True, min_eig, purity)
-                    for trace, min_eig, purity in zip(p[0].tolist(), spectra, purities)
-                ]
-                continue
-        reports += _validate_stack(rho, n)
+        if _psd_factors(rho, float(np.abs(p[0]).max())):
+            purities = (np.einsum("ij,ij->j", p, p) / d).tolist()
+            spectra = [functools.partial(_pvec_min_eigenvalue, vec, n) for vec in chunk]
+            reports += [
+                _report(n, True, trace, True, min_eig, purity)
+                for trace, min_eig, purity in zip(p[0].tolist(), spectra, purities)
+            ]
+        else:
+            reports += _validate_stack(rho, n)
     return reports
 
 
@@ -514,7 +545,7 @@ def _validate_stack(rho: np.ndarray, n: int) -> list[ValidationReport]:
     eigenvalues of its Hermitian part (r + r^H) / 2 on its own, or, if it
     holds a NaN or an infinity, a NaN minimum eigenvalue and ``psd`` False.
     """
-    ok = np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2)) <= tolerances.algebra
+    ok = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= tolerances.algebra
     herm = ok.tolist()
     traces = np.trace(rho, axis1=1, axis2=2).tolist()
     purities = np.trace(rho @ rho, axis1=1, axis2=2).real.tolist()

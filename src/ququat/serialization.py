@@ -213,7 +213,7 @@ def decode_real_matrix(obj, path: str) -> np.ndarray:
         # rows of plain numbers: no imaginary part to scan
         return _finite(arr, path)
     m = decode_complex_matrix(obj, path)
-    if np.max(np.abs(m.imag)) > 0:
+    if np.abs(m.imag).max() > 0:
         raise SchemaError(f"{path}: expected a real matrix")
     return m.real
 

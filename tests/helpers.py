@@ -77,6 +77,20 @@ def spy_shapes(monkeypatch, module, *names) -> dict[str, list]:
     return shapes
 
 
+def spy_arguments(monkeypatch, module, name) -> list:
+    """Wrap the function ``name`` of ``module`` so that every call first
+    appends its first argument, the object itself, to the returned list."""
+    seen = []
+    func = getattr(module, name)
+
+    def spy(a, *args, **kwargs):
+        seen.append(a)
+        return func(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 

@@ -45,7 +45,7 @@ from ququat.gates import GENERAL, TRACE_DECREASING, TRACE_PRESERVING, classify_k
 from ququat.serialization import gate_from_json, gate_to_json
 
 from helpers import (P0, P1, depolarizing_kraus, random_pvec, random_tp_kraus, random_unitary,
-                     spy_shapes)
+                     spy_arguments, spy_shapes)
 
 RNG = np.random.default_rng(11)
 
@@ -590,6 +590,93 @@ class TestAnalyze:
         assert rep.trace_preserving
         assert not rep.unital
         assert rep.t_norm == pytest.approx(1.0, abs=1e-12)
+
+
+def _eye_orthogonal(e):
+    """The orthogonality test as differences with an identity, the oracle of the in-place one."""
+    tol = tolerances.algebra
+    return bool(
+        np.max(np.abs(e @ e.T - np.eye(e.shape[0]))) <= tol
+        and np.max(np.abs(e.T @ e - np.eye(e.shape[1]))) <= tol
+    )
+
+
+def _transpose_gate(n):
+    """The transpose map rho -> rho^T on n ququats: sigma_y changes sign."""
+    entries = np.ones(1)
+    for _ in range(n):
+        entries = np.kron(entries, [1.0, 1.0, -1.0, 1.0])
+    return gate_from_matrix(np.diag(entries))
+
+
+def _real_kraus_gate(rng, n, m=3):
+    """A trace-preserving channel of m real Gaussian Kraus operators, whitened."""
+    d = 2**n
+    blocks = [rng.normal(size=(d, d)) for _ in range(m)]
+    w, v = np.linalg.eigh(sum(b.T @ b for b in blocks))
+    return gate_from_kraus([b @ (v / np.sqrt(w)) @ v.T for b in blocks])
+
+
+def _real_orthogonal_gate(rng, n):
+    return gate_from_unitary(np.linalg.qr(rng.normal(size=(2**n, 2**n)))[0])
+
+
+# name -> (gate, whether its Choi matrix is real and takes the real solver)
+CHOI_ROUTE_GATES = {
+    **{f"transpose-{n}": (lambda n=n: _transpose_gate(n), True) for n in range(1, 6)},
+    **{f"real-kraus-{n}": (lambda n=n: _real_kraus_gate(np.random.default_rng([137, n]), n), True)
+       for n in range(1, 5)},
+    **{f"real-orthogonal-{n}":
+       (lambda n=n: _real_orthogonal_gate(np.random.default_rng([139, n]), n), True)
+       for n in range(1, 5)},
+    "table-box": (lambda: synthesize_quantum(builtin("box")), True),
+    "table-luk-neg": (lambda: synthesize_quantum(builtin("luk_neg")), False),
+    "haar-2": (lambda: gate_from_unitary(random_unitary(np.random.default_rng(149), 4)), False),
+}
+
+
+@pytest.mark.parametrize("name", CHOI_ROUTE_GATES)
+def test_analyze_gate_matches_the_complex_solver(name, monkeypatch):
+    build, real = CHOI_ROUTE_GATES[name]
+    gate = build()
+    want_min = float(np.linalg.eigvalsh(choi_matrix(gate))[0])  # the oracle
+    seen = spy_arguments(monkeypatch, np.linalg, "eigvalsh")
+    rep = analyze_gate(gate)
+    assert [x.dtype for x in seen] == [np.float64 if real else complex]
+    assert abs(rep.min_choi_eigenvalue - want_min) <= 1e-12
+    assert rep.completely_positive == (want_min >= -tolerances.psd)
+    assert rep.orthogonal == _eye_orthogonal(gate.entries)
+    if name.startswith("transpose"):  # its Choi matrix is the swap
+        assert rep.min_choi_eigenvalue == pytest.approx(-1, abs=1e-12)
+
+
+def _scaled(gate, eps):
+    """(1 + eps) E: both Gram products are (1 + eps)**2 I, off I by about 2 eps."""
+    return gate_from_matrix((1.0 + eps) * gate.entries)
+
+
+@pytest.mark.parametrize("gate", [
+    gate_from_unitary(random_unitary(np.random.default_rng(151), 2)),
+    gate_from_unitary(random_unitary(np.random.default_rng(151), 4)),
+    _transpose_gate(2),
+    synthesize_quantum(builtin("max")),  # 4 x 16: the two Gram products differ in size
+    gate_from_kraus([P0]),
+])
+@pytest.mark.parametrize("eps", [0.0, 0.45e-10, 0.55e-10, -0.45e-10, -0.55e-10])
+def test_the_in_place_orthogonality_test_matches_the_identity_differences(gate, eps):
+    scaled = _scaled(gate, eps)
+    e = scaled.entries
+    assert analyze_gate(scaled).orthogonal == _eye_orthogonal(e)
+    for g, side in ((e @ e.T, e.shape[0]), (e.T @ e, e.shape[1])):
+        want = np.max(np.abs(g - np.eye(side)))
+        assert np.float64(ququat.gates._gram_deviation(g)).tobytes() == want.tobytes()
+
+
+def test_orthogonality_at_the_tolerance_edges():
+    gate = gate_from_unitary(random_unitary(np.random.default_rng(157), 2))
+    verdicts = [analyze_gate(_scaled(gate, eps)).orthogonal
+                for eps in (0.45e-10, 0.55e-10, -0.45e-10, -0.55e-10)]
+    assert verdicts == [True, False, True, False]
 
 
 class TestReversibility:

@@ -19,8 +19,9 @@ them, and every mutant that sets one numeric leaf to a float edge of
 ``GateWide(101)``, each job fed the output of the one before as the
 benchmark does; the ``SimulateLocal(101)`` and ``(102)`` documents; and
 the ``mvlogic``, measurement and edge commands below; and last, seeded
-single-qubit Lindblad models and two witnesses at large coefficients, and the
-cases of certificates read at an operator's size.  BLAS runs on one
+single-qubit Lindblad models and two witnesses at large coefficients, the
+cases of certificates read at an operator's size, and ``gate analyze`` of
+gates whose Choi matrix is real.  BLAS runs on one
 thread, as with more threads two runs of one revision can differ in the
 last bits.  The tool exits 1 when any case ends outside the CLI's exit
 codes 0, 2, 3 and 4, such as in a traceback, or prints a non-finite
@@ -338,6 +339,35 @@ def _size_rule_cases():
         yield ["--format", "text", "--precision", str(precision), "universality", "swap"], ""
 
 
+def _real_channel_cases():
+    """After the size-rule cases: ``gate analyze``, in JSON and in text, of gates
+    whose Choi matrix is real, each built by the CLI first: seeded channels of
+    three real Kraus operators, two at each of n = 1..4 (``gate from-kraus``),
+    a seeded real orthogonal unitary at n = 3 (``gate from-unitary``), and the
+    arity-2 table below (``mvlogic synth``), where every input with exactly
+    one digit 2 goes where (0, 0) goes.  The Kraus channels are of rank 3, so
+    their least Choi eigenvalues are rounding-level zeros."""
+    import numpy as np
+
+    builds = []
+    for n in (1, 2, 3, 4):
+        for seed in range(2):
+            rng = np.random.default_rng([2029, n, seed])
+            blocks = [rng.normal(size=(2**n, 2**n)) for _ in range(3)]
+            w, v = np.linalg.eigh(sum(b.T @ b for b in blocks))
+            ops = [b @ (v / np.sqrt(w)) @ v.T for b in blocks]
+            builds.append((["gate", "from-kraus"], {"ops": [a.tolist() for a in ops]}))
+    rng = np.random.default_rng([2029, 3])
+    q = np.linalg.qr(rng.normal(size=(8, 8)))[0]
+    builds.append((["gate", "from-unitary"], {"U": q.tolist()}))
+    table = {"arity": 2, "outputs": [0, 3, 0, 0, 0, 1, 0, 3, 0, 0, 1, 0, 1, 1, 0, 0]}
+    builds.append((["mvlogic", "synth"], table))
+    for argv, doc in builds:
+        code, out, _ = yield argv, json.dumps(doc)
+        for fmt in ("json", "text") if code == 0 else ():
+            yield ["--format", fmt, "gate", "analyze"], out
+
+
 def _one_step(n, step):
     """A ``simulate`` document of one step on n ququats from the state P = (1, 0, ..., 0)."""
     state = {"n": n, "P": [1.0] + [0.0] * (4**n - 1)}
@@ -431,6 +461,7 @@ def corpus():
     yield from _edge_cases()
     yield from _lindblad_model_cases()
     yield from _size_rule_cases()
+    yield from _real_channel_cases()
 
 
 def _results(root: Path):
