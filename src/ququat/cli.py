@@ -264,16 +264,11 @@ def _json_pieces(obj, pad: str = "", out: list | None = None) -> list[str]:
     The pieces join to ``json.dumps(obj, indent=2, sort_keys=True,
     default=np.ndarray.tolist)``.  A float64 array, such as gate entries,
     is written by ``_write_array``; a list of plain ints and floats by the
-    C encoder, whose "," separators become the indented line breaks; a
-    plain int or finite float by its ``repr``, the C encoder's spelling.
+    C encoder, whose "," separators become the indented line breaks.
     Object keys must be strings.
     """
     out = [] if out is None else out
-    kind = type(obj)
-    if kind is int or kind is float and math.isfinite(obj):
-        out.append(kind.__repr__(obj))  # the C encoder's own spelling of the scalar
-        return out
-    if kind is np.ndarray and (obj.dtype != float or not obj.ndim or len(pad) > 510):
+    if type(obj) is np.ndarray and (obj.dtype != float or not obj.ndim or len(pad) > 510):
         obj = obj.tolist()  # orjson writes float64 arrays of one axis or more, in <= 255 lists
     inner = pad + "  "
     if type(obj) is np.ndarray:

@@ -140,7 +140,7 @@ def _completeness_kind(s: np.ndarray) -> str:
     trace = float(np.trace(s).real)
     if trace * (1 + 4 * (d * d + 1) * _U) <= 1.0 + tolerances.algebra:
         return TRACE_DECREASING
-    top = float(_eigvalsh(s)[-1])
+    top = float(np.linalg.eigvalsh(s)[-1])
     if top <= 1.0 + tolerances.algebra:
         return TRACE_DECREASING
     raise NumericContractError(
@@ -573,7 +573,7 @@ def check_reversible(kraus: KrausSet | list | tuple, p_m: np.ndarray) -> Reversi
             m[j, k] = np.trace(block) / tr_p
             residual = max(residual, float(np.abs(block - m[j, k] * p).max()))
     herm = float(np.abs(m - m.conj().T).max())
-    min_eig = float(_eigvalsh((m + m.conj().T) / 2)[0])
+    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
     reversible = residual <= tol and herm <= tol and min_eig >= -tolerances.psd
     return ReversibilityCertificate(
         reversible=reversible, m=m, mu_sq=float(np.trace(m).real), residual=residual

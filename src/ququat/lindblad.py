@@ -38,7 +38,7 @@ from scipy.linalg import expm
 from .config import tolerances
 from .errors import NumericContractError
 from .gates import GateMatrix, TRACE_PRESERVING, _operator_ququats, _pin_row0
-from .liouville import SIGMA, _eigvalsh, _kron, _real_part, _scale, _superop_transfer
+from .liouville import SIGMA, _kron, _real_part, _scale, _superop_transfer
 
 __all__ = [
     "GKSModel",
@@ -85,7 +85,7 @@ class GKSModel:
         slack read at C's size (``_scale``).  The form is halved before it is
         summed, so no finite C overflows it."""
         form = self.c / 2 + self.c.conj().T / 2
-        return float(_eigvalsh(form)[0]) >= -tolerances.psd * _scale(self.c)
+        return float(np.linalg.eigvalsh(form)[0]) >= -tolerances.psd * _scale(self.c)
 
 
 @dataclass(frozen=True)

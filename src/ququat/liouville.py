@@ -380,15 +380,12 @@ def pvec_to_density(pvec: PauliVector) -> DensityMatrix:
 
     Requires P[0] = 1 (unit trace).  If the result is not positive
     semidefinite a :class:`NonPositiveStateWarning` is issued; the matrix
-    is still returned.  A Cholesky factorization (:func:`_psd_factors`)
-    clears a PSD result; the spectrum is taken only when it does not.
+    is still returned.
     """
     if abs(pvec.P[0] - 1.0) > tolerances.algebra:
         raise NumericContractError(f"P[0] must be 1 for a normalized state, got {pvec.P[0]}")
     rho = _pauli_combine(pvec.P, pvec.n)
     out = DensityMatrix(pvec.n, rho)
-    if _psd_factors(rho, abs(float(pvec.P[0]))):
-        return out
     min_eig = float(np.linalg.eigvalsh(rho)[0])
     if min_eig < -tolerances.psd:
         warnings.warn(
@@ -472,34 +469,6 @@ _STACK_ENTRIES = 4**8
 _U = np.finfo(float).eps / 2
 
 
-def _psd_factors(rho: np.ndarray, trace: float) -> bool:
-    """Whether one Cholesky factorization of rho + s I, s = tol_psd / 2, shows
-    each operator of ``rho`` (2**n x 2**n, or a stack of them) to be PSD as the
-    eigenvalue test of :func:`_validate_stack` finds it; ``trace`` bounds |Tr rho|.
-    rho must be Hermitian, as the density of a real Pauli vector is: the
-    factorization reads one triangle.
-
-    A factorization that completes is exact for a perturbation of norm at
-    most about (d + 1) u Tr(rho + s I), d = 2**n and u the unit roundoff
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
-    section 10.1), so every min eigenvalue is above -s less that term.
-    Twice the term, for complex arithmetic and for the rounding of rho
-    itself, must be below s and the algebraic tolerance; then the verdict
-    is the spectrum's.  False when rho is not finite, the term is too
-    large or the factorization fails: the spectrum must then decide.
-    """
-    d = rho.shape[-1]
-    s = tolerances.psd / 2
-    rounding = 2 * (d + 1) * _U * (trace + d * s)
-    if not (rounding < min(s, tolerances.algebra) and np.isfinite(rho).all()):
-        return False
-    try:
-        np.linalg.cholesky(rho + s * np.eye(d))
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _validate_pvecs(ps, n: int) -> list[ValidationReport]:
     """:func:`validate_density` of each length-4**n Pauli vector in ``ps``, in order.
 
@@ -507,26 +476,40 @@ def _validate_pvecs(ps, n: int) -> list[ValidationReport]:
     chunk of at most _STACK_ENTRIES // 4**n of them (one from n = 8 up).
     A chunk's traces P[0] and purities |P|**2 / 2**n are read off P, which
     is Hermitian by construction, and one Cholesky factorization of the
-    stack (:func:`_psd_factors`) decides ``psd``; every min eigenvalue is
-    then computed only when read.  A chunk that factorization does not
-    clear is checked by :func:`_validate_stack` instead.
+    stack rho + s I, s = tol_psd / 2, decides ``psd``.  A factorization
+    that completes is exact for a perturbation of norm at most about
+    (d + 1) u Tr(rho + s I), d = 2**n and u the unit roundoff (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, section 10.1),
+    so every min eigenvalue is above -s less that term, and is computed
+    only when read.  Twice the term, for complex arithmetic and for the
+    rounding of rho itself, must be below s and the algebraic tolerance;
+    then every verdict is that of :func:`_validate_stack`.  A chunk that
+    is not finite, whose term is too large, or whose factorization fails
+    is checked by :func:`_validate_stack` instead.
     """
     size = max(1, _STACK_ENTRIES // 4**n)
     d = 2**n
+    s = tolerances.psd / 2
     reports = []
     for start in range(0, len(ps), size):
         chunk = ps[start : start + size]
         p = np.stack(chunk, axis=1)
         rho = _pauli_combine(p, n)
-        if _psd_factors(rho, float(np.abs(p[0]).max())):
-            purities = (np.einsum("ij,ij->j", p, p) / d).tolist()
-            spectra = [functools.partial(_pvec_min_eigenvalue, vec, n) for vec in chunk]
-            reports += [
-                _report(n, True, trace, True, min_eig, purity)
-                for trace, min_eig, purity in zip(p[0].tolist(), spectra, purities)
-            ]
-        else:
-            reports += _validate_stack(rho, n)
+        rounding = 2 * (d + 1) * _U * (float(np.abs(p[0]).max()) + d * s)
+        if rounding < min(s, tolerances.algebra) and np.isfinite(rho).all():
+            try:
+                np.linalg.cholesky(rho + s * np.eye(d))
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                purities = (np.einsum("ij,ij->j", p, p) / d).tolist()
+                spectra = [functools.partial(_pvec_min_eigenvalue, vec, n) for vec in chunk]
+                reports += [
+                    _report(n, True, trace, True, min_eig, purity)
+                    for trace, min_eig, purity in zip(p[0].tolist(), spectra, purities)
+                ]
+                continue
+        reports += _validate_stack(rho, n)
     return reports
 
 

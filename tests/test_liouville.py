@@ -2,7 +2,6 @@
 
 import contextlib
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -548,93 +547,3 @@ def test_only_an_exactly_zero_imaginary_part_takes_the_real_solver(monkeypatch):
     assert [x.dtype for x in seen] == [np.float64, np.float64, complex, complex, np.float64]
     assert seen[-1] is real
 
-
-def _pvec_to_density_oracle(p, n):
-    """The density and the warnings of pvec_to_density by the spectrum alone."""
-    rho = _pauli_combine(p, n)
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
-    if min_eig < -tolerances.psd:
-        return rho, [f"reconstructed operator is not PSD (min eigenvalue {min_eig:.3e})"]
-    return rho, []
-
-
-def _pvec_to_density_warnings(p, n):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rho = pvec_to_density(PauliVector(n, p))
-    assert all(w.category is NonPositiveStateWarning for w in caught)
-    return rho.entries, [str(w.message) for w in caught]
-
-
-def _assert_same_density(got, want):
-    assert np.array_equal(got[0], want[0], equal_nan=True)
-    assert got[1] == want[1]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
-def test_pvec_to_density_clears_a_valid_state_without_its_spectrum(n, linalg_calls):
-    valid, invalid = _seeded_pvecs(np.random.default_rng([127, n]), n)
-    want = [_pvec_to_density_oracle(p, n) for p in valid + invalid[1:]]
-    assert [bool(w[1]) for w in want] == [False] * len(valid) + [True, True]
-    _forget(linalg_calls)
-    got = [_pvec_to_density_warnings(p, n) for p in valid]
-    assert linalg_calls == {"cholesky": [(2**n, 2**n)] * len(valid), "eigvalsh": []}
-    # an indefinite state fails its factorization and gets today's warning
-    got += [_pvec_to_density_warnings(p, n) for p in invalid[1:]]
-    assert linalg_calls["eigvalsh"] == [(2**n, 2**n)] * 2
-    for g, w in zip(got, want):
-        _assert_same_density(g, w)
-
-
-@pytest.mark.parametrize("n", [1, 3])
-@pytest.mark.parametrize("depth,factored,warned", [
-    (0.99 / 2, True, False),
-    (1.01 / 2, False, False),
-    (0.99, False, False),
-    (1.01, False, True),
-])
-def test_pvec_to_density_at_the_psd_slack_edges(n, depth, factored, warned, linalg_calls):
-    rng = np.random.default_rng([131, n])
-    d = 2**n
-    low = -depth * tolerances.psd
-    eigs = np.concatenate([[low], rng.uniform(0.5, 1.0, size=d - 1)])
-    eigs[1:] *= (1 - low) / eigs[1:].sum()
-    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
-    rho = (u * eigs) @ u.conj().T
-    p = density_to_pvec(DensityMatrix(n, (rho + rho.conj().T) / 2)).P
-    want = _pvec_to_density_oracle(p, n)
-    assert bool(want[1]) is warned
-    _forget(linalg_calls)
-    _assert_same_density(_pvec_to_density_warnings(p, n), want)
-    assert linalg_calls == {"cholesky": [(d, d)], "eigvalsh": [] if factored else [(d, d)]}
-
-
-@pytest.mark.parametrize("n,k,bad", [
-    (1, 0, np.nan), (1, 1, np.nan), (1, 2, -np.inf), (2, 0, np.nan), (2, 5, np.nan),
-    (2, 5, np.inf), (3, 63, np.nan),  # an infinite P[0] is refused as unnormalized
-])
-def test_pvec_to_density_of_a_non_finite_state_takes_the_spectrum(n, k, bad, linalg_calls):
-    p = np.zeros(4**n)
-    p[0] = 1.0
-    p[k] = bad
-    outcomes = []
-    with np.errstate(all="ignore"):
-        for build in (_pvec_to_density_oracle, _pvec_to_density_warnings):
-            _forget(linalg_calls)
-            try:
-                outcomes.append(build(p, n))
-            except np.linalg.LinAlgError as exc:
-                outcomes.append(str(exc))
-            assert linalg_calls["eigvalsh"] == [(2**n, 2**n)]
-    assert linalg_calls["cholesky"] == []
-    if isinstance(outcomes[0], str):
-        assert outcomes[1] == outcomes[0]
-    else:
-        _assert_same_density(outcomes[1], outcomes[0])
-
-
-def test_pvec_to_density_of_a_nan_state_still_raises_linalg_error():
-    p = np.zeros(16)
-    p[0], p[5] = 1.0, np.nan
-    with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
-        pvec_to_density(PauliVector(2, p))
