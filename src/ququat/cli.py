@@ -22,7 +22,7 @@ import os
 import sys
 import warnings
 from dataclasses import asdict
-from json.encoder import encode_basestring_ascii
+from itertools import repeat
 
 import numpy as np
 import orjson
@@ -225,108 +225,106 @@ def _render_scalar(v, precision: int) -> str:
 
 # the C encoder; json.dumps with an indent runs the pure-Python one
 _encode = json.JSONEncoder(separators=(",", ":")).encode
-_NUMBER_TYPES = frozenset((int, float))
-_ARRAY_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
+_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+_ORJSON_DEPTH = 255  # the most containers orjson nests
+_ORJSON_INTS = range(-(2**63), 2**64)
+_NON_FINITE = frozenset(("NaN", "Infinity", "-Infinity"))
 
 
-def _write_array(arr: np.ndarray, depth: int, out: list) -> None:
-    """Append a float64 array ``depth`` levels deep as ``json.dumps(indent=2)`` writes its list.
+def _plain(text: str) -> bool:
+    """Whether orjson writes ``text`` as json.dumps does, and no ``null`` is in it."""
+    # printable leaves out DEL, which json.dumps escapes and orjson does not
+    return text.isascii() and text.isprintable() and "null" not in text
 
-    orjson writes the array in one call, wrapped in ``depth`` one-item
-    lists so that it indents it as at that depth; the wrapper's lines are
-    cut off.  orjson writes the shortest round-trip digits, as repr does,
-    and spells them as repr does but at magnitudes in [1e-9, 1e-4) (1e-7
-    or 0.000015 for repr's 1e-07 and 1.5e-05) and from 1e16 up (1e16 for
-    1e+16).  Those entries, and NaN and Infinity, are written as ``null``
-    from a copy, and each ``null`` becomes the C encoder's text of its
-    entry, in order.
+
+def _spell(payload) -> tuple:
+    """``(tree, texts, plain)``: ``payload`` for orjson to write, and the values spelt apart.
+
+    The walk visits keys sorted, as orjson does, and keeps each value that
+    orjson writes as ``json.dumps`` does: a plain string, an int of 64 bits,
+    a float of magnitude below 1e-9 or in [1e-4, 1e16) (orjson spells 1e-7,
+    0.000015 and 1e16 for repr's 1e-07, 1.5e-05 and 1e+16), a float64 array.
+    Any other value, None too, is None in ``tree``, or NaN in an array, which
+    orjson writes as null, and the C encoder's text of it goes to ``texts``.
+    ``plain`` is False for what orjson cannot write: a key that is not
+    plain, or containers nested more than 255 deep.  Keys must be strings.
     """
-    mag = np.abs(arr)
-    odd = ~((mag < 1e-9) | (mag >= 1e-4) & (mag < 1e16))
-    spelt = _encode(arr[odd].tolist())[1:-1].split(",") if odd.any() else []
-    wrapped = np.where(odd, math.nan, arr) if spelt else np.ascontiguousarray(arr)
-    for _ in range(depth):
-        wrapped = [wrapped]
-    text = orjson.dumps(wrapped, option=_ARRAY_OPTIONS)
-    # the wrapper's line i, opening or closing, is 2*i spaces and a bracket
-    view, done = memoryview(text), depth * depth + 3 * depth
-    for number in spelt:
-        # number text holds no "n", so the one-byte search finds each null
+    texts = []
+    plain = True
+
+    def walk(obj, depth: int):
+        nonlocal plain
+        kind = type(obj)
+        if (kind is float and (abs(obj) < 1e-9 or 1e-4 <= abs(obj) < 1e16)
+                or (kind is int or kind is bool) and obj in _ORJSON_INTS
+                or kind is str and _plain(obj)):
+            return obj
+        # map calls walk from C, one frame a level: the walk nests as deep as json.dumps
+        if kind is dict:
+            keys = sorted(obj)
+            plain = _plain(" ".join(keys)) and depth < _ORJSON_DEPTH and plain
+            return dict(zip(keys, map(walk, map(obj.__getitem__, keys), repeat(depth + 1))))
+        if kind is list or kind is tuple:
+            plain = depth < _ORJSON_DEPTH and plain
+            if set(map(type, obj)) == {int} and min(obj) in _ORJSON_INTS \
+                    and max(obj) in _ORJSON_INTS:
+                return obj
+            return list(map(walk, obj, repeat(depth + 1)))
+        if kind is np.ndarray:
+            if obj.dtype != float or not obj.ndim:
+                return walk(obj.tolist(), depth)
+            obj = np.ascontiguousarray(obj)
+            mag = np.abs(obj)
+            odd = ~((mag < 1e-9) | (mag >= 1e-4) & (mag < 1e16))
+            if odd.any():
+                texts.extend(_encode(obj[odd].tolist())[1:-1].split(","))
+                obj = np.where(odd, math.nan, obj)
+            return obj
+        texts.append(_encode(obj))
+        return None
+
+    tree = walk(payload, 0)
+    return tree, texts, plain
+
+
+def _json_pieces(payload, spelling: tuple) -> list[str]:
+    """``json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist)``, in pieces.
+
+    orjson writes the tree of ``spelling = _spell(payload)`` in one call;
+    each null of its text becomes, in order, the next spelt text.  Outside
+    a string only null holds an "n", and a plain string holds no "null".
+    """
+    tree, texts, plain = spelling
+    if not plain:
+        return [json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist)]
+    text = orjson.dumps(tree, option=_OPTIONS)
+    view, out, done = memoryview(text), [], 0
+    for spelt in texts:
         at = text.find(b"n", done)
-        out += (str(view[done:at], "ascii"), number)
+        while not text.startswith(b"null", at):
+            at = text.find(b"n", at + 1)
+        out += (str(view[done:at], "ascii"), spelt)
         done = at + 4
-    out.append(str(view[done:len(text) - depth * depth - depth], "ascii"))
-
-
-def _json_pieces(obj, pad: str = "", out: list | None = None) -> list[str]:
-    """The text of ``obj`` at indent ``pad``, in pieces appended to ``out``.
-
-    The pieces join to ``json.dumps(obj, indent=2, sort_keys=True,
-    default=np.ndarray.tolist)``.  A float64 array, such as gate entries,
-    is written by ``_write_array``; a list of plain ints and floats by the
-    C encoder, whose "," separators become the indented line breaks.
-    Object keys must be strings.
-    """
-    out = [] if out is None else out
-    if type(obj) is np.ndarray and (obj.dtype != float or not obj.ndim or len(pad) > 510):
-        obj = obj.tolist()  # orjson writes float64 arrays of one axis or more, in <= 255 lists
-    inner = pad + "  "
-    if type(obj) is np.ndarray:
-        _write_array(obj, len(pad) // 2, out)
-    elif isinstance(obj, dict) and obj:
-        sep = "{\n"
-        for key in sorted(obj):
-            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
-            _json_pieces(obj[key], inner, out)
-            sep = ",\n"
-        out.append(f"\n{pad}}}")
-    elif not isinstance(obj, (list, tuple)) or not obj:
-        out.append(_encode(obj))
-    elif _NUMBER_TYPES.issuperset(map(type, obj)):
-        body = _encode(obj)[1:-1].replace(",", ",\n" + inner)
-        out.append(f"[\n{inner}{body}\n{pad}]")
-    else:
-        sep = "[\n"
-        for v in obj:
-            out.append(sep + inner)
-            _json_pieces(v, inner, out)
-            sep = ",\n"
-        out.append(f"\n{pad}]")
+    out.append(str(view[done:], "ascii"))
     return out
 
 
 def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)``, byte for byte."""
-    return "".join(_json_pieces(obj))
+    return "".join(_json_pieces(obj, _spell(obj)))
 
 
-_FINITE_TYPES = frozenset((int, bool, str, type(None)))
-
-
-def _finite(obj) -> bool:
-    """Whether a payload holds no NaN and no infinity, at any depth."""
-    kind = type(obj)
-    if kind is float:
-        return math.isfinite(obj)
-    if kind is np.ndarray:
-        return obj.dtype.kind not in "fc" or bool(np.isfinite(obj).all())
-    if kind is dict:
-        return all(map(_finite, obj.values()))
-    if kind is not list and kind is not tuple:
-        return True
-    types = set(map(type, obj))
-    if types <= _FINITE_TYPES:
-        return True
-    return all(map(math.isfinite if types == {float} else _finite, obj))
-
-
-def _emit(payload, args) -> None:
+def _output(payload, args) -> list[str]:
+    """The text a command writes, in pieces; the payload's walk is freed before it is written."""
     if type(payload) is str:  # text a handler rendered, written as it is
-        sys.stdout.write(payload)
-    elif args.format == "json":
-        sys.stdout.writelines([*_json_pieces(payload), "\n"])
-    else:
-        print("\n".join(_render_text(payload, args.precision)))
+        return [payload]
+    spelling = _spell(payload)
+    # checked once, before either format writes anything
+    if not _NON_FINITE.isdisjoint(spelling[1]):
+        raise NumericContractError("result has non-finite entries")
+    if args.format == "json":
+        return [*_json_pieces(payload, spelling), "\n"]
+    return ["\n".join(_render_text(payload, args.precision)), "\n"]
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -352,7 +350,8 @@ def _cmd_state_validate(args):
         state = sz.pvec_from_json(doc, "state")
     rep = validate_density(state)
     # a quantity that overflowed is reported as not computed
-    report = {key: v if _finite(v) else None for key, v in asdict(rep).items()}
+    report = {key: None if isinstance(v, float) and not math.isfinite(v) else v
+              for key, v in asdict(rep).items()}
     return {**report, "valid": rep.valid}
 
 
@@ -651,10 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     try:
-        payload = args.handler(args)
-        # checked once, before either format writes anything
-        if not _finite(payload):
-            raise NumericContractError("result has non-finite entries")
+        pieces = _output(args.handler(args), args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -665,7 +661,7 @@ def _run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
     try:
-        _emit(payload, args)
+        sys.stdout.writelines(pieces)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone, as after `| head -n 1`: what is left in the

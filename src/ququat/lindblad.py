@@ -33,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .config import tolerances
 from .errors import NumericContractError
@@ -160,6 +159,7 @@ def _propagator(generator, t: float, n: int, time_name: str = "t") -> tuple[Gate
     """
     if t < 0:
         raise NumericContractError(f"{time_name} must be nonnegative")
+    from scipy.linalg import expm  # imported here: scipy.linalg is most of the CLI start
     gen = generator()
     entries = expm(t * gen)
     if not np.isfinite(entries).all():

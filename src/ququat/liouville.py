@@ -378,10 +378,12 @@ def density_to_pvec(rho: DensityMatrix) -> PauliVector:
 def pvec_to_density(pvec: PauliVector) -> DensityMatrix:
     """Reconstruct rho = 2**-n sum_mu P[mu] sigma_mu.
 
-    Requires P[0] = 1 (unit trace).  If the result is not positive
-    semidefinite a :class:`NonPositiveStateWarning` is issued; the matrix
-    is still returned.
+    Requires a finite P with P[0] = 1 (unit trace).  If the result is not
+    positive semidefinite a :class:`NonPositiveStateWarning` is issued; the
+    matrix is still returned.
     """
+    if not np.isfinite(pvec.P).all():
+        raise NumericContractError("P has non-finite entries")
     if abs(pvec.P[0] - 1.0) > tolerances.algebra:
         raise NumericContractError(f"P[0] must be 1 for a normalized state, got {pvec.P[0]}")
     rho = _pauli_combine(pvec.P, pvec.n)

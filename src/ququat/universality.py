@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .config import MAX_LIE_SIDE, tolerances
 from .errors import NumericContractError
@@ -273,6 +272,7 @@ def commutator_limit_product(h1: np.ndarray, h2: np.ndarray, steps: int) -> np.n
         raise NumericContractError("steps must be >= 1")
     h1 = np.asarray(h1, dtype=complex)
     h2 = np.asarray(h2, dtype=complex)
+    from scipy.linalg import expm  # imported here: scipy.linalg is most of the CLI start
     t = 1.0 / np.sqrt(steps)
     m = expm(-1j * t * h2) @ expm(1j * t * h1) @ expm(1j * t * h2) @ expm(-1j * t * h1)
     return np.linalg.matrix_power(m, steps)

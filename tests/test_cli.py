@@ -599,6 +599,22 @@ class TestSimulateAndMisc:
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["valid"] is True
 
+    @pytest.mark.parametrize(
+        "args,doc,imported",
+        [
+            (["gate", "from-unitary"], {"U": [[0, 1], [1, 0]]}, False),
+            (["gate", "from-lindblad"],
+             {"model": {"H": [0, 0, 0.5], "C": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "tau": 1.0}, True),
+        ],
+    )
+    def test_scipy_is_imported_only_for_an_exponential(self, args, doc, imported):
+        # in a child process, as this one has imported scipy already
+        probe = ("import sys\nfrom ququat.cli import main\ncode = main(sys.argv[1:])\n"
+                 "print(code, 'scipy' in sys.modules, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", probe, *args], input=json.dumps(doc),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stderr == f"{EXIT_OK} {imported}\n"
+
     @pytest.mark.parametrize("args", [["universality", "swap"], ["version"],
                                       ["--format", "text", "universality", "swap"],
                                       ["--format", "text", "mvlogic", "table", "max"],
@@ -791,10 +807,16 @@ class TestOutputGuard:
         assert (code, out, err) == (EXIT_CONTRACT, "", "error: result has non-finite entries\n")
 
     def test_payloads_are_checked_at_every_depth(self):
-        assert cli._finite({"a": [1, "x", None, True], "b": np.zeros(3), "c": (0.5, 2)})
+        def finite(payload):
+            return cli._NON_FINITE.isdisjoint(cli._spell(payload)[1])
+
+        assert finite({"a": [1, "x", None, True], "b": np.zeros(3), "c": (0.5, 2),
+                       "d": [np.float64(0.5), np.float64(1e-5)]})
+        # numpy scalars are float subclasses: the C encoder spells them, and NaN is caught
         for bad in (math.inf, [[math.nan]], {"a": {"b": [1, -math.inf]}}, np.array([[1, math.nan]]),
-                    (1, 2.0, math.inf)):
-            assert not cli._finite(bad)
+                    (1, 2.0, math.inf), np.float64("nan"), [0.5, np.float64("-inf")],
+                    {"a": (np.float64("inf"),)}):
+            assert not finite(bad)
 
 
 class TestMeasureRefusesInvalidStates:
@@ -1221,13 +1243,13 @@ def _assert_indented_json(text: str, payload) -> None:
 )
 def test_readme_output_is_the_indented_json_form(tmp_path, capsys, monkeypatch, argv, doc):
     payloads = []
-    emit = cli._emit
+    output = cli._output
 
     def recorded(payload, args):
         payloads.append(payload)
-        emit(payload, args)
+        return output(payload, args)
 
-    monkeypatch.setattr(cli, "_emit", recorded)
+    monkeypatch.setattr(cli, "_output", recorded)
     code, out, _ = run_cli(argv, doc, tmp_path, capsys)
     assert code == EXIT_OK
     assert len(payloads) == 1
@@ -1440,11 +1462,8 @@ def test_number_blocks_match_json_dumps_at_every_depth(depth):
         _assert_indented_json(cli._json_text(payload), payload)
 
 
-def test_gate_payload_is_one_orjson_call(monkeypatch):
-    """A gate's entries are one float64 array, written by one orjson call from the array."""
-    rng = np.random.default_rng(20281)
-    payload = sz.gate_to_json(gate_from_unitary(random_unitary(rng, 16)))
-    assert payload["entries"].shape == (256, 256) and payload["entries"].dtype == float
+def _counted_dumps(monkeypatch) -> list:
+    """The keyword arguments of each ``orjson.dumps`` call from now on."""
     calls = []
     dumps = cli.orjson.dumps
 
@@ -1453,17 +1472,113 @@ def test_gate_payload_is_one_orjson_call(monkeypatch):
         return dumps(*args, **kwargs)
 
     monkeypatch.setattr(cli.orjson, "dumps", counted)
+    return calls
+
+
+_ONE_CALL_COMMANDS = [
+    (["simulate"], {"circuit": {"n": 2, "steps": [
+        {"named": "rot1", "param": 0.3, "targets": [0]},
+        {"measure": {"projectors": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}, "post_select": 0,
+         "targets": [1]}]},
+        "initial": {"n": 2, "P": [1] + [0] * 14 + [0.5]}}),
+    (["mvlogic", "closure"], {"generators": ["g2"], "max_arity": 2, "budget": 300}),
+    (["state", "validate"], {"n": 1, "P": [1, 0.2, 0.1, 0.3]}),
+    (["state", "validate"], {"n": 1, "P": [1.7e308, 0.2, 0.1, 0.3]}),  # purity overflows: null
+]
+
+
+def test_gate_payload_is_one_orjson_call(tmp_path, capsys, monkeypatch):
+    """A gate's entries are one float64 array, written by one orjson call from the array.
+
+    So is every CLI payload: a simulation, a closure and a state report.
+    """
+    rng = np.random.default_rng(20281)
+    payload = sz.gate_to_json(gate_from_unitary(random_unitary(rng, 16)))
+    assert payload["entries"].shape == (256, 256) and payload["entries"].dtype == float
+    calls = _counted_dumps(monkeypatch)
     text = cli._json_text(payload)
-    assert calls == [{"option": cli.orjson.OPT_INDENT_2 | cli.orjson.OPT_SERIALIZE_NUMPY}]
+    assert calls == [{"option": cli._OPTIONS}]
     _assert_indented_json(text, payload)
+    payloads = []
+    output = cli._output
+    monkeypatch.setattr(cli, "_output", lambda payload, args: (payloads.append(payload),
+                                                               output(payload, args))[1])
+    for argv, doc in _ONE_CALL_COMMANDS:
+        calls.clear()
+        code, out, _ = run_cli(argv, doc, tmp_path, capsys)
+        assert code == EXIT_OK
+        assert calls == [{"option": cli._OPTIONS}], argv
+        _assert_indented_json(out[:-1], payloads.pop())
+
+
+# -- the one rule: values orjson writes as they are, and values spelt apart -----
+
+
+def _assert_one_call(monkeypatch, payload, calls: int = 1) -> None:
+    """``_json_text(payload)`` is json.dumps's text, from ``calls`` orjson calls (0: json.dumps)."""
+    with monkeypatch.context() as patch:
+        made = _counted_dumps(patch)
+        text = cli._json_text(payload)
+    assert len(made) == calls
+    _assert_indented_json(text, payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"a": "nullable", "b": "a null b", "c": "null", "d": "nul", "e": "n", "f": "nnulll"},
+        {"n_in": 1e-7, "n_out": 1e16, "nan": "n", "none": None, "ok": [None, "null", 2.5e-5]},
+        ["nullable", 1.5e-5, "n", None, "null", "nu", "ll", -(2**64), "un"],
+        {"n": np.array([1e-5, 0.5, math.nan]), "nul_l": "n\"n", "in": "nu\\ll"},
+    ],
+)
+def test_strings_holding_null_or_n(monkeypatch, payload):
+    """A string holding "null" is spelt apart; one holding an "n" is written by orjson."""
+    _assert_one_call(monkeypatch, payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"null": 1.5e-5}, {"a": {"nullable": 1}}, {"x\x7f": 1}, {"tab\t": [1e-7]}, {"é": 0.5},
+     [{"ok": 1}, {"line\nbreak": None}]],
+)
+def test_keys_orjson_cannot_write_go_to_json_dumps(monkeypatch, payload):
+    _assert_one_call(monkeypatch, payload, calls=0)
+
+
+def test_control_characters_and_del(monkeypatch):
+    """json.dumps escapes DEL and orjson does not: such strings are spelt apart."""
+    strings = ["\x7f", "a\x7fb", "\x00", "\x1f", "\t", "\r\n", "\x08\x0c", "\u2028", "\x80", "~"]
+    _assert_one_call(monkeypatch, {"s": strings, **{f"k{i}": s for i, s in enumerate(strings)}})
+
+
+@pytest.mark.parametrize("value", [2**63, -(2**63), 2**63 - 1, 2**64 - 1, 2**64, 2**64 + 1,
+                                   -(2**63) - 1, 10**30])
+def test_ints_at_the_64_bit_edges(monkeypatch, value):
+    _assert_one_call(monkeypatch, {"v": value, "row": [1, value, -1], "mixed": [value, 0.5, "n"]})
+
+
+@pytest.mark.parametrize("depth,calls", [(255, 1), (256, 0)])
+def test_nesting_at_orjsons_limit(monkeypatch, depth, calls):
+    """orjson nests 255 containers, and a float64 array counts as none; 256 go to json.dumps."""
+    for leaf in (1.5, 1e-5, None, np.array([0.5, 1e-5, math.inf]), np.eye(3), np.zeros((2, 0, 2))):
+        _assert_one_call(monkeypatch, _nest(leaf, depth), calls)
+
+
+def test_non_contiguous_arrays(monkeypatch):
+    block = np.arange(24.0).reshape(4, 6) * 1e-5
+    for arr in (block[:, ::2], block.T, np.asfortranarray(block), block[::-1], block[1:3, 2:5],
+                np.eye(4)[:, ::2]):
+        assert not arr.flags.c_contiguous
+        _assert_one_call(monkeypatch, {"a": arr, "b": [arr, arr[:1]]})
 
 
 def test_text_format_renders_arrays_as_lists(tmp_path, capsys, monkeypatch):
     """``--format text`` renders a payload's arrays as it renders the same lists."""
     payloads = []
-    emit = cli._emit
-    monkeypatch.setattr(cli, "_emit", lambda payload, args: (payloads.append(payload),
-                                                             emit(payload, args)))
+    output = cli._output
+    monkeypatch.setattr(cli, "_output", lambda payload, args: (payloads.append(payload),
+                                                               output(payload, args))[1])
     u = encode_complex_matrix(random_unitary(np.random.default_rng(20284), 4))
     for argv, doc in ((["gate", "from-unitary"], {"U": u}), (["universality", "pseudo"], {"A": u}),
                       (["simulate"], {"circuit": {"n": 1, "steps": [{"named": "rot1", "param": 0.3,

@@ -133,6 +133,14 @@ class TestConversions:
         with pytest.raises(NumericContractError):
             pvec_to_density(PauliVector(1, [0.5, 0, 0, 0]))
 
+    @pytest.mark.parametrize("n,at", [(1, 2), (1, 0), (2, 5)])
+    def test_pvec_to_density_refuses_nan(self, n, at):
+        # n = 1 returned an all-NaN density with no warning; n = 2 raised LinAlgError
+        p = np.eye(1, 4**n).ravel()
+        p[at] = np.nan
+        with pytest.raises(NumericContractError, match="^P has non-finite entries$"):
+            pvec_to_density(PauliVector(n, p))
+
     def test_non_psd_warns_not_raises(self):
         with pytest.warns(NonPositiveStateWarning):
             rho = pvec_to_density(PauliVector(1, [1, 1, 1, 1]))
