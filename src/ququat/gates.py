@@ -26,8 +26,9 @@ import numpy as np
 
 from .config import MAX_GATE_QUQUATS, tolerances
 from .errors import NumericContractError, ZeroProbabilityError
-from .liouville import (PauliVector, _U, _basis_product, _eigvalsh, _exponent, _frozen, _kron,
-                        _pauli_transfer, _real_part, _superop_transfer)
+from .liouville import (_DENSE_BASIS_MAX, PauliVector, _U, _basis_blocks, _basis_product,
+                        _eigvalsh, _exponent, _frozen, _kron, _pauli_transfer, _phases,
+                        _real_part, _superop_transfer, _tau_product)
 
 __all__ = [
     "GateMatrix",
@@ -446,23 +447,50 @@ def adjoint_gate(gate: GateMatrix) -> GateMatrix:
     return GateMatrix(gate.n_in, gate.n_out, entries, classify_kind(entries))
 
 
-def choi_matrix(gate: GateMatrix) -> np.ndarray:
+def choi_matrix(gate: GateMatrix, *, real: bool = False) -> np.ndarray:
     """Choi matrix J = sum_ij E(|i><j|) kron |i><j|; PSD iff the map is CP.
 
     Closed form: J = 2**-n_out sum_{mu nu} E[mu, nu] sigma_mu kron sigma_nu^T,
     output factor leading.  Over the flattened bases, M = B_out^T E B_in
-    holds J[(a, i), (b, k)] at M[(a, b), (k, i)]; both basis products go
-    through ``liouville._basis_product``, E B_in as (B_in^T E^T)^T.  The
-    result is symmetrized as (J + J^dagger) / 2.  The identity gate
-    yields 2**n times the maximally entangled projector.  Gates built from
-    Kraus sets always pass the PSD test.
+    holds J[(a, i), (b, k)] at M[(a, b), (k, i)].  Up to _DENSE_BASIS_MAX
+    ququats on both sides both basis products go through
+    ``liouville._basis_product``, E B_in as (B_in^T E^T)^T.  Above it,
+    B = diag(phases) T with T real, so M = T_out^T F T_in for
+    F = diag(phases_out) E diag(phases_in), whose entries are +-E or
+    +-iE by the Y-parity of (mu, nu): the real factors act on the real
+    and imaginary planes of F, and one gather writes J.  The result is
+    symmetrized as (J + J^dagger) / 2.  The identity gate yields 2**n
+    times the maximally entangled projector.  Gates built from Kraus
+    sets always pass the PSD test.
+
+    J is complex.  With ``real``, above _DENSE_BASIS_MAX ququats, a gate
+    whose odd-parity entries are all zero (a -0.0 counts as zero) has a
+    real J, which is built alone and returned as a real array, bit for
+    bit the real part of the complex one.
     """
-    d_in = 2**gate.n_in
-    d_out = 2**gate.n_out
-    # j is rebound at each stage, so fewer full-size arrays are alive at once
-    j = _basis_product(gate.entries.T, gate.n_in, transpose=True).T
-    j = _basis_product(j, gate.n_out, transpose=True)
-    j = j.reshape(d_out, d_out, d_in, d_in).transpose(0, 3, 1, 2).reshape(d_out * d_in, -1)
+    n_in, n_out = gate.n_in, gate.n_out
+    d_in, d_out = 2**n_in, 2**n_out
+    if max(n_in, n_out) <= _DENSE_BASIS_MAX:
+        # j is rebound at each stage, so fewer full-size arrays are alive at once
+        j = _basis_product(gate.entries.T, n_in, transpose=True).T
+        j = _basis_product(j, n_out, transpose=True)
+        j = j.reshape(d_out, d_out, d_in, d_in).transpose(0, 3, 1, 2).reshape(d_out * d_in, -1)
+    else:
+        (so, fo), (si, fi) = _basis_blocks(n_out), _basis_blocks(n_in)
+        phase = np.multiply.outer(_phases(n_out), _phases(n_in))
+        j = np.empty((2, *gate.entries.shape))
+        np.multiply(gate.entries, phase.real, out=j[0])  # F by parts, exact: each phase is +-1 or +-i
+        np.multiply(gate.entries, phase.imag, out=j[1])
+        del phase
+        j = j[0] if real and not j[1].any() else j
+        r = j.ndim - 2
+        j = _tau_product(j, [f.T for f in fo + fi], 2**r)
+        # j holds M over the axes [re/im], (a_j, b_j) per output block, (k_j, i_j) per input block
+        j = j.reshape([2] * r + [s for s in so + si for _ in "ab"])
+        a, k = range(r, r + 2 * len(so), 2), range(r + 2 * len(so), j.ndim, 2)
+        j = j.transpose([*a, *(i + 1 for i in k), *(i + 1 for i in a), *k, *range(r)])
+        j = np.array(j, order="C").reshape(d_out * d_in, -1)
+        j = j.view(complex) if r else j
     j /= d_out
     jh = j.conj().T
     resid = float(np.abs(j - jh).max())
@@ -510,7 +538,7 @@ def analyze_gate(gate: GateMatrix) -> GateReport:
     t_norm = float(np.linalg.norm(e[1:, 0]))
     unital = _row0_deviation(e[:, 0]) <= tol
     ortho = _gram_deviation(e @ e.T) <= tol and _gram_deviation(e.T @ e) <= tol
-    min_choi = float(_eigvalsh(choi_matrix(gate))[0])
+    min_choi = float(_eigvalsh(choi_matrix(gate, real=True))[0])
     return GateReport(
         real=bool(np.isrealobj(e)),
         trace_preserving=row0_dev <= tol,

@@ -116,33 +116,68 @@ def pauli_basis(n: int) -> np.ndarray:
 
 
 # Up to this many ququats the basis change is one GEMM with the flattened
-# pauli_basis(n); above it, the basis is applied in blocks of _BASIS_BLOCK
-# ququats and no 4**n x 4**n basis is built.
+# pauli_basis(n); above it, the basis is applied in real arithmetic in blocks
+# of _BASIS_BLOCK ququats and no 4**n x 4**n basis is built.
 _DENSE_BASIS_MAX = 3
 _BASIS_BLOCK = 2
 
 
 @functools.lru_cache(maxsize=None)
-def _basis_blocks(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """Row orders and factors of the flattened basis B, split into blocks of ququats.
+def _phases(n: int) -> np.ndarray:
+    """(-i)**y(mu) for every mu of n ququats, y(mu) the number of Y digits of mu.
 
-    B[mu, (a, b)] = prod_i sigma_{mu_i}[a_i, b_i] is a tensor product, so
-    with its columns (a_1..a_n, b_1..b_n) regrouped per block as
-    (a_blk b_blk) it is the Kronecker product of the blocks' own flattened
-    bases.  Returns ``perm``, with regrouped index j = natural index
-    perm[j], its inverse, and the block factors in register order.
+    sigma_mu = (-i)**y(mu) tau_mu, with tau_mu the tensor product of the
+    real matrices I, X, iY and Z.
     """
-    sizes = [_BASIS_BLOCK] * (n // _BASIS_BLOCK)
-    if n % _BASIS_BLOCK:
-        sizes.append(n % _BASIS_BLOCK)
-    axes = []
-    start = 0
-    for k in sizes:
-        axes += [*range(start, start + k), *range(n + start, n + start + k)]
-        start += k
-    perm = np.arange(4**n).reshape((2,) * (2 * n)).transpose(axes).reshape(-1)
-    factors = tuple(pauli_basis(k).reshape(4**k, -1) for k in sizes)
-    return perm, np.argsort(perm), factors
+    out = np.ones(1, complex)
+    for _ in range(n):
+        out = np.multiply.outer(out, [1, 1, -1j, 1]).reshape(-1)  # exact: each is +-1 or +-i
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _tau_basis(n: int) -> np.ndarray:
+    """The flattened real basis T[mu, (a, b)] = tau_mu[a, b] = i**y(mu) sigma_mu[a, b]."""
+    out = (pauli_basis(n).reshape(4**n, -1) * _phases(n).conj()[:, None]).real.copy()
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_blocks(n: int) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
+    """Digit sides and real factors of T, split into blocks of ququats.
+
+    T[mu, (a, b)] = prod_i tau_{mu_i}[a_i, b_i] is a tensor product, so
+    with its columns (a_1..a_n, b_1..b_n) regrouped per block as
+    (a_blk b_blk) (:func:`_pairs`) it is the Kronecker product of the
+    blocks' own flattened tau bases.  Returns each block's side 2**k and
+    the factors, in register order.
+    """
+    ks = [_BASIS_BLOCK] * (n // _BASIS_BLOCK) + [n % _BASIS_BLOCK] * (n % _BASIS_BLOCK > 0)
+    return tuple(2**k for k in ks), tuple(_tau_basis(k) for k in ks)
+
+
+def _pairs(blocks: int, swap: bool = False) -> list[int]:
+    """Axes that regroup the digits (a_1..a_k, b_1..b_k) of an (a, b) index
+    per block as (a_j, b_j), or with ``swap`` as (b_j, a_j)."""
+    return [i for j in range(blocks) for i in ((blocks + j, j) if swap else (j, blocks + j))]
+
+
+def _tau_product(x: np.ndarray, factors, lead: int) -> np.ndarray:
+    """Each factor f in turn applied as f @ x along the next axis of a fresh
+    C-ordered x, which it overwrites, from the axis after ``lead`` entries on."""
+    spare = x  # the products alternate between two arrays; fresh ones would each be paged in anew
+    for i, f in enumerate(factors):
+        k = len(f)
+        tail = x.size // (lead * k)
+        if tail == 1:  # one GEMM along the last axis, not a matrix-vector product per row
+            a, b, shape = x.reshape(lead, k), f.T, (lead, k)
+        else:
+            a, b, shape = f, x.reshape(lead, k, tail), (lead, k, tail)
+        x, spare = np.matmul(a, b, out=spare.reshape(shape) if i else None), x
+        lead *= k
+    return x
 
 
 def _basis_product(y: np.ndarray, n: int, transpose: bool = False) -> np.ndarray:
@@ -150,29 +185,29 @@ def _basis_product(y: np.ndarray, n: int, transpose: bool = False) -> np.ndarray
 
     y has 4**n rows, indexed by (a, b) for B @ y and by mu for B^T @ y.
     Up to _DENSE_BASIS_MAX ququats this is one GEMM with the dense basis.
-    Above it, B's tensor structure is used: the rows (a, b) are regrouped
-    once into per-block (a_blk b_blk) order and each block's factor is one
-    matmul over that block's axis, so nothing of size 4**n x 4**n exists.
+    Above it, B = diag(_phases(n)) T with T real: B @ y regroups the rows
+    (a, b) once per block, applies each block's factor of T
+    (:func:`_basis_blocks`) as one real matmul over that block's axis, to
+    the real and imaginary parts of a complex y together, and multiplies
+    by the phases; B^T @ y applies the phases, the transposed factors and
+    the regrouping back.  Nothing of size 4**n x 4**n exists.
     """
     if n <= _DENSE_BASIS_MAX:
         rows = pauli_basis(n).reshape(4**n, -1)
         return rows.T @ y if transpose else rows @ y
-    perm, inverse, factors = _basis_blocks(n)
-    x = y.reshape(4**n, -1)
-    # a complex C-ordered copy: each matmul is then one BLAS call per block row
-    x = x[perm].astype(complex, copy=False) if not transpose else np.array(x, complex, order="C")
-    # the products alternate between two arrays; fresh ones would each be paged in anew
-    spare = None
-    lead = 1
-    for f in factors:
-        out = None if spare is None else spare.reshape(lead, len(f), -1)
-        x, spare = np.matmul(f.T if transpose else f, x.reshape(lead, len(f), -1), out=out), x
-        lead *= len(f)
-    x = x.reshape(4**n, -1)
+    sides, factors = _basis_blocks(n)
+    k = len(sides)
     if transpose:
-        # "clip" only because the default "raise" buffers ``out``; the indices are valid
-        x = np.take(x, inverse, axis=0, out=spare.reshape(x.shape), mode="clip")
-    return x.reshape(y.shape)
+        x = np.multiply(_phases(n)[:, None], y.reshape(4**n, -1), order="C").view(float)
+        x = _tau_product(x, [f.T for f in factors], 1).reshape(4**n, -1).view(complex)
+        x = x.reshape([s for s in sides for _ in "ab"] + [-1])
+        return x.transpose([*np.argsort(_pairs(k)), 2 * k]).reshape(y.shape)
+    x = np.array(y.reshape(*sides, *sides, -1).transpose([*_pairs(k), 2 * k]), order="C")
+    if np.iscomplexobj(x):
+        x = _tau_product(x.view(float), factors, 1).reshape(4**n, -1).view(complex)
+    else:
+        x = _tau_product(x, factors, 1).reshape(4**n, -1)
+    return (x * _phases(n)[:, None]).reshape(y.shape)
 
 
 def _pauli_transfer(images: np.ndarray, n: int) -> np.ndarray:
@@ -190,12 +225,30 @@ def _superop_transfer(s: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
     """E[mu, nu] = 2**-n_in Tr(sigma_mu Phi(sigma_nu)) of Phi: vec(X) -> s @ vec(X).
 
     vec is the row-major flattening, so vec(A X B) = (A kron B^T) vec(X)
-    gives ``s`` of any sum of such products.  The images Phi(sigma_nu) are
-    the rows of B_in @ s^T; one more basis change reads their coefficients.
+    gives ``s`` of any sum of such products.  Up to _DENSE_BASIS_MAX
+    ququats on both sides the images Phi(sigma_nu) are the rows of
+    B_in @ s^T, and one more basis change reads their coefficients.
+    Above it, with B = diag(phases) T on each side (:func:`_basis_product`),
+    E[mu, nu] = phase_mu phase_nu (T_out S s T_in^T)[mu, nu] / 2**n_in for
+    S the swap of the output's two indices: one gather regroups s, rows
+    swapped, with its real and imaginary parts as two planes, the real
+    factors of both sides act on both planes, and one pass multiplies
+    each entry by its phase, +-1 or +-i, so each part of E is a part of
+    the planes with a sign.
     """
-    d_out = 2**n_out
-    images = _basis_product(s.T, n_in).reshape(-1, d_out, d_out)
-    return _pauli_transfer(images, n_out) / 2**n_in
+    if max(n_in, n_out) <= _DENSE_BASIS_MAX:
+        d_out = 2**n_out
+        images = _basis_product(s.T, n_in).reshape(-1, d_out, d_out)
+        return _pauli_transfer(images, n_out) / 2**n_in
+    (so, fo), (si, fi) = _basis_blocks(n_out), _basis_blocks(n_in)
+    x = np.asarray(s, complex).view(float).reshape(*so, *so, *si, *si, 2)
+    order = [x.ndim - 1, *_pairs(len(so), swap=True), *(2 * len(so) + i for i in _pairs(len(si)))]
+    x = _tau_product(np.array(x.transpose(order), order="C"), fo + fi, 2)
+    out = np.empty((4**n_out, 4**n_in), complex)
+    out.real, out.imag = x.reshape(2, 4**n_out, 4**n_in)
+    del x  # one full-size array fewer alive with the phases
+    out *= np.multiply.outer(_phases(n_out), _phases(n_in) * 2.0**-n_in)
+    return out
 
 
 def _scale(a: np.ndarray) -> float:
@@ -213,7 +266,9 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
     and the real solver, which costs about a quarter of the complex one,
     takes its real part; the eigenvalues agree with the complex solver's to
     rounding.  A -0.0 counts as zero; a NaN does not, so such a matrix
-    takes the complex solver as any other input does.
+    takes the complex solver as any other input does.  A real matrix, such
+    as the real Choi matrix that ``gates.analyze_gate`` builds above three
+    ququats, goes to the real solver as it is.
     """
     if np.iscomplexobj(a) and not a.imag.any():
         a = a.real

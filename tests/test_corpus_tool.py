@@ -38,9 +38,18 @@ def _result(argv, out, code=0, err="", sha="0" * 16):
     "base,change,move,why",
     [
         (_result(JSON, '{"a": [1.0, 2]}'), _result(JSON, '{"a": [1.0, 2]}'), None, None),
-        (_result(JSON, '{"a": [1.0, 2]}'), _result(JSON, '{"a": [1.25, 2]}'), 0.25, None),
+        (_result(JSON, '{"a": [1.0, 2]}'), _result(JSON, '{"a": [1.0000000000000002, 2]}'),
+         2.220446049250313e-16, None),
         # a chained job reads a moved output: its input differs too
-        (_result(JSON, '{"a": 1.0}'), _result(JSON, '{"a": 1.5}', sha="1" * 16), 0.5, None),
+        (_result(JSON, '{"a": 1.0}'), _result(JSON, '{"a": 1.0000000000005}', sha="1" * 16),
+         pytest.approx(5e-13, rel=1e-3), None),
+        # a float may move by 1e-12 times max(1, |a|, |b|), and no more
+        (_result(JSON, '{"a": 1e6}'), _result(JSON, '{"a": 1000000.0000005}'),
+         pytest.approx(5e-7, rel=1e-3), None),
+        (_result(JSON, '{"a": [1.0, 2]}'), _result(JSON, '{"a": [1.25, 2]}'), None,
+         "float 1.0 became 1.25"),
+        (_result(JSON, '{"a": 1e-9}'), _result(JSON, '{"a": 3e-12}'), None,
+         "float 1e-09 became 3e-12"),
         (_result(JSON, '{"a": [1.0, 2]}'), _result(JSON, '{"a": [1.0, 3]}'), None, "2 became 3"),
         (_result(JSON, '{"a": 1.0}'), _result(JSON, '{"a": 1}'), None, "float became int"),
         (_result(JSON, '{"a": 1.0}'), _result(JSON, '{"b": 1.0}'), None, "object keys differ"),
@@ -48,8 +57,14 @@ def _result(argv, out, code=0, err="", sha="0" * 16):
         (_result(JSON, "{}"), _result(JSON, "", code=3), None, "exit 0 became 3"),
         (_result(JSON, "", 3, "error: a\n"), _result(JSON, "", 3, "error: b\n"), None,
          "stderr differs"),
+        (_result(TEXT, "a: +1.000000 b: +2.000000"), _result(TEXT, "a: +1.000001 b: +1.999999"),
+         pytest.approx(1e-6), None),
+        (_result(TEXT, "a: +1.234560e-05"), _result(TEXT, "a: +1.234561e-05"),
+         pytest.approx(1e-11), None),
+        # a text number may move by one unit of its last printed digit, and no more
         (_result(TEXT, "a: +1.000000 b: +2.000000"), _result(TEXT, "a: +1.000002 b: +2.000001"),
-         pytest.approx(2e-6), None),
+         None, "+1.000000 became +1.000002"),
+        (_result(TEXT, "a: +nan"), _result(TEXT, "a: +0.000000"), None, "+nan became +0.000000"),
         (_result(TEXT, "count: 3"), _result(TEXT, "count: 4"), None, "3 became 4"),
         (_result(TEXT, "a: +1.000000"), _result(TEXT, "b: +1.000000"), None,
          "text outside the numbers differs"),

@@ -1,5 +1,7 @@
 """Gate construction, application, classification and reversibility tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -648,6 +650,84 @@ def test_analyze_gate_matches_the_complex_solver(name, monkeypatch):
     assert rep.orthogonal == _eye_orthogonal(gate.entries)
     if name.startswith("transpose"):  # its Choi matrix is the swap
         assert rep.min_choi_eigenvalue == pytest.approx(-1, abs=1e-12)
+
+
+def _odd_parity(n_out, n_in):
+    """Where sigma_mu kron sigma_nu^T carries an odd number of Y factors."""
+    ys = [np.zeros(1, int)]
+    for n in (n_out, n_in):
+        y = np.zeros(1, int)
+        for _ in range(n):
+            y = (y[:, None] + (np.arange(4) == 2)).reshape(-1)
+        ys.append(y)
+    return (ys[1][:, None] + ys[2]) % 2 == 1
+
+
+def _with_entry(gate, where, value):
+    """The gate with one entry replaced."""
+    e = gate.entries.copy()
+    e[where] = value
+    return gate_from_matrix(e)
+
+
+def _first_odd(n):
+    return tuple(int(i[0]) for i in np.nonzero(_odd_parity(n, n)))
+
+
+# 4- and 5-ququat gates, built on their first use: name -> builder
+WIDE_CHOI_GATES = {
+    "transpose-4": lambda: _transpose_gate(4),
+    "transpose-5": lambda: _transpose_gate(5),
+    **{f"real-kraus-4-{seed}": (lambda seed=seed: _real_kraus_gate(np.random.default_rng(seed), 4))
+       for seed in (163, 167)},
+    "real-orthogonal-4": lambda: _real_orthogonal_gate(np.random.default_rng(173), 4),
+    "haar-4": lambda: gate_from_unitary(random_unitary(np.random.default_rng(179), 16)),
+    # one odd-parity entry of the transpose map: a -0.0 is zero, a 1e-300 is not
+    "transpose-4-minus-zero": lambda: _with_entry(_transpose_gate(4), _first_odd(4), -0.0),
+    "transpose-4-tiny": lambda: _with_entry(_transpose_gate(4), _first_odd(4), 1e-300),
+}
+
+
+@pytest.mark.parametrize("name", WIDE_CHOI_GATES)
+def test_analyze_gate_takes_the_real_solver_exactly_when_odd_parity_entries_are_zero(
+        name, monkeypatch):
+    gate = WIDE_CHOI_GATES[name]()
+    real = not gate.entries[_odd_parity(gate.n_out, gate.n_in)].any()
+    assert real == (name not in ("haar-4", "transpose-4-tiny"))
+    want = choi_matrix(gate)
+    seen = spy_arguments(monkeypatch, np.linalg, "eigvalsh")
+    rep = analyze_gate(gate)
+    assert [x.dtype for x in seen] == [np.float64 if real else complex]
+    if real:  # the real Choi matrix is the real part of the complex route, bit for bit
+        assert seen[0].tobytes() == np.ascontiguousarray(want.real).tobytes()
+    else:
+        assert seen[0].tobytes() == want.tobytes()
+    assert abs(rep.min_choi_eigenvalue - np.linalg.eigvalsh(want)[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("change,message", [
+    ({(5, 5): 1.7e308, (9, 9): 1.7e308}, "Choi matrix not Hermitian: residual nan"),
+    ({(5, 5): 1.7e308, (9, 9): -1.7e308}, "Choi matrix not Hermitian: residual nan"),
+    ({(2, 0): 1.7e308, (0, 2): 1.7e308}, "result has non-finite entries"),
+    (1.7e308, "Choi matrix not Hermitian: residual nan"),
+])
+def test_overflowing_four_ququat_gates_are_refused_by_gate_analyze(change, message, tmp_path,
+                                                                    capsys):
+    """Entries near the largest float overflow the Choi products of a 4-ququat gate."""
+    from ququat.cli import EXIT_CONTRACT, main
+
+    if isinstance(change, dict):
+        entries = np.eye(256)
+        for where, value in change.items():
+            entries[where] = value
+    else:
+        entries = change * np.eye(256)
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps({"entries": entries.tolist()}))
+    with np.errstate(all="ignore"):
+        code = main(["gate", "analyze", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (EXIT_CONTRACT, "", f"error: {message}\n")
 
 
 def _scaled(gate, eps):

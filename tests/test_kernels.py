@@ -9,8 +9,14 @@ The dense route is the one GEMM against the flattened ``pauli_basis(n)``
 that ``liouville._basis_product`` keeps for n <= 3 and replaces by
 blockwise products above.  It is the second oracle: equal bit for bit at
 n <= 3, and to 1e-12 at n = 4, 5.
+
+Above n = 3 the kernel takes the real factors I, X, iY, Z of each sigma
+and its phase (-i)**y(mu).  Its tests compare with the einsum over the
+per-ququat sigma factors themselves, which needs no 4**n x 4**n basis and
+so also reaches the mixed orders (6, 1) and (1, 6).
 """
 
+import string
 from dataclasses import astuple
 
 import numpy as np
@@ -28,10 +34,12 @@ from ququat.gates import (
 from ququat import liouville
 from ququat.lindblad import liouvillian_superop
 from ququat.liouville import (
+    SIGMA,
     DensityMatrix,
     PauliVector,
     _basis_product,
     _pauli_combine,
+    _superop_transfer,
     density_to_pvec,
     pauli_basis,
     pvec_to_density,
@@ -122,6 +130,32 @@ def dense_combine(p, n):
     return (p @ pauli_basis(n).reshape(4**n, -1)).reshape(2**n, 2**n) / 2**n
 
 
+def oracle_basis_product(y, n, transpose=False):
+    """B @ y, or B^T @ y, as one einsum over the factors of B[mu, (a, b)] = prod_i
+    sigma_{mu_i}[a_i, b_i]: no 4**n x 4**n basis is built."""
+    mu, a, b = (string.ascii_letters[k * n:(k + 1) * n] for k in range(3))
+    factors = ",".join(m + i + j for m, i, j in zip(mu, a, b))
+    spec = f"{factors},{mu}z->{a}{b}z" if transpose else f"{factors},{a}{b}z->{mu}z"
+    x = y.reshape(((4,) * n if transpose else (2,) * (2 * n)) + (-1,))
+    return np.einsum(spec, *[np.stack(SIGMA)] * n, x, optimize=True).reshape(y.shape)
+
+
+def oracle_superop_transfer(s, n_in, n_out):
+    """2**-n_in Tr(sigma_mu Phi(sigma_nu)) through the images Phi(sigma_nu)."""
+    d_out = 2**n_out
+    images = oracle_basis_product(s.T, n_in).reshape(-1, d_out, d_out)
+    return oracle_basis_product(images.transpose(0, 2, 1).reshape(len(images), -1).T,
+                                n_out) / 2**n_in
+
+
+def oracle_closed_form_choi(gate):
+    """J = 2**-n_out sum E[mu, nu] sigma_mu kron sigma_nu^T, before symmetrization."""
+    d_in, d_out = 2**gate.n_in, 2**gate.n_out
+    m = oracle_basis_product(gate.entries.astype(complex).T, gate.n_in, transpose=True).T
+    m = oracle_basis_product(m, gate.n_out, transpose=True) / d_out
+    return m.reshape(d_out, d_out, d_in, d_in).transpose(0, 3, 1, 2).reshape(d_out * d_in, -1)
+
+
 def oracle_pauli_generator(liouvillian, n):
     """q^dagger L q over the orthonormal basis q[:, mu] = vec(sigma_mu) / sqrt(2**n)."""
     q = pauli_basis(n).reshape(4**n, -1).T / np.sqrt(2**n)
@@ -200,20 +234,39 @@ def test_state_kernels_match_dense_route(n):
     assert_dense_route(_pauli_combine(p, n), dense_combine(p, n), n)
 
 
-def test_no_dense_basis_above_three_ququats(monkeypatch):
-    """Choi matrices, state checks, conversions, gates and pseudo-gates at n = 4..6 never
-    build pauli_basis(n > 3)."""
-    original = pauli_basis
+def _only_small(monkeypatch, name):
+    """Patch the cached basis builder ``liouville.<name>`` to refuse n > 3; returns it."""
+    original = getattr(liouville, name)
 
     def small_only(n):
         if n > 3:
-            raise AssertionError(f"pauli_basis({n}) was built")
+            raise AssertionError(f"{name}({n}) was built")
         return original(n)
 
-    monkeypatch.setattr(liouville, "pauli_basis", small_only)
+    monkeypatch.setattr(liouville, name, small_only)
     # a module that imported the name calls the cached function itself: its
     # cache then holds more than the bases of n = 1, 2, 3
     original.cache_clear()
+    liouville._basis_blocks.cache_clear()  # its factors are built through the patched name
+    return original
+
+
+def test_no_dense_basis_above_three_ququats(monkeypatch):
+    """Choi matrices, state checks, conversions, gates and pseudo-gates at n = 4..6 never
+    build pauli_basis(n > 3)."""
+    original = _only_small(monkeypatch, "pauli_basis")
+    _build_above_three_ququats()
+    assert original.cache_info().currsize <= 3
+
+
+def test_no_dense_tau_basis_above_three_ququats(monkeypatch):
+    """Nor a real tau basis: the blocks of the route above n = 3 take at most two ququats."""
+    original = _only_small(monkeypatch, "_tau_basis")
+    _build_above_three_ququats()
+    assert original.cache_info().currsize <= 2
+
+
+def _build_above_three_ququats():
     rng = np.random.default_rng(230)
     for n_in, n_out in ((4, 4), (5, 5), (6, 1), (1, 6)):
         gate = GateMatrix(n_in, n_out, rng.normal(size=(4**n_out, 4**n_in)), "general")
@@ -232,7 +285,65 @@ def test_no_dense_basis_above_three_ququats(monkeypatch):
         assert gate_from_kraus(random_kraus(rng, n, n)).entries.shape == (4**n, 4**n)
         for build in (left_mult_superop, right_mult_superop):
             assert build(u).matrix.shape == (4**n, 4**n)
-    assert original.cache_info().currsize <= 3
+
+
+# -- the real tau route against the sigma einsum oracles ---------------------------------
+
+TAU_NS = (4, 5)
+TAU_ORDERS = [(4, 4), (5, 5), (4, 2), (2, 4), (6, 1), (1, 6)]
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("n", TAU_NS)
+def test_tau_basis_product_matches_the_oracle(n, transpose):
+    rng = np.random.default_rng(240 + n)
+    for y in (
+        ginibre(rng, 4**n, 3),
+        ginibre(rng, 4**n, 1)[:, 0],
+        rng.normal(size=(4**n, 2)),
+        rng.normal(size=4**n),
+        ginibre(rng, 3, 4**n).T,
+    ):
+        got = _basis_product(y, n, transpose)
+        assert got.shape == y.shape and got.dtype == complex
+        assert_close(got, oracle_basis_product(y, n, transpose))
+
+
+@pytest.mark.parametrize("n_in,n_out", TAU_ORDERS)
+def test_tau_superop_transfer_and_choi_match_the_oracle(n_in, n_out):
+    rng = np.random.default_rng(250 + 8 * n_in + n_out)
+    s = ginibre(rng, 4**n_out, 4**n_in)
+    assert_close(_superop_transfer(s, n_in, n_out), oracle_superop_transfer(s, n_in, n_out))
+    gate = GateMatrix(n_in, n_out, rng.normal(size=(4**n_out, 4**n_in)), "general")
+    j = choi_matrix(gate)
+    assert j.dtype == complex
+    assert_close(j, oracle_closed_form_choi(gate))
+    if n_in == n_out == 4:  # the matrix-unit loop, apart from the closed form
+        assert_close(j, oracle_choi(gate))
+
+
+@pytest.mark.parametrize("n", TAU_NS)
+def test_tau_state_kernels_match_the_oracle(n):
+    rng = np.random.default_rng(260 + n)
+    rhos = [random_density(rng, n).entries for _ in range(3)]
+    p = np.stack([density_to_pvec(DensityMatrix(n, rho)).P for rho in rhos], axis=1)
+    assert_close(p, np.stack([oracle_density_to_pvec(rho, n).real for rho in rhos], axis=1))
+    assert_close(_pauli_combine(p[:, 0], n), oracle_pvec_to_density(p[:, 0], n))
+    assert_close(_pauli_combine(p, n), np.stack([oracle_pvec_to_density(q, n) for q in p.T]))
+
+
+@pytest.mark.parametrize("n", TAU_NS)
+def test_tau_generator_and_pseudo_gates_match_the_oracle(n):
+    rng = np.random.default_rng(270 + n)
+    h = ginibre(rng, 2**n, 2**n)
+    liou = liouvillian_superop(h + h.conj().T, [ginibre(rng, 2**n, 2**n)])
+    assert_close(liou.to_pauli_generator(), oracle_pauli_generator(liou, n))
+    a = ginibre(rng, 2**n, 2**n)
+    basis = pauli_basis(n)
+    left = np.einsum("nij,mjk,ki->mn", basis, basis, a, optimize=True) / 2**n
+    right = np.einsum("mij,njk,ki->mn", basis, basis, a, optimize=True) / 2**n
+    assert_close(left_mult_superop(a).matrix, left)
+    assert_close(right_mult_superop(a).matrix, right)
 
 
 # -- Pauli transfer ------------------------------------------------------------

@@ -35,7 +35,10 @@ says by how much:
 runs the corpus in PARENT_CHECKOUT and in ``--root``, each in a child
 process, and prints each case that differs with the largest absolute
 move of a float on its stdout.  It exits 1 on a difference of any other
-kind: exit code, stderr, JSON structure, or a value that is not a float.
+kind: exit code, stderr, JSON structure, a value that is not a float, a
+JSON float that moves by more than :data:`LAST_BITS` times
+max(1, |a|, |b|), or a text number that moves by more than one unit of
+its last printed digit.
 """
 
 from __future__ import annotations
@@ -45,12 +48,12 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import os
 import re
 import subprocess
 import sys
 from collections import Counter
+from decimal import Decimal
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -512,6 +515,9 @@ def non_finite(argv, out: str) -> bool:
 # -- comparing two checkouts ---------------------------------------------------
 
 
+# a JSON float may move by this much relative to max(1, |a|, |b|): its last bits
+LAST_BITS = 1e-12
+
 _NUMBER = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|[+-]?(?:nan|inf)")
 
 
@@ -522,7 +528,7 @@ def _float_moves(a, b, moves: list) -> str | None:
         return f"{type(a).__name__} became {type(b).__name__}"
     if type(a) is float:
         move = abs(a - b)
-        if not math.isfinite(move):
+        if not move <= LAST_BITS * max(1.0, abs(a), abs(b)):  # a NaN or inf move included
             return f"float {a!r} became {b!r}"
         if move:
             moves.append(move)
@@ -547,17 +553,20 @@ def _float_moves(a, b, moves: list) -> str | None:
 
 def _text_moves(a: str, b: str, moves: list) -> str | None:
     """As :func:`_float_moves`, for text: everything but the numbers must match,
-    and a number that differs must be written as a float on both sides."""
+    and a number that differs must be a finite float on both sides that moves
+    by at most one unit of its last printed digit (the coarser of the two)."""
     if _NUMBER.sub("#", a) != _NUMBER.sub("#", b):
         return "text outside the numbers differs"
     for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b)):
         if x == y:
             continue
-        if not all("." in z or "e" in z or z[-3:] in ("nan", "inf") for z in (x, y)):
+        dx, dy = Decimal(x), Decimal(y)
+        if not all(("." in z or "e" in z) and Decimal(z).is_finite() for z in (x, y)):
             return f"{x} became {y}"
-        why = _float_moves(float(x), float(y), moves)
-        if why:
-            return why
+        move = abs(dx - dy)
+        if move > Decimal(1).scaleb(max(dx.as_tuple().exponent, dy.as_tuple().exponent)):
+            return f"{x} became {y}"
+        moves.append(float(move))
     return None
 
 
