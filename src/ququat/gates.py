@@ -27,7 +27,7 @@ import numpy as np
 from .config import MAX_GATE_QUQUATS, tolerances
 from .errors import NumericContractError, ZeroProbabilityError
 from .liouville import (_DENSE_BASIS_MAX, PauliVector, _U, _basis_blocks, _basis_product,
-                        _eigvalsh, _exponent, _frozen, _kron, _pauli_transfer, _phases,
+                        _exponent, _frozen, _kron, _pauli_transfer, _phases,
                         _real_part, _superop_transfer, _tau_product)
 
 __all__ = [
@@ -463,10 +463,11 @@ def choi_matrix(gate: GateMatrix, *, real: bool = False) -> np.ndarray:
     times the maximally entangled projector.  Gates built from Kraus
     sets always pass the PSD test.
 
-    J is complex.  With ``real``, above _DENSE_BASIS_MAX ququats, a gate
-    whose odd-parity entries are all zero (a -0.0 counts as zero) has a
-    real J, which is built alone and returned as a real array, bit for
-    bit the real part of the complex one.
+    J is complex.  With ``real``, a J whose imaginary part is exactly zero
+    (a -0.0 counts as zero) is returned as a real array, its real part,
+    for the real symmetric solver.  Above _DENSE_BASIS_MAX ququats a gate
+    whose odd-parity entries are all zero has such a J, which is built
+    alone, bit for bit the real part of the complex one.
     """
     n_in, n_out = gate.n_in, gate.n_out
     d_in, d_out = 2**n_in, 2**n_out
@@ -498,7 +499,7 @@ def choi_matrix(gate: GateMatrix, *, real: bool = False) -> np.ndarray:
         raise NumericContractError(f"Choi matrix not Hermitian: residual {resid:.3e}")
     j += jh
     j /= 2
-    return j
+    return j.real if real and np.iscomplexobj(j) and not j.imag.any() else j
 
 
 @dataclass(frozen=True)
@@ -538,7 +539,7 @@ def analyze_gate(gate: GateMatrix) -> GateReport:
     t_norm = float(np.linalg.norm(e[1:, 0]))
     unital = _row0_deviation(e[:, 0]) <= tol
     ortho = _gram_deviation(e @ e.T) <= tol and _gram_deviation(e.T @ e) <= tol
-    min_choi = float(_eigvalsh(choi_matrix(gate, real=True))[0])
+    min_choi = float(np.linalg.eigvalsh(choi_matrix(gate, real=True))[0])
     return GateReport(
         real=bool(np.isrealobj(e)),
         trace_preserving=row0_dev <= tol,

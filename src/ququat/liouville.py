@@ -259,22 +259,6 @@ def _scale(a: np.ndarray) -> float:
     return size if 1.0 < size < np.inf else 1.0
 
 
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, by ``np.linalg.eigvalsh``.
-
-    A complex matrix whose imaginary part is exactly zero is real symmetric,
-    and the real solver, which costs about a quarter of the complex one,
-    takes its real part; the eigenvalues agree with the complex solver's to
-    rounding.  A -0.0 counts as zero; a NaN does not, so such a matrix
-    takes the complex solver as any other input does.  A real matrix, such
-    as the real Choi matrix that ``gates.analyze_gate`` builds above three
-    ququats, goes to the real solver as it is.
-    """
-    if np.iscomplexobj(a) and not a.imag.any():
-        a = a.real
-    return np.linalg.eigvalsh(a)
-
-
 def _real_part(a: np.ndarray, message: str, scale: float = 1.0) -> np.ndarray:
     """Real part of a Pauli-basis result, refused with ``message`` and the
     largest imaginary part when that exceeds the algebraic tolerance times

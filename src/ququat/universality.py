@@ -4,9 +4,9 @@ Left and right multiplication superoperators ("pseudo-gates") are the
 building blocks of completely positive maps: every Kraus channel is
 sum_j L_{A_j} R_{A_j^dagger}, and the gate matrix factors accordingly.
 The universality question for gates reduces to which superoperator Lie
-algebra a set of pseudo-gate generators closes into; the closure
-dimension is computed over the reals with multiplication by i counted
-separately, so gl(N, C) has real dimension 2 N**2.
+algebra a set of pseudo-gate generators closes into; the closure is
+tracked as a complex span, and its real dimension, twice the complex one,
+is reported, so gl(N, C) has real dimension 2 N**2.
 """
 
 from __future__ import annotations
@@ -133,30 +133,28 @@ def weyl_generators(dim: int) -> GeneratorSet:
 _SPAN_THRESHOLD = 1e-9  # relative residual above which a candidate joins a Lie span
 
 
-class _RealSpan:
-    """Orthonormal rows [Re M, Im M] of complex matrices M, in a (dim, dim) buffer.
+class _ComplexSpan:
+    """Orthonormal rows vec(M) of complex matrices M, in a (dim, dim) complex buffer.
 
     A candidate is kept when its residual after two Gram-Schmidt passes,
     relative to its norm, exceeds ``_SPAN_THRESHOLD``.
     """
 
     def __init__(self, dim: int):
-        self.rows = np.zeros((dim, dim))
+        self.rows = np.zeros((dim, dim), dtype=complex)
         self.dim = 0
 
     def extend(self, mats: np.ndarray) -> np.ndarray:
-        """Offer each matrix, then i times it; return the kept ones, normalised, in order."""
+        """Offer each matrix; return the kept ones, normalised, in order."""
         flat = mats.reshape(len(mats), -1)
         norms = np.linalg.norm(flat, axis=1)
         keep = norms > _SPAN_THRESHOLD
-        flat = flat[keep] / norms[keep, None]
-        flat = np.stack([flat, 1j * flat], axis=1).reshape(-1, flat.shape[1])
-        vecs = np.concatenate([flat.real, flat.imag], axis=1)
+        flat = vecs = flat[keep] / norms[keep, None]
         held = self.rows[: self.dim]
         # one GEMM per pass against the rows held before the call; a
         # residual at or below the threshold cannot grow in a later pass
         for _ in range(2):
-            vecs -= (vecs @ held.T) @ held
+            vecs = vecs - (vecs @ held.conj().T) @ held
             live = np.linalg.norm(vecs, axis=1) > _SPAN_THRESHOLD
             vecs, flat = vecs[live], flat[live]
         start = self.dim
@@ -164,7 +162,7 @@ class _RealSpan:
         for j, v in enumerate(vecs):
             new = self.rows[start : self.dim]
             for _ in range(2):
-                v = v - new.T @ (new @ v)
+                v = v - new.T @ (new.conj() @ v)
             resid = np.linalg.norm(v)
             if resid > _SPAN_THRESHOLD and self.dim < len(self.rows):
                 self.rows[self.dim] = v / resid
@@ -182,12 +180,13 @@ _BRACKET_ENTRIES = 2**14
 def lie_closure_dim(generators, max_iter: int = 100) -> int:
     """Real dimension of the matrix Lie algebra generated by a set.
 
-    The algebra is taken closed under multiplication by i (each element
-    is inserted together with i times itself), so a set spanning all
-    matrix units of size N closes to gl(N, C) with real dimension
-    2 N**2.  New directions are found by commutating the generators
-    against the accumulating basis (left-normed brackets span the
-    algebra); the rank is tracked by thresholded Gram-Schmidt.
+    The algebra is taken closed under multiplication by i: it is the
+    complex span of the generators and their brackets, whose real
+    dimension is twice the complex one, so a set spanning all matrix
+    units of size N closes to gl(N, C) with real dimension 2 N**2.  New
+    directions are found by commutating the generators against the
+    accumulating basis (left-normed brackets span the algebra); the
+    complex rank is tracked by thresholded Gram-Schmidt over vec(M).
 
     Generators of side above ``MAX_LIE_SIDE`` are refused with
     :class:`NumericContractError` before the span is allocated.
@@ -210,7 +209,7 @@ def lie_closure_dim(generators, max_iter: int = 100) -> int:
         )
 
     gens = np.stack(mats)
-    span = _RealSpan(2 * size * size)
+    span = _ComplexSpan(size * size)
     frontier = span.extend(gens)
     # brackets [g, b], frontier outer and generator inner, in blocks of at
     # most _BRACKET_ENTRIES entries or of one frontier member
@@ -232,7 +231,7 @@ def lie_closure_dim(generators, max_iter: int = 100) -> int:
                 LieClosureWarning,
                 stacklevel=2,
             )
-    return span.dim
+    return 2 * span.dim
 
 
 def swap_pseudo_gate() -> PseudoGate:

@@ -1894,9 +1894,9 @@ def test_lie_side_above_the_ceiling_exit_3(tmp_path, capsys, monkeypatch, side):
     from ququat import universality
 
     def refuse(dim):
-        raise AssertionError(f"a span of {dim} reals allocated above the Lie ceiling")
+        raise AssertionError(f"a span of {dim} complex entries allocated above the Lie ceiling")
 
-    monkeypatch.setattr(universality, "_RealSpan", refuse)
+    monkeypatch.setattr(universality, "_ComplexSpan", refuse)
     unit = np.zeros((side, side))
     unit[0, 1] = 1
     doc = {"generators": [unit.tolist(), unit.T.tolist()]}

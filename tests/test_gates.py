@@ -623,35 +623,6 @@ def _real_orthogonal_gate(rng, n):
     return gate_from_unitary(np.linalg.qr(rng.normal(size=(2**n, 2**n)))[0])
 
 
-# name -> (gate, whether its Choi matrix is real and takes the real solver)
-CHOI_ROUTE_GATES = {
-    **{f"transpose-{n}": (lambda n=n: _transpose_gate(n), True) for n in range(1, 6)},
-    **{f"real-kraus-{n}": (lambda n=n: _real_kraus_gate(np.random.default_rng([137, n]), n), True)
-       for n in range(1, 5)},
-    **{f"real-orthogonal-{n}":
-       (lambda n=n: _real_orthogonal_gate(np.random.default_rng([139, n]), n), True)
-       for n in range(1, 5)},
-    "table-box": (lambda: synthesize_quantum(builtin("box")), True),
-    "table-luk-neg": (lambda: synthesize_quantum(builtin("luk_neg")), False),
-    "haar-2": (lambda: gate_from_unitary(random_unitary(np.random.default_rng(149), 4)), False),
-}
-
-
-@pytest.mark.parametrize("name", CHOI_ROUTE_GATES)
-def test_analyze_gate_matches_the_complex_solver(name, monkeypatch):
-    build, real = CHOI_ROUTE_GATES[name]
-    gate = build()
-    want_min = float(np.linalg.eigvalsh(choi_matrix(gate))[0])  # the oracle
-    seen = spy_arguments(monkeypatch, np.linalg, "eigvalsh")
-    rep = analyze_gate(gate)
-    assert [x.dtype for x in seen] == [np.float64 if real else complex]
-    assert abs(rep.min_choi_eigenvalue - want_min) <= 1e-12
-    assert rep.completely_positive == (want_min >= -tolerances.psd)
-    assert rep.orthogonal == _eye_orthogonal(gate.entries)
-    if name.startswith("transpose"):  # its Choi matrix is the swap
-        assert rep.min_choi_eigenvalue == pytest.approx(-1, abs=1e-12)
-
-
 def _odd_parity(n_out, n_in):
     """Where sigma_mu kron sigma_nu^T carries an odd number of Y factors."""
     ys = [np.zeros(1, int)]
@@ -672,6 +643,68 @@ def _with_entry(gate, where, value):
 
 def _first_odd(n):
     return tuple(int(i[0]) for i in np.nonzero(_odd_parity(n, n)))
+
+
+# name -> (gate, whether its Choi matrix is real and takes the real solver)
+CHOI_ROUTE_GATES = {
+    **{f"transpose-{n}": (lambda n=n: _transpose_gate(n), True) for n in range(1, 6)},
+    **{f"real-kraus-{n}": (lambda n=n: _real_kraus_gate(np.random.default_rng([137, n]), n), True)
+       for n in range(1, 5)},
+    **{f"real-orthogonal-{n}":
+       (lambda n=n: _real_orthogonal_gate(np.random.default_rng([139, n]), n), True)
+       for n in range(1, 5)},
+    "table-box": (lambda: synthesize_quantum(builtin("box")), True),
+    "table-luk-neg": (lambda: synthesize_quantum(builtin("luk_neg")), False),
+    "haar-2": (lambda: gate_from_unitary(random_unitary(np.random.default_rng(149), 4)), False),
+    # one odd-parity entry of the transpose map: a -0.0 is zero, a 1e-300 is not
+    "transpose-2-minus-zero": (lambda: _with_entry(_transpose_gate(2), _first_odd(2), -0.0), True),
+    "transpose-2-tiny": (lambda: _with_entry(_transpose_gate(2), _first_odd(2), 1e-300), False),
+}
+
+
+@pytest.mark.parametrize("name", CHOI_ROUTE_GATES)
+def test_analyze_gate_matches_the_complex_solver(name, monkeypatch):
+    build, real = CHOI_ROUTE_GATES[name]
+    gate = build()
+    want = choi_matrix(gate)
+    want_min = float(np.linalg.eigvalsh(want)[0])  # the oracle
+    seen = spy_arguments(monkeypatch, np.linalg, "eigvalsh")
+    rep = analyze_gate(gate)
+    assert [x.dtype for x in seen] == [np.float64 if real else complex]
+    # the real Choi matrix is the real part of the complex one, bit for bit
+    assert seen[0].tobytes() == (np.ascontiguousarray(want.real) if real else want).tobytes()
+    assert abs(rep.min_choi_eigenvalue - want_min) <= 1e-12
+    assert rep.completely_positive == (want_min >= -tolerances.psd)
+    assert rep.orthogonal == _eye_orthogonal(gate.entries)
+    if name.startswith("transpose"):  # its Choi matrix is the swap
+        assert rep.min_choi_eigenvalue == pytest.approx(-1, abs=1e-12)
+
+
+def _real_symmetric_choi_gate(rng, n_out, n_in):
+    """A gate whose Choi matrix is real symmetric and indefinite: two real
+    single-operator maps less a third."""
+    parts = []
+    for _ in range(3):
+        a = rng.normal(size=(2**n_out, 2**n_in))
+        parts.append(gate_from_kraus([a / np.linalg.norm(a, 2)]).entries)
+    return gate_from_matrix(parts[0] + parts[1] - parts[2])
+
+
+@pytest.mark.parametrize("d", [4, 8, 16, 32, 64, 128, 256])
+def test_a_real_symmetric_choi_matrix_takes_the_real_solver(d, monkeypatch):
+    k = d.bit_length() - 1
+    gate = _real_symmetric_choi_gate(np.random.default_rng([109, d]), k // 2, k - k // 2)
+    a = choi_matrix(gate)
+    assert a.shape == (d, d) and np.iscomplexobj(a)
+    want = np.linalg.eigvalsh(a)  # the complex solver, the oracle
+    seen = spy_arguments(monkeypatch, np.linalg, "eigvalsh")
+    rep = analyze_gate(gate)
+    monkeypatch.undo()
+    assert [x.dtype for x in seen] == [np.float64]
+    got = np.linalg.eigvalsh(seen[0])
+    assert got[0] == rep.min_choi_eigenvalue
+    assert np.all(np.diff(got) >= 0)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.linalg.norm(a, 2))
 
 
 # 4- and 5-ququat gates, built on their first use: name -> builder

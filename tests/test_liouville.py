@@ -1,6 +1,5 @@
 """Basis, inner product and state conversion tests."""
 
-import contextlib
 import dataclasses
 
 import numpy as np
@@ -26,7 +25,6 @@ from ququat.liouville import (
     LiouvilleVector,
     NonPositiveStateWarning,
     ValidationReport,
-    _eigvalsh,
     _exponent,
     _pauli_combine,
     _scale,
@@ -34,7 +32,7 @@ from ququat.liouville import (
     _validate_stack,
 )
 
-from helpers import random_density, spy_arguments, spy_shapes
+from helpers import random_density, spy_shapes
 
 RNG = np.random.default_rng(7)
 
@@ -516,42 +514,3 @@ def test_a_min_eigenvalue_is_computed_once_when_first_read():
         "hermitian", "unit_trace", "psd", "purity_in_bounds", "trace", "min_eigenvalue", "purity"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         rep.min_eigenvalue = 0.0
-
-
-# -- the real route of Hermitian spectra -----------------------------------------
-
-
-def _real_symmetric(rng, d):
-    g = rng.normal(size=(d, d))
-    return (g + g.T).astype(complex)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32, 64, 128, 256])
-def test_a_real_symmetric_matrix_in_complex_dtype_takes_the_real_solver(d, monkeypatch):
-    a = _real_symmetric(np.random.default_rng([109, d]), d)
-    want = np.linalg.eigvalsh(a)  # the complex solver, the oracle
-    seen = spy_arguments(monkeypatch, np.linalg, "eigvalsh")
-    got = _eigvalsh(a)
-    assert [x.dtype for x in seen] == [np.float64]
-    assert np.all(np.diff(got) >= 0)
-    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.linalg.norm(a, 2))
-
-
-def test_only_an_exactly_zero_imaginary_part_takes_the_real_solver(monkeypatch):
-    a = _real_symmetric(np.random.default_rng(113), 4)
-    negative_zero = a.copy()
-    negative_zero.imag = -0.0
-    assert np.signbit(negative_zero.imag).all()
-    tiny = a.copy()
-    tiny[0, 1] += 1e-300j
-    tiny[1, 0] -= 1e-300j
-    nan = a.copy()
-    nan[2, 1] = complex(nan[2, 1].real, np.nan)  # the solver reads the lower triangle
-    real = a.real.copy()
-    seen = spy_arguments(monkeypatch, np.linalg, "eigvalsh")
-    for m in (a, negative_zero, tiny, nan, real):
-        with contextlib.suppress(np.linalg.LinAlgError):  # the NaN may stop the solver
-            _eigvalsh(m)
-    assert [x.dtype for x in seen] == [np.float64, np.float64, complex, complex, np.float64]
-    assert seen[-1] is real
-

@@ -242,18 +242,92 @@ def _seeded_sets(n, rng):
     }
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_blocked_span_matches_the_per_vector_oracle(n):
+def _closure(mats, max_iter):
+    """(dimension, warned) of ``lie_closure_dim``; no warning but LieClosureWarning is issued."""
     from ququat.universality import LieClosureWarning
 
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dim = lie_closure_dim(mats, max_iter=max_iter)
+    warned = [w.category for w in caught] == [LieClosureWarning]
+    assert not caught or warned
+    return dim, warned
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_blocked_span_matches_the_per_vector_oracle(n):
     for kind, mats in _seeded_sets(n, np.random.default_rng(100 + n)).items():
         for max_iter in (1, 2, 3, 100):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                dim = lie_closure_dim(mats, max_iter=max_iter)
-            warned = [w.category for w in caught] == [LieClosureWarning]
-            assert not caught or warned, kind
-            assert (dim, warned) == _per_vector_closure(mats, max_iter), (kind, max_iter)
+            assert _closure(mats, max_iter) == _per_vector_closure(mats, max_iter), (kind, max_iter)
+
+
+def _conjugated(mats, seed):
+    u = random_unitary(np.random.default_rng(seed), len(mats[0]))
+    return [u @ m @ u.conj().T for m in mats]
+
+
+# name -> (generators, closed-form dimension): the sets of the benchmark's
+# closure search, each conjugated by a seeded Haar unitary
+CONJUGATED_SETS = {
+    "entangler": (lambda: _conjugated(entangler_generators(), 211), 512),
+    "no-entangler": (lambda: _conjugated(entangler_generators()[:-1], 223), 26),
+    "unit-chain-4": (lambda: _conjugated([_unit(4, k, k + 1) for k in range(3)], 227), 12),
+    "x-z": (lambda: _conjugated([SIGMA[1], SIGMA[3]], 229), 6),
+}
+
+
+@pytest.mark.parametrize("name", CONJUGATED_SETS)
+def test_conjugated_closure_sets_match_the_oracle_and_the_closed_form(name):
+    build, want = CONJUGATED_SETS[name]
+    mats = build()
+    assert _closure(mats, 60) == _per_vector_closure(mats, 60) == (want, False)
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+def test_an_entangler_closure_cut_short_matches_the_oracle(max_iter, conjugate):
+    mats = _conjugated(entangler_generators(), 233) if conjugate else entangler_generators()
+    got = _closure(mats, max_iter)
+    assert got[1] and got[0] < 512
+    assert got == _per_vector_closure(mats, max_iter)
+
+
+def _threshold_sets(n, rng):
+    def unit_norm():
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return m / np.linalg.norm(m)
+
+    a, c = unit_norm(), unit_norm()
+    return {
+        # a generator whose norm is on either side of the span threshold, next to a unit
+        **{f"scaled-{s}": [_unit(n, 0, 1), s * unit_norm()] for s in (0.5e-9, 2e-9)},
+        # a nearly dependent pair b = a + eps c
+        **{f"dependent-{eps}": [a, a + eps * c] for eps in (1e-12, 1e-8)},
+    }
+
+
+# (n, set, max_iter) -> ((dimension, warned) of the span, of the oracle), where
+# they part.  The brackets of a nearly dependent pair keep about eight digits.
+# At n = 3 the oracle's [g, i M], formed by a product of its own, differs from
+# i [g, M] by rounding of relative size 1e-8, above the span threshold, and the
+# oracle counts it as new directions that the complex span never sees.  Both
+# closures reach gl(3, C).
+ORACLE_DIFFERENCES = {
+    (3, "dependent-1e-08", 1): ((8, True), (12, True)),
+    (3, "dependent-1e-08", 2): ((14, True), (18, True)),
+    (3, "dependent-1e-08", 3): ((16, True), (18, False)),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_candidates_near_the_span_threshold_match_the_oracle(n):
+    for kind, mats in _threshold_sets(n, np.random.default_rng(300 + n)).items():
+        for max_iter in (1, 2, 3, 100):
+            got, want = _closure(mats, max_iter), _per_vector_closure(mats, max_iter)
+            if (n, kind, max_iter) in ORACLE_DIFFERENCES:
+                assert (got, want) == ORACLE_DIFFERENCES[n, kind, max_iter]
+            else:
+                assert got == want, (kind, max_iter)
 
 
 class TestSwap:
