@@ -26,9 +26,8 @@ import numpy as np
 
 from .config import MAX_GATE_QUQUATS, tolerances
 from .errors import NumericContractError, ZeroProbabilityError
-from .liouville import (_DENSE_BASIS_MAX, PauliVector, _U, _basis_blocks, _basis_product,
-                        _exponent, _frozen, _kron, _pauli_transfer, _phases,
-                        _real_part, _superop_transfer, _tau_product)
+from .liouville import (PauliVector, _U, _choi_product, _exponent, _frozen, _kron,
+                        _pauli_transfer, _real_part, _superop_transfer)
 
 __all__ = [
     "GateMatrix",
@@ -451,48 +450,18 @@ def choi_matrix(gate: GateMatrix, *, real: bool = False) -> np.ndarray:
     """Choi matrix J = sum_ij E(|i><j|) kron |i><j|; PSD iff the map is CP.
 
     Closed form: J = 2**-n_out sum_{mu nu} E[mu, nu] sigma_mu kron sigma_nu^T,
-    output factor leading.  Over the flattened bases, M = B_out^T E B_in
-    holds J[(a, i), (b, k)] at M[(a, b), (k, i)].  Up to _DENSE_BASIS_MAX
-    ququats on both sides both basis products go through
-    ``liouville._basis_product``, E B_in as (B_in^T E^T)^T.  Above it,
-    B = diag(phases) T with T real, so M = T_out^T F T_in for
-    F = diag(phases_out) E diag(phases_in), whose entries are +-E or
-    +-iE by the Y-parity of (mu, nu): the real factors act on the real
-    and imaginary planes of F, and one gather writes J.  The result is
-    symmetrized as (J + J^dagger) / 2.  The identity gate yields 2**n
-    times the maximally entangled projector.  Gates built from Kraus
-    sets always pass the PSD test.
+    output factor leading, built at every order in the real factors I, X,
+    iY, Z by ``liouville._choi_product`` and symmetrized as
+    (J + J^dagger) / 2.  The identity gate yields 2**n times the maximally
+    entangled projector.  Gates built from Kraus sets always pass the PSD test.
 
     J is complex.  With ``real``, a J whose imaginary part is exactly zero
-    (a -0.0 counts as zero) is returned as a real array, its real part,
-    for the real symmetric solver.  Above _DENSE_BASIS_MAX ququats a gate
-    whose odd-parity entries are all zero has such a J, which is built
-    alone, bit for bit the real part of the complex one.
+    (a -0.0 counts as zero) is returned as its real part, for the real
+    symmetric solver; a gate whose odd-parity entries are all zero has
+    such a J and builds it alone.
     """
-    n_in, n_out = gate.n_in, gate.n_out
-    d_in, d_out = 2**n_in, 2**n_out
-    if max(n_in, n_out) <= _DENSE_BASIS_MAX:
-        # j is rebound at each stage, so fewer full-size arrays are alive at once
-        j = _basis_product(gate.entries.T, n_in, transpose=True).T
-        j = _basis_product(j, n_out, transpose=True)
-        j = j.reshape(d_out, d_out, d_in, d_in).transpose(0, 3, 1, 2).reshape(d_out * d_in, -1)
-    else:
-        (so, fo), (si, fi) = _basis_blocks(n_out), _basis_blocks(n_in)
-        phase = np.multiply.outer(_phases(n_out), _phases(n_in))
-        j = np.empty((2, *gate.entries.shape))
-        np.multiply(gate.entries, phase.real, out=j[0])  # F by parts, exact: each phase is +-1 or +-i
-        np.multiply(gate.entries, phase.imag, out=j[1])
-        del phase
-        j = j[0] if real and not j[1].any() else j
-        r = j.ndim - 2
-        j = _tau_product(j, [f.T for f in fo + fi], 2**r)
-        # j holds M over the axes [re/im], (a_j, b_j) per output block, (k_j, i_j) per input block
-        j = j.reshape([2] * r + [s for s in so + si for _ in "ab"])
-        a, k = range(r, r + 2 * len(so), 2), range(r + 2 * len(so), j.ndim, 2)
-        j = j.transpose([*a, *(i + 1 for i in k), *(i + 1 for i in a), *k, *range(r)])
-        j = np.array(j, order="C").reshape(d_out * d_in, -1)
-        j = j.view(complex) if r else j
-    j /= d_out
+    j = _choi_product(gate.entries, gate.n_in, gate.n_out, real)
+    j /= 2**gate.n_out
     jh = j.conj().T
     resid = float(np.abs(j - jh).max())
     if not resid <= tolerances.algebra:  # a NaN is refused before eigvalsh meets it

@@ -115,9 +115,9 @@ def pauli_basis(n: int) -> np.ndarray:
     return out
 
 
-# Up to this many ququats the basis change is one GEMM with the flattened
-# pauli_basis(n); above it, the basis is applied in real arithmetic in blocks
-# of _BASIS_BLOCK ququats and no 4**n x 4**n basis is built.
+# Up to this many ququats a one-sided basis change or a transfer is one GEMM
+# with the flattened pauli_basis(n); above it, and for every Choi matrix, the
+# basis is applied in real arithmetic in blocks of _BASIS_BLOCK ququats.
 _DENSE_BASIS_MAX = 3
 _BASIS_BLOCK = 2
 
@@ -188,9 +188,9 @@ def _basis_product(y: np.ndarray, n: int, transpose: bool = False) -> np.ndarray
     Above it, B = diag(_phases(n)) T with T real: B @ y regroups the rows
     (a, b) once per block, applies each block's factor of T
     (:func:`_basis_blocks`) as one real matmul over that block's axis, to
-    the real and imaginary parts of a complex y together, and multiplies
-    by the phases; B^T @ y applies the phases, the transposed factors and
-    the regrouping back.  Nothing of size 4**n x 4**n exists.
+    the real and imaginary parts of y (gathered as complex) together, and
+    multiplies by the phases; B^T @ y applies the phases, the transposed
+    factors and the regrouping back.  Nothing of size 4**n x 4**n exists.
     """
     if n <= _DENSE_BASIS_MAX:
         rows = pauli_basis(n).reshape(4**n, -1)
@@ -202,11 +202,8 @@ def _basis_product(y: np.ndarray, n: int, transpose: bool = False) -> np.ndarray
         x = _tau_product(x, [f.T for f in factors], 1).reshape(4**n, -1).view(complex)
         x = x.reshape([s for s in sides for _ in "ab"] + [-1])
         return x.transpose([*np.argsort(_pairs(k)), 2 * k]).reshape(y.shape)
-    x = np.array(y.reshape(*sides, *sides, -1).transpose([*_pairs(k), 2 * k]), order="C")
-    if np.iscomplexobj(x):
-        x = _tau_product(x.view(float), factors, 1).reshape(4**n, -1).view(complex)
-    else:
-        x = _tau_product(x, factors, 1).reshape(4**n, -1)
+    x = np.array(y.reshape(*sides, *sides, -1).transpose([*_pairs(k), 2 * k]), complex, order="C")
+    x = _tau_product(x.view(float), factors, 1).reshape(4**n, -1).view(complex)
     return (x * _phases(n)[:, None]).reshape(y.shape)
 
 
@@ -249,6 +246,34 @@ def _superop_transfer(s: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
     del x  # one full-size array fewer alive with the phases
     out *= np.multiply.outer(_phases(n_out), _phases(n_in) * 2.0**-n_in)
     return out
+
+
+def _choi_product(e: np.ndarray, n_in: int, n_out: int, real: bool) -> np.ndarray:
+    """2**n_out J for J = 2**-n_out sum_{mu nu} e[mu, nu] sigma_mu kron sigma_nu^T.
+
+    With B = diag(phases) T on each side (:func:`_basis_product`),
+    M = B_out^T e B_in = T_out^T F T_in holds 2**n_out J[(a, i), (b, k)] at
+    M[(a, b), (k, i)], for F = diag(phases_out) e diag(phases_in), whose
+    entries are +-e or +-ie by the Y-parity of (mu, nu): the real factors act
+    on the real and imaginary planes of F, and one gather writes J, complex.
+    With ``real`` and every odd-parity entry of e zero, the real plane is
+    built alone, bit for bit the real part of the complex J.
+    """
+    (so, fo), (si, fi) = _basis_blocks(n_out), _basis_blocks(n_in)
+    phase = np.multiply.outer(_phases(n_out), _phases(n_in))
+    j = np.empty((2, *e.shape))
+    np.multiply(e, phase.real, out=j[0])  # F by parts, exact: each phase is +-1 or +-i
+    np.multiply(e, phase.imag, out=j[1])
+    del phase
+    j = j[0] if real and not j[1].any() else j
+    r = j.ndim - 2
+    j = _tau_product(j, [f.T for f in fo + fi], 2**r)
+    # j holds M over the axes [re/im], (a_j, b_j) per output block, (k_j, i_j) per input block
+    j = j.reshape([2] * r + [s for s in so + si for _ in "ab"])
+    a, k = range(r, r + 2 * len(so), 2), range(r + 2 * len(so), j.ndim, 2)
+    j = j.transpose([*a, *(i + 1 for i in k), *(i + 1 for i in a), *k, *range(r)])
+    j = np.array(j, order="C").reshape(2**(n_out + n_in), -1)
+    return j.view(complex) if r else j
 
 
 def _scale(a: np.ndarray) -> float:

@@ -7,13 +7,15 @@ fast kernel must agree with them to 1e-12 at small n.
 
 The dense route is the one GEMM against the flattened ``pauli_basis(n)``
 that ``liouville._basis_product`` keeps for n <= 3 and replaces by
-blockwise products above.  It is the second oracle: equal bit for bit at
-n <= 3, and to 1e-12 at n = 4, 5.
+blockwise products above.  It is the second oracle: products and
+transfers equal it bit for bit at n <= 3, and to 1e-12 at n = 4, 5.
 
-Above n = 3 the kernel takes the real factors I, X, iY, Z of each sigma
-and its phase (-i)**y(mu).  Its tests compare with the einsum over the
-per-ququat sigma factors themselves, which needs no 4**n x 4**n basis and
-so also reaches the mixed orders (6, 1) and (1, 6).
+Above n = 3, and for the Choi matrix at every order, the kernel takes the
+real factors I, X, iY, Z of each sigma and its phase (-i)**y(mu).  Choi
+matrices agree with the dense GEMM to 1e-12 at every order.  The tests of
+the real factors compare with the einsum over the per-ququat sigma
+factors themselves, which needs no 4**n x 4**n basis and so also reaches
+the mixed orders (6, 1) and (1, 6).
 """
 
 import string
@@ -53,7 +55,10 @@ ATOL = 1e-12
 NS = (1, 2, 3, 4)
 # the dense route runs through n = 5: a flattened pauli_basis(5) is 16 MB
 DENSE_NS = (1, 2, 3, 4, 5)
-ORDERS = [(n, n) for n in DENSE_NS] + [(4, 2), (2, 4), (3, 1)]
+SMALL = (1, 2, 3)
+ORDERS = [(n, n) for n in DENSE_NS] + [(4, 2), (2, 4)] + [
+    (n_in, n_out) for n_in in SMALL for n_out in SMALL if n_in != n_out
+]
 
 
 # -- oracles -----------------------------------------------------------------
@@ -222,7 +227,10 @@ def test_choi_and_transfer_match_dense_route(n_in, n_out):
     entries = _kraus_transfer(ops, n_in, n_out)
     assert_dense_route(entries, want.real, max(n_in, n_out))
     gate = GateMatrix(n_in, n_out, want.real, "general")
-    assert_dense_route(choi_matrix(gate), dense_choi(gate), max(n_in, n_out))
+    j = choi_matrix(gate)
+    assert_close(j, dense_choi(gate))
+    closed = oracle_closed_form_choi(gate)
+    assert_close(j, (closed + closed.conj().T) / 2)
 
 
 @pytest.mark.parametrize("n", DENSE_NS)
@@ -234,12 +242,12 @@ def test_state_kernels_match_dense_route(n):
     assert_dense_route(_pauli_combine(p, n), dense_combine(p, n), n)
 
 
-def _only_small(monkeypatch, name):
-    """Patch the cached basis builder ``liouville.<name>`` to refuse n > 3; returns it."""
+def _only_small(monkeypatch, name, bound=3):
+    """Patch the cached basis builder ``liouville.<name>`` to refuse n > bound; returns it."""
     original = getattr(liouville, name)
 
     def small_only(n):
-        if n > 3:
+        if n > bound:
             raise AssertionError(f"{name}({n}) was built")
         return original(n)
 
@@ -263,6 +271,17 @@ def test_no_dense_tau_basis_above_three_ququats(monkeypatch):
     """Nor a real tau basis: the blocks of the route above n = 3 take at most two ququats."""
     original = _only_small(monkeypatch, "_tau_basis")
     _build_above_three_ququats()
+    assert original.cache_info().currsize <= 2
+
+
+def test_choi_builds_no_dense_basis_of_three_ququats(monkeypatch):
+    """The Choi matrix takes the real factors at every order: at (3, 3), (3, 1) and
+    (1, 3) it builds no pauli_basis(3), only the blocks' bases of one and two ququats."""
+    original = _only_small(monkeypatch, "pauli_basis", bound=2)
+    rng = np.random.default_rng(235)
+    for n_in, n_out in ((3, 3), (3, 1), (1, 3)):
+        gate = GateMatrix(n_in, n_out, rng.normal(size=(4**n_out, 4**n_in)), "general")
+        assert choi_matrix(gate).shape == (2 ** (n_in + n_out),) * 2
     assert original.cache_info().currsize <= 2
 
 

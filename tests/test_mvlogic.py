@@ -13,8 +13,10 @@ import pytest
 from ququat import (
     NumericContractError,
     PauliIndex,
+    analyze_gate,
     apply_linear,
     builtin,
+    choi_matrix,
     closure,
     compose_classical,
     computational_state,
@@ -28,6 +30,7 @@ from ququat import (
 from ququat import mvlogic
 from ququat.cli import EXIT_OK, EXIT_SCHEMA
 from ququat.gates import GateMatrix
+from ququat.liouville import SIGMA
 from ququat.mvlogic import (
     TruthTable,
     _extended_map,
@@ -533,6 +536,16 @@ class TestSynthesis:
         gate = synthesize_quantum(builtin("luk_neg"))
         out = apply_linear(gate, computational_state(PauliIndex((2,))))
         assert np.array_equal(out.P, computational_state(PauliIndex((1,))).P)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_arity_zero_gate_is_completely_positive(self, k):
+        """The gate of order (0, 1) that prepares |k] has the density of |k] as its
+        Choi matrix: I/2 for k = 0 and (I + sigma_k)/2 otherwise."""
+        gate = synthesize_quantum(TruthTable(0, (k,)))
+        assert (gate.n_in, gate.n_out) == (0, 1)
+        want = (SIGMA[0] + (SIGMA[k] if k else 0)) / 2
+        np.testing.assert_allclose(choi_matrix(gate), want, rtol=0, atol=1e-15)
+        assert analyze_gate(gate).completely_positive
 
 
 class TestUnitalRealizability:

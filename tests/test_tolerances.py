@@ -4,7 +4,6 @@ import functools
 import importlib
 import inspect
 import pkgutil
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from ququat import (
     apply_nonlinear,
     check_reversible,
     check_reversible_superop,
-    choi_matrix,
     computational_state,
     density_to_pvec,
     euler_angles,
@@ -116,14 +114,6 @@ def _translated_identity():
     return entries
 
 
-def _choi_of_nonreal_gate():
-    # a real gate's Choi matrix is always Hermitian, so this probe hands
-    # choi_matrix a gate stand-in with an imaginary entry of OFF
-    entries = np.eye(4, dtype=complex)
-    entries[1, 1] += 1j * OFF
-    return choi_matrix(SimpleNamespace(n_in=1, n_out=1, entries=entries))
-
-
 def _generator_off_trace():
     return LiouvillianSuperop(n=1, matrix=OFF * np.eye(4)).to_pauli_generator()
 
@@ -146,7 +136,6 @@ CASES = [
     ("measurement_gates", lambda: measurement_gates([_P0_OFF])),
     ("apply_linear", lambda: apply_linear(_gate(_probability_above_one()), _MIXED)),
     ("apply_nonlinear", lambda: apply_nonlinear(_gate(_probability_above_one()), _MIXED)),
-    ("choi_matrix", _choi_of_nonreal_gate),
     ("analyze_gate", lambda: analyze_gate(_gate(_ROW0_OFF, "trace_decreasing")).trace_preserving),
     ("check_reversible", lambda: check_reversible([SIGMA[0]], _P0_OFF)),
     ("check_reversible_superop",
