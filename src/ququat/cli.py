@@ -520,6 +520,8 @@ def _cmd_mvlogic_verify(args):
     doc = _load_object(args)
     gate = sz.gate_from_json(doc.get("gate"), "gate")
     mode = doc.get("mode", "plain")
+    if mode not in ("plain", "extended"):
+        raise SchemaError(f"mode: expected 'plain' or 'extended', got {mode!r}")
     if "tables" in doc:
         tables = sz._decode_list(doc["tables"], "tables", sz.table_from_json)
     else:

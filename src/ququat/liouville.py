@@ -255,9 +255,10 @@ def _choi_product(e: np.ndarray, n_in: int, n_out: int, real: bool) -> np.ndarra
     M = B_out^T e B_in = T_out^T F T_in holds 2**n_out J[(a, i), (b, k)] at
     M[(a, b), (k, i)], for F = diag(phases_out) e diag(phases_in), whose
     entries are +-e or +-ie by the Y-parity of (mu, nu): the real factors act
-    on the real and imaginary planes of F, and one gather writes J, complex.
-    With ``real`` and every odd-parity entry of e zero, the real plane is
-    built alone, bit for bit the real part of the complex J.
+    on the real and imaginary planes of F, and one gather writes J, complex,
+    and exactly Hermitian when finite (the factors' entries are +-1 and 0).
+    With ``real`` and every odd-parity entry of e zero (-0.0 included), the
+    real plane is built alone, bit for bit the real part of the complex J.
     """
     (so, fo), (si, fi) = _basis_blocks(n_out), _basis_blocks(n_in)
     phase = np.multiply.outer(_phases(n_out), _phases(n_in))

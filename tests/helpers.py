@@ -91,6 +91,18 @@ def spy_arguments(monkeypatch, module, name) -> list:
     return seen
 
 
+def odd_parity(n_out: int, n_in: int) -> np.ndarray:
+    """Where sigma_mu kron sigma_nu^T carries an odd number of Y factors: the
+    (4**n_out, 4**n_in) mask of the gate entries that make a Choi matrix complex."""
+    ys = []
+    for n in (n_out, n_in):
+        y = np.zeros(1, int)
+        for _ in range(n):
+            y = (y[:, None] + (np.arange(4) == 2)).reshape(-1)
+        ys.append(y)
+    return (ys[0][:, None] + ys[1]) % 2 == 1
+
+
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 

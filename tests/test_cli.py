@@ -436,6 +436,14 @@ class TestMvlogicCommands:
             assert (code, err) == (EXIT_OK, "")
             assert json.loads(out) == {"realizes": realizes}
 
+    @pytest.mark.parametrize("mode", ["bogus", 3, None])
+    def test_verify_bad_mode(self, tmp_path, capsys, mode):
+        table = {"arity": 1, "outputs": [0, 1, 2, 3]}
+        doc = {"gate": {"entries": np.eye(4).tolist()}, "table": table, "mode": mode}
+        assert run_cli(["mvlogic", "verify"], doc, tmp_path, capsys) == (
+            EXIT_SCHEMA, "", f"error: mode: expected 'plain' or 'extended', got {mode!r}\n"
+        )
+
     def test_closure(self, tmp_path, capsys):
         payload = {"generators": ["g1", "g2", "g3"], "max_arity": 1, "budget": 300}
         code, out, _ = run_cli(["mvlogic", "closure"], payload, tmp_path, capsys)
@@ -1730,7 +1738,9 @@ def test_mode_echoes_a_wide_integer_as_json_loads_reads_it(tmp_path, capsys):
     (tmp_path / "verify.json").write_text(text)
     code = main(["mvlogic", "verify", str(tmp_path / "verify.json")])
     out, err = capsys.readouterr()
-    assert (code, out, err) == (EXIT_CONTRACT, "", "error: unknown mode [[100000000000000000000]]\n")
+    assert (code, out, err) == (
+        EXIT_SCHEMA, "", "error: mode: expected 'plain' or 'extended', got [[100000000000000000000]]\n"
+    )
 
 
 @pytest.mark.parametrize(

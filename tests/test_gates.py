@@ -46,8 +46,8 @@ from ququat.liouville import SIGMA, PauliIndex
 from ququat.gates import GENERAL, TRACE_DECREASING, TRACE_PRESERVING, classify_kind, measurement
 from ququat.serialization import gate_from_json, gate_to_json
 
-from helpers import (P0, P1, depolarizing_kraus, random_pvec, random_tp_kraus, random_unitary,
-                     spy_arguments, spy_shapes)
+from helpers import (P0, P1, depolarizing_kraus, odd_parity, random_pvec, random_tp_kraus,
+                     random_unitary, spy_arguments, spy_shapes)
 
 RNG = np.random.default_rng(11)
 
@@ -623,17 +623,6 @@ def _real_orthogonal_gate(rng, n):
     return gate_from_unitary(np.linalg.qr(rng.normal(size=(2**n, 2**n)))[0])
 
 
-def _odd_parity(n_out, n_in):
-    """Where sigma_mu kron sigma_nu^T carries an odd number of Y factors."""
-    ys = [np.zeros(1, int)]
-    for n in (n_out, n_in):
-        y = np.zeros(1, int)
-        for _ in range(n):
-            y = (y[:, None] + (np.arange(4) == 2)).reshape(-1)
-        ys.append(y)
-    return (ys[1][:, None] + ys[2]) % 2 == 1
-
-
 def _with_entry(gate, where, value):
     """The gate with one entry replaced."""
     e = gate.entries.copy()
@@ -642,7 +631,7 @@ def _with_entry(gate, where, value):
 
 
 def _first_odd(n):
-    return tuple(int(i[0]) for i in np.nonzero(_odd_parity(n, n)))
+    return tuple(int(i[0]) for i in np.nonzero(odd_parity(n, n)))
 
 
 # name -> (gate, whether its Choi matrix is real and takes the real solver)
@@ -656,9 +645,12 @@ CHOI_ROUTE_GATES = {
     "table-box": (lambda: synthesize_quantum(builtin("box")), True),
     "table-luk-neg": (lambda: synthesize_quantum(builtin("luk_neg")), False),
     "haar-2": (lambda: gate_from_unitary(random_unitary(np.random.default_rng(149), 4)), False),
-    # one odd-parity entry of the transpose map: a -0.0 is zero, a 1e-300 is not
+    # one odd-parity entry of the transpose map: a -0.0 is zero, a 1e-300 is not, nor is
+    # a 5e-324, though it underflows to zero in J's imaginary part
     "transpose-2-minus-zero": (lambda: _with_entry(_transpose_gate(2), _first_odd(2), -0.0), True),
     "transpose-2-tiny": (lambda: _with_entry(_transpose_gate(2), _first_odd(2), 1e-300), False),
+    "transpose-2-subnormal": (lambda: _with_entry(_transpose_gate(2), _first_odd(2), 5e-324),
+                              False),
 }
 
 
@@ -715,9 +707,10 @@ WIDE_CHOI_GATES = {
        for seed in (163, 167)},
     "real-orthogonal-4": lambda: _real_orthogonal_gate(np.random.default_rng(173), 4),
     "haar-4": lambda: gate_from_unitary(random_unitary(np.random.default_rng(179), 16)),
-    # one odd-parity entry of the transpose map: a -0.0 is zero, a 1e-300 is not
+    # one odd-parity entry of the transpose map: a -0.0 is zero, a 1e-300 or a 5e-324 is not
     "transpose-4-minus-zero": lambda: _with_entry(_transpose_gate(4), _first_odd(4), -0.0),
     "transpose-4-tiny": lambda: _with_entry(_transpose_gate(4), _first_odd(4), 1e-300),
+    "transpose-4-subnormal": lambda: _with_entry(_transpose_gate(4), _first_odd(4), 5e-324),
 }
 
 
@@ -725,8 +718,8 @@ WIDE_CHOI_GATES = {
 def test_analyze_gate_takes_the_real_solver_exactly_when_odd_parity_entries_are_zero(
         name, monkeypatch):
     gate = WIDE_CHOI_GATES[name]()
-    real = not gate.entries[_odd_parity(gate.n_out, gate.n_in)].any()
-    assert real == (name not in ("haar-4", "transpose-4-tiny"))
+    real = not gate.entries[odd_parity(gate.n_out, gate.n_in)].any()
+    assert real == (name not in ("haar-4", "transpose-4-tiny", "transpose-4-subnormal"))
     want = choi_matrix(gate)
     seen = spy_arguments(monkeypatch, np.linalg, "eigvalsh")
     rep = analyze_gate(gate)

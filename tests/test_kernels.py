@@ -12,10 +12,11 @@ transfers equal it bit for bit at n <= 3, and to 1e-12 at n = 4, 5.
 
 Above n = 3, and for the Choi matrix at every order, the kernel takes the
 real factors I, X, iY, Z of each sigma and its phase (-i)**y(mu).  Choi
-matrices agree with the dense GEMM to 1e-12 at every order.  The tests of
-the real factors compare with the einsum over the per-ququat sigma
-factors themselves, which needs no 4**n x 4**n basis and so also reaches
-the mixed orders (6, 1) and (1, 6).
+matrices agree with the dense GEMM to 1e-12 at every order, and the Choi
+product is exactly Hermitian, bit for bit, so ``choi_matrix`` measures no
+Hermitian residual.  The tests of the real factors compare with the
+einsum over the per-ququat sigma factors themselves, which needs no
+4**n x 4**n basis and so also reaches the mixed orders (6, 1) and (1, 6).
 """
 
 import string
@@ -49,7 +50,7 @@ from ququat.liouville import (
 )
 from ququat.universality import left_mult_superop, right_mult_superop
 
-from helpers import random_density, random_unitary
+from helpers import odd_parity, random_density, random_unitary
 
 ATOL = 1e-12
 NS = (1, 2, 3, 4)
@@ -154,7 +155,7 @@ def oracle_superop_transfer(s, n_in, n_out):
 
 
 def oracle_closed_form_choi(gate):
-    """J = 2**-n_out sum E[mu, nu] sigma_mu kron sigma_nu^T, before symmetrization."""
+    """J = 2**-n_out sum E[mu, nu] sigma_mu kron sigma_nu^T, unsymmetrized."""
     d_in, d_out = 2**gate.n_in, 2**gate.n_out
     m = oracle_basis_product(gate.entries.astype(complex).T, gate.n_in, transpose=True).T
     m = oracle_basis_product(m, gate.n_out, transpose=True) / d_out
@@ -304,6 +305,26 @@ def _build_above_three_ququats():
         assert gate_from_kraus(random_kraus(rng, n, n)).entries.shape == (4**n, 4**n)
         for build in (left_mult_superop, right_mult_superop):
             assert build(u).matrix.shape == (4**n, 4**n)
+
+
+# every order with 1 <= n_in + n_out <= 7, a side of zero ququats included
+HERMITIAN_ORDERS = [(n_in, size - n_in) for size in range(1, 8) for n_in in range(size + 1)]
+
+
+@pytest.mark.parametrize("n_in,n_out", HERMITIAN_ORDERS)
+def test_choi_product_is_exactly_hermitian(n_in, n_out):
+    """choi_matrix measures no Hermitian residual: the real factors give J == J^dagger
+    bit for bit, at every scale, and a real J exactly when asked for one of a gate
+    whose odd-parity entries are zero."""
+    rng = np.random.default_rng([280, n_in, n_out])
+    dense = rng.normal(size=(4**n_out, 4**n_in))
+    even = np.where(odd_parity(n_out, n_in), 0.0, dense)
+    for scale in (1e-300, 1e-5, 1.0, 1e8, 1e300):
+        for e in (dense, even):
+            for real in (False, True):
+                j = liouville._choi_product(e * scale, n_in, n_out, real)
+                assert np.isrealobj(j) == (real and e is even)
+                assert np.array_equal(j, j.conj().T)
 
 
 # -- the real tau route against the sigma einsum oracles ---------------------------------

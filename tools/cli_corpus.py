@@ -20,8 +20,9 @@ them, and every mutant that sets one numeric leaf to a float edge of
 benchmark does; the ``SimulateLocal(101)`` and ``(102)`` documents; and
 the ``mvlogic``, measurement and edge commands below; and last, seeded
 single-qubit Lindblad models and two witnesses at large coefficients, the
-cases of certificates read at an operator's size, and ``gate analyze`` of
-gates whose Choi matrix is real.  BLAS runs on one
+cases of certificates read at an operator's size, ``gate analyze`` of
+gates whose Choi matrix is real, and of transpose maps with one tiny or
+-0.0 odd-parity entry.  BLAS runs on one
 thread, as with more threads two runs of one revision can differ in the
 last bits.  The tool exits 1 when any case ends outside the CLI's exit
 codes 0, 2, 3 and 4, such as in a traceback, or prints a non-finite
@@ -371,6 +372,25 @@ def _real_channel_cases():
             yield ["--format", fmt, "gate", "analyze"], out
 
 
+def _odd_parity_cases():
+    """After the real-channel cases: ``gate analyze``, in JSON and in text, of
+    the transpose map rho -> rho^T on 2 and 4 ququats with the odd-parity
+    entry [0, 2] (one Y factor) set to -0.0, 1e-300 or 5e-324.  Its Choi
+    matrix is real exactly for the -0.0, which counts as zero."""
+    import numpy as np
+
+    for n in (2, 4):
+        diagonal = np.ones(1)
+        for _ in range(n):
+            diagonal = np.kron(diagonal, [1.0, 1.0, -1.0, 1.0])
+        entries = np.diag(diagonal)
+        for value in (-0.0, 1e-300, 5e-324):
+            entries[0, 2] = value
+            text = json.dumps({"entries": entries.tolist()})
+            for fmt in ("json", "text"):
+                yield ["--format", fmt, "gate", "analyze"], text
+
+
 def _one_step(n, step):
     """A ``simulate`` document of one step on n ququats from the state P = (1, 0, ..., 0)."""
     state = {"n": n, "P": [1.0] + [0.0] * (4**n - 1)}
@@ -465,6 +485,7 @@ def corpus():
     yield from _lindblad_model_cases()
     yield from _size_rule_cases()
     yield from _real_channel_cases()
+    yield from _odd_parity_cases()
 
 
 def _results(root: Path):
