@@ -463,7 +463,7 @@ def choi_matrix(gate: GateMatrix, *, real: bool = False) -> np.ndarray:
     j /= 2**gate.n_out
     # finite J is exactly Hermitian: J[x, y] and J[y, x] sum the same terms, signs flipped exactly
     if not np.isfinite(j).all():
-        raise NumericContractError("Choi matrix not Hermitian: residual nan")
+        raise NumericContractError("Choi matrix has non-finite entries")
     return j
 
 

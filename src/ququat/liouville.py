@@ -115,11 +115,13 @@ def pauli_basis(n: int) -> np.ndarray:
     return out
 
 
-# Up to this many ququats a one-sided basis change or a transfer is one GEMM
-# with the flattened pauli_basis(n); above it, and for every Choi matrix, the
-# basis is applied in real arithmetic in blocks of _BASIS_BLOCK ququats.
-_DENSE_BASIS_MAX = 3
+# Every basis change applies the real factors of the basis (:func:`_tau_basis`)
+# in blocks of at most _BASIS_BLOCK ququats: one block up to two ququats, two
+# at three, and so on; nothing of size 4**n x 4**n is built above two.
 _BASIS_BLOCK = 2
+
+# The real factors I, X, iY and Z of the Pauli matrices, flattened: _TAU[mu, (a, b)].
+_TAU = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]], float)
 
 
 @functools.lru_cache(maxsize=None)
@@ -138,8 +140,12 @@ def _phases(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _tau_basis(n: int) -> np.ndarray:
-    """The flattened real basis T[mu, (a, b)] = tau_mu[a, b] = i**y(mu) sigma_mu[a, b]."""
-    out = (pauli_basis(n).reshape(4**n, -1) * _phases(n).conj()[:, None]).real.copy()
+    """The flattened real basis T[mu, (a, b)] = tau_mu[a, b] = i**y(mu) sigma_mu[a, b]:
+    the Kronecker power of _TAU, its columns regrouped from (a_1 b_1 .. a_n b_n)
+    to (a_1..a_n, b_1..b_n)."""
+    out = functools.reduce(np.kron, [_TAU] * n, np.ones((1, 1)))
+    order = [0, *(1 + i for i in np.argsort(_pairs(n)))]
+    out = out.reshape(4**n, *[2] * (2 * n)).transpose(order).reshape(4**n, -1)
     out.setflags(write=False)
     return out
 
@@ -184,25 +190,25 @@ def _basis_product(y: np.ndarray, n: int, transpose: bool = False) -> np.ndarray
     """B @ y, or B^T @ y, along axis 0 of y for the flattened basis B[mu, (a, b)] = sigma_mu[a, b].
 
     y has 4**n rows, indexed by (a, b) for B @ y and by mu for B^T @ y.
-    Up to _DENSE_BASIS_MAX ququats this is one GEMM with the dense basis.
-    Above it, B = diag(_phases(n)) T with T real: B @ y regroups the rows
-    (a, b) once per block, applies each block's factor of T
-    (:func:`_basis_blocks`) as one real matmul over that block's axis, to
-    the real and imaginary parts of y (gathered as complex) together, and
-    multiplies by the phases; B^T @ y applies the phases, the transposed
-    factors and the regrouping back.  Nothing of size 4**n x 4**n exists.
+    B = diag(_phases(n)) T with T real: B @ y regroups the rows (a, b) per
+    block when there are two blocks or more, applies each block's factor of
+    T (:func:`_basis_blocks`) as one real matmul over that block's axis, to
+    the real and imaginary parts of y (as complex) together, and multiplies
+    by the phases; B^T @ y applies the phases, the transposed factors and
+    the regrouping back.
     """
-    if n <= _DENSE_BASIS_MAX:
-        rows = pauli_basis(n).reshape(4**n, -1)
-        return rows.T @ y if transpose else rows @ y
     sides, factors = _basis_blocks(n)
     k = len(sides)
     if transpose:
         x = np.multiply(_phases(n)[:, None], y.reshape(4**n, -1), order="C").view(float)
         x = _tau_product(x, [f.T for f in factors], 1).reshape(4**n, -1).view(complex)
-        x = x.reshape([s for s in sides for _ in "ab"] + [-1])
-        return x.transpose([*np.argsort(_pairs(k)), 2 * k]).reshape(y.shape)
-    x = np.array(y.reshape(*sides, *sides, -1).transpose([*_pairs(k), 2 * k]), complex, order="C")
+        if k > 1:
+            x = x.reshape([s for s in sides for _ in "ab"] + [-1])
+            x = x.transpose([*np.argsort(_pairs(k)), 2 * k])
+        return x.reshape(y.shape)
+    x = y.reshape(*sides, *sides, -1).transpose([*_pairs(k), 2 * k]) if k > 1 else y
+    # _tau_product overwrites x only from a second factor on: one block reads y in place
+    x = np.array(x, complex, order="C", copy=True if k > 1 else None)
     x = _tau_product(x.view(float), factors, 1).reshape(4**n, -1).view(complex)
     return (x * _phases(n)[:, None]).reshape(y.shape)
 
@@ -222,21 +228,14 @@ def _superop_transfer(s: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
     """E[mu, nu] = 2**-n_in Tr(sigma_mu Phi(sigma_nu)) of Phi: vec(X) -> s @ vec(X).
 
     vec is the row-major flattening, so vec(A X B) = (A kron B^T) vec(X)
-    gives ``s`` of any sum of such products.  Up to _DENSE_BASIS_MAX
-    ququats on both sides the images Phi(sigma_nu) are the rows of
-    B_in @ s^T, and one more basis change reads their coefficients.
-    Above it, with B = diag(phases) T on each side (:func:`_basis_product`),
-    E[mu, nu] = phase_mu phase_nu (T_out S s T_in^T)[mu, nu] / 2**n_in for
-    S the swap of the output's two indices: one gather regroups s, rows
-    swapped, with its real and imaginary parts as two planes, the real
-    factors of both sides act on both planes, and one pass multiplies
-    each entry by its phase, +-1 or +-i, so each part of E is a part of
-    the planes with a sign.
+    gives ``s`` of any sum of such products.  With B = diag(phases) T on
+    each side (:func:`_basis_product`), E[mu, nu] = phase_mu phase_nu
+    (T_out S s T_in^T)[mu, nu] / 2**n_in for S the swap of the output's
+    two indices: one gather regroups s, rows swapped, with its real and
+    imaginary parts as two planes, the real factors of both sides act on
+    both planes, and one pass multiplies each entry by its phase, +-1 or
+    +-i, so each part of E is a part of the planes with a sign.
     """
-    if max(n_in, n_out) <= _DENSE_BASIS_MAX:
-        d_out = 2**n_out
-        images = _basis_product(s.T, n_in).reshape(-1, d_out, d_out)
-        return _pauli_transfer(images, n_out) / 2**n_in
     (so, fo), (si, fi) = _basis_blocks(n_out), _basis_blocks(n_in)
     x = np.asarray(s, complex).view(float).reshape(*so, *so, *si, *si, 2)
     order = [x.ndim - 1, *_pairs(len(so), swap=True), *(2 * len(so) + i for i in _pairs(len(si)))]

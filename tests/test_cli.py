@@ -1757,7 +1757,7 @@ def test_mode_echoes_a_wide_integer_as_json_loads_reads_it(tmp_path, capsys):
          "result has non-finite entries"),
         # two entries of 1.7e308 overflow the Choi matrix into NaN
         (["gate", "analyze"], {"entries": np.diag([1, 1.7e308, 1.7e308, 1]).tolist()},
-         "Choi matrix not Hermitian: residual nan"),
+         "Choi matrix has non-finite entries"),
     ],
 )
 def test_non_finite_results_exit_3_with_one_line(tmp_path, capsys, argv, doc, message):

@@ -80,3 +80,49 @@ def test_run_case_records_an_argument_error_as_its_exit_code():
         raise SystemExit(2)
 
     assert cli_corpus.run_case(refuses, ["--precision", "-1"], "") == (2, "", "usage: ququat\n")
+
+
+SHA = "0123456789abcdef"
+ANALYZE = " ".join(JSON)
+STDERR_MOVES = (_result(JSON, "", 3, "error: a\n", SHA), _result(JSON, "", 3, "error: b\n", SHA))
+UNMOVED = (_result(JSON, '{"a": 1.0}', sha=SHA),
+           _result(JSON, '{"a": 1.0000000000000002}', sha=SHA))
+
+
+@pytest.mark.parametrize(
+    "pairs,expected,failures",
+    [
+        # a difference that is not listed
+        ([STDERR_MOVES], {}, 1),
+        ([STDERR_MOVES], {(ANALYZE, "f" * 16): {"stderr"}}, 2),
+        # a listed difference
+        ([STDERR_MOVES, UNMOVED], {(ANALYZE, SHA): {"stderr"}}, 0),
+        # a listed case with no difference beyond the last bits
+        ([UNMOVED], {(ANALYZE, SHA): {"stdout"}}, 1),
+        # a kind other than the listed one, or more kinds than listed
+        ([STDERR_MOVES], {(ANALYZE, SHA): {"stdout"}}, 1),
+        ([STDERR_MOVES], {(ANALYZE, SHA): {"stderr", "exit"}}, 1),
+        ([(_result(JSON, "{}", sha=SHA), _result(TEXT, "{}", sha=SHA))],
+         {(ANALYZE, SHA): {"stdout"}}, 1),
+        ([(_result(JSON, "", 3, "error: a\n", SHA), _result(JSON, "{}", 0, "", SHA))],
+         {(ANALYZE, SHA): {"exit"}}, 1),
+        # a case that differs in several kinds lists each of them
+        ([(_result(JSON, "", 3, "error: a\n", SHA), _result(JSON, "{}", 0, "", SHA))],
+         {(ANALYZE, SHA): {"exit", "stderr", "stdout"}}, 0),
+    ],
+)
+def test_expected_differences(pairs, expected, failures, capsys):
+    assert cli_corpus.report(pairs, expected) == failures
+    assert capsys.readouterr().out.endswith(f"; {failures} fail\n")
+
+
+def test_an_expected_differences_file_names_single_cases(tmp_path):
+    path = tmp_path / "expected.txt"
+    path.write_text(f"# comment\n\n{ANALYZE}\t{SHA}\tstderr\n{ANALYZE}\t{SHA}\texit\n")
+    assert cli_corpus.read_expected(path) == {(ANALYZE, SHA): {"stderr", "exit"}}
+    for line in (f"*\t{SHA}\tstderr", f"gate *\t{SHA}\tstderr", f"{ANALYZE}\t*\tstderr",
+                 f"{ANALYZE}\t0123\tstderr", f"{ANALYZE}\t{SHA}\t*", f"{ANALYZE}\t{SHA}",
+                 f"{ANALYZE} {SHA} stderr"):
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match="not 'argv<TAB>sha<TAB>kind' of one case"):
+            cli_corpus.read_expected(path)

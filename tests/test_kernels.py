@@ -5,18 +5,17 @@ basis change (one einsum per formula, and the d_in**2 loop over matrix
 units for the Choi matrix).  They are slow but transparent, and every
 fast kernel must agree with them to 1e-12 at small n.
 
-The dense route is the one GEMM against the flattened ``pauli_basis(n)``
-that ``liouville._basis_product`` keeps for n <= 3 and replaces by
-blockwise products above.  It is the second oracle: products and
-transfers equal it bit for bit at n <= 3, and to 1e-12 at n = 4, 5.
+The dense route is the one GEMM against the flattened ``pauli_basis(n)``.
+It is the second oracle: products, transfers, state kernels and Choi
+matrices agree with it to 1e-12 at n = 1..5.
 
-Above n = 3, and for the Choi matrix at every order, the kernel takes the
-real factors I, X, iY, Z of each sigma and its phase (-i)**y(mu).  Choi
-matrices agree with the dense GEMM to 1e-12 at every order, and the Choi
-product is exactly Hermitian, bit for bit, so ``choi_matrix`` measures no
-Hermitian residual.  The tests of the real factors compare with the
-einsum over the per-ququat sigma factors themselves, which needs no
-4**n x 4**n basis and so also reaches the mixed orders (6, 1) and (1, 6).
+The kernel takes the real factors I, X, iY, Z of each sigma and its phase
+(-i)**y(mu) at every n and order, and no internal path builds
+``pauli_basis``.  The Choi product is exactly Hermitian, bit for bit, so
+``choi_matrix`` measures no Hermitian residual.  The tests of the real
+factors compare with the einsum over the per-ququat sigma factors
+themselves, which needs no 4**n x 4**n basis and so also reaches the
+mixed orders (6, 1) and (1, 6).
 """
 
 import string
@@ -195,15 +194,6 @@ def assert_close(actual, expected):
     np.testing.assert_allclose(actual, expected, rtol=0, atol=ATOL)
 
 
-def assert_dense_route(actual, expected, n):
-    """Bit for bit where the kernel is the dense GEMM, to 1e-12 where it goes by blocks."""
-    if n <= 3:
-        assert actual.dtype == expected.dtype and actual.shape == expected.shape
-        assert actual.tobytes() == expected.tobytes()
-    else:
-        assert_close(actual, expected)
-
-
 # -- the kernel against the dense GEMM ----------------------------------------------
 
 
@@ -217,7 +207,7 @@ def test_basis_product_matches_dense_gemm(n, transpose):
         rng.normal(size=(4**n, 2)),
         ginibre(rng, 3, 4**n).T,
     ):
-        assert_dense_route(_basis_product(y, n, transpose), dense_product(y, n, transpose), n)
+        assert_close(_basis_product(y, n, transpose), dense_product(y, n, transpose))
 
 
 @pytest.mark.parametrize("n_in,n_out", ORDERS)
@@ -226,7 +216,7 @@ def test_choi_and_transfer_match_dense_route(n_in, n_out):
     ops = random_kraus(np.random.default_rng(210 + 8 * n_in + n_out), n_in, n_out, rank)
     want = dense_kraus_transfer(ops, n_in, n_out)
     entries = _kraus_transfer(ops, n_in, n_out)
-    assert_dense_route(entries, want.real, max(n_in, n_out))
+    assert_close(entries, want.real)
     gate = GateMatrix(n_in, n_out, want.real, "general")
     j = choi_matrix(gate)
     assert_close(j, dense_choi(gate))
@@ -239,8 +229,8 @@ def test_state_kernels_match_dense_route(n):
     rng = np.random.default_rng(220 + n)
     rho = random_density(rng, n).entries
     p = density_to_pvec(DensityMatrix(n, rho)).P
-    assert_dense_route(p, dense_product(rho.T.reshape(-1, 1), n)[:, 0].real, n)
-    assert_dense_route(_pauli_combine(p, n), dense_combine(p, n), n)
+    assert_close(p, dense_product(rho.T.reshape(-1, 1), n)[:, 0].real)
+    assert_close(_pauli_combine(p, n), dense_combine(p, n))
 
 
 def _only_small(monkeypatch, name, bound=3):
@@ -254,18 +244,20 @@ def _only_small(monkeypatch, name, bound=3):
 
     monkeypatch.setattr(liouville, name, small_only)
     # a module that imported the name calls the cached function itself: its
-    # cache then holds more than the bases of n = 1, 2, 3
+    # cache then holds more than the bases up to the bound
     original.cache_clear()
     liouville._basis_blocks.cache_clear()  # its factors are built through the patched name
     return original
 
 
-def test_no_dense_basis_above_three_ququats(monkeypatch):
-    """Choi matrices, state checks, conversions, gates and pseudo-gates at n = 4..6 never
-    build pauli_basis(n > 3)."""
-    original = _only_small(monkeypatch, "pauli_basis")
+def test_no_internal_path_builds_pauli_basis(monkeypatch):
+    """Choi matrices, state checks, conversions, gates, measurements, generators and
+    pseudo-gates at n = 1..6 never build pauli_basis: it serves only the public API."""
+    original = _only_small(monkeypatch, "pauli_basis", bound=0)
+    liouville._tau_basis.cache_clear()  # so a factor built through pauli_basis would show
+    _build_up_to_three_ququats()
     _build_above_three_ququats()
-    assert original.cache_info().currsize <= 3
+    assert original.cache_info().currsize == 0
 
 
 def test_no_dense_tau_basis_above_three_ququats(monkeypatch):
@@ -275,15 +267,27 @@ def test_no_dense_tau_basis_above_three_ququats(monkeypatch):
     assert original.cache_info().currsize <= 2
 
 
-def test_choi_builds_no_dense_basis_of_three_ququats(monkeypatch):
-    """The Choi matrix takes the real factors at every order: at (3, 3), (3, 1) and
-    (1, 3) it builds no pauli_basis(3), only the blocks' bases of one and two ququats."""
-    original = _only_small(monkeypatch, "pauli_basis", bound=2)
+def _build_up_to_three_ququats():
     rng = np.random.default_rng(235)
-    for n_in, n_out in ((3, 3), (3, 1), (1, 3)):
-        gate = GateMatrix(n_in, n_out, rng.normal(size=(4**n_out, 4**n_in)), "general")
-        assert choi_matrix(gate).shape == (2 ** (n_in + n_out),) * 2
-    assert original.cache_info().currsize <= 2
+    for n_in in SMALL:
+        for n_out in SMALL:
+            gate = GateMatrix(n_in, n_out, rng.normal(size=(4**n_out, 4**n_in)), "general")
+            assert choi_matrix(gate).shape == (2 ** (n_in + n_out),) * 2
+    for n in SMALL:
+        rho = random_density(rng, n)
+        p = density_to_pvec(rho)
+        assert validate_density(p).valid and validate_density(rho).valid
+        assert_close(pvec_to_density(p).entries, rho.entries)
+        u = random_unitary(rng, 2**n)
+        assert gate_from_unitary(u).entries.shape == (4**n, 4**n)
+        assert gate_from_kraus(random_kraus(rng, n, n)).entries.shape == (4**n, 4**n)
+        (gate,) = measurement_gates([np.diag([1.0] + [0.0] * (2**n - 1))])
+        assert gate.entries.shape == (4**n, 4**n)
+        for build in (left_mult_superop, right_mult_superop):
+            assert build(u).matrix.shape == (4**n, 4**n)
+        h = ginibre(rng, 2**n, 2**n)
+        liou = liouvillian_superop(h + h.conj().T, [ginibre(rng, 2**n, 2**n)])
+        assert liou.to_pauli_generator().shape == (4**n, 4**n)
 
 
 def _build_above_three_ququats():

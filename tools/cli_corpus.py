@@ -40,6 +40,17 @@ kind: exit code, stderr, JSON structure, a value that is not a float, a
 JSON float that moves by more than :data:`LAST_BITS` times
 max(1, |a|, |b|), or a text number that moves by more than one unit of
 its last printed digit.
+
+A change that moves output on purpose lists the cases it moves:
+
+    python tools/cli_corpus.py --against PARENT_CHECKOUT --expect FILE
+
+Each line of FILE names one case by its argv and input sha, as compare
+mode prints them, and one kind of difference it shows, ``stdout``,
+``stderr`` or ``exit``, separated by tabs; blank lines and lines starting
+with ``#`` are skipped.  A listed case must differ beyond the last bits in
+exactly its listed kinds: a listed case that does not, like a difference
+that is not listed, exits 1.  A line with a wildcard is refused.
 """
 
 from __future__ import annotations
@@ -409,9 +420,9 @@ def _error_documents():
     ``from-lindblad`` with a non-Hermitian H and with a 2x2 C.  Then ``state
     convert`` with an n unlike the entries', ``measure`` with ``post_select``
     2 of two projectors, ``mvlogic closure`` of a generator above
-    ``max_arity``, ``mvlogic verify`` of tables of two arities and of a table
-    list in extended mode, and ``universality closure-dim`` of generators of
-    two sizes."""
+    ``max_arity``, ``mvlogic verify`` of tables of two arities, of a table
+    list in extended mode and with a ``mode`` that is not a mode ("bogus", 3
+    and null), and ``universality closure-dim`` of generators of two sizes."""
     import numpy as np
 
     eye, wide = np.eye(4).tolist(), np.eye(4, 16).tolist()
@@ -445,6 +456,8 @@ def _error_documents():
     yield ["mvlogic", "verify"], {"gate": {"entries": eye}, "tables": tables}
     yield ["mvlogic", "verify"], {"gate": {"entries": eye}, "tables": tables[:1],
                                   "mode": "extended"}
+    for mode in ("bogus", 3, None):
+        yield ["mvlogic", "verify"], {"gate": {"entries": eye}, "table": tables[0], "mode": mode}
     yield ["universality", "closure-dim"], {"generators": [[[0, 1], [1, 0]], eye]}
 
 
@@ -591,6 +604,22 @@ def _text_moves(a: str, b: str, moves: list) -> str | None:
     return None
 
 
+def _stdout_moves(argv, a: str, b: str) -> tuple[float | None, str | None]:
+    """The largest float move between two stdouts of one case (None if they are
+    identical), and the first difference of any other kind (None if there is none)."""
+    if a == b:
+        return None, None
+    moves = []
+    if _is_text(argv):
+        why = _text_moves(a, b, moves)
+    else:
+        try:
+            why = _float_moves(json.loads(a), json.loads(b), moves)
+        except ValueError:
+            why = "stdout is not JSON"
+    return max(moves, default=None), why
+
+
 def difference(base, change) -> tuple[float | None, str | None]:
     """How one case's result moved between two checkouts: the largest move of a
     float on stdout (None if stdout is identical), and the first difference of
@@ -602,45 +631,92 @@ def difference(base, change) -> tuple[float | None, str | None]:
         return None, f"exit {base[2]} became {change[2]}"
     if base[4] != change[4]:
         return None, "stderr differs"
-    if base[3] == change[3]:
-        return None, None
-    moves = []
-    if _is_text(base[0]):
-        why = _text_moves(base[3], change[3], moves)
-    else:
-        try:
-            why = _float_moves(json.loads(base[3]), json.loads(change[3]), moves)
-        except ValueError:
-            why = "stdout is not JSON"
-    return max(moves, default=None), why
+    return _stdout_moves(base[0], base[3], change[3])
 
 
-def compare(against: Path, root: Path) -> int:
+KINDS = ("stdout", "stderr", "exit")
+
+
+def kinds(base, change) -> set[str]:
+    """Each kind of difference beyond the last bits between two results of one case."""
+    found = {"exit"} if base[2] != change[2] else set()
+    if base[4] != change[4]:
+        found.add("stderr")
+    if _stdout_moves(base[0], base[3], change[3])[1]:
+        found.add("stdout")
+    return found
+
+
+_SHA = re.compile(r"[0-9a-f]{16}")
+
+
+def read_expected(path: Path) -> dict[tuple[str, str], set[str]]:
+    """The listed kinds of difference of each case (argv, input sha) of an
+    expected-differences file; a line that names no single case, a wildcard
+    in it included, raises ValueError."""
+    expected = {}
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if (len(fields) != 3 or not fields[0] or any(c in fields[0] for c in "*?")
+                or not _SHA.fullmatch(fields[1]) or fields[2] not in KINDS):
+            raise ValueError(f"{path}:{number}: not 'argv<TAB>sha<TAB>kind' of one case: {line!r}")
+        expected.setdefault((fields[0], fields[1]), set()).add(fields[2])
+    return expected
+
+
+def report(pairs, expected) -> int:
+    """Print each case of ``pairs``, (base, change) results, that differs.
+    Returns the number of failures: differences beyond the last bits that
+    ``expected`` (:func:`read_expected`) does not list, listed cases that
+    differ in other kinds, and listed cases that do not differ."""
+    total, floats, listed, failures, top = 0, Counter(), 0, 0, 0.0
+    seen = set()
+    for base, change in pairs:
+        total += 1
+        move, why = difference(base, change)
+        case = (" ".join(base[0]), base[1])
+        if why:
+            want = expected.get(case)
+            found = kinds(base, change) if base[0] == change[0] else set()
+            seen.add(case)
+            if found == want:
+                listed += 1
+                print(f"{case[0]}\t{case[1]}\tdiffers as listed: {why}")
+                continue
+            failures += 1
+            if want:
+                why += f" (in {', '.join(sorted(found)) or 'the case'}; listed {', '.join(want)})"
+            print(f"{case[0]}\t{case[1]}\tdiffers: {why}")
+        elif move is not None:
+            floats[case[0]] += 1
+            top = max(top, move)
+            sha = base[1] if base[1] == change[1] else f"{base[1]} -> {change[1]}"
+            print(f"{case[0]}\t{sha}\tfloats move by at most {move:.3g}")
+    for case in sorted(expected.keys() - seen):
+        failures += 1
+        print(f"{case[0]}\t{case[1]}\tlisted, but does not differ beyond the last bits")
+    by_command = ", ".join(f"{n} {c}" for c, n in floats.most_common())
+    print(f"# {total} cases; {sum(floats.values())} differ in stdout floats only, by at most "
+          f"{top:.3g} ({by_command or 'none'}); {listed} differ as listed; {failures} fail")
+    return failures
+
+
+def compare(against: Path, root: Path, expected: dict) -> int:
     """Run the corpus in ``against`` and in ``root``, one child process each as
-    both import ``ququat``, and print each case whose result differs."""
+    both import ``ququat``, and :func:`report` each case whose result differs."""
     command = [sys.executable, __file__, "--records", "--root"]
     children = [subprocess.Popen([*command, str(r)], stdout=subprocess.PIPE, text=True,
                                  encoding="utf-8", errors="surrogatepass") for r in (against, root)]
-    total, floats, others, top = 0, Counter(), 0, 0.0
-    for lines in zip(*(child.stdout for child in children)):
-        base, change = (json.loads(line) for line in lines)
-        total += 1
-        move, why = difference(base, change)
-        if why:
-            others += 1
-            print(f"{' '.join(base[0])}\t{base[1]}\tdiffers: {why}")
-        elif move is not None:
-            floats[" ".join(base[0])] += 1
-            top = max(top, move)
-            sha = base[1] if base[1] == change[1] else f"{base[1]} -> {change[1]}"
-            print(f"{' '.join(base[0])}\t{sha}\tfloats move by at most {move:.3g}")
+    pairs = ([json.loads(line) for line in lines] for lines in zip(*(c.stdout for c in children)))
+    failures = report(pairs, expected)
     # a child with cases left over ran a different corpus
-    others += sum(1 for child in children for _ in child.stdout)
+    left = sum(1 for child in children for _ in child.stdout)
+    if left:
+        print(f"# {left} cases left over: the two checkouts ran different corpora")
     codes = [child.wait() for child in children]
-    by_command = ", ".join(f"{n} {c}" for c, n in floats.most_common())
-    print(f"# {total} cases; {sum(floats.values())} differ in stdout floats only, by at most "
-          f"{top:.3g} ({by_command or 'none'}); {others} differ otherwise")
-    return int(others > 0 or any(codes))
+    return int(failures > 0 or left > 0 or any(codes))
 
 
 def main(argv=None) -> int:
@@ -650,12 +726,20 @@ def main(argv=None) -> int:
                         help="checkout whose src/, tests/ and perfbench/ are imported")
     parser.add_argument("--against", type=Path, metavar="CHECKOUT",
                         help="compare the results of CHECKOUT with those of --root")
+    parser.add_argument("--expect", type=Path, metavar="FILE",
+                        help="with --against: the cases that differ on purpose, and how")
     parser.add_argument("--records", action="store_true",
                         help="print each case's full result as one JSON line")
     args = parser.parse_args(argv)
     root = args.root.resolve()
+    if args.expect is not None and args.against is None:
+        parser.error("--expect needs --against")
     if args.against is not None:
-        return compare(args.against.resolve(), root)
+        try:
+            expected = read_expected(args.expect) if args.expect is not None else {}
+        except (OSError, ValueError) as exc:
+            parser.error(str(exc))
+        return compare(args.against.resolve(), root, expected)
     if args.records:
         for result in _results(root):
             print(json.dumps(result))
